@@ -1,53 +1,25 @@
 """Sandpile growth in a walled convex silo, with transport certification."""
 
-from .cones import ConeState, GridControl, Trajectory, analytic_phase, run, step
-from .fields import (
-    BoundaryMeasure,
-    GridField,
-    PathMeasure,
-    equilibrium_height,
-    eval_growth_rate,
-    eval_height,
-    height_field,
-    rolling_measure,
-    spill_measure,
-)
-from .geometry import BoundaryPoint, ConvexDomain
-from .regions import Grid, Partition, area_refined, build_grid, partition
-from .sources import DensitySpec, SourceSet, discretize, make_sources, min_separation
-from .verify import build_problem, certify, solve_dual, solve_primal, wasserstein
+from .cones import GridControl, run
+from .fields import height_field, rolling_measure, spill_measure
+from .geometry import ConvexDomain
+from .regions import build_grid, partition
+from .sources import discretize, make_sources
+from .verify import build_problem, certify, solve_primal, wasserstein
 
 __all__ = [
-    "BoundaryMeasure",
-    "BoundaryPoint",
-    "ConeState",
     "ConvexDomain",
-    "DensitySpec",
-    "Grid",
     "GridControl",
-    "GridField",
-    "Partition",
-    "PathMeasure",
-    "SourceSet",
-    "Trajectory",
-    "analytic_phase",
-    "area_refined",
     "build_grid",
     "build_problem",
     "certify",
     "discretize",
-    "equilibrium_height",
-    "eval_growth_rate",
-    "eval_height",
     "height_field",
     "make_sources",
-    "min_separation",
     "partition",
     "rolling_measure",
     "run",
-    "solve_dual",
     "solve_primal",
     "spill_measure",
-    "step",
     "wasserstein",
 ]

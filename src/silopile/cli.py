@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, echo_config, parse_config
-from .cones import ConeState, GridControl, Trajectory, escape_thresholds, run
+from .cones import ConeState, GridControl, Trajectory, escape_routes, run
 from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
@@ -28,14 +28,7 @@ from .fields import (
 from .geometry import ConvexDomain
 from .regions import build_grid, partition
 from .sources import POINT_LIST, SourceSet, discretize, make_sources
-from .verify import (
-    build_problem,
-    certify,
-    coarsen_problem,
-    snapshot_heights,
-    solve_dual,
-    solve_primal,
-)
+from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
 MANIFEST_HEADER = "silopile-manifest-v1"
 
@@ -131,8 +124,8 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
         mu_name = f"snap{i:03d}_mu.csv"
         u = height_field(state, sources, grid)
         part = partition(grid, sources, state.radii)
-        mu = rolling_measure(state, sources, part, domain, grid)
-        nu = spill_measure(state, sources, domain)
+        mu = rolling_measure(state, sources, part, traj.spill_atoms, grid)
+        nu = spill_measure(state, sources, traj.spill_atoms)
         (out / u_name).write_text(field_to_csv(u))
         (out / mu_name).write_text(path_measure_to_csv(mu))
         nu_blocks.append(f"# snapshot {i} t={_fmt(traj.snapshot_times[i])}\n" + boundary_measure_to_lines(nu))
@@ -163,17 +156,19 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     spacing = float(echo["grid.boundary_spacing"])
     node_cap = int(echo.get("tolerances.dual_node_cap", "2000"))
     grid = build_grid(domain, h)
-    thresholds = escape_thresholds(sources, domain)
+    thresholds, _ = escape_routes(sources, domain)
 
-    for _, u_file in _snapshot_fields(sections, "u"):
-        if not (out / u_file).exists():
-            raise ConfigError(f"missing snapshot file {u_file}")
-
-    cert_lines = []
-    all_pass = True
+    snapshots = []
     for line in sections.get("snapshots", []):
         idx, _, rest = line.partition(" = ")
         fields = dict(part.split("=", 1) for part in rest.split())
+        if not (out / fields["u"]).exists():
+            raise ConfigError(f"missing snapshot file {fields['u']}")
+        snapshots.append((idx, fields))
+
+    cert_lines = []
+    all_pass = True
+    for idx, fields in snapshots:
         t = float(fields["t"])
         radii = np.array([float(r) for r in fields["radii"].split(",")])
         frozen = np.array([c == "1" for c in fields["frozen"].split(",")])
@@ -182,9 +177,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         problem = build_problem(state, sources, domain, grid, spacing)
         sol = solve_primal(problem)
         report = certify(*snapshot_heights(state, sources, problem), sol, problem)
-        coarse = coarsen_problem(problem, node_cap)
         dual = solve_dual(problem, node_cap)
-        primal_coarse = solve_primal(coarse)
+        primal_coarse = solve_primal(dual.problem)
         lp_gap = abs(dual.value - primal_coarse.primal_value)
         status = "PASS" if report.passed else "FAIL"
         all_pass &= report.passed
@@ -211,14 +205,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     return 0 if all_pass else 1
 
 
-def _snapshot_fields(sections, key):
-    for line in sections.get("snapshots", []):
-        idx, _, rest = line.partition(" = ")
-        fields = dict(part.split("=", 1) for part in rest.split())
-        yield idx, fields[key]
-
-
 def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float]) -> None:
+    """Replace the manifest's certificates; ``extra_timings`` replace same-named timings."""
     lines = path.read_text().splitlines()
     out = []
     section = None
@@ -235,7 +223,7 @@ def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str,
         if section == "certificates" and not line.startswith("["):
             continue
         if section == "timings":
-            if line.strip():
+            if line.strip() and line.partition(" = ")[0] not in extra_timings:
                 timing_lines.append(line)
             continue
         out.append(line)
@@ -249,7 +237,7 @@ def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str,
 def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    thresholds = escape_thresholds(sources, domain)
+    thresholds, _ = escape_routes(sources, domain)
     bound = float(np.sum(domain.area * thresholds / sources.rates))
     limit = 1.1 * bound
     horizon = min(cfg.horizon, limit)
@@ -269,7 +257,7 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
 
     grid = build_grid(domain, cfg.grid_h)
     sim = height_field(final, sources, grid)
-    closed = equilibrium_field(sources, domain, grid)
+    closed = equilibrium_field(sources, thresholds, grid)
     sup_diff = float(np.abs(sim.values - closed.values).max())
 
     out = Path(cfg.output_dir)
@@ -325,15 +313,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--grid-h", type=float, default=None)
         p.add_argument("--quiet", action="store_true")
     pv = sub.add_parser("verify")
     pv.add_argument("--manifest", default=None)
     pv.add_argument("--config", default=None, help="config whose output directory holds the manifest")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--grid-h", type=float, default=None)
     pv.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
@@ -365,8 +350,6 @@ def _load(args) -> RunConfig:
     cfg = parse_config(args.config)
     if args.out is not None:
         cfg.output_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     if getattr(args, "grid_h", None) is not None:
         cfg.grid_h = args.grid_h
     return cfg

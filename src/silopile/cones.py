@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexDomain
+from .geometry import BoundaryPoint, ConvexDomain
 from .regions import Grid, areas_with_floor, build_grid
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
@@ -55,6 +55,7 @@ class Trajectory:
     freeze_events: list[tuple[int, float]]
     steps: list[StepRecord]
     final_state: ConeState
+    spill_atoms: list[BoundaryPoint]  # per source, where its rate crosses the wall once frozen
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,18 @@ class GridControl:
     safety: float = 0.25  # max radius advance per step, in units of h
 
 
-def escape_thresholds(sources: SourceSet, domain: ConvexDomain) -> np.ndarray:
-    return np.array([domain.escape_cost(y)[0] for y in sources.locations])
+def escape_routes(sources: SourceSet, domain: ConvexDomain) -> tuple[np.ndarray, list[BoundaryPoint]]:
+    """Each source's escape cost (its freeze threshold) and canonical spill atom.
+
+    The atom is the first minimizer of the escape cost, so ties between
+    wall crossings resolve to the lowest boundary parameterization.
+    """
+    costs, atoms = [], []
+    for y in sources.locations:
+        cost, minimizers = domain.escape_cost(y)
+        costs.append(cost)
+        atoms.append(minimizers[0])
+    return np.array(costs), atoms
 
 
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
@@ -87,12 +98,6 @@ def analytic_phase(sources: SourceSet, domain: ConvexDomain):
         return np.cbrt(3.0 * rates * t / np.pi)
 
     return float(t0), radii_fn
-
-
-def initial_state(sources: SourceSet, domain: ConvexDomain) -> ConeState:
-    thresholds = escape_thresholds(sources, domain)
-    k = sources.k
-    return ConeState(0.0, np.zeros(k), np.zeros(k, dtype=bool), thresholds)
 
 
 def step(
@@ -168,7 +173,7 @@ def run(
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
 
-    thresholds = escape_thresholds(sources, domain)
+    thresholds, spill_atoms = escape_routes(sources, domain)
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, ctrl.h)
@@ -209,4 +214,5 @@ def run(
         freeze_events=freeze_events,
         steps=steps,
         final_state=knots[-1],
+        spill_atoms=spill_atoms,
     )

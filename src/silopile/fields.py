@@ -15,7 +15,7 @@ import numpy as np
 
 from .cones import ConeState
 from .geometry import BoundaryPoint, ConvexDomain
-from .regions import NONE_LABEL, Grid, Partition
+from .regions import NONE_LABEL, Grid, Partition, cone_values
 from .sources import SourceSet
 
 
@@ -55,17 +55,10 @@ class PathMeasure:
         return float(self.density.sum() * self.grid.cell_area)
 
 
-def eval_height(state: ConeState, sources: SourceSet, x) -> float:
-    """Pile height max_j (r_j - |x - y_j|)+ at a single point, exact."""
-    x = np.asarray(x, dtype=float)
-    d = np.linalg.norm(sources.locations - x, axis=1)
-    return float(max(np.max(state.radii - d), 0.0))
-
-
 def eval_height_many(state: ConeState, sources: SourceSet, points) -> np.ndarray:
+    """Pile height max_j (r_j - |x - y_j|)+ at each of the given points, exact."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = np.linalg.norm(points[:, None, :] - sources.locations[None, :, :], axis=2)
-    return np.maximum((state.radii[None, :] - d).max(axis=1), 0.0)
+    return np.maximum(cone_values(points, sources.locations, state.radii).max(axis=0), 0.0)
 
 
 def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
@@ -75,30 +68,10 @@ def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
     return GridField(grid=grid, values=values)
 
 
-def equilibrium_height(sources: SourceSet, domain: ConvexDomain, x) -> float:
-    """Stationary profile after every source froze: capped cones at escape cost."""
-    x = np.asarray(x, dtype=float)
-    thresholds = np.array([domain.escape_cost(y)[0] for y in sources.locations])
-    d = np.linalg.norm(sources.locations - x, axis=1)
-    return float(max(np.max(thresholds - d), 0.0))
-
-
-def equilibrium_field(sources: SourceSet, domain: ConvexDomain, grid: Grid) -> GridField:
-    thresholds = np.array([domain.escape_cost(y)[0] for y in sources.locations])
+def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid) -> GridField:
+    """Stationary profile after every source froze: cones capped at their escape costs."""
     state = ConeState(0.0, thresholds.copy(), np.ones(sources.k, dtype=bool), thresholds)
     return height_field(state, sources, grid)
-
-
-def eval_growth_rate(state: ConeState, sources: SourceSet, areas, x) -> float:
-    """Time derivative of the height: c_j/|A_j| on active regions, else zero."""
-    x = np.asarray(x, dtype=float)
-    areas = np.asarray(areas, dtype=float)
-    d = np.linalg.norm(sources.locations - x, axis=1)
-    vals = state.radii - d
-    j = int(np.argmax(vals))
-    if vals[j] <= 0.0 or state.frozen[j]:
-        return 0.0
-    return float(sources.rates[j] / areas[j])
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:
@@ -111,18 +84,12 @@ def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> 
     return GridField(grid=part.grid, values=values)
 
 
-def spill_atom(domain: ConvexDomain, y) -> BoundaryPoint:
-    """Canonical spill location: first minimizer of the escape cost."""
-    _, minimizers = domain.escape_cost(y)
-    return minimizers[0]
-
-
-def spill_measure(state: ConeState, sources: SourceSet, domain: ConvexDomain) -> BoundaryMeasure:
-    """One atom of mass c_j at the canonical wall crossing of each frozen source."""
+def spill_measure(state: ConeState, sources: SourceSet, atoms: list[BoundaryPoint]) -> BoundaryMeasure:
+    """One atom of mass c_j at the canonical wall crossing ``atoms[j]`` of each frozen source."""
     masses: dict[tuple[int, float], float] = {}
     points: dict[tuple[int, float], BoundaryPoint] = {}
     for j in np.nonzero(state.frozen)[0]:
-        bp = spill_atom(domain, sources.locations[j])
+        bp = atoms[j]
         masses[bp.key] = masses.get(bp.key, 0.0) + float(sources.rates[j])
         points[bp.key] = bp
     return BoundaryMeasure(atoms=[(points[k], masses[k]) for k in sorted(masses)])
@@ -132,14 +99,15 @@ def rolling_measure(
     state: ConeState,
     sources: SourceSet,
     part: Partition,
-    domain: ConvexDomain,
+    atoms: list[BoundaryPoint],
     grid: Grid,
 ) -> PathMeasure:
     """Discretized rolling layer.
 
-    Every labeled cell (and every spill atom) is treated as a point mass
-    shipping to its source; mass w * |x - y| is spread along the segment
-    [x, y] in ceil(|x - y| / h) equal sub-deposits binned to grid cells.
+    Every labeled cell, and the spill atom ``atoms[j]`` of every frozen
+    source j, is treated as a point mass shipping to its source; mass
+    w * |x - y| is spread along the segment [x, y] in ceil(|x - y| / h)
+    equal sub-deposits binned to grid cells.
     """
     mass = np.zeros((grid.ny, grid.nx))
     dir_mass = np.zeros((grid.ny, grid.nx, 2))
@@ -156,10 +124,9 @@ def rolling_measure(
         _deposit_segments(grid, starts, sources.locations[j], weights, mass, dir_mass)
 
     for j in np.nonzero(state.frozen)[0]:
-        bp = spill_atom(domain, sources.locations[j])
         _deposit_segments(
             grid,
-            bp.position[None, :],
+            atoms[j].position[None, :],
             sources.locations[j],
             np.array([float(sources.rates[j])]),
             mass,

@@ -95,14 +95,11 @@ class ConvexDomain:
         return BoundaryPoint(edge_index, s, pos)
 
     def contains(self, x) -> bool:
-        """Closed-polygon membership via half-plane tests (distance tol GEOM_TOL)."""
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertices
-        side = (self.edges[:, 0] * rel[:, 1] - self.edges[:, 1] * rel[:, 0]) / self.edge_lengths
-        return bool(np.all(side >= -GEOM_TOL))
+        """Closed-polygon membership of one point."""
+        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def contains_many(self, points) -> np.ndarray:
-        """Vectorized closed-polygon membership for an (m, 2) array."""
+        """Closed-polygon membership of an (m, 2) array: half-plane tests, tol GEOM_TOL."""
         points = np.asarray(points, dtype=float)
         rel = points[:, None, :] - self.vertices[None, :, :]
         side = (
@@ -116,22 +113,11 @@ class ConvexDomain:
         Result is sorted by (edge_index, edge_parameter); duplicates arising
         from the two parameterizations of a shared vertex are removed.
         """
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertices
-        t = np.einsum("ij,ij->i", rel, self.edges) / self.edge_lengths**2
-        t = np.clip(t, 0.0, 1.0)
-        feet = self.vertices + t[:, None] * self.edges
-        dists = np.linalg.norm(feet - x, axis=1)
-        best = dists.min()
-        return self._collect_ties(t, dists, best)
+        t, dists = self._project(x)
+        return self._collect_ties(t, dists, dists.min())
 
     def distance_to_boundary(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertices
-        t = np.einsum("ij,ij->i", rel, self.edges) / self.edge_lengths**2
-        t = np.clip(t, 0.0, 1.0)
-        feet = self.vertices + t[:, None] * self.edges
-        return float(np.linalg.norm(feet - x, axis=1).min())
+        return float(self._project(x)[1].min())
 
     def wall_height(self, b: BoundaryPoint) -> float:
         """Linear interpolation of the vertex wall values along the edge."""
@@ -139,17 +125,16 @@ class ConvexDomain:
         j = (i + 1) % self.n_edges
         return float((1.0 - b.edge_parameter) * self.wall_values[i] + b.edge_parameter * self.wall_values[j])
 
-    def wall_height_at(self, edge_index: int, s: float) -> float:
-        j = (edge_index + 1) % self.n_edges
-        return float((1.0 - s) * self.wall_values[edge_index] + s * self.wall_values[j])
-
     def escape_cost(self, y) -> tuple[float, list[BoundaryPoint]]:
         """Cheapest wall crossing from an interior point.
 
         Minimizes wall height plus straight-line distance over the whole
         boundary.  Each edge's 1-D objective is convex (linear wall term
-        plus a distance), so golden-section refinement is reliable.
-        Returns the optimal cost and all minimizers within TIE_TOL.
+        plus a distance), so golden-section refinement converges to its
+        minimum.  The cost is exact to rounding, but the objective is flat
+        at its minimum, so comparisons of its values locate the minimizer's
+        edge parameter only to about 1e-8 (the square root of the machine
+        epsilon).  Returns the optimal cost and all minimizers within TIE_TOL.
         """
         y = np.asarray(y, dtype=float)
         n = self.n_edges
@@ -172,6 +157,15 @@ class ConvexDomain:
                 s = k / n_sub
                 nodes.append(BoundaryPoint(i, s, self.vertices[i] + s * self.edges[i]))
         return nodes
+
+    def _project(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Per edge: parameter of the point nearest to x, and its distance."""
+        x = np.asarray(x, dtype=float)
+        rel = x - self.vertices
+        t = np.einsum("ij,ij->i", rel, self.edges) / self.edge_lengths**2
+        t = np.clip(t, 0.0, 1.0)
+        feet = self.vertices + t[:, None] * self.edges
+        return t, np.linalg.norm(feet - x, axis=1)
 
     def _edge_minimum(self, i: int, y: np.ndarray) -> tuple[float, float]:
         """Golden-section minimum of wall(s) + |edge(s) - y| on edge i."""

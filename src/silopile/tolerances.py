@@ -13,6 +13,9 @@ GEOM_TOL = 1e-12
 TIE_TOL = 1e-9
 
 # Interval width at which 1-D golden-section refinement on an edge stops.
+# Rounding limits the minimizer it finds to about 1e-8 in the edge
+# parameter, since the objective is flat at its minimum; the cost itself
+# is exact to rounding.
 REFINE_TOL = 1e-12
 
 # Radii within FREEZE_TOL of their escape cost count as frozen.

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .cones import ConeState
 from .fields import eval_height_many, growth_rate_field
@@ -268,6 +266,11 @@ def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolutio
     constraints, independently of the primal path.  Demand nodes are
     coarsened to respect the node cap.
     """
+    # Imported here, by the only user, so commands that never solve the
+    # dual do not pay scipy's import time.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     pc = coarsen_problem(p, node_cap)
     m, nd, nb = len(pc.supply_masses), pc.n_demand, pc.n_boundary
     points = np.vstack([pc.supply_locations, pc.demand_locations.reshape(nd, 2), pc.boundary_positions])

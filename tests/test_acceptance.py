@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, GridControl, escape_thresholds, run
+from silopile.cones import ConeState, GridControl, escape_routes, run
 from silopile.fields import (
-    equilibrium_height,
     eval_height_many,
     growth_rate_field,
     rolling_measure,
@@ -90,7 +89,7 @@ def test_a2_mass_balance():
         part = partition(grid, s, state.radii)
         growth = growth_rate_field(state, s, part)
         integral = float(growth.values.sum() * grid.cell_area)
-        nu_mass = spill_measure(state, s, dom).total_mass
+        nu_mass = spill_measure(state, s, traj.spill_atoms).total_mass
         quad_gap = max(quad_gap, abs(integral + nu_mass - total))
 
     ok = construction_ok and product_gap <= 1e-12 and quad_gap <= quad_tol
@@ -129,7 +128,7 @@ def test_a3_structural_invariants():
             monotone_violation = max(monotone_violation, float((prev - u_grid).max()))
         prev = u_grid
 
-        for bp, _ in spill_measure(state, s, dom).atoms:
+        for bp, _ in spill_measure(state, s, traj.spill_atoms).atoms:
             u_atom = eval_height_many(state, s, bp.position[None, :])[0]
             atom_gap = max(atom_gap, abs(u_atom - dom.wall_height(bp)))
 
@@ -200,8 +199,8 @@ def test_a6_measure_bounds():
     t_prev = 0.0
     for t, state in zip(traj.snapshot_times, traj.states):
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, dom, grid)
-        nu = spill_measure(state, s, dom)
+        mu = rolling_measure(state, s, part, traj.spill_atoms, grid)
+        nu = spill_measure(state, s, traj.spill_atoms)
         mu_ok &= mu.total_mass <= dom.diameter * total + 1e-12
         nu_ok &= nu.total_mass <= total + 1e-12
         active = ~state.frozen & (part.areas > 0.0)
@@ -212,9 +211,10 @@ def test_a6_measure_bounds():
 
     big = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
     sc = make_sources(big, [(2, 2)], [1.0])
-    state = ConeState(0.0, np.array([1.0]), np.array([False]), escape_thresholds(sc, big))
+    thresholds, atoms = escape_routes(sc, big)
+    state = ConeState(0.0, np.array([1.0]), np.array([False]), thresholds)
     gk = build_grid(big, h)
-    mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), big, gk)
+    mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms, gk)
     cone_ok = abs(mu_cone.total_mass - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
 
     ok = mu_ok and nu_ok and l2_ok and cone_ok

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from silopile.cli import main
+import silopile
+from silopile.cli import _splice_manifest, main
 from silopile.config import ConfigError, parse_config
+from silopile.geometry import ConvexDomain
 
 SINGLE_SOURCE = """
 [domain]
@@ -155,6 +162,34 @@ class TestSimulate:
             else:
                 assert first[name] == second[name], name
 
+    def test_escape_cost_once_per_source(self, tmp_path, monkeypatch):
+        calls = []
+        escape_cost = ConvexDomain.escape_cost
+
+        def counted(self, y):
+            calls.append(tuple(y))
+            return escape_cost(self, y)
+
+        monkeypatch.setattr(ConvexDomain, "escape_cost", counted)
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert "frozen=1,1" in (out / "manifest.txt").read_text()  # both sources froze
+        assert len(calls) == 2
+
+    def test_does_not_import_the_dual_solver(self, tmp_path):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        src = str(Path(silopile.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "from silopile.cli import main\n"
+            f"assert main(['simulate', '--config', {str(path)!r}, '--quiet']) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_exit_code_2_on_bad_config(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[domain]\nvertices = broken\n")
@@ -177,6 +212,19 @@ class TestVerify:
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         (out / "snap001_u.csv").unlink()
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+
+    def test_splice_replaces_timing(self, tmp_path):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        manifest = out / "manifest.txt"
+        before = manifest.read_text()
+        for seconds in (1.0, 2.0, 3.0):
+            _splice_manifest(manifest, [], {"verify_seconds": seconds})
+        after = manifest.read_text()
+        timings = after.split("\n[timings]\n", 1)[1].splitlines()
+        assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
+        assert any(line.startswith("simulate_seconds") for line in timings)
+        assert strip_timings(after) == strip_timings(before)
 
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

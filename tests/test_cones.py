@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, GridControl, analytic_phase, initial_state, run, step
+from silopile.cones import ConeState, GridControl, analytic_phase, run, step
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid
 from silopile.sources import make_sources

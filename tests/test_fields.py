@@ -3,15 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silopile.cones import ConeState, GridControl, escape_thresholds, run
+from silopile.cones import ConeState, GridControl, escape_routes, run
 from silopile.fields import (
     BoundaryMeasure,
     boundary_measure_from_lines,
     boundary_measure_to_lines,
     equilibrium_field,
-    equilibrium_height,
-    eval_growth_rate,
-    eval_height,
     eval_height_many,
     field_from_csv,
     field_to_csv,
@@ -37,26 +34,32 @@ def unit_square():
 
 
 def single_cone_state(domain, sources, r):
-    thresholds = escape_thresholds(sources, domain)
+    thresholds, _ = escape_routes(sources, domain)
     radii = np.full(sources.k, float(r))
     return ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
+
+
+def value_at(field, x):
+    """Value of a grid field in the cell containing x."""
+    rows, cols = field.grid.cell_index(x)
+    return field.values[rows[0], cols[0]]
 
 
 class TestEvalHeight:
     def test_apex_value(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height(state, s, (2, 2)) == pytest.approx(0.5)
+        assert eval_height_many(state, s, (2, 2))[0] == pytest.approx(0.5)
 
     def test_cone_slope(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height(state, s, (2.3, 2.2)) == pytest.approx(0.5 - np.sqrt(0.13))
+        assert eval_height_many(state, s, (2.3, 2.2))[0] == pytest.approx(0.5 - np.sqrt(0.13))
 
     def test_clipped_to_zero(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height(state, s, (3.5, 3.5)) == 0.0
+        assert eval_height_many(state, s, (3.5, 3.5))[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -67,10 +70,9 @@ class TestEvalHeight:
         dom = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
         s = make_sources(dom, [(1.2, 1.5), (2.8, 2.3)], [1.0, 0.5])
         state = ConeState(
-            0.0, np.array([0.8, 1.1]), np.array([False, False]), escape_thresholds(s, dom)
+            0.0, np.array([0.8, 1.1]), np.array([False, False]), escape_routes(s, dom)[0]
         )
-        u1 = eval_height(state, s, (x1, y1))
-        u2 = eval_height(state, s, (x2, y2))
+        u1, u2 = eval_height_many(state, s, [(x1, y1), (x2, y2)])
         assert abs(u1 - u2) <= np.hypot(x1 - x2, y1 - y2) + 1e-12
 
 
@@ -80,8 +82,8 @@ class TestGrowthRate:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 128)
         part = partition(grid, s, state.radii)
-        assert eval_growth_rate(state, s, part.areas, (2.1, 2.0)) == pytest.approx(1 / np.pi, rel=2e-3)
         f = growth_rate_field(state, s, part)
+        assert value_at(f, (2.1, 2.0)) == pytest.approx(1 / np.pi, rel=2e-3)
         covered = part.labels == 0
         np.testing.assert_allclose(f.values[covered], 1.0 / part.areas[0])
 
@@ -91,28 +93,29 @@ class TestGrowthRate:
         assert state.frozen[0]
         grid = build_grid(unit_square, 1 / 64)
         part = partition(grid, s, state.radii)
-        assert eval_growth_rate(state, s, part.areas, (0.5, 0.6)) == 0.0
-        assert growth_rate_field(state, s, part).values.max() == 0.0
+        f = growth_rate_field(state, s, part)
+        assert value_at(f, (0.5, 0.6)) == 0.0
+        assert f.values.max() == 0.0
 
     def test_uncovered_region_rate_zero(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 64)
         part = partition(grid, s, state.radii)
-        assert eval_growth_rate(state, s, part.areas, (3.9, 3.9)) == 0.0
+        assert value_at(growth_rate_field(state, s, part), (3.9, 3.9)) == 0.0
 
 
 class TestSpillMeasure:
     def test_no_frozen_no_atoms(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 1.0)
-        assert spill_measure(state, s, big_square).atoms == []
+        assert spill_measure(state, s, escape_routes(s, big_square)[1]).atoms == []
 
     def test_single_frozen_atom(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.2, 0.2, 5.0, 5.0])
         s = make_sources(dom, [(0.5, 0.3)], [1.0])
         state = single_cone_state(dom, s, dom.escape_cost((0.5, 0.3))[0])
-        nu = spill_measure(state, s, dom)
+        nu = spill_measure(state, s, escape_routes(s, dom)[1])
         assert len(nu.atoms) == 1
         bp, m = nu.atoms[0]
         assert m == pytest.approx(1.0)
@@ -121,7 +124,7 @@ class TestSpillMeasure:
     def test_tie_selects_first_and_height_unaffected(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         state = single_cone_state(unit_square, s, 0.5)
-        nu = spill_measure(state, s, unit_square)
+        nu = spill_measure(state, s, escape_routes(s, unit_square)[1])
         assert len(nu.atoms) == 1
         bp, m = nu.atoms[0]
         assert m == pytest.approx(1.0)
@@ -132,7 +135,7 @@ class TestSpillMeasure:
         grid = build_grid(unit_square, 1 / 64)
         u = height_field(state, s, grid)
         for alt in mins:
-            u_alt = eval_height(state, s, alt.position)
+            u_alt = eval_height_many(state, s, alt.position)[0]
             assert u_alt == pytest.approx(unit_square.wall_height(alt), abs=1e-9)
         assert u.values.max() <= 0.5 + 1e-12
 
@@ -143,7 +146,7 @@ class TestRollingMeasure:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 64)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square, grid)
+        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
         assert mu.total_mass == pytest.approx(2.0 / 3.0, rel=0.01)
 
     def test_monte_carlo_cross_check(self, big_square):
@@ -155,36 +158,44 @@ class TestRollingMeasure:
 
     def test_zero_radii_zero_measure(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
-        state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), escape_thresholds(s, big_square))
+        state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), escape_routes(s, big_square)[0])
         grid = build_grid(big_square, 1 / 32)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square, grid)
+        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
         assert mu.total_mass == 0.0
 
     def test_diameter_bound(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.1, 0.4, 0.2, 0.3])
         s = make_sources(dom, [(0.3, 0.4), (0.7, 0.65)], [0.5, 1.25])
         grid = build_grid(dom, 1 / 64)
+        thresholds, atoms = escape_routes(s, dom)
         for r in (0.05, 0.2, 10.0):
-            radii = np.minimum(np.full(2, r), escape_thresholds(s, dom))
-            state = ConeState(0.0, radii, radii >= escape_thresholds(s, dom) - 1e-12, escape_thresholds(s, dom))
+            radii = np.minimum(np.full(2, r), thresholds)
+            state = ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
             part = partition(grid, s, radii)
-            mu = rolling_measure(state, s, part, dom, grid)
+            mu = rolling_measure(state, s, part, atoms, grid)
             assert mu.total_mass <= dom.diameter * s.total_rate + 1e-12
 
 
 class TestEquilibrium:
     def test_single_source_closed_form(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
-        assert equilibrium_height(s, unit_square, (0.5, 0.5)) == pytest.approx(0.5)
-        assert equilibrium_height(s, unit_square, (0.9, 0.5)) == pytest.approx(0.1)
-        assert equilibrium_height(s, unit_square, (0.95, 0.05)) == 0.0
+        thresholds, _ = escape_routes(s, unit_square)
+        grid = build_grid(unit_square, 1 / 129)  # odd cell count: a cell centered on the apex
+        eq = equilibrium_field(s, thresholds, grid)
+        centers = grid.inside_centers()
+        closed = np.maximum(0.5 - np.linalg.norm(centers - 0.5, axis=1), 0.0)
+        np.testing.assert_allclose(eq.values[grid.inside_mask], closed, rtol=0.0, atol=1e-12)
+        assert value_at(eq, (0.5, 0.5)) == pytest.approx(0.5)
+        # 1-Lipschitz: the cell center is within h / sqrt(2) of the point
+        assert value_at(eq, (0.9, 0.5)) == pytest.approx(0.1, abs=1 / 129)
+        assert value_at(eq, (0.95, 0.05)) == 0.0
 
     def test_huge_wall_not_reached(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         traj = run(s, big_square, 2.0, [2.0], GridControl(h=1 / 32))
         assert not traj.final_state.frozen.any()
-        assert traj.final_state.radii[0] < escape_thresholds(s, big_square)[0]
+        assert traj.final_state.radii[0] < escape_routes(s, big_square)[0][0]
 
     def test_two_source_long_run_matches_closed_form(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.05, 0.1, 0.0, 0.15])
@@ -194,7 +205,7 @@ class TestEquilibrium:
         assert traj.final_state.frozen.all()
         grid = build_grid(dom, h)
         sim = height_field(traj.final_state, s, grid)
-        eq = equilibrium_field(s, dom, grid)
+        eq = equilibrium_field(s, traj.final_state.thresholds, grid)
         assert np.abs(sim.values - eq.values).max() <= 2 * h
 
 
@@ -227,9 +238,9 @@ class TestFieldInvariants:
         dom, s, traj, _ = self.make_run()
         final = traj.final_state
         assert final.frozen.any()
-        nu = spill_measure(final, s, dom)
+        nu = spill_measure(final, s, traj.spill_atoms)
         for bp, _ in nu.atoms:
-            assert eval_height(final, s, bp.position) == pytest.approx(dom.wall_height(bp), abs=1e-9)
+            assert eval_height_many(final, s, bp.position)[0] == pytest.approx(dom.wall_height(bp), abs=1e-9)
 
     def test_weak_form_residual_first_order(self):
         for h in (1 / 64, 1 / 128):
@@ -239,8 +250,8 @@ class TestFieldInvariants:
             for state in (traj.states[2], traj.states[4]):
                 part = partition(grid, s, state.radii)
                 dudt = growth_rate_field(state, s, part)
-                mu = rolling_measure(state, s, part, dom, grid)
-                nu = spill_measure(state, s, dom)
+                mu = rolling_measure(state, s, part, traj.spill_atoms, grid)
+                nu = spill_measure(state, s, traj.spill_atoms)
                 for phi, dphi in _test_functions():
                     t1 = float((dudt.values.ravel() * phi(centers)).sum() * h * h)
                     g = dphi(centers)
@@ -281,7 +292,7 @@ class TestSerialization:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 16)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square, grid)
+        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
         text = path_measure_to_csv(mu)
         back = field_from_csv(grid, text)
         np.testing.assert_array_equal(back.values, mu.density)

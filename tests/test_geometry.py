@@ -24,10 +24,34 @@ def boundary_scan(domain, y, step=1e-4):
         n = int(np.ceil(domain.edge_lengths[i] / step))
         for s in np.linspace(0.0, 1.0, n + 1):
             pos = domain.vertices[i] + s * domain.edges[i]
-            val = domain.wall_height_at(i, s) + np.linalg.norm(pos - y)
+            val = domain.wall_height(domain.boundary_point(i, s)) + np.linalg.norm(pos - y)
             if val < best:
                 best, arg = val, pos
     return best, arg
+
+
+def closed_form_escape(domain, y):
+    """Escape cost from each edge's closed-form minimizer.
+
+    At arc length tau along edge i the objective is a + k tau + |(tau - tau0, d)|,
+    with wall slope k, tau0 the foot of y and d its distance to the edge's
+    line.  For |k| < 1 it is stationary at tau0 - k d / sqrt(1 - k^2);
+    otherwise it is monotone and its minimum sits at an endpoint.
+    """
+    best = np.inf
+    for i in range(domain.n_edges):
+        a = domain.wall_values[i]
+        b = domain.wall_values[(i + 1) % domain.n_edges]
+        v, e, length = domain.vertices[i], domain.edges[i], domain.edge_lengths[i]
+        k = (b - a) / length
+        rel = y - v
+        tau0 = rel @ e / length
+        d = abs(e[0] * rel[1] - e[1] * rel[0]) / length
+        taus = [0.0, length]
+        if abs(k) < 1.0:
+            taus.append(min(max(tau0 - k * d / np.sqrt(1.0 - k * k), 0.0), length))
+        best = min(best, *(a + k * tau + np.hypot(tau - tau0, d) for tau in taus))
+    return best
 
 
 class TestConstruction:
@@ -144,7 +168,20 @@ class TestEscapeCost:
             i = int(rng.integers(dom.n_edges))
             s = float(rng.random())
             pos = dom.vertices[i] + s * dom.edges[i]
-            assert value <= dom.wall_height_at(i, s) + np.linalg.norm(pos - y) + 1e-9
+            assert value <= dom.wall_height(dom.boundary_point(i, s)) + np.linalg.norm(pos - y) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quad=st.sampled_from([UNIT_SQUARE, [(0, 0), (3, 0), (4, 2), (1, 3)]]),
+        walls=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    )
+    def test_matches_closed_form(self, quad, walls, weights):
+        dom = ConvexDomain(quad, walls)
+        w = np.array(weights)
+        y = w @ dom.vertices / w.sum()  # positive weights: strictly inside
+        value, _ = dom.escape_cost(y)
+        assert abs(value - closed_form_escape(dom, y)) <= 1e-14
 
     def test_zero_wall_matches_nearest_boundary(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0.0] * 4)

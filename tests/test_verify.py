@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from silopile.cones import GridControl, run
+from silopile.cones import GridControl, escape_routes, run
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
@@ -214,11 +214,11 @@ class TestSnapshotPipeline:
         assert sol.spill.sum() == pytest.approx(s.total_rate)
 
     def test_coarse_grid_rejected_for_imbalance(self):
-        from silopile.cones import ConeState, escape_thresholds
+        from silopile.cones import ConeState
 
         dom = unit_square(5.0)
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6)], [0.6, 0.8])
-        thresholds = escape_thresholds(s, dom)
+        thresholds, _ = escape_routes(s, dom)
         # radii too small for a 0.45 grid: their cells carry no demand mass
         state = ConeState(0.01, np.array([0.02, 0.02]), np.array([False, False]), thresholds)
         tiny_grid = build_grid(dom, 0.45)
@@ -276,7 +276,7 @@ class TestSnapshotPipeline:
         dom, s, state, h = self.make_snapshot(t=0.25)
         grid = build_grid(dom, h)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, dom, grid)
+        mu = rolling_measure(state, s, part, escape_routes(s, dom)[1], grid)
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         sol = solve_primal(p)
         sink_pos = np.vstack([p.demand_locations, p.boundary_positions])
