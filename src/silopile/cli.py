@@ -26,7 +26,7 @@ from .fields import (
     spill_measure,
 )
 from .geometry import ConvexDomain
-from .regions import build_grid, partition
+from .regions import build_grid, distances, partition
 from .sources import POINT_LIST, SourceSet, discretize, make_sources
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
@@ -113,7 +113,8 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     sources = resolve_sources(cfg, domain)
     ctrl = GridControl(h=cfg.grid_h)
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, ctrl)
-    grid = build_grid(domain, cfg.grid_h)
+    grid = traj.grid
+    dist = distances(grid.inside_centers(), sources.locations)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,8 +123,8 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     for i, state in enumerate(traj.states):
         u_name = f"snap{i:03d}_u.csv"
         mu_name = f"snap{i:03d}_mu.csv"
-        u = height_field(state, sources, grid)
-        part = partition(grid, sources, state.radii)
+        u = height_field(state, sources, grid, dist)
+        part = partition(grid, sources, state.radii, dist)
         mu = rolling_measure(state, sources, part, traj.spill_atoms, grid)
         nu = spill_measure(state, sources, traj.spill_atoms)
         (out / u_name).write_text(field_to_csv(u))
@@ -325,6 +326,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             if args.manifest:
+                if args.out is not None:
+                    raise ConfigError(
+                        "verify --out only picks the output directory of --config; "
+                        "with --manifest the certificates are written beside the manifest"
+                    )
                 manifest = Path(args.manifest)
             elif args.config:
                 cfg = _load(args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPoint, ConvexDomain
-from .regions import Grid, areas_with_floor, build_grid
+from .regions import Grid, areas_with_floor, build_grid, distances
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
 
@@ -56,6 +56,7 @@ class Trajectory:
     steps: list[StepRecord]
     final_state: ConeState
     spill_atoms: list[BoundaryPoint]  # per source, where its rate crosses the wall once frozen
+    grid: Grid  # the grid the stepped phase partitioned
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,19 @@ def step(
     grid: Grid,
     ctrl: GridControl,
     dt_max: float = np.inf,
+    dist: np.ndarray | None = None,
 ) -> tuple[ConeState, StepRecord, list[tuple[int, float]]]:
     """One explicit midpoint step with freeze clamping.
 
     Returns the new state, the start-of-step audit record and the freeze
     events (source index, interpolated crossing time) triggered by the step.
+    ``dist`` is the grid's cell-source distance matrix, if already computed.
     """
     active = ~state.frozen
     r = state.radii.copy()
     c = sources.rates
 
-    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0))
+    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0), dist)
     rdot = np.zeros_like(r)
     rdot[active] = c[active] / areas[active]
 
@@ -131,7 +134,7 @@ def step(
 
     r_half = r.copy()
     r_half[active] = np.minimum(r[active] + 0.5 * dt * rdot[active], state.thresholds[active])
-    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0))
+    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0), dist)
     rdot_half = np.zeros_like(r)
     rdot_half[active] = c[active] / areas_half[active]
 
@@ -177,6 +180,8 @@ def run(
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, ctrl.h)
+    # Sources and grid stay fixed for the run; only the radii move.
+    dist = distances(grid.inside_centers(), sources.locations)
 
     def state_at_analytic(t: float) -> ConeState:
         r = np.minimum(radii_fn(t), thresholds)
@@ -189,7 +194,7 @@ def run(
 
     state = knots[0]
     while state.time < T - 1e-15 and not np.all(state.frozen):
-        state, record, events = step(state, sources, domain, grid, ctrl, dt_max=T - state.time)
+        state, record, events = step(state, sources, domain, grid, ctrl, dt_max=T - state.time, dist=dist)
         steps.append(record)
         freeze_events.extend(events)
         knots.append(state)
@@ -215,4 +220,5 @@ def run(
         steps=steps,
         final_state=knots[-1],
         spill_atoms=spill_atoms,
+        grid=grid,
     )

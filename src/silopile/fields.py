@@ -55,16 +55,20 @@ class PathMeasure:
         return float(self.density.sum() * self.grid.cell_area)
 
 
-def eval_height_many(state: ConeState, sources: SourceSet, points) -> np.ndarray:
-    """Pile height max_j (r_j - |x - y_j|)+ at each of the given points, exact."""
+def eval_height_many(state: ConeState, sources: SourceSet, points, dist=None) -> np.ndarray:
+    """Pile height max_j (r_j - |x - y_j|)+ at each of the given points, exact.
+
+    ``dist`` may pass ``regions.distances(points, sources.locations)``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.maximum(cone_values(points, sources.locations, state.radii).max(axis=0), 0.0)
+    return np.maximum(cone_values(points, sources.locations, state.radii, dist).max(axis=1), 0.0)
 
 
-def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
+def height_field(state: ConeState, sources: SourceSet, grid: Grid, dist=None) -> GridField:
+    """Pile height at the inside cells; ``dist`` as in ``regions.partition``."""
     values = np.zeros((grid.ny, grid.nx))
     centers = grid.inside_centers()
-    values[grid.inside_mask] = eval_height_many(state, sources, centers)
+    values[grid.inside_mask] = eval_height_many(state, sources, centers, dist)
     return GridField(grid=grid, values=values)
 
 

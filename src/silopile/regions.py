@@ -77,17 +77,40 @@ def build_grid(domain: ConvexDomain, h: float) -> Grid:
     return Grid(origin=np.asarray(lo, dtype=float), h=float(h), nx=nx, ny=ny, inside_mask=mask)
 
 
-def cone_values(centers: np.ndarray, locations: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(k, m) array of r_j - |x - y_j| for the given cell centers."""
-    diff = centers[None, :, :] - locations[:, None, :]
-    return radii[:, None] - np.linalg.norm(diff, axis=2)
+def distances(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """(m, k) array of |x_i - y_j|, one row per point and one column per source.
+
+    Bit-equal to ``np.linalg.norm(points[None] - locations[:, None], axis=2).T``,
+    which also sums dx*dx + dy*dy, without the (k, m, 2) difference array.
+    """
+    points = np.asarray(points, dtype=float)
+    locations = np.asarray(locations, dtype=float)
+    dist = points[:, 0, None] - locations[None, :, 0]
+    dy = points[:, 1, None] - locations[None, :, 1]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
-def partition(grid: Grid, sources, radii) -> Partition:
+def cone_values(points: np.ndarray, locations: np.ndarray, radii: np.ndarray, dist=None) -> np.ndarray:
+    """(m, k) array of r_j - |x_i - y_j|, one row per point and one column per source.
+
+    ``dist`` may pass ``distances(points, locations)`` computed beforehand.
+    """
+    if dist is None:
+        dist = distances(points, locations)
+    return radii[None, :] - dist
+
+
+def partition(grid: Grid, sources, radii, dist=None) -> Partition:
     """Label every inside cell by the dominating source.
 
     A cell belongs to source j when r_j - |x - y_j| is maximal among all
     sources and strictly positive; ties go to the lowest source index.
+    ``dist`` may pass the (inside cells, sources) matrix
+    ``distances(grid.inside_centers(), sources.locations)``, which stays
+    fixed while only the radii change; without it the matrix is computed here.
     """
     radii = np.asarray(radii, dtype=float)
     locations = np.asarray(sources.locations, dtype=float)
@@ -95,23 +118,28 @@ def partition(grid: Grid, sources, radii) -> Partition:
         raise ValueError("one radius per source required")
     if np.any(radii < 0.0):
         raise ValueError("radii must be non-negative")
+    k = len(radii)
+    if dist is not None and dist.shape != (int(grid.inside_mask.sum()), k):
+        raise ValueError(
+            f"distance matrix of shape {dist.shape} does not match "
+            f"{int(grid.inside_mask.sum())} inside cells and {k} sources"
+        )
 
     labels = np.full((grid.ny, grid.nx), NONE_LABEL, dtype=np.int64)
-    k = len(radii)
     if k > 0 and np.any(radii > 0.0):
-        centers = grid.inside_centers()
-        values = cone_values(centers, locations, radii)
-        best = np.argmax(values, axis=0)           # lowest index wins ties
-        covered = values[best, np.arange(len(centers))] > 0.0
-        inside_labels = np.where(covered, best, NONE_LABEL)
-        labels[grid.inside_mask] = inside_labels
+        if dist is None:
+            dist = distances(grid.inside_centers(), locations)
+        values = radii[None, :] - dist
+        best = np.argmax(values, axis=1)           # lowest index wins ties
+        covered = values[np.arange(len(values)), best] > 0.0
+        labels[grid.inside_mask] = np.where(covered, best, NONE_LABEL)
 
     counts = np.bincount(labels[labels >= 0].ravel(), minlength=k)
     return Partition(grid=grid, labels=labels, areas=counts * grid.cell_area)
 
 
-def areas_only(grid: Grid, sources, radii) -> np.ndarray:
-    return partition(grid, sources, radii).areas
+def areas_only(grid: Grid, sources, radii, dist=None) -> np.ndarray:
+    return partition(grid, sources, radii, dist).areas
 
 
 def area_refined(domain: ConvexDomain, sources, radii, target_rel_err: float, h0: float | None = None) -> np.ndarray:
@@ -147,14 +175,16 @@ def area_refined(domain: ConvexDomain, sources, radii, target_rel_err: float, h0
         prev = cur
 
 
-def areas_with_floor(grid: Grid, domain: ConvexDomain, sources, radii, needs_area) -> np.ndarray:
+def areas_with_floor(grid: Grid, domain: ConvexDomain, sources, radii, needs_area, dist=None) -> np.ndarray:
     """Areas for the integrator: a needed source must have positive area.
 
     A source that still feeds the pile (positive radius below its escape
     cost) must occupy positive area; a zero count means the grid cannot
     resolve its region.  One halving is attempted before giving up.
+    ``dist`` is the cell-source distance matrix of ``grid`` (see
+    ``partition``); the halved grid computes its own.
     """
-    areas = areas_only(grid, sources, radii)
+    areas = areas_only(grid, sources, radii, dist)
     needs_area = np.asarray(needs_area, dtype=bool)
     if not np.any(needs_area & (areas <= 0.0)):
         return areas

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import silopile
+from silopile import cli
 from silopile.cli import _splice_manifest, main
 from silopile.config import ConfigError, parse_config
 from silopile.geometry import ConvexDomain
@@ -176,6 +177,39 @@ class TestSimulate:
         assert "frozen=1,1" in (out / "manifest.txt").read_text()  # both sources froze
         assert len(calls) == 2
 
+    def test_distances_once_per_run(self, tmp_path, monkeypatch):
+        # One cell-source matrix for the run's steps and one for the snapshot
+        # loop, however many RK2 steps the horizon takes.
+        from silopile import cones, regions
+
+        calls, steps = [], []
+        distances, step = regions.distances, cones.step
+
+        def counted_distances(points, locations):
+            calls.append(len(points))
+            return distances(points, locations)
+
+        def counted_step(*args, **kwargs):
+            steps.append(args[0].time)
+            return step(*args, **kwargs)
+
+        for module in (regions, cones, cli):
+            monkeypatch.setattr(module, "distances", counted_distances)
+        monkeypatch.setattr(cones, "step", counted_step)
+        per_horizon = []
+        for horizon, times in (("0.12", "0.05 0.12"), ("0.3", "0.05 0.12 0.3")):
+            template = SINGLE_SOURCE.replace("horizon = 0.3", f"horizon = {horizon}").replace(
+                "snapshot_times = 0.05 0.12 0.3", f"snapshot_times = {times}")
+            (tmp_path / horizon).mkdir()
+            path, out = write_config(tmp_path / horizon, template)
+            calls.clear()
+            steps.clear()
+            assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+            per_horizon.append((len(calls), len(steps)))
+        (calls_short, steps_short), (calls_long, steps_long) = per_horizon
+        assert 0 < steps_short < steps_long
+        assert calls_short == calls_long == 2
+
     def test_does_not_import_the_dual_solver(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         src = str(Path(silopile.__file__).resolve().parents[1])
@@ -225,6 +259,15 @@ class TestVerify:
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
+
+    def test_manifest_with_out_rejected(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        argv = ["verify", "--manifest", str(out / "manifest.txt"), "--out", str(elsewhere), "--quiet"]
+        assert main(argv) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not elsewhere.exists() and not (out / "certificates.txt").exists()
 
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

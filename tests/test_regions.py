@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silopile.geometry import ConvexDomain
-from silopile.regions import NONE_LABEL, area_refined, areas_with_floor, build_grid, partition
+from silopile.regions import NONE_LABEL, area_refined, areas_with_floor, build_grid, distances, partition
 from silopile.sources import make_sources
 
 
@@ -59,6 +59,25 @@ class TestPartition:
         right = p.labels == 1
         assert centers[left][:, 0].max() < 2.0
         assert centers[right][:, 0].min() > 2.0
+        # The run's precomputed matrix labels as a fresh partition does, also
+        # for a pair mirrored about a cell column, whose exact ties go to 0.
+        for shift in (0.0, 1 / 128):
+            pair = make_sources(big_square, [(1 + shift, 2), (3 + shift, 2)], [1.0, 1.0])
+            fresh = partition(g, pair, [1.5, 1.5])
+            cached = partition(g, pair, [1.5, 1.5], distances(g.inside_centers(), pair.locations))
+            np.testing.assert_array_equal(cached.labels, fresh.labels)
+            np.testing.assert_array_equal(cached.areas, fresh.areas)
+        tie_column = cached.labels[:, centers[0, :, 0] == 2 + 1 / 128]
+        assert np.all(tie_column[tie_column != NONE_LABEL] == 0) and np.any(tie_column == 0)
+        assert cached.areas[0] > cached.areas[1]
+
+    def test_rejects_mismatched_distances(self, big_square):
+        s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
+        g = build_grid(big_square, 1 / 16)
+        dist = distances(g.inside_centers(), s.locations)
+        for bad in (dist.T, dist[:-1], dist[:, :1]):
+            with pytest.raises(ValueError):
+                partition(g, s, [1.5, 1.5], bad)
 
     def test_source_cell_labeled_when_active(self, big_square):
         s = make_sources(big_square, [(1.3, 2.2), (2.8, 1.7)], [1.0, 1.0])
@@ -100,6 +119,24 @@ class TestPartition:
         grown = partition(g, s, [r1 + bump, r2]).areas
         assert grown[0] >= base[0]
         assert grown[1] <= base[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    corner=st.tuples(st.floats(-8.0, 2.0), st.floats(-8.0, 2.0)),
+    side=st.floats(0.5, 4.0),
+    h=st.sampled_from([1 / 8, 1 / 10, 1 / 16, 0.3]),
+    locations=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=6),
+    on_center=st.integers(0, 10_000),
+)
+def test_distances_equal_norm(corner, side, h, locations, on_center):
+    x0, y0 = corner
+    dom = ConvexDomain([(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)], [0.0] * 4)
+    centers = build_grid(dom, h).inside_centers()
+    # One source sits exactly on a cell center.
+    locs = np.vstack([np.array(locations, dtype=float), centers[on_center % len(centers)]])
+    ref = np.linalg.norm(centers[None] - locs[:, None], axis=2)
+    assert np.array_equal(distances(centers, locs), ref.T)
 
 
 class TestAreaRefined:
