@@ -28,6 +28,7 @@ from .fields import (
 from .geometry import ConvexDomain
 from .regions import build_grid, distances, partition
 from .sources import POINT_LIST, SourceSet, discretize, make_sources
+from .tolerances import DUAL_NODE_CAP, LP_TOL
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
 MANIFEST_HEADER = "silopile-manifest-v1"
@@ -155,7 +156,7 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     sources = make_sources(domain, locations, rates)
     h = float(echo["grid.h"])
     spacing = float(echo["grid.boundary_spacing"])
-    node_cap = int(echo.get("tolerances.dual_node_cap", "2000"))
+    node_cap = int(echo.get("tolerances.dual_node_cap", DUAL_NODE_CAP))
     grid = build_grid(domain, h)
     thresholds, _ = escape_routes(sources, domain)
 
@@ -181,8 +182,9 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         dual = solve_dual(problem, node_cap)
         primal_coarse = solve_primal(dual.problem)
         lp_gap = abs(dual.value - primal_coarse.primal_value)
-        status = "PASS" if report.passed else "FAIL"
-        all_pass &= report.passed
+        passed = report.passed and lp_gap <= LP_TOL * max(1.0, primal_coarse.primal_value)
+        status = "PASS" if passed else "FAIL"
+        all_pass &= passed
         cert_lines.append(
             f"{idx} = t={_fmt(t)} primal={_fmt(sol.primal_value)} dual={_fmt(dual.value)} "
             f"lp_gap={_fmt(lp_gap)} pairing_gap={_fmt(report.duality_gap)} "
@@ -238,12 +240,13 @@ def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str,
 def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    thresholds, _ = escape_routes(sources, domain)
+    routes = escape_routes(sources, domain)
+    thresholds = routes[0]
     bound = float(np.sum(domain.area * thresholds / sources.rates))
     limit = 1.1 * bound
     horizon = min(cfg.horizon, limit)
 
-    traj = run(sources, domain, horizon, [], GridControl(h=cfg.grid_h))
+    traj = run(sources, domain, horizon, [], GridControl(h=cfg.grid_h), routes)
     final = traj.final_state
     if not final.frozen.all():
         if horizon < limit:
@@ -256,9 +259,8 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
             "without full freeze"
         )
 
-    grid = build_grid(domain, cfg.grid_h)
-    sim = height_field(final, sources, grid)
-    closed = equilibrium_field(sources, thresholds, grid)
+    sim = height_field(final, sources, traj.grid)
+    closed = equilibrium_field(sources, thresholds, traj.grid)
     sup_diff = float(np.abs(sim.values - closed.values).max())
 
     out = Path(cfg.output_dir)

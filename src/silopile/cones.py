@@ -161,12 +161,14 @@ def run(
     T: float,
     snapshot_times,
     ctrl: GridControl,
+    routes: tuple[np.ndarray, list[BoundaryPoint]] | None = None,
 ) -> Trajectory:
     """Integrate to time T, emitting interpolated snapshots.
 
     The analytic phase covers [0, min(t0, T)]; afterwards RK2 stepping takes
     over until T or until every source is frozen.  Snapshot radii between
-    step boundaries are interpolated linearly in r.
+    step boundaries are interpolated linearly in r.  ``routes`` is the
+    sources' ``escape_routes``, if already computed.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -176,7 +178,7 @@ def run(
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
 
-    thresholds, spill_atoms = escape_routes(sources, domain)
+    thresholds, spill_atoms = routes if routes is not None else escape_routes(sources, domain)
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, ctrl.h)

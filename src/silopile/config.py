@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import ConvexDomain
 from .sources import GAUSSIAN, POINT_LIST, UNIFORM_POLYGON, DensitySpec
+from .tolerances import DUAL_NODE_CAP
 
 
 class ConfigError(Exception):
@@ -36,7 +37,7 @@ class RunConfig:
     output_dir: str
     seed: int = 0
     n_list: list[int] = field(default_factory=list)
-    dual_node_cap: int = 2000
+    dual_node_cap: int = DUAL_NODE_CAP
 
     def domain(self) -> ConvexDomain:
         return ConvexDomain(self.domain_vertices, self.wall_values)
@@ -152,7 +153,7 @@ def parse_config(path: str | Path) -> RunConfig:
         output_dir=get("output", "directory", "out"),
         seed=int(float(get("rng", "seed", "0"))),
         n_list=n_list,
-        dual_node_cap=int(float(get("tolerances", "dual_node_cap", "2000"))),
+        dual_node_cap=int(float(get("tolerances", "dual_node_cap", str(DUAL_NODE_CAP)))),
     )
 
 

@@ -24,3 +24,8 @@ FREEZE_TOL = 1e-12
 # Reduced costs above -LP_TOL certify optimality of a transport plan;
 # marginals are checked to the same tolerance.
 LP_TOL = 1e-9
+
+# Dual LP size cap: demand nodes are coarsened 4:1 until the node count
+# (supplies + demands + boundary) drops below this.  The default of the
+# ``[tolerances] dual_node_cap`` config key.
+DUAL_NODE_CAP = 2000

@@ -4,9 +4,15 @@ A snapshot is certified by solving the finite transportation problem that
 ships the source rates onto the deposited growth (grid cells weighted by
 the growth rate) and, for frozen sources, over the wall (boundary nodes
 taxed by the wall height).  The primal is solved exactly by a network
-simplex on the bipartite graph; the dual potential is found independently
-by a linear program over node values with all-pairs Lipschitz constraints,
-keeping the duality check non-circular.
+simplex on the bipartite graph.  The dual potential is found independently,
+keeping the duality check non-circular: the Kantorovich-Rubinstein LP over
+1-Lipschitz node values, with the walls boxing the boundary values, is
+solved in an equivalent sparse form.  That form keeps one Lipschitz row per
+supply-demand pair, bounds each supply value by its cheapest taxed wall
+crossing (absorption) and each demand value below by minus its distance to
+the boundary (emission), and drops the boundary values.  The c-transform of
+its optimum restores a potential at every node that meets every all-pairs
+constraint and scores the same (see ``solve_dual``).
 """
 
 from __future__ import annotations
@@ -18,17 +24,13 @@ import numpy as np
 from .cones import ConeState
 from .fields import eval_height_many, growth_rate_field
 from .geometry import BoundaryPoint, ConvexDomain
-from .regions import Grid, partition
+from .regions import Grid, distances, partition
 from .sources import SourceSet
-from .tolerances import LP_TOL
+from .tolerances import DUAL_NODE_CAP, LP_TOL
 
 # Snapshot imbalance beyond this fraction of the supply is a hard error;
 # anything smaller is absorbed by proportional demand rescaling.
 MAX_IMBALANCE = 0.01
-
-# Dual LP size cap: demand nodes are coarsened 4:1 until the node count
-# (supplies + demands + boundary) drops below this.
-DUAL_NODE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -262,9 +264,25 @@ def coarsen_problem(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> Discre
 def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolution:
     """Maximize <rho, v> over 1-Lipschitz node values, walls boxing the boundary.
 
-    Solved as a plain LP over the node values with all-pairs Lipschitz
-    constraints, independently of the primal path.  Demand nodes are
-    coarsened to respect the node cap.
+    This is the Kantorovich-Rubinstein dual of the coarsened problem: over
+    values v at every supply, demand and boundary node, maximize
+    sum_i f_i v(x_i) - sum_j d_j v(y_j) subject to |v(a) - v(b)| <= |a - b|
+    for every node pair and 0 <= v(b) <= g_b at the boundary.  It is solved
+    independently of the primal path, as an equivalent sparse LP over the
+    supply values u_i and demand values w_j only:
+
+    - u_i - w_j <= |x_i - y_j| for every supply-demand pair;
+    - absorption: u_i <= min_b (|x_i - b| + g_b);
+    - emission: w_j >= -min_b |y_j - b|, the trace of 0 <= v(b);
+
+    with the variables free when there is no boundary.  Every sparse row is
+    implied by the all-pairs LP.  Conversely the c-transform of a sparse
+    optimum, v*(z) = max(max_i (u_i - |x_i - z|), -min_b |z - b|), is
+    1-Lipschitz, satisfies 0 <= v*(b) <= g_b, lowers no supply value and
+    raises no demand value, so it scores at least as well: the two optima
+    agree.  v* is what the solution returns at every node, a potential
+    feasible for the all-pairs LP.  Demand nodes are coarsened to respect
+    the node cap.
     """
     # Imported here, by the only user, so commands that never solve the
     # dual do not pay scipy's import time.
@@ -273,28 +291,30 @@ def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolutio
 
     pc = coarsen_problem(p, node_cap)
     m, nd, nb = len(pc.supply_masses), pc.n_demand, pc.n_boundary
-    points = np.vstack([pc.supply_locations, pc.demand_locations.reshape(nd, 2), pc.boundary_positions])
-    n = len(points)
-    rho = np.concatenate([pc.supply_masses, -pc.demand_masses, np.zeros(nb)])
+    demand_pos = pc.demand_locations.reshape(nd, 2)
+    boundary_pos = pc.boundary_positions
+    supply_cost = _cost_matrix(pc)  # demand columns, then taxed boundary columns
+    rho = np.concatenate([pc.supply_masses, -pc.demand_masses])
 
-    iu, ju = np.triu_indices(n, k=1)
-    dist = np.linalg.norm(points[iu] - points[ju], axis=1)
-    npairs = len(iu)
-    rows = np.repeat(np.arange(2 * npairs), 2)
-    cols = np.empty(4 * npairs, dtype=np.int64)
-    vals = np.empty(4 * npairs)
-    cols[0::4], vals[0::4] = iu, 1.0
-    cols[1::4], vals[1::4] = ju, -1.0
-    cols[2::4], vals[2::4] = iu, -1.0
-    cols[3::4], vals[3::4] = ju, 1.0
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * npairs, n))
-    b_ub = np.repeat(dist, 2)
-    bounds = [(None, None)] * (m + nd) + [(0.0, float(g)) for g in pc.boundary_walls]
+    # row i * nd + j: u_i - w_j <= |x_i - y_j|
+    a_ub = sp.hstack([sp.kron(sp.eye(m), np.ones((nd, 1))), -sp.kron(np.ones((m, 1)), sp.eye(nd))])
+    b_ub = supply_cost[:, :nd].ravel()
+    if nb:
+        absorb = supply_cost[:, nd:].min(axis=1)
+        emit = -distances(demand_pos, boundary_pos).min(axis=1)
+        bounds = [(None, float(a)) for a in absorb] + [(float(e), None) for e in emit]
+    else:
+        bounds = [(None, None)] * (m + nd)
 
     res = linprog(-rho, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"dual LP failed: {res.message}")
-    v = res.x
+
+    # c-transform of the supply values, evaluated at every node
+    nodes = np.vstack([pc.supply_locations, demand_pos, boundary_pos])
+    v = (res.x[:m, None] - distances(pc.supply_locations, nodes)).max(axis=0)
+    if nb:
+        v = np.maximum(v, -distances(nodes, boundary_pos).min(axis=1))
     return DualSolution(
         value=float(-res.fun),
         v_supply=v[:m],

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,24 @@ class TestVerify:
         assert "--out" in capsys.readouterr().err
         assert not elsewhere.exists() and not (out / "certificates.txt").exists()
 
+    def test_lp_gap_gates_pass(self, tmp_path, monkeypatch):
+        # A dual value 1e-6 off its primal fails that snapshot, although
+        # every residual of the height certificate still passes.
+        solve_dual, calls = cli.solve_dual, []
+
+        def off_by_a_micro(problem, node_cap):
+            dual = solve_dual(problem, node_cap)
+            calls.append(dual.value)
+            return replace(dual, value=dual.value + 1e-6) if len(calls) == 2 else dual
+
+        monkeypatch.setattr(cli, "solve_dual", off_by_a_micro)
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
+        lines = (out / "certificates.txt").read_text().splitlines()
+        assert lines[1] == "result = FAIL"
+        assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
+
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
@@ -286,6 +305,21 @@ class TestEquilibrium:
         assert (out / "equilibrium_u.csv").exists()
         t1 = float([l for l in text.splitlines() if l.startswith("freeze 0")][0].split("t=")[1].split()[0])
         assert np.pi / 24 <= t1 <= 0.5
+
+    def test_escape_cost_once_per_source(self, tmp_path, monkeypatch):
+        calls = []
+        escape_cost = ConvexDomain.escape_cost
+
+        def counted(self, y):
+            calls.append(tuple(y))
+            return escape_cost(self, y)
+
+        monkeypatch.setattr(ConvexDomain, "escape_cost", counted)
+        template = EQ_CONFIG.replace("points = 0.5 0.5 1.0", "points = 0.3 0.35 0.6 ; 0.7 0.6 0.8 ; 0.4 0.75 0.5")
+        path, out = write_config(tmp_path, template.replace("h = 0.007751937984496124", "h = 0.03125"))
+        assert main(["equilibrium", "--config", str(path), "--quiet"]) == 0
+        assert (out / "equilibrium.txt").read_text().count("freeze ") == 3
+        assert len(calls) == 3
 
     def test_unreachable_wall_refused(self, tmp_path):
         template = EQ_CONFIG.replace("wall_values = 0 0 0 0", "wall_values = 50 50 50 50")

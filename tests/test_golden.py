@@ -1,9 +1,12 @@
-"""Golden outputs: the shipped configs reproduce recorded bytes.
+"""Golden outputs: the shipped configs reproduce recorded bytes and certificates.
 
 Every file that ``simulate`` writes for the three shipped configs, and
 that ``equilibrium`` and ``converge`` write for theirs, must hash to the
 recorded sha256 (the manifest without its ``[timings]`` section).  A
-refactor that changes any written digit fails here.
+refactor that changes any written digit fails here.  ``verify`` on
+``two_source.ini`` at the shipped dual node cap must reproduce the
+recorded certificate values: 1e-12 for the primal and its residuals, 1e-9
+for the LP solver's dual value.
 """
 
 import hashlib
@@ -74,3 +77,32 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
         out = f"out/{command}_{config}"
         assert main([command, "--config", str(CONFIGS / f"{config}.ini"), "--out", out, "--quiet"]) == 0
     assert output_hashes(tmp_path / "out") == GOLDEN
+
+
+# Per snapshot of two_source.ini: t, primal, dual, pairing_gap,
+# ray_residual, wall_residual, tolerance, as ``verify`` wrote them with the
+# all-pairs dual LP.
+GOLDEN_CERTIFICATES = [
+    (0.050000000000000003, 0.24018929450929641, 0.24000409033935621, 1.4432899320127035e-15, 2.7755575615628914e-17, 0, 0.031251000000000001),
+    (0.12, 0.30893845448442137, 0.30880232095342086, 6.6613381477509392e-16, 2.7755575615628914e-17, 0, 0.031251000000000001),
+    (0.20000000000000001, 0.50473982280585361, 0.50466276087558981, 6.2452279336211447e-05, 5.4643789493269423e-17, 8.9217541900443731e-05, 0.031251000000000001),
+    (0.27000000000000002, 0.51780578368633234, 0.51773494743970394, 6.2452279320113213e-05, 5.5511151231257827e-17, 8.9217541900443731e-05, 0.031251000000000001),
+    (0.5, 0.67173895429082742, 0.67173895429082742, 7.5301100974090041e-05, 0, 8.9217541900443731e-05, 0.031251000000000001),
+]
+CERTIFICATE_FIELDS = ("t", "primal", "dual", "pairing_gap", "ray_residual", "wall_residual", "tolerance")
+
+
+def test_two_source_verify_reproduces_golden_certificates(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / "two_source.ini")
+    assert main(["simulate", "--config", config, "--out", "out", "--quiet"]) == 0
+    assert main(["verify", "--config", config, "--out", "out", "--quiet"]) == 0
+    lines = (tmp_path / "out" / "certificates.txt").read_text().splitlines()
+    assert lines[1] == "result = PASS"
+    assert len(lines) == 2 + len(GOLDEN_CERTIFICATES)
+    for line, expected in zip(lines[2:], GOLDEN_CERTIFICATES):
+        *pairs, status = line.partition(" = ")[2].split()
+        assert status == "PASS"
+        got = {key: float(value) for key, value in (pair.split("=") for pair in pairs)}
+        for key, want in zip(CERTIFICATE_FIELDS, expected):
+            assert abs(got[key] - want) <= (1e-9 if key == "dual" else 1e-12), (line, key)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from silopile.cones import GridControl, escape_routes, run
@@ -42,6 +43,39 @@ def linprog_oracle(p: DiscreteProblem) -> float:
     res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+def all_pairs_points(p: DiscreteProblem) -> np.ndarray:
+    """Supply, demand and boundary node positions, in the dual's order."""
+    return np.vstack([p.supply_locations, p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
+
+
+def all_pairs_dual(p: DiscreteProblem) -> float:
+    """Kantorovich-Rubinstein dual with two Lipschitz rows per node pair.
+
+    Maximizes <rho, v> over values at every supply, demand and boundary
+    node, with |v(a) - v(b)| <= |a - b| for every pair and
+    0 <= v(b) <= g_b at the boundary: the dense form that ``solve_dual``
+    must match.
+    """
+    points = all_pairs_points(p)
+    n = len(points)
+    rho = np.concatenate([p.supply_masses, -p.demand_masses, np.zeros(p.n_boundary)])
+    iu, ju = np.triu_indices(n, k=1)
+    dist = np.linalg.norm(points[iu] - points[ju], axis=1)
+    npairs = len(iu)
+    rows = np.repeat(np.arange(2 * npairs), 2)
+    cols = np.empty(4 * npairs, dtype=np.int64)
+    vals = np.empty(4 * npairs)
+    cols[0::4], vals[0::4] = iu, 1.0
+    cols[1::4], vals[1::4] = ju, -1.0
+    cols[2::4], vals[2::4] = iu, -1.0
+    cols[3::4], vals[3::4] = ju, 1.0
+    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * npairs, n))
+    bounds = [(None, None)] * (n - p.n_boundary) + [(0.0, float(g)) for g in p.boundary_walls]
+    res = linprog(-rho, A_ub=a_ub, b_ub=np.repeat(dist, 2), bounds=bounds, method="highs")
+    assert res.status == 0
+    return float(-res.fun)
 
 
 def unit_square(g=0.0):
@@ -168,6 +202,69 @@ class TestSolveDual:
         pc = coarsen_problem(p, node_cap=200)
         assert 1 + pc.n_demand + pc.n_boundary <= 200
         assert pc.demand_masses.sum() == pytest.approx(1.0)
+
+
+def random_dual_problem(rng, walls):
+    """Up to 3 supplies and 12 demands, unbalanced when there is a boundary.
+
+    ``walls`` is None for no boundary (then the masses balance), or the
+    four vertex wall heights of the unit square.
+    """
+    m = int(rng.integers(1, 4))
+    nd = int(rng.integers(1, 13))
+    sm = rng.random(m) + 0.1
+    dm = rng.random(nd) + 0.1
+    if walls is None:
+        return transport_problem(rng.random((m, 2)), sm, rng.random((nd, 2)), dm * sm.sum() / dm.sum())
+    dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], walls)
+    nodes = dom.boundary_nodes(float(rng.choice([0.2, 0.35, 1.0])))
+    # demand from a third to three times the supply: both the absorption
+    # and the emission bound get to bind
+    dm *= sm.sum() * rng.uniform(1 / 3, 3) / dm.sum()
+    return DiscreteProblem(
+        supply_locations=rng.random((m, 2)),
+        supply_masses=sm,
+        demand_locations=rng.random((nd, 2)),
+        demand_masses=dm,
+        boundary_points=tuple(nodes),
+        boundary_walls=np.array([dom.wall_height(b) for b in nodes]),
+        spill_total=0.0,
+        h=0.1,
+    )
+
+
+WALL_CASES = {
+    "no_boundary": lambda rng: None,
+    "zero_walls": lambda rng: [0.0] * 4,
+    "positive_walls": lambda rng: list(rng.uniform(0.05, 0.6, 4)),
+}
+
+
+class TestSolveDualOracle:
+    """The sparse dual against the all-pairs LP on small random instances."""
+
+    @pytest.mark.parametrize("case, seed", [("no_boundary", 41), ("zero_walls", 42), ("positive_walls", 43)])
+    def test_value_matches_all_pairs_lp(self, case, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            p = random_dual_problem(rng, WALL_CASES[case](rng))
+            assert abs(solve_dual(p, node_cap=10_000).value - all_pairs_dual(p)) <= 1e-12
+
+    @pytest.mark.parametrize("case, seed", [("no_boundary", 61), ("zero_walls", 62), ("positive_walls", 63)])
+    def test_node_values_feasible_for_all_pairs_lp(self, case, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            p = random_dual_problem(rng, WALL_CASES[case](rng))
+            d = solve_dual(p, node_cap=10_000)
+            assert d.problem is p  # nothing coarsened under this cap
+            v = np.concatenate([d.v_supply, d.v_demand, d.v_boundary])
+            points = all_pairs_points(p)
+            dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+            assert (v[:, None] - v[None, :] - dist).max() <= 1e-12
+            assert d.v_boundary.min(initial=0.0) >= -1e-12
+            assert (d.v_boundary - p.boundary_walls).max(initial=0.0) <= 1e-12
+            score = p.supply_masses @ d.v_supply - p.demand_masses @ d.v_demand
+            assert abs(score - d.value) <= 1e-12
 
 
 class TestWasserstein:
