@@ -96,6 +96,14 @@ def parse_manifest(path: Path) -> dict[str, list[str]]:
     return sections
 
 
+def _entry(values: dict[str, str], where: str, key: str) -> str:
+    """``values[key]``; a missing key is a ConfigError naming where in the manifest."""
+    try:
+        return values[key]
+    except KeyError:
+        raise ConfigError(f"manifest {where} lacks {key}") from None
+
+
 def _config_from_echo(lines: list[str]) -> dict[str, str]:
     out = {}
     for line in lines:
@@ -147,15 +155,19 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     echo = _config_from_echo(sections.get("config", []))
     out = manifest_path.parent
 
-    vertices = np.array([[float(v) for v in pair.split()] for pair in echo["domain.vertices"].split(" ; ")])
-    walls = np.array([float(w) for w in echo["domain.wall_values"].split()])
+    vertices = np.array(
+        [[float(v) for v in pair.split()] for pair in _entry(echo, "[config]", "domain.vertices").split(" ; ")]
+    )
+    walls = np.array([float(w) for w in _entry(echo, "[config]", "domain.wall_values").split()])
     domain = ConvexDomain(vertices, walls)
     src_rows = [line.partition(" = ")[2].split() for line in sections.get("sources", [])]
+    if any(len(r) != 3 for r in src_rows):
+        raise ConfigError("manifest [sources] entries must hold x y rate")
     locations = np.array([[float(r[0]), float(r[1])] for r in src_rows])
     rates = np.array([float(r[2]) for r in src_rows])
     sources = make_sources(domain, locations, rates)
-    h = float(echo["grid.h"])
-    spacing = float(echo["grid.boundary_spacing"])
+    h = float(_entry(echo, "[config]", "grid.h"))
+    spacing = float(_entry(echo, "[config]", "grid.boundary_spacing"))
     node_cap = int(echo.get("tolerances.dual_node_cap", DUAL_NODE_CAP))
     grid = build_grid(domain, h)
     thresholds, _ = escape_routes(sources, domain)
@@ -164,18 +176,18 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     for line in sections.get("snapshots", []):
         idx, _, rest = line.partition(" = ")
         fields = dict(part.split("=", 1) for part in rest.split())
-        if not (out / fields["u"]).exists():
-            raise ConfigError(f"missing snapshot file {fields['u']}")
-        snapshots.append((idx, fields))
+        where = f"[snapshots] entry {idx}"
+        u_file = _entry(fields, where, "u")
+        if not (out / u_file).exists():
+            raise ConfigError(f"missing snapshot file {u_file}")
+        t = float(_entry(fields, where, "t"))
+        radii = np.array([float(r) for r in _entry(fields, where, "radii").split(",")])
+        frozen = np.array([c == "1" for c in _entry(fields, where, "frozen").split(",")])
+        snapshots.append((idx, ConeState(t, radii, frozen, thresholds)))
 
     cert_lines = []
     all_pass = True
-    for idx, fields in snapshots:
-        t = float(fields["t"])
-        radii = np.array([float(r) for r in fields["radii"].split(",")])
-        frozen = np.array([c == "1" for c in fields["frozen"].split(",")])
-        state = ConeState(t, radii, frozen, thresholds)
-
+    for idx, state in snapshots:
         problem = build_problem(state, sources, domain, grid, spacing)
         sol = solve_primal(problem)
         report = certify(*snapshot_heights(state, sources, problem), sol, problem)
@@ -186,7 +198,7 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         status = "PASS" if passed else "FAIL"
         all_pass &= passed
         cert_lines.append(
-            f"{idx} = t={_fmt(t)} primal={_fmt(sol.primal_value)} dual={_fmt(dual.value)} "
+            f"{idx} = t={_fmt(state.time)} primal={_fmt(sol.primal_value)} dual={_fmt(dual.value)} "
             f"lp_gap={_fmt(lp_gap)} pairing_gap={_fmt(report.duality_gap)} "
             f"ray_residual={_fmt(report.ray_residual)} wall_residual={_fmt(report.wall_residual)} "
             f"tolerance={_fmt(report.tolerance)} {status}"

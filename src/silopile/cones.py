@@ -19,6 +19,9 @@ from .regions import Grid, areas_with_floor, build_grid, distances
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
 
+# Largest radius advance of one RK2 step, in units of the grid spacing h.
+STEP_SAFETY = 0.25
+
 
 @dataclass(frozen=True)
 class ConeState:
@@ -61,10 +64,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GridControl:
-    """Discretization knobs for the stepped phase."""
+    """Discretization of the stepped phase: the grid spacing h."""
 
     h: float
-    safety: float = 0.25  # max radius advance per step, in units of h
 
 
 def escape_routes(sources: SourceSet, domain: ConvexDomain) -> tuple[np.ndarray, list[BoundaryPoint]]:
@@ -129,7 +131,7 @@ def step(
         new_state = ConeState(state.time + dt, r, state.frozen.copy(), state.thresholds)
         return new_state, StepRecord(state.time, dt, areas, rdot, active), []
 
-    dt = float(np.min(ctrl.safety * grid.h * areas[active] / c[active]))
+    dt = float(np.min(STEP_SAFETY * grid.h * areas[active] / c[active]))
     dt = min(dt, dt_max)
 
     r_half = r.copy()

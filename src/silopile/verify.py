@@ -3,16 +3,14 @@
 A snapshot is certified by solving the finite transportation problem that
 ships the source rates onto the deposited growth (grid cells weighted by
 the growth rate) and, for frozen sources, over the wall (boundary nodes
-taxed by the wall height).  The primal is solved exactly by a network
-simplex on the bipartite graph.  The dual potential is found independently,
-keeping the duality check non-circular: the Kantorovich-Rubinstein LP over
-1-Lipschitz node values, with the walls boxing the boundary values, is
-solved in an equivalent sparse form.  That form keeps one Lipschitz row per
-supply-demand pair, bounds each supply value by its cheapest taxed wall
-crossing (absorption) and each demand value below by minus its distance to
-the boundary (emission), and drops the boundary values.  The c-transform of
-its optimum restores a potential at every node that meets every all-pairs
-constraint and scores the same (see ``solve_dual``).
+taxed by the wall height).  Boundary sinks have unlimited capacity, so the
+taxed boundary collapses into one absorbing column: supply i spills at its
+cheapest taxed crossing a_i = min_b (|x_i - b| + g_b), and that column's
+demand is the spill total.  The primal is solved exactly by a network
+simplex on the bipartite graph.  The dual is the exact LP dual of the same
+problem, solved independently by HiGHS, which keeps the duality check
+non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand pair and,
+when the problem spills, the bound u_i <= a_i (see ``solve_dual``).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .cones import ConeState
 from .fields import eval_height_many, growth_rate_field
-from .geometry import BoundaryPoint, ConvexDomain
+from .geometry import ConvexDomain
 from .regions import Grid, distances, partition
 from .sources import SourceSet
 from .tolerances import DUAL_NODE_CAP, LP_TOL
@@ -37,20 +35,14 @@ MAX_IMBALANCE = 0.01
 class DiscreteProblem:
     """Supplies (sources), fixed interior demands, taxed boundary sinks."""
 
-    supply_locations: np.ndarray   # (m, 2)
-    supply_masses: np.ndarray      # (m,)
-    demand_locations: np.ndarray   # (nd, 2)
-    demand_masses: np.ndarray      # (nd,)
-    boundary_points: tuple[BoundaryPoint, ...]
-    boundary_walls: np.ndarray     # (nb,)
+    supply_locations: np.ndarray    # (m, 2)
+    supply_masses: np.ndarray       # (m,)
+    demand_locations: np.ndarray    # (nd, 2)
+    demand_masses: np.ndarray       # (nd,)
+    boundary_positions: np.ndarray  # (nb, 2)
+    boundary_walls: np.ndarray      # (nb,)
     spill_total: float
     h: float
-
-    @property
-    def boundary_positions(self) -> np.ndarray:
-        if not self.boundary_points:
-            return np.empty((0, 2))
-        return np.array([b.position for b in self.boundary_points])
 
     @property
     def n_demand(self) -> int:
@@ -68,7 +60,7 @@ class TransportSolution:
     plan_mass: np.ndarray      # (p,)
     spill: np.ndarray          # (nb,) mass over the wall per boundary node
     potential_supply: np.ndarray
-    potential_sink: np.ndarray
+    potential_sink: np.ndarray  # demands, then the absorbing column if any
     primal_value: float
     dual_value: float
     min_reduced_cost: float
@@ -78,9 +70,8 @@ class TransportSolution:
 @dataclass(frozen=True)
 class DualSolution:
     value: float
-    v_supply: np.ndarray
-    v_demand: np.ndarray
-    v_boundary: np.ndarray
+    u: np.ndarray              # (m,) supply potentials
+    w: np.ndarray              # (nd,) demand potentials; the boundary's is 0
     problem: DiscreteProblem   # the (possibly coarsened) problem actually solved
 
 
@@ -126,15 +117,14 @@ def build_problem(
         demand_mass = demand_mass * (expected_demand / got)
 
     nodes = domain.boundary_nodes(boundary_spacing)
-    walls = np.array([domain.wall_height(b) for b in nodes])
     spill_total = float(sources.rates[state.frozen].sum())
     return DiscreteProblem(
         supply_locations=sources.locations.copy(),
         supply_masses=sources.rates.copy(),
         demand_locations=demand_loc,
         demand_masses=demand_mass,
-        boundary_points=tuple(nodes),
-        boundary_walls=walls,
+        boundary_positions=np.array([b.position for b in nodes]),
+        boundary_walls=np.array([domain.wall_height(b) for b in nodes]),
         spill_total=spill_total,
         h=grid.h,
     )
@@ -151,87 +141,68 @@ def transport_problem(supply_locations, supply_masses, demand_locations, demand_
         supply_masses=supply_masses,
         demand_locations=np.atleast_2d(np.asarray(demand_locations, dtype=float)),
         demand_masses=demand_masses,
-        boundary_points=(),
+        boundary_positions=np.empty((0, 2)),
         boundary_walls=np.empty(0),
         spill_total=0.0,
         h=h,
     )
 
 
-def _cost_matrix(p: DiscreteProblem) -> np.ndarray:
-    """(m, nd + nb) shipping costs; boundary columns include the wall tax."""
-    cols = []
-    if p.n_demand:
-        cols.append(
-            np.linalg.norm(p.supply_locations[:, None, :] - p.demand_locations[None, :, :], axis=2)
-        )
-    if p.n_boundary:
-        dist = np.linalg.norm(p.supply_locations[:, None, :] - p.boundary_positions[None, :, :], axis=2)
-        cols.append(dist + p.boundary_walls[None, :])
-    return np.hstack(cols) if cols else np.empty((len(p.supply_masses), 0))
+def _transport_costs(p: DiscreteProblem):
+    """Shipping costs shared by the primal and the dual.
+
+    Returns the (m, nd) supply-demand distances and, when the problem
+    spills, the absorbing column a_i = min_b (|x_i - b| + g_b) with each
+    supply's exit node, the first minimizer (the tie rule of
+    ``cones.escape_routes``).  Both are None when nothing spills.
+    """
+    spills = p.spill_total > LP_TOL * max(1.0, float(p.supply_masses.sum()))
+    if spills and p.n_boundary == 0:
+        raise ValueError("spill present but the problem has no boundary nodes")
+    if not spills and p.n_demand == 0:
+        raise ValueError("problem has neither interior demand nor spill")
+    cost = distances(p.supply_locations, p.demand_locations.reshape(p.n_demand, 2))
+    if not spills:
+        return cost, None, None
+    taxed = distances(p.supply_locations, p.boundary_positions) + p.boundary_walls
+    return cost, taxed.min(axis=1), taxed.argmin(axis=1)
 
 
 def solve_primal(p: DiscreteProblem) -> TransportSolution:
     """Exact optimum of the transportation LP by network simplex.
 
-    Boundary sinks have unlimited capacity; they are encoded by giving each
-    boundary column a demand equal to the total spill and adding one dummy
-    supply (at zero cost to boundary columns, prohibitive cost elsewhere)
-    that absorbs the unused boundary capacity.
+    The spill goes through the absorbing column of ``_transport_costs``,
+    whose demand is the spill total; each supply's flow into it is
+    reported at that supply's exit node.
     """
-    m = len(p.supply_masses)
-    spill = p.spill_total
-    use_boundary = p.n_boundary > 0 and spill > LP_TOL * max(1.0, float(p.supply_masses.sum()))
+    nd = p.n_demand
+    cost, absorb, exits = _transport_costs(p)
+    supplies = p.supply_masses.astype(float)
+    demands = p.demand_masses.astype(float)
+    if absorb is not None:
+        cost = np.hstack([cost, absorb[:, None]])
+        demands = np.append(demands, p.spill_total)
+    flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost)
 
-    cost = _cost_matrix(p)
-    if not use_boundary:
-        if p.n_demand == 0:
-            raise ValueError("problem has neither interior demand nor spill")
-        if spill > LP_TOL * max(1.0, float(p.supply_masses.sum())):
-            raise ValueError("spill present but the problem has no boundary nodes")
-        cost = cost[:, : p.n_demand]
-        supplies = p.supply_masses.astype(float)
-        demands = p.demand_masses.astype(float)
-        flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost)
-        n_real_rows, n_real_cols = m, p.n_demand
-    else:
-        big = 10.0 * (1.0 + float(cost.max()))
-        nb = p.n_boundary
-        supplies = np.concatenate([p.supply_masses, [(nb - 1) * spill]])
-        demands = np.concatenate([p.demand_masses, np.full(nb, spill)])
-        dummy_row = np.concatenate([np.full(p.n_demand, big), np.zeros(nb)])
-        cost = np.vstack([cost, dummy_row])
-        flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost)
-        if np.any(flows[-1, : p.n_demand] > LP_TOL):
-            raise RuntimeError("dummy supply leaked into interior demand")
-        n_real_rows, n_real_cols = m, p.n_demand + p.n_boundary
-
-    real_flows = flows[:n_real_rows, :n_real_cols]
-    sup_idx, sink_idx = np.nonzero(real_flows > LP_TOL)
-    plan_mass = real_flows[sup_idx, sink_idx]
-    primal_value = float((real_flows * cost[:n_real_rows, :n_real_cols]).sum())
-    dual_value = float(duals_u @ supplies + duals_v @ demands) if use_boundary else float(
-        duals_u @ p.supply_masses + duals_v @ p.demand_masses
-    )
-    spill_mass = np.zeros(p.n_boundary)
-    if use_boundary:
-        spill_mass = real_flows[:, p.n_demand :].sum(axis=0)
-
-    row_err = np.abs(real_flows.sum(axis=1) - p.supply_masses).max() if m else 0.0
-    col_got = real_flows[:, : p.n_demand].sum(axis=0)
-    col_err = np.abs(col_got - p.demand_masses).max() if p.n_demand else 0.0
+    sup_idx, col_idx = np.nonzero(flows > LP_TOL)
+    sink_idx, spill = col_idx, np.zeros(p.n_boundary)
+    if absorb is not None:
+        sink_idx = np.where(col_idx == nd, nd + exits[sup_idx], col_idx)
+        spill = np.bincount(exits, weights=flows[:, nd], minlength=p.n_boundary)
 
     return TransportSolution(
         plan_supply=sup_idx,
         plan_sink=sink_idx,
-        plan_mass=plan_mass,
-        spill=spill_mass,
-        potential_supply=duals_u[:m],
-        potential_sink=duals_v[:n_real_cols],
-        primal_value=primal_value,
-        dual_value=dual_value,
+        plan_mass=flows[sup_idx, col_idx],
+        spill=spill,
+        potential_supply=duals_u,
+        potential_sink=duals_v,
+        primal_value=float((flows * cost).sum()),
+        dual_value=float(duals_u @ supplies + duals_v @ demands),
         min_reduced_cost=float(min_rc),
-        marginal_error=float(max(row_err, col_err)),
+        marginal_error=float(
+            max(np.abs(flows.sum(axis=1) - supplies).max(), np.abs(flows.sum(axis=0) - demands).max())
+        ),
     )
 
 
@@ -262,27 +233,16 @@ def coarsen_problem(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> Discre
 
 
 def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolution:
-    """Maximize <rho, v> over 1-Lipschitz node values, walls boxing the boundary.
+    """Exact LP dual of the transport problem, solved independently by HiGHS.
 
-    This is the Kantorovich-Rubinstein dual of the coarsened problem: over
-    values v at every supply, demand and boundary node, maximize
-    sum_i f_i v(x_i) - sum_j d_j v(y_j) subject to |v(a) - v(b)| <= |a - b|
-    for every node pair and 0 <= v(b) <= g_b at the boundary.  It is solved
-    independently of the primal path, as an equivalent sparse LP over the
-    supply values u_i and demand values w_j only:
-
-    - u_i - w_j <= |x_i - y_j| for every supply-demand pair;
-    - absorption: u_i <= min_b (|x_i - b| + g_b);
-    - emission: w_j >= -min_b |y_j - b|, the trace of 0 <= v(b);
-
-    with the variables free when there is no boundary.  Every sparse row is
-    implied by the all-pairs LP.  Conversely the c-transform of a sparse
-    optimum, v*(z) = max(max_i (u_i - |x_i - z|), -min_b |z - b|), is
-    1-Lipschitz, satisfies 0 <= v*(b) <= g_b, lowers no supply value and
-    raises no demand value, so it scores at least as well: the two optima
-    agree.  v* is what the solution returns at every node, a potential
-    feasible for the all-pairs LP.  Demand nodes are coarsened to respect
-    the node cap.
+    Over supply potentials u_i and demand potentials w_j, maximize
+    sum_i f_i u_i - sum_j d_j w_j subject to u_i - w_j <= |x_i - y_j| for
+    every supply-demand pair and, when the problem spills, u_i <= a_i, the
+    absorbing column's cost.  That bound is the absorbing column's row with
+    its potential fixed at 0, which loses nothing: the masses balance
+    (sum f = sum d + spill), so adding one constant to every potential
+    leaves the objective unchanged.  By LP duality the optimum equals the
+    primal's.  Demand nodes are coarsened to respect the node cap.
     """
     # Imported here, by the only user, so commands that never solve the
     # dual do not pay scipy's import time.
@@ -290,38 +250,18 @@ def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolutio
     from scipy.optimize import linprog
 
     pc = coarsen_problem(p, node_cap)
-    m, nd, nb = len(pc.supply_masses), pc.n_demand, pc.n_boundary
-    demand_pos = pc.demand_locations.reshape(nd, 2)
-    boundary_pos = pc.boundary_positions
-    supply_cost = _cost_matrix(pc)  # demand columns, then taxed boundary columns
-    rho = np.concatenate([pc.supply_masses, -pc.demand_masses])
+    m, nd = len(pc.supply_masses), pc.n_demand
+    cost, absorb, _ = _transport_costs(pc)
 
     # row i * nd + j: u_i - w_j <= |x_i - y_j|
     a_ub = sp.hstack([sp.kron(sp.eye(m), np.ones((nd, 1))), -sp.kron(np.ones((m, 1)), sp.eye(nd))])
-    b_ub = supply_cost[:, :nd].ravel()
-    if nb:
-        absorb = supply_cost[:, nd:].min(axis=1)
-        emit = -distances(demand_pos, boundary_pos).min(axis=1)
-        bounds = [(None, float(a)) for a in absorb] + [(float(e), None) for e in emit]
-    else:
-        bounds = [(None, None)] * (m + nd)
-
-    res = linprog(-rho, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    upper = [None] * m if absorb is None else absorb.tolist()
+    bounds = [(None, a) for a in upper] + [(None, None)] * nd
+    rho = np.concatenate([pc.supply_masses, -pc.demand_masses])
+    res = linprog(-rho, A_ub=a_ub, b_ub=cost.ravel(), bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"dual LP failed: {res.message}")
-
-    # c-transform of the supply values, evaluated at every node
-    nodes = np.vstack([pc.supply_locations, demand_pos, boundary_pos])
-    v = (res.x[:m, None] - distances(pc.supply_locations, nodes)).max(axis=0)
-    if nb:
-        v = np.maximum(v, -distances(nodes, boundary_pos).min(axis=1))
-    return DualSolution(
-        value=float(-res.fun),
-        v_supply=v[:m],
-        v_demand=v[m : m + nd],
-        v_boundary=v[m + nd :],
-        problem=pc,
-    )
+    return DualSolution(value=float(-res.fun), u=res.x[:m], w=res.x[m:], problem=pc)
 
 
 def certify(
@@ -338,11 +278,7 @@ def certify(
     pairing of the height with f - growth must reproduce the primal value.
     """
     u_sink = np.concatenate([u_demand, u_boundary])
-    sink_pos = (
-        np.vstack([p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
-        if p.n_demand or p.n_boundary
-        else np.empty((0, 2))
-    )
+    sink_pos = np.vstack([p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
     ray = 0.0
     if len(sol.plan_mass):
         d = np.linalg.norm(p.supply_locations[sol.plan_supply] - sink_pos[sol.plan_sink], axis=1)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -247,6 +248,26 @@ class TestVerify:
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         (out / "snap001_u.csv").unlink()
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "pattern, keep, named",
+        [
+            (r"^domain\.wall_values = .*\n", "", "[config] lacks domain.wall_values"),
+            (r"^(1 = t=.*) radii=\S+", r"\1", "[snapshots] entry 1 lacks radii"),
+            (r"^(0 = \S+ \S+) \S+$", r"\1", "[sources] entries must hold x y rate"),
+        ],
+        ids=["config_key", "snapshot_key", "source_rate"],
+    )
+    def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        manifest = out / "manifest.txt"
+        text, hits = re.subn(pattern, keep, manifest.read_text(), flags=re.M)
+        assert hits == 1
+        manifest.write_text(text)
+        assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "certificates.txt").exists()
 
     def test_splice_replaces_timing(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

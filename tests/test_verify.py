@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from silopile.cones import GridControl, escape_routes, run
@@ -20,15 +19,26 @@ from silopile.verify import (
     solve_primal,
     transport_problem,
     wasserstein,
-    _cost_matrix,
 )
 
 
+def node_costs(p: DiscreteProblem) -> np.ndarray:
+    """(m, nd + nb) cost per supply and sink node; boundary columns pay the wall."""
+    sinks = np.vstack([p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
+    cost = np.linalg.norm(p.supply_locations[:, None, :] - sinks[None, :, :], axis=2)
+    cost[:, p.n_demand :] += p.boundary_walls
+    return cost
+
+
 def linprog_oracle(p: DiscreteProblem) -> float:
-    """Dense-LP value of the same problem via scipy's generic solver."""
+    """Dense-LP value of the same problem via scipy's generic solver.
+
+    One column per boundary node, with no demand of its own: whatever the
+    supplies do not send to interior demand leaves over the wall.
+    """
     m = len(p.supply_masses)
     n = p.n_demand + p.n_boundary
-    cost = _cost_matrix(p)
+    cost = node_costs(p)
     a_eq, b_eq = [], []
     for i in range(m):
         row = np.zeros((m, n))
@@ -45,37 +55,13 @@ def linprog_oracle(p: DiscreteProblem) -> float:
     return float(res.fun)
 
 
-def all_pairs_points(p: DiscreteProblem) -> np.ndarray:
-    """Supply, demand and boundary node positions, in the dual's order."""
-    return np.vstack([p.supply_locations, p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
-
-
-def all_pairs_dual(p: DiscreteProblem) -> float:
-    """Kantorovich-Rubinstein dual with two Lipschitz rows per node pair.
-
-    Maximizes <rho, v> over values at every supply, demand and boundary
-    node, with |v(a) - v(b)| <= |a - b| for every pair and
-    0 <= v(b) <= g_b at the boundary: the dense form that ``solve_dual``
-    must match.
-    """
-    points = all_pairs_points(p)
-    n = len(points)
-    rho = np.concatenate([p.supply_masses, -p.demand_masses, np.zeros(p.n_boundary)])
-    iu, ju = np.triu_indices(n, k=1)
-    dist = np.linalg.norm(points[iu] - points[ju], axis=1)
-    npairs = len(iu)
-    rows = np.repeat(np.arange(2 * npairs), 2)
-    cols = np.empty(4 * npairs, dtype=np.int64)
-    vals = np.empty(4 * npairs)
-    cols[0::4], vals[0::4] = iu, 1.0
-    cols[1::4], vals[1::4] = ju, -1.0
-    cols[2::4], vals[2::4] = iu, -1.0
-    cols[3::4], vals[3::4] = ju, 1.0
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * npairs, n))
-    bounds = [(None, None)] * (n - p.n_boundary) + [(0.0, float(g)) for g in p.boundary_walls]
-    res = linprog(-rho, A_ub=a_ub, b_ub=np.repeat(dist, 2), bounds=bounds, method="highs")
-    assert res.status == 0
-    return float(-res.fun)
+def taxed_nodes(domain, spacing):
+    """``DiscreteProblem`` boundary fields for the domain's nodes at this spacing."""
+    nodes = domain.boundary_nodes(spacing)
+    return {
+        "boundary_positions": np.array([b.position for b in nodes]),
+        "boundary_walls": np.array([domain.wall_height(b) for b in nodes]),
+    }
 
 
 def unit_square(g=0.0):
@@ -83,14 +69,12 @@ def unit_square(g=0.0):
 
 
 def spill_problem(domain, y, mass=1.0, spacing=0.05):
-    nodes = domain.boundary_nodes(spacing)
     return DiscreteProblem(
         supply_locations=np.atleast_2d(np.asarray(y, dtype=float)),
         supply_masses=np.array([mass]),
         demand_locations=np.empty((0, 2)),
         demand_masses=np.empty(0),
-        boundary_points=tuple(nodes),
-        boundary_walls=np.array([domain.wall_height(b) for b in nodes]),
+        **taxed_nodes(domain, spacing),
         spill_total=mass,
         h=spacing,
     )
@@ -134,7 +118,6 @@ class TestSolvePrimal:
     def test_boundary_instances_match_dense_lp(self):
         rng = np.random.default_rng(23)
         dom = unit_square(0.25)
-        nodes = dom.boundary_nodes(0.25)
         for _ in range(8):
             m = int(rng.integers(1, 4))
             n = int(rng.integers(1, 5))
@@ -147,8 +130,7 @@ class TestSolvePrimal:
                 supply_masses=sm,
                 demand_locations=rng.random((n, 2)) * 0.8 + 0.1,
                 demand_masses=dm,
-                boundary_points=tuple(nodes),
-                boundary_walls=np.array([dom.wall_height(b) for b in nodes]),
+                **taxed_nodes(dom, 0.25),
                 spill_total=spill,
                 h=0.25,
             )
@@ -173,7 +155,7 @@ class TestSolveDual:
         d = solve_dual(p)
         dist = np.hypot(0.6, 0.4)
         assert d.value == pytest.approx(dist, abs=1e-8)
-        assert d.v_supply[0] - d.v_demand[0] == pytest.approx(dist, abs=1e-8)
+        assert d.u[0] - d.w[0] == pytest.approx(dist, abs=1e-8)
 
     def test_wall_spill_matches_primal(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.3, 0.3, 2.0, 2.0])
@@ -204,11 +186,11 @@ class TestSolveDual:
         assert pc.demand_masses.sum() == pytest.approx(1.0)
 
 
-def random_dual_problem(rng, walls):
-    """Up to 3 supplies and 12 demands, unbalanced when there is a boundary.
+def random_balanced_problem(rng, walls):
+    """Up to 3 supplies and 12 demands anywhere in the unit square, balanced.
 
-    ``walls`` is None for no boundary (then the masses balance), or the
-    four vertex wall heights of the unit square.
+    ``walls`` is None for no boundary, or the four vertex wall heights of
+    the unit square; then 10% to 90% of the supply spills over the wall.
     """
     m = int(rng.integers(1, 4))
     nd = int(rng.integers(1, 13))
@@ -216,21 +198,28 @@ def random_dual_problem(rng, walls):
     dm = rng.random(nd) + 0.1
     if walls is None:
         return transport_problem(rng.random((m, 2)), sm, rng.random((nd, 2)), dm * sm.sum() / dm.sum())
+    spill = sm.sum() * rng.uniform(0.1, 0.9)
     dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], walls)
-    nodes = dom.boundary_nodes(float(rng.choice([0.2, 0.35, 1.0])))
-    # demand from a third to three times the supply: both the absorption
-    # and the emission bound get to bind
-    dm *= sm.sum() * rng.uniform(1 / 3, 3) / dm.sum()
     return DiscreteProblem(
         supply_locations=rng.random((m, 2)),
         supply_masses=sm,
         demand_locations=rng.random((nd, 2)),
-        demand_masses=dm,
-        boundary_points=tuple(nodes),
-        boundary_walls=np.array([dom.wall_height(b) for b in nodes]),
-        spill_total=0.0,
+        demand_masses=dm * (sm.sum() - spill) / dm.sum(),
+        **taxed_nodes(dom, float(rng.choice([0.2, 0.35, 1.0]))),
+        spill_total=spill,
         h=0.1,
     )
+
+
+def wall_nearer_than_supplies(p: DiscreteProblem) -> bool:
+    """Whether some boundary node lies nearer a demand than every supply does.
+
+    There a dual that lets the boundary feed demand would undercut the
+    transport optimum.
+    """
+    to_supply = np.linalg.norm(p.supply_locations[:, None, :] - p.demand_locations[None, :, :], axis=2)
+    to_wall = np.linalg.norm(p.boundary_positions[:, None, :] - p.demand_locations[None, :, :], axis=2)
+    return bool(np.any(to_wall.min(axis=0, initial=np.inf) < to_supply.min(axis=0)))
 
 
 WALL_CASES = {
@@ -241,30 +230,50 @@ WALL_CASES = {
 
 
 class TestSolveDualOracle:
-    """The sparse dual against the all-pairs LP on small random instances."""
+    """The dual LP against the dense transport LP on small random instances."""
 
     @pytest.mark.parametrize("case, seed", [("no_boundary", 41), ("zero_walls", 42), ("positive_walls", 43)])
-    def test_value_matches_all_pairs_lp(self, case, seed):
+    def test_value_matches_transport_lp(self, case, seed):
         rng = np.random.default_rng(seed)
+        undercut = 0
         for _ in range(25):
-            p = random_dual_problem(rng, WALL_CASES[case](rng))
-            assert abs(solve_dual(p, node_cap=10_000).value - all_pairs_dual(p)) <= 1e-12
+            p = random_balanced_problem(rng, WALL_CASES[case](rng))
+            assert abs(solve_dual(p, node_cap=10_000).value - linprog_oracle(p)) <= 1e-12
+            undercut += wall_nearer_than_supplies(p)
+        assert undercut > 0 or case == "no_boundary"
 
     @pytest.mark.parametrize("case, seed", [("no_boundary", 61), ("zero_walls", 62), ("positive_walls", 63)])
-    def test_node_values_feasible_for_all_pairs_lp(self, case, seed):
+    def test_potentials_feasible_and_score_value(self, case, seed):
         rng = np.random.default_rng(seed)
         for _ in range(25):
-            p = random_dual_problem(rng, WALL_CASES[case](rng))
+            p = random_balanced_problem(rng, WALL_CASES[case](rng))
             d = solve_dual(p, node_cap=10_000)
             assert d.problem is p  # nothing coarsened under this cap
-            v = np.concatenate([d.v_supply, d.v_demand, d.v_boundary])
-            points = all_pairs_points(p)
-            dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-            assert (v[:, None] - v[None, :] - dist).max() <= 1e-12
-            assert d.v_boundary.min(initial=0.0) >= -1e-12
-            assert (d.v_boundary - p.boundary_walls).max(initial=0.0) <= 1e-12
-            score = p.supply_masses @ d.v_supply - p.demand_masses @ d.v_demand
+            cost = node_costs(p)
+            assert (d.u[:, None] - d.w[None, :] - cost[:, : p.n_demand]).max() <= 1e-12
+            if p.n_boundary:
+                assert (d.u - cost[:, p.n_demand :].min(axis=1)).max() <= 1e-12
+            score = p.supply_masses @ d.u - p.demand_masses @ d.w
             assert abs(score - d.value) <= 1e-12
+
+    def test_boundary_only_absorbs(self):
+        # The wall node (0.5, 1) lies 0.1 from the demand, which is 0.8 from
+        # the supply.  The boundary absorbs but never feeds demand, so the
+        # optimum ships 0.5 over 0.8 and spills 0.5 over 0.1.
+        p = DiscreteProblem(
+            supply_locations=np.array([[0.5, 0.1]]),
+            supply_masses=np.array([1.0]),
+            demand_locations=np.array([[0.5, 0.9]]),
+            demand_masses=np.array([0.5]),
+            boundary_positions=np.array([[0.5, 0.0], [0.5, 1.0]]),
+            boundary_walls=np.zeros(2),
+            spill_total=0.5,
+            h=0.1,
+        )
+        assert wall_nearer_than_supplies(p)
+        assert solve_primal(p).primal_value == pytest.approx(0.45, abs=1e-12)
+        assert linprog_oracle(p) == pytest.approx(0.45, abs=1e-12)
+        assert solve_dual(p).value == pytest.approx(0.45, abs=1e-12)
 
 
 class TestWasserstein:
