@@ -65,6 +65,8 @@ class TransportSolution:
     dual_value: float
     min_reduced_cost: float
     marginal_error: float
+    pivots: int                # network simplex pivots
+    bland_pivots: int          # of which under Bland's rule
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,8 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
     if absorb is not None:
         cost = np.hstack([cost, absorb[:, None]])
         demands = np.append(demands, p.spill_total)
-    flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost)
+    stats: dict[str, int] = {}
+    flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost, stats=stats)
 
     sup_idx, col_idx = np.nonzero(flows > LP_TOL)
     sink_idx, spill = col_idx, np.zeros(p.n_boundary)
@@ -203,6 +206,7 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
         marginal_error=float(
             max(np.abs(flows.sum(axis=1) - supplies).max(), np.abs(flows.sum(axis=0) - demands).max())
         ),
+        **stats,
     )
 
 
@@ -324,19 +328,20 @@ def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:
     return solve_primal(p).primal_value
 
 
-def _network_simplex(supply, demand, cost, tol=LP_TOL):
+def _network_simplex(supply, demand, cost, tol=LP_TOL, stats=None):
     """Transportation simplex with a spanning-tree basis.
 
-    Exploits the bipartite structure: at most m-1 demand columns are tree
-    junctions, every other column hangs as a leaf under one supply row, so
-    dual recomputation is O(m^2) plus one vectorized pass over the columns.
     Returns (flows, row duals, column duals, final minimum reduced cost).
+    The duals are recomputed over the final tree and the minimum is taken
+    over all m*n reduced costs, so it certifies the plan on its own.  A
+    ``stats`` dict, if given, receives the ``pivots`` and ``bland_pivots``
+    counts.
     """
     solver = _TransportSimplex(supply, demand, cost, tol)
     solver.solve()
-    u, v = solver.duals()
-    min_rc = float((cost - u[:, None] - v[None, :]).min())
-    return solver.flows, u, v, min_rc
+    if stats is not None:
+        stats.update(pivots=solver.pivots, bland_pivots=solver.bland_pivots)
+    return solver.flows, solver.u, solver.v, solver.min_rc
 
 
 class _TransportSimplex:
@@ -345,9 +350,23 @@ class _TransportSimplex:
     Basis bookkeeping: ``col_rows[j]`` holds the basic rows of column j,
     ``col_row[j]`` one of them (the unique one for leaf columns), and
     ``row_junc[i]`` the junction columns (degree >= 2) touching row i.
-    The core tree spanned by rows and junction columns has at most 2m - 1
-    nodes, so every pivot costs O(m^2) plus one O(mn) reduced-cost scan.
+    Rows and junction columns (node m + j) span a core tree of at most
+    2m - 1 nodes, rooted at row 0; ``parent`` and ``depth`` locate each
+    core node in it, and every other column hangs as a leaf under its row.
+
+    Pricing scans blocks of about 4096 reduced costs, starting after the
+    block that supplied the last entering arc, and enters the most negative
+    arc of the first block that has one.  The potentials ``u`` and ``v``
+    persist across pivots: a pivot walks parent pointers to find its cycle,
+    re-hangs the subtree cut off by the leaving arc and shifts only that
+    subtree's potentials, the columns' through one gather over ``col_row``.
+    A pass over all blocks without a candidate is followed by fresh tree
+    duals and one full reduced-cost pass, which either finds the next
+    entering arc or proves optimality; Bland's rule, switched on after a
+    long run of degenerate pivots, prices every pivot that way.
     """
+
+    BLOCK_CELLS = 4096
 
     def __init__(self, supply, demand, cost, tol=LP_TOL):
         self.supply = np.asarray(supply, dtype=float)
@@ -363,6 +382,10 @@ class _TransportSimplex:
         self.col_rows: list[set[int]] = [set() for _ in range(self.n)]
         self.col_row = np.zeros(self.n, dtype=np.int64)
         self.row_junc: list[set[int]] = [set() for _ in range(self.m)]
+        self.parent = [-1] * (self.m + self.n)
+        self.depth = [0] * (self.m + self.n)
+        self.pivots = 0
+        self.bland_pivots = 0
         self._initial_basis()
 
     # -- construction -----------------------------------------------------
@@ -383,42 +406,44 @@ class _TransportSimplex:
             regret = part[1] - part[0]
             order = np.lexsort((-regret, nearest))
 
-        arcs: set[tuple[int, int]] = set()
+        # Python floats: the same IEEE arithmetic as float64, without the
+        # per-element cost of numpy scalars; each cell is visited once
+        rem_s = self.supply.tolist()
+        demand = self.demand.tolist()
+        arc_rows, arc_cols, takes = [], [], []
         i = 0
-        rem_s = self.supply.copy()
-        for j in order:
-            rem_d = float(self.demand[j])
+        for j in order.tolist():
+            rem_d = demand[j]
             while True:
                 take = min(rem_s[i], rem_d)
-                self.flows[i, j] += take
-                arcs.add((i, int(j)))
+                arc_rows.append(i)
+                arc_cols.append(j)
+                takes.append(take)
                 rem_s[i] -= take
                 rem_d -= take
                 if rem_d <= 0.0 or i + 1 >= m:
                     break
                 if rem_s[i] <= 0.0:
                     i += 1
-        # rows never reached (trailing zero supplies) hang off their
-        # cheapest column with a degenerate zero-flow arc
-        for r in range(m):
-            if not any(a[0] == r for a in arcs):
-                arcs.add((r, int(np.argmin(self.cost[r]))))
+        self.flows[arc_rows, arc_cols] = takes
+        arcs = set(zip(arc_rows, arc_cols))
+        # the walk gives every row it reaches an arc and reaches rows 0..i;
+        # the rest (trailing zero supplies) hang off their cheapest column
+        # with a degenerate zero-flow arc
+        for r in range(i + 1, m):
+            arcs.add((r, int(np.argmin(self.cost[r]))))
         for r, j in arcs:
             self.col_rows[j].add(r)
         for j in range(n):
             if not self.col_rows[j]:
                 # unreachable for a balanced problem, but keep the basis total
                 self.col_rows[j].add(m - 1)
-        self._rebuild_structure()
-
-    def _rebuild_structure(self):
-        for i in range(self.m):
-            self.row_junc[i].clear()
         for j, rows in enumerate(self.col_rows):
             self.col_row[j] = next(iter(rows))
             if len(rows) > 1:
                 for r in rows:
                     self.row_junc[r].add(j)
+        self._hang(0, -1)
 
     # -- duals -------------------------------------------------------------
 
@@ -452,22 +477,41 @@ class _TransportSimplex:
         if max_iter is None:
             max_iter = 400 * (m + n) + 5000
         mass_scale = max(1.0, float(self.supply.sum()))
+        floor = -self.tol * self.scale
+        width = -(-self.BLOCK_CELLS // m)
+        blocks = -(-n // width)
+        start = 0
         stall = 0
         bland = False
+        self.u, self.v = self.duals()
         for _ in range(max_iter):
-            u, v = self.duals()
-            reduced = self.cost - u[:, None] - v[None, :]
-            if bland:
-                cand = np.argwhere(reduced < -self.tol * self.scale)
-                if len(cand) == 0:
-                    return
-                ei, ej = int(cand[0][0]), int(cand[0][1])
-            else:
+            enter = None
+            for b in range(0 if bland else blocks):
+                lo = (start + b) % blocks * width
+                cols = slice(lo, lo + width)
+                reduced = self.cost[:, cols] - self.u[:, None] - self.v[None, cols]
                 flat = int(np.argmin(reduced))
-                ei, ej = divmod(flat, n)
-                if reduced[ei, ej] >= -self.tol * self.scale:
+                if reduced.flat[flat] < floor:
+                    ei, ej = divmod(flat, reduced.shape[1])
+                    enter = ei, lo + ej, float(reduced.flat[flat])
+                    break
+            if enter is None:
+                # no block prices out (or Bland's rule is on): fresh tree
+                # duals and one pass over all m*n reduced costs decide
+                self.u, self.v = self.duals()
+                reduced = self.cost - self.u[:, None] - self.v[None, :]
+                flat = int(np.argmin(reduced))
+                if reduced.flat[flat] >= floor:
+                    self.min_rc = float(reduced.flat[flat])
                     return
-            theta = self._pivot(ei, ej)
+                if bland:
+                    flat = int(np.argmax(reduced < floor))  # first in row-major order
+                ei, ej = divmod(flat, n)
+                enter = ei, ej, float(reduced.flat[flat])
+            start = enter[1] // width + 1
+            self.pivots += 1
+            self.bland_pivots += bland
+            theta = self._pivot(*enter)
             if theta <= 1e-14 * mass_scale:
                 stall += 1
                 if stall > m + n:
@@ -476,42 +520,45 @@ class _TransportSimplex:
                 stall = 0
         raise RuntimeError("network simplex exceeded its iteration budget")
 
-    def _core_path(self, ei: int, target: int):
-        """Node path from row ei to ``target`` over rows and junction columns.
+    def _hang(self, x: int, y: int):
+        """Hang core node x and everything beyond it (away from y) under y.
 
-        ``target`` is a row id (< m) or a junction column id (m + j).
+        Resets ``parent`` and ``depth`` over that subtree and returns its rows.
         """
-        m = self.m
-        if ei == target:
-            return [ei]
-        parent: dict[int, int] = {ei: -1}
-        stack = [ei]
-        while stack and target not in parent:
+        m, parent, depth = self.m, self.parent, self.depth
+        row_junc, col_rows = self.row_junc, self.col_rows
+        parent[x] = y
+        depth[x] = depth[y] + 1 if y >= 0 else 0
+        rows = []
+        stack = [x]
+        while stack:
             node = stack.pop()
+            up, below = parent[node], depth[node] + 1
             if node < m:
-                for j in self.row_junc[node]:
-                    if m + j not in parent:
-                        parent[m + j] = node
-                        stack.append(m + j)
+                rows.append(node)
+                near = [m + j for j in row_junc[node]]
             else:
-                for r in self.col_rows[node - m]:
-                    if r not in parent:
-                        parent[r] = node
-                        stack.append(r)
-        if target not in parent:
-            raise RuntimeError("basis tree is not connected")
-        nodes = [target]
-        while parent[nodes[-1]] != -1:
-            nodes.append(parent[nodes[-1]])
-        nodes.reverse()
-        return nodes
+                near = col_rows[node - m]
+            for k in near:
+                if k != up:
+                    parent[k] = node
+                    depth[k] = below
+                    stack.append(k)
+        return rows
 
-    def _pivot(self, ei: int, ej: int) -> float:
-        m = self.m
-        if len(self.col_rows[ej]) > 1:
-            path = self._core_path(ei, m + ej)
-        else:
-            path = self._core_path(ei, int(self.col_row[ej]))
+    def _pivot(self, ei: int, ej: int, rc: float) -> float:
+        m, parent, depth = self.m, self.parent, self.depth
+        leaf = len(self.col_rows[ej]) == 1
+        r0 = int(self.col_row[ej])
+        # climb from both ends of the entering arc to their common ancestor
+        up, down = [ei], [r0 if leaf else m + ej]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        path = up + down[-2::-1]
+        if leaf:
             path.append(m + ej)
         cells = []
         for a, b in zip(path, path[1:]):
@@ -529,6 +576,24 @@ class _TransportSimplex:
         self._add_arc(ei, ej)
         self._remove_arc(*leave)
         self.flows[leave] = 0.0
+
+        # The leaving arc cuts off the subtree below it.  It holds ei when
+        # the arc lies on ei's climb, and ej otherwise; hang it under the
+        # other end of the entering arc, which makes that arc tight.
+        if cells.index(leave) < len(up) - 1:
+            if leaf:
+                parent[m + ej] = r0
+                depth[m + ej] = depth[r0] + 1
+            rows, shift = self._hang(ei, m + ej), rc
+        else:
+            rows, shift = self._hang(m + ej, ei), -rc
+        if rows:
+            delta = np.zeros(m)
+            delta[rows] = shift
+            self.u += delta
+            # the subtree's columns are those whose row is in it, but for ej
+            self.v -= delta[self.col_row]
+        self.v[ej] = self.cost[ei, ej] - self.u[ei]
         return float(theta)
 
     def _add_arc(self, i: int, j: int):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from silopile.cones import GridControl, escape_routes, run
@@ -19,7 +20,9 @@ from silopile.verify import (
     solve_primal,
     transport_problem,
     wasserstein,
+    _TransportSimplex,
 )
+from silopile.tolerances import LP_TOL
 
 
 def node_costs(p: DiscreteProblem) -> np.ndarray:
@@ -34,23 +37,17 @@ def linprog_oracle(p: DiscreteProblem) -> float:
     """Dense-LP value of the same problem via scipy's generic solver.
 
     One column per boundary node, with no demand of its own: whatever the
-    supplies do not send to interior demand leaves over the wall.
+    supplies do not send to interior demand leaves over the wall.  The
+    constraint matrix is stored sparse so that instances of a few thousand
+    cells fit in memory; the LP is the same.
     """
     m = len(p.supply_masses)
     n = p.n_demand + p.n_boundary
     cost = node_costs(p)
-    a_eq, b_eq = [], []
-    for i in range(m):
-        row = np.zeros((m, n))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(p.supply_masses[i])
-    for j in range(p.n_demand):
-        col = np.zeros((m, n))
-        col[:, j] = 1.0
-        a_eq.append(col.ravel())
-        b_eq.append(p.demand_masses[j])
-    res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), method="highs")
+    # one row per supply (its whole row of cells), then one per demand column
+    a_eq = sp.vstack([sp.kron(sp.eye(m), np.ones((1, n))), sp.kron(np.ones((1, m)), sp.eye(n)).tocsr()[: p.n_demand]])
+    b_eq = np.concatenate([p.supply_masses, p.demand_masses])
+    res = linprog(cost.ravel(), A_eq=a_eq.tocsr(), b_eq=b_eq, method="highs")
     assert res.status == 0
     return float(res.fun)
 
@@ -147,6 +144,129 @@ class TestSolvePrimal:
         dm *= sm.sum() / dm.sum()
         sol = solve_primal(transport_problem(sup, sm, dem, dm))
         assert sol.dual_value == pytest.approx(sol.primal_value, abs=1e-8)
+
+
+def pricing_blocks(m: int, n: int) -> int:
+    """Number of column blocks the simplex prices an m x n problem in."""
+    width = -(-_TransportSimplex.BLOCK_CELLS // m)
+    return -(-n // width)
+
+
+def solver_scale(p: DiscreteProblem) -> float:
+    """The cost scale the simplex's reduced-cost floor is relative to."""
+    cost = node_costs(p)
+    top = cost[:, : p.n_demand].max(initial=0.0)
+    if p.n_boundary:
+        top = max(top, cost[:, p.n_demand :].min(axis=1).max())
+    return max(1.0, float(top))
+
+
+def lattice(k: int) -> np.ndarray:
+    """Cell centres of a k x k lattice on the unit square."""
+    ticks = (np.arange(k) + 0.5) / k
+    return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+
+
+def block_instance(kind: str, rng) -> DiscreteProblem:
+    """16 supplies and 900 demands: pricing cycles through four blocks."""
+    m, n = 16, 900
+    if kind == "lattice":
+        # exact distance ties everywhere, equal masses on each side
+        return transport_problem(lattice(4), np.full(m, 1.0 / m), lattice(30), np.full(n, 1.0 / n))
+    sm = rng.random(m) + 0.1
+    dm = rng.random(n) + 0.1
+    if kind == "random":
+        return transport_problem(rng.random((m, 2)), sm, rng.random((n, 2)), dm * sm.sum() / dm.sum())
+    spill = sm.sum() * rng.uniform(0.2, 0.6)
+    return DiscreteProblem(
+        supply_locations=rng.random((m, 2)),
+        supply_masses=sm,
+        demand_locations=rng.random((n, 2)),
+        demand_masses=dm * (sm.sum() - spill) / dm.sum(),
+        **taxed_nodes(ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], list(rng.uniform(0.0, 0.3, 4))), 0.1),
+        spill_total=spill,
+        h=0.1,
+    )
+
+
+class TestBlockPricing:
+    """Instances whose pricing spans several column blocks, against the dense LP."""
+
+    @pytest.mark.parametrize("kind, seed", [("random", 71), ("random", 72), ("lattice", 0), ("spill", 73), ("spill", 74)])
+    def test_matches_dense_lp_and_certifies(self, kind, seed):
+        p = block_instance(kind, np.random.default_rng(seed))
+        assert pricing_blocks(len(p.supply_masses), p.n_demand) >= 3
+        sol = solve_primal(p)
+        assert abs(sol.primal_value - linprog_oracle(p)) <= 1e-9
+        assert sol.marginal_error <= LP_TOL
+        assert sol.min_reduced_cost >= -LP_TOL * solver_scale(p)
+        assert sol.pivots > pricing_blocks(len(p.supply_masses), p.n_demand)
+        if kind == "spill":
+            assert sol.spill.sum() == pytest.approx(p.spill_total, abs=1e-12)
+
+    def test_bland_fallback_on_shifted_lattice(self):
+        # a 10 x 10 unit lattice against itself shifted by half a step:
+        # every pivot ties, the simplex stalls and switches to Bland's rule
+        g = 10 * lattice(10)
+        w = np.full(100, 0.01)
+        p = transport_problem(g, w, g + (0.5, 0.0), w)
+        sol = solve_primal(p)
+        assert sol.bland_pivots > 0
+        assert sol.pivots >= sol.bland_pivots
+        assert abs(sol.primal_value - 0.5) <= 1e-12
+        assert sol.min_reduced_cost >= -LP_TOL * solver_scale(p)
+
+
+def reference_start(supply, demand, cost):
+    """The simplex's starting plan and basic arcs by the plain numpy walk.
+
+    Columns grouped by cheapest row, by decreasing regret within a group,
+    then the northwest corner; rows the walk never reaches hang off their
+    cheapest column.
+    """
+    m, n = cost.shape
+    if m == 1:
+        order = np.arange(n)
+    else:
+        part = np.partition(cost, 1, axis=0)
+        order = np.lexsort((-(part[1] - part[0]), np.argmin(cost, axis=0)))
+    flows = np.zeros((m, n))
+    arcs = set()
+    i = 0
+    rem_s = supply.copy()
+    for j in order:
+        rem_d = float(demand[j])
+        while True:
+            take = min(rem_s[i], rem_d)
+            flows[i, j] += take
+            arcs.add((i, int(j)))
+            rem_s[i] -= take
+            rem_d -= take
+            if rem_d <= 0.0 or i + 1 >= m:
+                break
+            if rem_s[i] <= 0.0:
+                i += 1
+    for r in range(m):
+        if not any(a[0] == r for a in arcs):
+            arcs.add((r, int(np.argmin(cost[r]))))
+    return flows, arcs
+
+
+class TestInitialBasis:
+    def test_matches_reference_walk(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            m, n = int(rng.integers(1, 20)), int(rng.integers(1, 200))
+            supply = rng.random(m) * (rng.random(m) > 0.3)
+            supply[0] += 0.1
+            demand = rng.random(n) * (rng.random(n) > 0.2)
+            demand[-1] += 0.1
+            demand *= supply.sum() / demand.sum()
+            cost = rng.random((m, n))
+            flows, arcs = reference_start(supply, demand, cost)
+            solver = _TransportSimplex(supply, demand, cost)
+            assert np.array_equal(solver.flows, flows)
+            assert {(r, j) for j, rows in enumerate(solver.col_rows) for r in rows} == arcs
 
 
 class TestSolveDual:
