@@ -26,7 +26,7 @@ from .fields import (
     spill_measure,
 )
 from .geometry import ConvexDomain
-from .regions import build_grid, distances, partition
+from .regions import build_grid, partition
 from .sources import POINT_LIST, SourceSet, discretize, make_sources
 from .tolerances import DUAL_NODE_CAP, LP_TOL
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
@@ -122,8 +122,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     sources = resolve_sources(cfg, domain)
     ctrl = GridControl(h=cfg.grid_h)
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, ctrl)
-    grid = traj.grid
-    dist = distances(grid.inside_centers(), sources.locations)
+    grid, dist = traj.grid, traj.dist
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,8 +270,8 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
             "without full freeze"
         )
 
-    sim = height_field(final, sources, traj.grid)
-    closed = equilibrium_field(sources, thresholds, traj.grid)
+    sim = height_field(final, sources, traj.grid, traj.dist)
+    closed = equilibrium_field(sources, thresholds, traj.grid, traj.dist)
     sup_diff = float(np.abs(sim.values - closed.values).max())
 
     out = Path(cfg.output_dir)
@@ -296,14 +295,13 @@ def cmd_converge(cfg: RunConfig, quiet: bool) -> int:
     if any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
         raise ConfigError("[run]: n_list must be strictly increasing")
     domain = cfg.domain()
-    grid = build_grid(domain, cfg.grid_h)
-    centers = grid.inside_centers()
 
     per_n = {}
     for n in cfg.n_list:
         sources = discretize(cfg.density, n, domain)
         traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, GridControl(h=cfg.grid_h))
-        per_n[n] = [eval_height_many(state, sources, centers) for state in traj.states]
+        centers = traj.grid.inside_centers()
+        per_n[n] = [eval_height_many(state, sources, centers, traj.dist) for state in traj.states]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

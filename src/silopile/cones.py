@@ -60,6 +60,7 @@ class Trajectory:
     final_state: ConeState
     spill_atoms: list[BoundaryPoint]  # per source, where its rate crosses the wall once frozen
     grid: Grid  # the grid the stepped phase partitioned
+    dist: np.ndarray  # regions.distances(grid.inside_centers(), sources.locations)
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,8 @@ def escape_routes(sources: SourceSet, domain: ConvexDomain) -> tuple[np.ndarray,
     The atom is the first minimizer of the escape cost, so ties between
     wall crossings resolve to the lowest boundary parameterization.
     """
-    costs, atoms = [], []
-    for y in sources.locations:
-        cost, minimizers = domain.escape_cost(y)
-        costs.append(cost)
-        atoms.append(minimizers[0])
-    return np.array(costs), atoms
+    costs, minimizers = domain.escape_cost(sources.locations)
+    return costs, [m[0] for m in minimizers]
 
 
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
@@ -225,4 +222,5 @@ def run(
         final_state=knots[-1],
         spill_atoms=spill_atoms,
         grid=grid,
+        dist=dist,
     )

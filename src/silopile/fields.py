@@ -18,6 +18,10 @@ from .geometry import BoundaryPoint, ConvexDomain
 from .regions import NONE_LABEL, Grid, Partition, cone_values
 from .sources import SourceSet
 
+# Segments deposited per np.add.at pass of rolling_measure; bounds the
+# sub-deposit arrays without changing the order of accumulation.
+DEPOSIT_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class GridField:
@@ -40,15 +44,10 @@ class BoundaryMeasure:
 
 @dataclass(frozen=True)
 class PathMeasure:
-    """Rolling-layer mass binned to grid cells.
-
-    ``direction_mass`` carries the mass-weighted unit ray direction (toward
-    the source) of every deposit, which the weak-form residual checks need.
-    """
+    """Rolling-layer mass binned to grid cells."""
 
     grid: Grid
-    density: np.ndarray        # (ny, nx), cell mass / h^2
-    direction_mass: np.ndarray  # (ny, nx, 2)
+    density: np.ndarray  # (ny, nx), cell mass / h^2
 
     @property
     def total_mass(self) -> float:
@@ -72,10 +71,10 @@ def height_field(state: ConeState, sources: SourceSet, grid: Grid, dist=None) ->
     return GridField(grid=grid, values=values)
 
 
-def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid) -> GridField:
+def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid, dist=None) -> GridField:
     """Stationary profile after every source froze: cones capped at their escape costs."""
     state = ConeState(0.0, thresholds.copy(), np.ones(sources.k, dtype=bool), thresholds)
-    return height_field(state, sources, grid)
+    return height_field(state, sources, grid, dist)
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:
@@ -111,44 +110,38 @@ def rolling_measure(
     Every labeled cell, and the spill atom ``atoms[j]`` of every frozen
     source j, is treated as a point mass shipping to its source; mass
     w * |x - y| is spread along the segment [x, y] in ceil(|x - y| / h)
-    equal sub-deposits binned to grid cells.
+    equal sub-deposits binned to grid cells.  Deposits accumulate by
+    source index, row-major cells within a source, then the spill atoms.
     """
+    labels = part.labels.ravel()
+    feeding = ~state.frozen & (part.areas > 0.0)
+    cell_weight = np.zeros(sources.k)
+    cell_weight[feeding] = sources.rates[feeding] / part.areas[feeding] * grid.cell_area
+    cells = np.flatnonzero(labels != NONE_LABEL)
+    cells = cells[feeding[labels[cells]]]
+    cells = cells[np.argsort(labels[cells], kind="stable")]
+    frozen = np.flatnonzero(state.frozen)
+
+    starts = np.concatenate(
+        [grid.cell_centers().reshape(-1, 2)[cells], np.array([atoms[j].position for j in frozen]).reshape(-1, 2)]
+    )
+    owners = np.concatenate([labels[cells], frozen])
+    weights = np.concatenate([cell_weight[labels[cells]], sources.rates[frozen]])
     mass = np.zeros((grid.ny, grid.nx))
-    dir_mass = np.zeros((grid.ny, grid.nx, 2))
-    centers = grid.cell_centers()
-
-    for j in range(sources.k):
-        if state.frozen[j] or part.areas[j] <= 0.0:
-            continue
-        sel = part.labels == j
-        if not np.any(sel):
-            continue
-        starts = centers[sel]
-        weights = np.full(len(starts), sources.rates[j] / part.areas[j] * grid.cell_area)
-        _deposit_segments(grid, starts, sources.locations[j], weights, mass, dir_mass)
-
-    for j in np.nonzero(state.frozen)[0]:
-        _deposit_segments(
-            grid,
-            atoms[j].position[None, :],
-            sources.locations[j],
-            np.array([float(sources.rates[j])]),
-            mass,
-            dir_mass,
-        )
-
-    density = mass / grid.cell_area
-    return PathMeasure(grid=grid, density=density, direction_mass=dir_mass)
+    for b in range(0, len(starts), DEPOSIT_BLOCK):
+        block = slice(b, b + DEPOSIT_BLOCK)
+        _deposit_segments(grid, starts[block], sources.locations[owners[block]], weights[block], mass)
+    return PathMeasure(grid=grid, density=mass / grid.cell_area)
 
 
-def _deposit_segments(grid, starts, target, weights, mass, dir_mass):
-    diff = target[None, :] - starts
+def _deposit_segments(grid, starts, targets, weights, mass):
+    """Add each segment's sub-deposits to ``mass``, in segment order (np.add.at)."""
+    diff = targets - starts
     lengths = np.linalg.norm(diff, axis=1)
     keep = lengths > 1e-15
     if not np.any(keep):
         return
     starts, diff, lengths, weights = starts[keep], diff[keep], lengths[keep], weights[keep]
-    theta = diff / lengths[:, None]
     nsub = np.maximum(np.ceil(lengths / grid.h).astype(int), 1)
     total = int(nsub.sum())
     owner = np.repeat(np.arange(len(starts)), nsub)
@@ -159,18 +152,13 @@ def _deposit_segments(grid, starts, target, weights, mass, dir_mass):
     submass = (weights * lengths / nsub)[owner]
     rows, cols = grid.cell_index(pos)
     np.add.at(mass, (rows, cols), submass)
-    np.add.at(dir_mass, (rows, cols, 0), submass * theta[owner, 0])
-    np.add.at(dir_mass, (rows, cols, 1), submass * theta[owner, 1])
 
 
 def field_to_csv(field: GridField) -> str:
     """Row-major table of the inside cells, 17 significant digits."""
-    centers = field.grid.inside_centers()
-    values = field.values[field.grid.inside_mask]
-    lines = ["x,y,value"]
-    for (x, y), v in zip(centers, values):
-        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    values = field.values[field.grid.inside_mask].tolist()
+    body = "".join([f"{xy}{v:.17g}\n" for xy, v in zip(field.grid.center_labels, values)])
+    return "x,y,value\n" + body
 
 
 def field_from_csv(grid: Grid, text: str) -> GridField:

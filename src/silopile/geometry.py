@@ -113,11 +113,14 @@ class ConvexDomain:
         Result is sorted by (edge_index, edge_parameter); duplicates arising
         from the two parameterizations of a shared vertex are removed.
         """
-        t, dists = self._project(x)
-        return self._collect_ties(t, dists, dists.min())
+        t, dists = self._project(np.asarray(x, dtype=float)[None, :])
+        return self._collect_ties(t[0], dists[0], dists[0].min())
 
-    def distance_to_boundary(self, x) -> float:
-        return float(self._project(x)[1].min())
+    def distance_to_boundary(self, x):
+        """Distance from one point to the boundary, or one per row of a (k, 2) array."""
+        x = np.asarray(x, dtype=float)
+        dists = self._project(np.atleast_2d(x))[1].min(axis=1)
+        return float(dists[0]) if x.ndim == 1 else dists
 
     def wall_height(self, b: BoundaryPoint) -> float:
         """Linear interpolation of the vertex wall values along the edge."""
@@ -125,26 +128,28 @@ class ConvexDomain:
         j = (i + 1) % self.n_edges
         return float((1.0 - b.edge_parameter) * self.wall_values[i] + b.edge_parameter * self.wall_values[j])
 
-    def escape_cost(self, y) -> tuple[float, list[BoundaryPoint]]:
-        """Cheapest wall crossing from an interior point.
+    def escape_cost(self, y):
+        """Cheapest wall crossing from an interior point, or from each row of a (k, 2) array.
 
         Minimizes wall height plus straight-line distance over the whole
         boundary.  Each edge's 1-D objective is convex (linear wall term
         plus a distance), so golden-section refinement converges to its
-        minimum.  The cost is exact to rounding, but the objective is flat
-        at its minimum, so comparisons of its values locate the minimizer's
-        edge parameter only to about 1e-8 (the square root of the machine
-        epsilon).  Returns the optimal cost and all minimizers within TIE_TOL.
+        minimum.  One kernel refines every (point, edge) pair in lockstep,
+        each with its own bracket, until all brackets are REFINE_TOL wide.
+        The cost is exact to rounding, but the objective is flat at its
+        minimum, so comparisons of its values locate the minimizer's edge
+        parameter only to about 1e-8 (the square root of the machine
+        epsilon).  Returns the optimal cost and all minimizers within
+        TIE_TOL; for a (k, 2) array, the (k,) costs and one minimizer list
+        per row.
         """
         y = np.asarray(y, dtype=float)
-        n = self.n_edges
-        t_best = np.empty(n)
-        f_best = np.empty(n)
-        for i in range(n):
-            t_best[i], f_best[i] = self._edge_minimum(i, y)
-        best = f_best.min()
-        minimizers = self._collect_ties(t_best, f_best, best)
-        return float(best), minimizers
+        t, f = self._edge_minima(np.atleast_2d(y))
+        best = f.min(axis=1)
+        minimizers = [self._collect_ties(t[i], f[i], best[i]) for i in range(len(best))]
+        if y.ndim == 1:
+            return float(best[0]), minimizers[0]
+        return best, minimizers
 
     def boundary_nodes(self, spacing: float) -> list[BoundaryPoint]:
         """Nodes at arc-length intervals <= spacing, vertices always included."""
@@ -158,41 +163,63 @@ class ConvexDomain:
                 nodes.append(BoundaryPoint(i, s, self.vertices[i] + s * self.edges[i]))
         return nodes
 
-    def _project(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Per edge: parameter of the point nearest to x, and its distance."""
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertices
-        t = np.einsum("ij,ij->i", rel, self.edges) / self.edge_lengths**2
+    def _project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per (m, 2) point and edge: parameter of the nearest edge point, and its distance."""
+        rel = points[:, None, :] - self.vertices
+        t = np.einsum("kij,ij->ki", rel, self.edges) / self.edge_lengths**2
         t = np.clip(t, 0.0, 1.0)
-        feet = self.vertices + t[:, None] * self.edges
-        return t, np.linalg.norm(feet - x, axis=1)
+        feet = self.vertices + t[..., None] * self.edges
+        return t, np.linalg.norm(feet - points[:, None, :], axis=2)
 
-    def _edge_minimum(self, i: int, y: np.ndarray) -> tuple[float, float]:
-        """Golden-section minimum of wall(s) + |edge(s) - y| on edge i."""
-        a_val = self.wall_values[i]
-        b_val = self.wall_values[(i + 1) % self.n_edges]
-        v = self.vertices[i]
-        e = self.edges[i]
+    def _edge_minima(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Golden-section minimum of wall(s) + |edge(s) - y| per (point, edge).
+
+        Returns (k, n) arrays of the minimizing edge parameter and the
+        minimum.  Every bracket follows the scalar recurrence step for
+        step; a bracket that is already narrow enough stays put.
+        """
+        a_val = self.wall_values
+        b_val = np.roll(self.wall_values, -1)
+        y = points[:, None, :]
 
         def f(s):
-            return (1.0 - s) * a_val + s * b_val + float(np.linalg.norm(v + s * e - y))
+            p = self.vertices + s[..., None] * self.edges - y
+            # sqrt(p . p) through BLAS ddot, the reduction np.linalg.norm of
+            # one 2-vector uses; dx*dx + dy*dy can differ from it by an ulp.
+            dist = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
+            return (1.0 - s) * a_val + s * b_val + dist
 
-        lo, hi = 0.0, 1.0
+        shape = (len(points), self.n_edges)
+        lo, hi = np.zeros(shape), np.ones(shape)
         c = hi - _INV_GOLDEN * (hi - lo)
         d = lo + _INV_GOLDEN * (hi - lo)
         fc, fd = f(c), f(d)
-        while hi - lo > REFINE_TOL:
-            if fc <= fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_GOLDEN * (hi - lo)
-                fc = f(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_GOLDEN * (hi - lo)
-                fd = f(d)
+        live = hi - lo > REFINE_TOL
+        while live.any():
+            down = fc <= fd
+            left, right = live & down, live & ~down
+            # left: hi, d, fd = d, c, fc; right: lo, c, fc = c, d, fd
+            hi, d, fd, lo, c, fc = (
+                np.where(left, d, hi),
+                np.where(left, c, d),
+                np.where(left, fc, fd),
+                np.where(right, c, lo),
+                np.where(right, d, c),
+                np.where(right, fd, fc),
+            )
+            x = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+            fx = f(x)
+            c, fc = np.where(left, x, c), np.where(left, fx, fc)
+            d, fd = np.where(right, x, d), np.where(right, fx, fd)
+            live = hi - lo > REFINE_TOL
+        # The first of the tied candidates 0, mid, 1 wins, as with min().
         s_mid = 0.5 * (lo + hi)
-        candidates = [(0.0, f(0.0)), (s_mid, f(s_mid)), (1.0, f(1.0))]
-        return min(candidates, key=lambda c: c[1])
+        t, best = np.zeros(shape), f(np.zeros(shape))
+        for s in (s_mid, np.ones(shape)):
+            fs = f(s)
+            take = fs < best
+            t, best = np.where(take, s, t), np.where(take, fs, best)
+        return t, best
 
     def _collect_ties(self, t: np.ndarray, values: np.ndarray, best: float) -> list[BoundaryPoint]:
         points: dict[tuple[int, float], BoundaryPoint] = {}

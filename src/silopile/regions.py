@@ -9,6 +9,7 @@ spacing and refined on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class Grid:
     def inside_centers(self) -> np.ndarray:
         """(m, 2) centers of inside cells, row-major order."""
         return self.cell_centers()[self.inside_mask]
+
+    @cached_property
+    def center_labels(self) -> list[str]:
+        """``"x,y,"`` text of each inside cell center, 17 significant digits, row-major."""
+        return [f"{x:.17g},{y:.17g}," for x, y in self.inside_centers().tolist()]
 
     def cell_index(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of the cells containing the given points."""

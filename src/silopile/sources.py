@@ -22,6 +22,9 @@ POINT_LIST = "point-list"
 # Fixed subdivision used for quadrature of the Gaussian kind inside one bin.
 _GAUSS_SUBGRID = 24
 
+# Source pairs per block of min_separation's pairwise distances.
+_PAIR_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SourceSet:
@@ -80,39 +83,69 @@ def make_sources(domain: ConvexDomain, locations, rates) -> SourceSet:
     if np.any(rates <= 0.0):
         raise ValueError("source rates must be positive")
 
-    merged_loc: list[np.ndarray] = []
-    merged_rate: list[float] = []
-    for loc, rate in zip(locations, rates):
-        for i, existing in enumerate(merged_loc):
-            if np.linalg.norm(existing - loc) <= GEOM_TOL:
-                merged_rate[i] += rate
-                break
-        else:
-            merged_loc.append(loc)
-            merged_rate.append(float(rate))
+    rep = _merge_representatives(locations)
+    keep = rep == np.arange(len(rep))
+    out_loc = locations[keep]
+    merged_rate = rates.copy()
+    # Each rate joins its representative's in index order, as a running sum.
+    np.add.at(merged_rate, rep[~keep], rates[~keep])
 
-    out_loc = np.array(merged_loc)
-    for loc in out_loc:
-        if not domain.contains(loc) or domain.distance_to_boundary(loc) <= GEOM_TOL:
-            raise ValueError(f"source at {tuple(loc)} is not strictly inside the domain")
-    return SourceSet(locations=out_loc, rates=np.array(merged_rate))
+    inside = domain.contains_many(out_loc) & (domain.distance_to_boundary(out_loc) > GEOM_TOL)
+    if not inside.all():
+        loc = out_loc[np.argmin(inside)]
+        raise ValueError(f"source at {tuple(loc)} is not strictly inside the domain")
+    return SourceSet(locations=out_loc, rates=merged_rate[keep])
+
+
+def _merge_representatives(locations: np.ndarray) -> np.ndarray:
+    """Index of the source each location merges into (itself if none).
+
+    A location joins the first earlier representative within GEOM_TOL.
+    Pairs that close fall in one run of the points sorted by x with gaps
+    below the window, then in one run of that run sorted by y, so only
+    pairs inside those runs are measured.
+    """
+    # A margin over GEOM_TOL, so rounding in the gaps cannot split a pair.
+    window = 2.0 * GEOM_TOL
+    rep = np.arange(len(locations))
+    x, y = locations[:, 0], locations[:, 1]
+    by_x = np.argsort(x, kind="stable")
+    x_run = np.concatenate([[0], np.cumsum(~(np.diff(x[by_x]) <= window))])
+    within = np.lexsort((y[by_x], x_run))
+    order, run = by_x[within], x_run[within]
+    cut = np.flatnonzero((np.diff(run) != 0) | ~(np.diff(y[order]) <= window)) + 1
+    pairs = sorted(
+        (j, i)
+        for group in np.split(order, cut)
+        if len(group) > 1
+        for i in group
+        for j in group
+        if i < j
+    )
+    for j, i in pairs:
+        if rep[j] == j and rep[i] == i and np.linalg.norm(locations[i] - locations[j]) <= GEOM_TOL:
+            rep[j] = i
+    return rep
 
 
 def min_separation(s: SourceSet, domain: ConvexDomain) -> tuple[float, float]:
     """Smallest pairwise source distance and smallest distance to the wall.
 
-    The pairwise minimum is +inf for a single source.
+    The pairwise minimum is +inf for a single source.  It is taken over
+    blocks of rows, so no (k, k) array is formed.
     """
     if s.k == 0:
         raise ValueError("empty source set")
-    if s.k == 1:
-        m1 = np.inf
-    else:
-        diff = s.locations[:, None, :] - s.locations[None, :, :]
-        d = np.linalg.norm(diff, axis=2)
-        m1 = float(d[np.triu_indices(s.k, k=1)].min())
-    m2 = min(domain.distance_to_boundary(loc) for loc in s.locations)
-    return m1, float(m2)
+    loc = s.locations
+    m1 = np.inf
+    rows = max(1, _PAIR_BLOCK // s.k)
+    for i0 in range(0, s.k - 1, rows):
+        i1 = min(i0 + rows, s.k - 1)
+        d = np.linalg.norm(loc[i0:i1, None, :] - loc[None, :, :], axis=2)
+        upper = np.arange(s.k)[None, :] > np.arange(i0, i1)[:, None]
+        m1 = min(m1, float(d[upper].min()))
+    m2 = float(domain.distance_to_boundary(loc).min())
+    return m1, m2
 
 
 def discretize(f: DensitySpec, n: int, domain: ConvexDomain) -> SourceSet:
@@ -156,9 +189,8 @@ def _check_support_inside(f: DensitySpec, domain: ConvexDomain) -> None:
         return
     else:
         probe = np.atleast_2d(np.asarray(f.points, dtype=float))
-    for p in probe:
-        if not domain.contains(p) or domain.distance_to_boundary(p) <= GEOM_TOL:
-            raise ValueError("measure support must be strictly inside the domain")
+    if not np.all(domain.contains_many(probe) & (domain.distance_to_boundary(probe) > GEOM_TOL)):
+        raise ValueError("measure support must be strictly inside the domain")
 
 
 def _bin_points(pts: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,11 @@ GEOM_TOL = 1e-12
 # objective value is within TIE_TOL of the optimum are all reported.
 TIE_TOL = 1e-9
 
-# Interval width at which 1-D golden-section refinement on an edge stops.
-# Rounding limits the minimizer it finds to about 1e-8 in the edge
-# parameter, since the objective is flat at its minimum; the cost itself
-# is exact to rounding.
+# Bracket width at which golden-section refinement stops.  The escape-cost
+# kernel refines every (source, edge) bracket in lockstep; a bracket at or
+# below this width is left alone while the others go on.  Rounding limits
+# the minimizer it finds to about 1e-8 in the edge parameter, since the
+# objective is flat at its minimum; the cost itself is exact to rounding.
 REFINE_TOL = 1e-12
 
 # Radii within FREEZE_TOL of their escape cost count as frozen.

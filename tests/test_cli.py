@@ -166,22 +166,22 @@ class TestSimulate:
                 assert first[name] == second[name], name
 
     def test_escape_cost_once_per_source(self, tmp_path, monkeypatch):
-        calls = []
+        points = []
         escape_cost = ConvexDomain.escape_cost
 
         def counted(self, y):
-            calls.append(tuple(y))
+            points.append(len(np.atleast_2d(y)))
             return escape_cost(self, y)
 
         monkeypatch.setattr(ConvexDomain, "escape_cost", counted)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert "frozen=1,1" in (out / "manifest.txt").read_text()  # both sources froze
-        assert len(calls) == 2
+        assert sum(points) == 2
 
     def test_distances_once_per_run(self, tmp_path, monkeypatch):
-        # One cell-source matrix for the run's steps and one for the snapshot
-        # loop, however many RK2 steps the horizon takes.
+        # One cell-source matrix per run, shared by the RK2 steps and the
+        # snapshot loop, however many steps the horizon takes.
         from silopile import cones, regions
 
         calls, steps = [], []
@@ -196,7 +196,8 @@ class TestSimulate:
             return step(*args, **kwargs)
 
         for module in (regions, cones, cli):
-            monkeypatch.setattr(module, "distances", counted_distances)
+            if hasattr(module, "distances"):
+                monkeypatch.setattr(module, "distances", counted_distances)
         monkeypatch.setattr(cones, "step", counted_step)
         per_horizon = []
         for horizon, times in (("0.12", "0.05 0.12"), ("0.3", "0.05 0.12 0.3")):
@@ -210,7 +211,7 @@ class TestSimulate:
             per_horizon.append((len(calls), len(steps)))
         (calls_short, steps_short), (calls_long, steps_long) = per_horizon
         assert 0 < steps_short < steps_long
-        assert calls_short == calls_long == 2
+        assert calls_short == calls_long == 1
 
     def test_does_not_import_the_dual_solver(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -328,11 +329,11 @@ class TestEquilibrium:
         assert np.pi / 24 <= t1 <= 0.5
 
     def test_escape_cost_once_per_source(self, tmp_path, monkeypatch):
-        calls = []
+        points = []
         escape_cost = ConvexDomain.escape_cost
 
         def counted(self, y):
-            calls.append(tuple(y))
+            points.append(len(np.atleast_2d(y)))
             return escape_cost(self, y)
 
         monkeypatch.setattr(ConvexDomain, "escape_cost", counted)
@@ -340,7 +341,7 @@ class TestEquilibrium:
         path, out = write_config(tmp_path, template.replace("h = 0.007751937984496124", "h = 0.03125"))
         assert main(["equilibrium", "--config", str(path), "--quiet"]) == 0
         assert (out / "equilibrium.txt").read_text().count("freeze ") == 3
-        assert len(calls) == 3
+        assert sum(points) == 3
 
     def test_unreachable_wall_refused(self, tmp_path):
         template = EQ_CONFIG.replace("wall_values = 0 0 0 0", "wall_values = 50 50 50 50")

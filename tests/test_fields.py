@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_loops import deposit_loop
 from silopile.cones import ConeState, GridControl, escape_routes, run
 from silopile.fields import (
     BoundaryMeasure,
@@ -250,14 +251,14 @@ class TestFieldInvariants:
             for state in (traj.states[2], traj.states[4]):
                 part = partition(grid, s, state.radii)
                 dudt = growth_rate_field(state, s, part)
-                mu = rolling_measure(state, s, part, traj.spill_atoms, grid)
+                _, direction_mass = deposit_loop(state, s, part, traj.spill_atoms, grid)
                 nu = spill_measure(state, s, traj.spill_atoms)
                 for phi, dphi in _test_functions():
                     t1 = float((dudt.values.ravel() * phi(centers)).sum() * h * h)
                     g = dphi(centers)
                     t2 = float(
-                        (g[:, 0] * mu.direction_mass[..., 0].ravel()).sum()
-                        + (g[:, 1] * mu.direction_mass[..., 1].ravel()).sum()
+                        (g[:, 0] * direction_mass[..., 0].ravel()).sum()
+                        + (g[:, 1] * direction_mass[..., 1].ravel()).sum()
                     )
                     t3 = float((s.rates * phi(s.locations)).sum())
                     t4 = float(sum(m * phi(bp.position[None, :])[0] for bp, m in nu.atoms))
