@@ -12,7 +12,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from silopile.cones import GridControl, run
+from silopile.cones import run
 from silopile.fields import eval_height_many
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid
@@ -47,7 +47,7 @@ def main():
         s = discretize(f, n, domain)
         w1 = wasserstein(s.locations, s.rates, qpts, qw)
         print(f"{n:>4} {w1:18.6f}")
-        traj = run(s, domain, max(TIMES), TIMES, GridControl(h=1 / 32))
+        traj = run(s, domain, max(TIMES), TIMES, 1 / 32)
         fields[n] = [eval_height_many(st, s, centers) for st in traj.states]
 
     print()

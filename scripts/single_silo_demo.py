@@ -16,8 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from silopile.config import parse_config
-from silopile.cones import GridControl, run
-from silopile.regions import build_grid
+from silopile.cones import run
 from silopile.sources import make_sources
 from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
 
@@ -28,11 +27,11 @@ def main():
     sources = make_sources(domain, cfg.source_points[:, :2], cfg.source_points[:, 2])
     print(f"domain area {domain.area:.3f}, total rate {sources.total_rate:.3f}")
 
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, GridControl(h=cfg.grid_h))
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
     for j, t in traj.freeze_events:
         print(f"source {j} froze at t = {t:.5f}")
 
-    grid = build_grid(domain, cfg.grid_h)
+    grid = traj.grid
     for t, state in zip(traj.snapshot_times, traj.states):
         problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
         sol = solve_primal(problem)

@@ -1,6 +1,6 @@
 """Sandpile growth in a walled convex silo, with transport certification."""
 
-from .cones import GridControl, run
+from .cones import run
 from .fields import height_field, rolling_measure, spill_measure
 from .geometry import ConvexDomain
 from .regions import build_grid, partition
@@ -9,7 +9,6 @@ from .verify import build_problem, certify, solve_primal, wasserstein
 
 __all__ = [
     "ConvexDomain",
-    "GridControl",
     "build_grid",
     "build_problem",
     "certify",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, echo_config, parse_config
-from .cones import ConeState, GridControl, Trajectory, escape_routes, run
+from .cones import ConeState, Trajectory, escape_routes, run
 from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
@@ -55,29 +55,37 @@ def write_manifest(
     sources: SourceSet,
     traj: Trajectory,
     snapshot_files: list[tuple[str, str]],
-    certificates: list[str],
     timings: dict[str, float],
 ) -> None:
-    lines = [MANIFEST_HEADER, "[config]"]
-    lines += echo_config(cfg)
-    lines.append("[sources]")
-    for j in range(sources.k):
-        x, y = sources.locations[j]
-        lines.append(f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(sources.rates[j])}")
-    lines.append("[freeze_events]")
-    for j, t in traj.freeze_events:
-        lines.append(f"{j} = {_fmt(t)}")
-    lines.append("[snapshots]")
+    snapshots = []
     for i, (t, state) in enumerate(zip(traj.snapshot_times, traj.states)):
         u_file, mu_file = snapshot_files[i]
         radii = ",".join(_fmt(r) for r in state.radii)
         frozen = ",".join("1" if f else "0" for f in state.frozen)
-        lines.append(f"{i} = t={_fmt(t)} u={u_file} mu={mu_file} radii={radii} frozen={frozen}")
-    lines.append("[certificates]")
-    lines += certificates
-    lines.append("[timings]")
-    for key in sorted(timings):
-        lines.append(f"{key} = {timings[key]:.3f}")
+        snapshots.append(f"{i} = t={_fmt(t)} u={u_file} mu={mu_file} radii={radii} frozen={frozen}")
+    _write_sections(path, {
+        "config": echo_config(cfg),
+        "sources": [
+            f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(c)}"
+            for j, ((x, y), c) in enumerate(zip(sources.locations, sources.rates))
+        ],
+        "freeze_events": [f"{j} = {_fmt(t)}" for j, t in traj.freeze_events],
+        "snapshots": snapshots,
+        "certificates": [],
+        "timings": _timing_lines(timings),
+    })
+
+
+def _timing_lines(timings: dict[str, float]) -> list[str]:
+    return [f"{key} = {timings[key]:.3f}" for key in sorted(timings)]
+
+
+def _write_sections(path: Path, sections: dict[str, list[str]]) -> None:
+    """The manifest text: the header, then each section's heading and lines, in order."""
+    lines = [MANIFEST_HEADER]
+    for name, body in sections.items():
+        lines.append(f"[{name}]")
+        lines += body
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -96,20 +104,14 @@ def parse_manifest(path: Path) -> dict[str, list[str]]:
     return sections
 
 
-def _entry(values: dict[str, str], where: str, key: str) -> str:
-    """``values[key]``; a missing key is a ConfigError naming where in the manifest."""
+def _entry(values: dict[str, str], where: str, key: str, parse=str):
+    """``parse(values[key])``; a missing or malformed value is a ConfigError naming where."""
     try:
-        return values[key]
+        return parse(values[key])
     except KeyError:
         raise ConfigError(f"manifest {where} lacks {key}") from None
-
-
-def _config_from_echo(lines: list[str]) -> dict[str, str]:
-    out = {}
-    for line in lines:
-        key, _, value = line.partition(" = ")
-        out[key] = value
-    return out
+    except ValueError as exc:
+        raise ConfigError(f"manifest {where} {key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     t_start = time.perf_counter()
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    ctrl = GridControl(h=cfg.grid_h)
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, ctrl)
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
     grid, dist = traj.grid, traj.dist
 
     out = Path(cfg.output_dir)
@@ -142,7 +143,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     (out / "nu.csv").write_text("".join(nu_blocks))
 
     timings = {"simulate_seconds": time.perf_counter() - t_start}
-    write_manifest(out / "manifest.txt", cfg, sources, traj, snapshot_files, [], timings)
+    write_manifest(out / "manifest.txt", cfg, sources, traj, snapshot_files, timings)
     if not quiet:
         print(f"simulate: {len(traj.states)} snapshots, {len(traj.freeze_events)} freezes -> {out}")
     return 0
@@ -151,13 +152,13 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
 def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     t_start = time.perf_counter()
     sections = parse_manifest(manifest_path)
-    echo = _config_from_echo(sections.get("config", []))
+    echo = dict(line.partition(" = ")[::2] for line in sections.get("config", []))  # key = value
     out = manifest_path.parent
 
-    vertices = np.array(
-        [[float(v) for v in pair.split()] for pair in _entry(echo, "[config]", "domain.vertices").split(" ; ")]
-    )
-    walls = np.array([float(w) for w in _entry(echo, "[config]", "domain.wall_values").split()])
+    vertices = np.array(_entry(
+        echo, "[config]", "domain.vertices", lambda text: [[float(v) for v in p.split()] for p in text.split(" ; ")]
+    ))
+    walls = np.array(_entry(echo, "[config]", "domain.wall_values", lambda text: [float(w) for w in text.split()]))
     domain = ConvexDomain(vertices, walls)
     src_rows = [line.partition(" = ")[2].split() for line in sections.get("sources", [])]
     if any(len(r) != 3 for r in src_rows):
@@ -165,8 +166,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     locations = np.array([[float(r[0]), float(r[1])] for r in src_rows])
     rates = np.array([float(r[2]) for r in src_rows])
     sources = make_sources(domain, locations, rates)
-    h = float(_entry(echo, "[config]", "grid.h"))
-    spacing = float(_entry(echo, "[config]", "grid.boundary_spacing"))
+    h = _entry(echo, "[config]", "grid.h", float)
+    spacing = _entry(echo, "[config]", "grid.boundary_spacing", float)
     node_cap = int(echo.get("tolerances.dual_node_cap", DUAL_NODE_CAP))
     grid = build_grid(domain, h)
     thresholds, _ = escape_routes(sources, domain)
@@ -174,13 +175,16 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     snapshots = []
     for line in sections.get("snapshots", []):
         idx, _, rest = line.partition(" = ")
-        fields = dict(part.split("=", 1) for part in rest.split())
         where = f"[snapshots] entry {idx}"
+        pairs = [part.split("=", 1) for part in rest.split()]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError(f"manifest {where} holds a field that is not key=value")
+        fields = dict(pairs)
         u_file = _entry(fields, where, "u")
         if not (out / u_file).exists():
             raise ConfigError(f"missing snapshot file {u_file}")
-        t = float(_entry(fields, where, "t"))
-        radii = np.array([float(r) for r in _entry(fields, where, "radii").split(",")])
+        t = _entry(fields, where, "t", float)
+        radii = np.array(_entry(fields, where, "radii", lambda text: [float(r) for r in text.split(",")]))
         frozen = np.array([c == "1" for c in _entry(fields, where, "frozen").split(",")])
         snapshots.append((idx, ConeState(t, radii, frozen, thresholds)))
 
@@ -220,32 +224,12 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
 
 
 def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float]) -> None:
-    """Replace the manifest's certificates; ``extra_timings`` replace same-named timings."""
-    lines = path.read_text().splitlines()
-    out = []
-    section = None
-    timing_lines = []
-    for line in lines:
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section == "certificates":
-                out.append(line)
-                out.extend(cert_lines)
-                continue
-            if section == "timings":
-                continue
-        if section == "certificates" and not line.startswith("["):
-            continue
-        if section == "timings":
-            if line.strip() and line.partition(" = ")[0] not in extra_timings:
-                timing_lines.append(line)
-            continue
-        out.append(line)
-    out.append("[timings]")
-    out.extend(timing_lines)
-    for key in sorted(extra_timings):
-        out.append(f"{key} = {extra_timings[key]:.3f}")
-    path.write_text("\n".join(out) + "\n")
+    """Replace the certificates; ``extra_timings`` replace same-named timings, which stay last."""
+    sections = parse_manifest(path)
+    sections["certificates"] = cert_lines
+    kept = [line for line in sections.pop("timings", []) if line.partition(" = ")[0] not in extra_timings]
+    sections["timings"] = kept + _timing_lines(extra_timings)
+    _write_sections(path, sections)
 
 
 def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
@@ -257,7 +241,7 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
     limit = 1.1 * bound
     horizon = min(cfg.horizon, limit)
 
-    traj = run(sources, domain, horizon, [], GridControl(h=cfg.grid_h), routes)
+    traj = run(sources, domain, horizon, [], cfg.grid_h, routes)
     final = traj.final_state
     if not final.frozen.all():
         if horizon < limit:
@@ -299,7 +283,7 @@ def cmd_converge(cfg: RunConfig, quiet: bool) -> int:
     per_n = {}
     for n in cfg.n_list:
         sources = discretize(cfg.density, n, domain)
-        traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, GridControl(h=cfg.grid_h))
+        traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
         centers = traj.grid.inside_centers()
         per_n[n] = [eval_height_many(state, sources, centers, traj.dist) for state in traj.states]
 
@@ -326,7 +310,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--grid-h", type=float, default=None)
         p.add_argument("--quiet", action="store_true")
     pv = sub.add_parser("verify")
     pv.add_argument("--manifest", default=None)
@@ -368,8 +351,6 @@ def _load(args) -> RunConfig:
     cfg = parse_config(args.config)
     if args.out is not None:
         cfg.output_dir = args.out
-    if getattr(args, "grid_h", None) is not None:
-        cfg.grid_h = args.grid_h
     return cfg
 
 

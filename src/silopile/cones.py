@@ -63,13 +63,6 @@ class Trajectory:
     dist: np.ndarray  # regions.distances(grid.inside_centers(), sources.locations)
 
 
-@dataclass(frozen=True)
-class GridControl:
-    """Discretization of the stepped phase: the grid spacing h."""
-
-    h: float
-
-
 def escape_routes(sources: SourceSet, domain: ConvexDomain) -> tuple[np.ndarray, list[BoundaryPoint]]:
     """Each source's escape cost (its freeze threshold) and canonical spill atom.
 
@@ -105,7 +98,6 @@ def step(
     sources: SourceSet,
     domain: ConvexDomain,
     grid: Grid,
-    ctrl: GridControl,
     dt_max: float = np.inf,
     dist: np.ndarray | None = None,
 ) -> tuple[ConeState, StepRecord, list[tuple[int, float]]]:
@@ -159,15 +151,15 @@ def run(
     domain: ConvexDomain,
     T: float,
     snapshot_times,
-    ctrl: GridControl,
+    h: float,
     routes: tuple[np.ndarray, list[BoundaryPoint]] | None = None,
 ) -> Trajectory:
     """Integrate to time T, emitting interpolated snapshots.
 
     The analytic phase covers [0, min(t0, T)]; afterwards RK2 stepping takes
-    over until T or until every source is frozen.  Snapshot radii between
-    step boundaries are interpolated linearly in r.  ``routes`` is the
-    sources' ``escape_routes``, if already computed.
+    over until T or until every source is frozen, on a grid of spacing h.
+    Snapshot radii between step boundaries are interpolated linearly in r.
+    ``routes`` is the sources' ``escape_routes``, if already computed.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -180,7 +172,7 @@ def run(
     thresholds, spill_atoms = routes if routes is not None else escape_routes(sources, domain)
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
-    grid = build_grid(domain, ctrl.h)
+    grid = build_grid(domain, h)
     # Sources and grid stay fixed for the run; only the radii move.
     dist = distances(grid.inside_centers(), sources.locations)
 
@@ -195,7 +187,7 @@ def run(
 
     state = knots[0]
     while state.time < T - 1e-15 and not np.all(state.frozen):
-        state, record, events = step(state, sources, domain, grid, ctrl, dt_max=T - state.time, dist=dist)
+        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time, dist=dist)
         steps.append(record)
         freeze_events.extend(events)
         knots.append(state)

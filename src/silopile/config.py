@@ -43,6 +43,18 @@ class RunConfig:
         return ConvexDomain(self.domain_vertices, self.wall_values)
 
 
+def _number(text: str, where: str, kind=float):
+    """``kind(text)``; a malformed number is a ConfigError naming where."""
+    try:
+        return kind(text)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _whole(text: str) -> int:
+    return int(float(text))  # integer keys accept float spellings such as 4.0
+
+
 def _rows(text: str, width: int, where: str) -> np.ndarray:
     rows = []
     for chunk in text.split(";"):
@@ -52,20 +64,14 @@ def _rows(text: str, width: int, where: str) -> np.ndarray:
         parts = chunk.split()
         if len(parts) != width:
             raise ConfigError(f"{where}: expected {width} numbers per entry, got {chunk!r}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        rows.append([_number(p, where) for p in parts])
     if not rows:
         raise ConfigError(f"{where}: empty list")
     return np.array(rows)
 
 
 def _floats(text: str, where: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return [_number(p, where) for p in text.split()]
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -85,13 +91,16 @@ def parse_config(path: str | Path) -> RunConfig:
             return fallback
         return cp.get(section, key)
 
+    def number(section, key, fallback=None, kind=float):
+        return _number(get(section, key, fallback), f"[{section}] {key}", kind)
+
     vertices = _rows(get("domain", "vertices"), 2, "[domain] vertices")
     walls = np.array(_floats(get("domain", "wall_values"), "[domain] wall_values"))
 
     kind = get("sources", "kind").strip()
     source_points = None
     density = None
-    n_sources = int(float(get("sources", "n", "0")))
+    n_sources = number("sources", "n", "0", _whole)
     if kind == POINT_LIST:
         source_points = _rows(get("sources", "points"), 3, "[sources] points")
         if n_sources == 0:
@@ -106,7 +115,7 @@ def parse_config(path: str | Path) -> RunConfig:
         poly = _rows(get("sources", "polygon"), 2, "[sources] polygon")
         density = DensitySpec(
             kind=UNIFORM_POLYGON,
-            total_mass=float(get("sources", "total_mass")),
+            total_mass=number("sources", "total_mass"),
             polygon=poly,
         )
         if n_sources <= 0:
@@ -115,22 +124,22 @@ def parse_config(path: str | Path) -> RunConfig:
         center = _rows(get("sources", "center"), 2, "[sources] center")[0]
         density = DensitySpec(
             kind=GAUSSIAN,
-            total_mass=float(get("sources", "total_mass")),
+            total_mass=number("sources", "total_mass"),
             center=center,
-            sigma=float(get("sources", "sigma")),
-            radius=float(get("sources", "radius")),
+            sigma=number("sources", "sigma"),
+            radius=number("sources", "radius"),
         )
         if n_sources <= 0:
             raise ConfigError("[sources]: density kinds require n >= 1")
     else:
         raise ConfigError(f"[sources]: unknown kind {kind!r}")
 
-    horizon = float(get("run", "horizon"))
+    horizon = number("run", "horizon")
     snapshot_times = _floats(get("run", "snapshot_times", ""), "[run] snapshot_times")
-    n_list = [int(x) for x in _floats(get("run", "n_list", ""), "[run] n_list")]
+    n_list = [_number(x, "[run] n_list", _whole) for x in get("run", "n_list", "").split()]
 
-    grid_h = float(get("grid", "h"))
-    boundary_spacing = float(get("grid", "boundary_spacing", str(grid_h)))
+    grid_h = number("grid", "h")
+    boundary_spacing = number("grid", "boundary_spacing", str(grid_h))
     if grid_h <= 0 or boundary_spacing <= 0:
         raise ConfigError("[grid]: spacings must be positive")
     if horizon <= 0:
@@ -151,9 +160,9 @@ def parse_config(path: str | Path) -> RunConfig:
         grid_h=grid_h,
         boundary_spacing=boundary_spacing,
         output_dir=get("output", "directory", "out"),
-        seed=int(float(get("rng", "seed", "0"))),
+        seed=number("rng", "seed", "0", _whole),
         n_list=n_list,
-        dual_node_cap=int(float(get("tolerances", "dual_node_cap", str(DUAL_NODE_CAP)))),
+        dual_node_cap=number("tolerances", "dual_node_cap", str(DUAL_NODE_CAP), _whole),
     )
 
 

@@ -107,19 +107,13 @@ class ConvexDomain:
         ) / self.edge_lengths[None, :]
         return np.all(side >= -GEOM_TOL, axis=1)
 
-    def nearest_boundary(self, x) -> list[BoundaryPoint]:
-        """All nearest points of the boundary, ties within TIE_TOL.
-
-        Result is sorted by (edge_index, edge_parameter); duplicates arising
-        from the two parameterizations of a shared vertex are removed.
-        """
-        t, dists = self._project(np.asarray(x, dtype=float)[None, :])
-        return self._collect_ties(t[0], dists[0], dists[0].min())
-
     def distance_to_boundary(self, x):
         """Distance from one point to the boundary, or one per row of a (k, 2) array."""
         x = np.asarray(x, dtype=float)
-        dists = self._project(np.atleast_2d(x))[1].min(axis=1)
+        points = np.atleast_2d(x)
+        t = np.einsum("kij,ij->ki", points[:, None, :] - self.vertices, self.edges) / self.edge_lengths**2
+        feet = self.vertices + np.clip(t, 0.0, 1.0)[..., None] * self.edges
+        dists = np.linalg.norm(feet - points[:, None, :], axis=2).min(axis=1)
         return float(dists[0]) if x.ndim == 1 else dists
 
     def wall_height(self, b: BoundaryPoint) -> float:
@@ -162,14 +156,6 @@ class ConvexDomain:
                 s = k / n_sub
                 nodes.append(BoundaryPoint(i, s, self.vertices[i] + s * self.edges[i]))
         return nodes
-
-    def _project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per (m, 2) point and edge: parameter of the nearest edge point, and its distance."""
-        rel = points[:, None, :] - self.vertices
-        t = np.einsum("kij,ij->ki", rel, self.edges) / self.edge_lengths**2
-        t = np.clip(t, 0.0, 1.0)
-        feet = self.vertices + t[..., None] * self.edges
-        return t, np.linalg.norm(feet - points[:, None, :], axis=2)
 
     def _edge_minima(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Golden-section minimum of wall(s) + |edge(s) - y| per (point, edge).

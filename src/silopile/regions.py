@@ -17,10 +17,6 @@ from .geometry import ConvexDomain
 
 NONE_LABEL = -1
 
-# area_refined gives up once the spacing would fall below this fraction of
-# the domain diameter.
-MIN_REL_SPACING = 1e-5
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -146,39 +142,6 @@ def partition(grid: Grid, sources, radii, dist=None) -> Partition:
 
 def areas_only(grid: Grid, sources, radii, dist=None) -> np.ndarray:
     return partition(grid, sources, radii, dist).areas
-
-
-def area_refined(domain: ConvexDomain, sources, radii, target_rel_err: float, h0: float | None = None) -> np.ndarray:
-    """Refine the grid until every active source's area stabilizes.
-
-    Halves the spacing until successive estimates for every source with a
-    positive radius change by less than ``target_rel_err`` relatively.
-    """
-    if target_rel_err <= 0.0:
-        raise ValueError("target_rel_err must be positive")
-    radii = np.asarray(radii, dtype=float)
-    lo, hi = domain.bbox
-    # Dividing the bounding box evenly keeps mirror-symmetric configurations
-    # bitwise symmetric at every refinement level.
-    h = h0 if h0 is not None else float(np.max(hi - lo)) / 64.0
-    active = radii > 0.0
-    prev = areas_only(build_grid(domain, h), sources, radii)
-    while True:
-        h *= 0.5
-        if h < MIN_REL_SPACING * domain.diameter:
-            raise RuntimeError(
-                f"area refinement stalled: spacing {h:.3e} below "
-                f"{MIN_REL_SPACING:.0e} * diameter without convergence"
-            )
-        cur = areas_only(build_grid(domain, h), sources, radii)
-        if not np.any(active):
-            return cur
-        # Successive halvings must agree to half the target: for first-order
-        # cell counting the true error is comparable to the last change.
-        ok = np.abs(cur[active] - prev[active]) <= 0.5 * target_rel_err * np.maximum(cur[active], 1e-300)
-        if np.all(ok) and np.all(cur[active] > 0.0):
-            return cur
-        prev = cur
 
 
 def areas_with_floor(grid: Grid, domain: ConvexDomain, sources, radii, needs_area, dist=None) -> np.ndarray:

@@ -184,8 +184,9 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
     if absorb is not None:
         cost = np.hstack([cost, absorb[:, None]])
         demands = np.append(demands, p.spill_total)
-    stats: dict[str, int] = {}
-    flows, duals_u, duals_v, min_rc = _network_simplex(supplies, demands, cost, stats=stats)
+    solver = _TransportSimplex(supplies, demands, cost)
+    solver.solve()
+    flows = solver.flows
 
     sup_idx, col_idx = np.nonzero(flows > LP_TOL)
     sink_idx, spill = col_idx, np.zeros(p.n_boundary)
@@ -198,15 +199,16 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
         plan_sink=sink_idx,
         plan_mass=flows[sup_idx, col_idx],
         spill=spill,
-        potential_supply=duals_u,
-        potential_sink=duals_v,
+        potential_supply=solver.u,
+        potential_sink=solver.v,
         primal_value=float((flows * cost).sum()),
-        dual_value=float(duals_u @ supplies + duals_v @ demands),
-        min_reduced_cost=float(min_rc),
+        dual_value=float(solver.u @ supplies + solver.v @ demands),
+        min_reduced_cost=solver.min_rc,
         marginal_error=float(
             max(np.abs(flows.sum(axis=1) - supplies).max(), np.abs(flows.sum(axis=0) - demands).max())
         ),
-        **stats,
+        pivots=solver.pivots,
+        bland_pivots=solver.bland_pivots,
     )
 
 
@@ -307,41 +309,15 @@ def certify(
 
 
 def snapshot_heights(state: ConeState, sources: SourceSet, p: DiscreteProblem):
-    """Height samples at the problem's supply, demand and boundary nodes."""
-    u_supply = eval_height_many(state, sources, p.supply_locations)
-    u_demand = (
-        eval_height_many(state, sources, p.demand_locations)
-        if p.n_demand
-        else np.empty(0)
-    )
-    u_boundary = (
-        eval_height_many(state, sources, p.boundary_positions)
-        if p.n_boundary
-        else np.empty(0)
-    )
-    return u_supply, u_demand, u_boundary
+    """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem."""
+    nodes = (p.supply_locations, p.demand_locations, p.boundary_positions)
+    return tuple(eval_height_many(state, sources, x) for x in nodes)
 
 
 def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:
     """Exact W1 between two balanced discrete measures (no boundary)."""
     p = transport_problem(a_locations, a_masses, b_locations, b_masses)
     return solve_primal(p).primal_value
-
-
-def _network_simplex(supply, demand, cost, tol=LP_TOL, stats=None):
-    """Transportation simplex with a spanning-tree basis.
-
-    Returns (flows, row duals, column duals, final minimum reduced cost).
-    The duals are recomputed over the final tree and the minimum is taken
-    over all m*n reduced costs, so it certifies the plan on its own.  A
-    ``stats`` dict, if given, receives the ``pivots`` and ``bland_pivots``
-    counts.
-    """
-    solver = _TransportSimplex(supply, demand, cost, tol)
-    solver.solve()
-    if stats is not None:
-        stats.update(pivots=solver.pivots, bland_pivots=solver.bland_pivots)
-    return solver.flows, solver.u, solver.v, solver.min_rc
 
 
 class _TransportSimplex:
@@ -363,19 +339,20 @@ class _TransportSimplex:
     A pass over all blocks without a candidate is followed by fresh tree
     duals and one full reduced-cost pass, which either finds the next
     entering arc or proves optimality; Bland's rule, switched on after a
-    long run of degenerate pivots, prices every pivot that way.
+    long run of degenerate pivots, prices every pivot that way.  After
+    ``solve``, ``flows``, the final tree's ``u`` and ``v`` and ``min_rc``,
+    the minimum of all m*n reduced costs, certify the plan on their own.
     """
 
     BLOCK_CELLS = 4096
 
-    def __init__(self, supply, demand, cost, tol=LP_TOL):
+    def __init__(self, supply, demand, cost):
         self.supply = np.asarray(supply, dtype=float)
         self.demand = np.asarray(demand, dtype=float)
         self.cost = np.asarray(cost, dtype=float)
         self.m, self.n = self.cost.shape
-        self.tol = tol
         total = self.supply.sum()
-        if abs(total - self.demand.sum()) > tol * max(1.0, total):
+        if abs(total - self.demand.sum()) > LP_TOL * max(1.0, total):
             raise ValueError("unbalanced transportation problem")
         self.scale = max(1.0, float(np.abs(self.cost).max()))
         self.flows = np.zeros((self.m, self.n))
@@ -448,23 +425,25 @@ class _TransportSimplex:
     # -- duals -------------------------------------------------------------
 
     def duals(self):
-        """Node potentials with u[0] = 0, propagated over the basis tree."""
-        m, n = self.m, self.n
-        u = np.full(m, np.nan)
-        v_junc: dict[int, float] = {}
-        u[0] = 0.0
-        stack = [0]
-        while stack:
-            r = stack.pop()
-            for j in self.row_junc[r]:
-                if j not in v_junc:
-                    v_junc[j] = self.cost[r, j] - u[r]
-                    for r2 in self.col_rows[j]:
-                        if np.isnan(u[r2]):
-                            u[r2] = self.cost[r2, j] - v_junc[j]
-                            stack.append(r2)
-        if np.isnan(u).any():
-            raise RuntimeError("basis tree is not connected")
+        """Node potentials with u[0] = 0, propagated down the core tree in order of depth.
+
+        Each core node takes its potential from its parent over their basic
+        arc; a parent that is not a core node one level up over a basic arc
+        means the pointers no longer span the basis.
+        """
+        m, n, cost, col_rows, depth = self.m, self.n, self.cost, self.col_rows, self.depth
+        u, v = np.zeros(m), np.zeros(n)
+        junctions = [m + j for j, rows in enumerate(col_rows) if len(rows) > 1]
+        for x in sorted([*range(1, m), *junctions], key=depth.__getitem__):
+            p = self.parent[x]
+            i, j = (x, p - m) if x < m else (p, x - m)
+            one_up = p >= 0 and (p < m) != (x < m) and depth[p] == depth[x] - 1
+            if not (one_up and len(col_rows[j]) > 1 and i in col_rows[j]):
+                raise RuntimeError("basis tree is not connected")
+            if x < m:
+                u[i] = cost[i, j] - v[j]
+            else:
+                v[j] = cost[i, j] - u[i]
         # leaf columns hang under one row; the same formula is consistent
         # for junction columns because basic arcs satisfy u_i + v_j = c_ij
         v = self.cost[self.col_row, np.arange(n)] - u[self.col_row]
@@ -472,12 +451,11 @@ class _TransportSimplex:
 
     # -- pivoting ----------------------------------------------------------
 
-    def solve(self, max_iter=None):
+    def solve(self):
         m, n = self.m, self.n
-        if max_iter is None:
-            max_iter = 400 * (m + n) + 5000
+        max_iter = 400 * (m + n) + 5000
         mass_scale = max(1.0, float(self.supply.sum()))
-        floor = -self.tol * self.scale
+        floor = -LP_TOL * self.scale
         width = -(-self.BLOCK_CELLS // m)
         blocks = -(-n // width)
         start = 0

@@ -137,3 +137,30 @@ def field_to_csv_rows(field):
     for (x, y), v in zip(centers, values):
         lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def tree_duals(solver):
+    """A network simplex basis's potentials, u[0] = 0, by depth-first search from row 0.
+
+    Walks a ``verify._TransportSimplex``'s rows and junction columns
+    through ``row_junc`` and ``col_rows``; every column then takes its
+    potential from ``col_row``.  Raises when row 0 does not reach every row.
+    """
+    m, n, cost = solver.m, solver.n, solver.cost
+    u = np.full(m, np.nan)
+    v_junc = {}
+    u[0] = 0.0
+    stack = [0]
+    while stack:
+        r = stack.pop()
+        for j in solver.row_junc[r]:
+            if j not in v_junc:
+                v_junc[j] = cost[r, j] - u[r]
+                for r2 in solver.col_rows[j]:
+                    if np.isnan(u[r2]):
+                        u[r2] = cost[r2, j] - v_junc[j]
+                        stack.append(r2)
+    if np.isnan(u).any():
+        raise RuntimeError("basis tree is not connected")
+    v = cost[solver.col_row, np.arange(n)] - u[solver.col_row]
+    return u, v

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, GridControl, escape_routes, run
+from silopile.cones import ConeState, escape_routes, run
 from silopile.fields import (
     eval_height_many,
     growth_rate_field,
@@ -41,7 +41,7 @@ def report(name: str, ok: bool, detail: str = ""):
 def three_source_run(h=1 / 64, horizon=0.3, times=(0.02, 0.06, 0.1, 0.125, 0.3)):
     dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.12, 0.3, 0.2, 0.25])
     s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6), (0.45, 0.8)], [0.6, 0.8, 0.4])
-    traj = run(s, dom, horizon, list(times), GridControl(h=h))
+    traj = run(s, dom, horizon, list(times), h)
     return dom, s, traj
 
 
@@ -50,7 +50,7 @@ def test_a1_early_time_closed_form():
     dom = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
     s = make_sources(dom, [(2, 2)], [1.0])
     times = list(np.linspace(np.pi / 30, np.pi / 3, 10))
-    traj = run(s, dom, np.pi / 3, times, GridControl(h=1 / 128))
+    traj = run(s, dom, np.pi / 3, times, 1 / 128)
     rel = max(
         abs(state.radii[0] - (3 * t / np.pi) ** (1 / 3)) / (3 * t / np.pi) ** (1 / 3)
         for t, state in zip(times, traj.states)
@@ -152,7 +152,7 @@ def test_a4_duality_certification():
     dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.15, 0.35, 0.25, 0.3])
     s = make_sources(dom, [(0.32, 0.4), (0.68, 0.62)], [0.7, 0.5])
     times = [0.05, 0.12, 0.2, 0.27, 0.5]  # spans both freeze events
-    traj = run(s, dom, 0.5, times, GridControl(h=h))
+    traj = run(s, dom, 0.5, times, h)
     assert not traj.states[0].frozen.any()
     assert traj.states[-1].frozen.all()
 
@@ -174,7 +174,7 @@ def test_a5_equilibrium():
     h = 1 / 129  # odd cell count: lattice centered on the apex
     dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.0] * 4)
     s = make_sources(dom, [(0.5, 0.5)], [1.0])
-    traj = run(s, dom, 0.5, [0.5], GridControl(h=h))
+    traj = run(s, dom, 0.5, [0.5], h)
     assert len(traj.freeze_events) == 1
     t1 = traj.freeze_events[0][1]
 
@@ -231,7 +231,7 @@ def test_a7_comparison_principle():
     times = (0.02, 0.06, 0.1, 0.125, 0.3)
     dom, s, traj = three_source_run(h=h, times=times)
     doubled = make_sources(dom, s.locations, 2.0 * s.rates)
-    traj2 = run(doubled, dom, 0.3, list(times), GridControl(h=h))
+    traj2 = run(doubled, dom, 0.3, list(times), h)
     grid = build_grid(dom, h)
     centers = grid.inside_centers()
 
@@ -256,7 +256,7 @@ def test_a8_source_convergence():
     fields = {}
     for n in (4, 16, 64):
         s = discretize(f, n, dom)
-        traj = run(s, dom, 0.5, times, GridControl(h=1 / 32))
+        traj = run(s, dom, 0.5, times, 1 / 32)
         fields[n] = [eval_height_many(state, s, centers) for state in traj.states]
 
     ok = True

@@ -10,7 +10,7 @@ import pytest
 
 import silopile
 from silopile import cli
-from silopile.cli import _splice_manifest, main
+from silopile.cli import _splice_manifest, _write_sections, main, parse_manifest
 from silopile.config import ConfigError, parse_config
 from silopile.geometry import ConvexDomain
 
@@ -80,6 +80,12 @@ directory = {out}
 """
 
 
+GAUSSIAN_CONFIG = CONVERGE_CONFIG.replace(
+    "kind = uniform-on-polygon\npolygon = 1 1 ; 3 1 ; 3 3 ; 1 3",
+    "kind = gaussian-truncated\ncenter = 2 2\nsigma = 0.3\nradius = 0.9",
+)
+
+
 def write_config(tmp_path, template, name="run.ini"):
     out = tmp_path / "out"
     path = tmp_path / name
@@ -126,6 +132,29 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert "sources" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "template, old, new, named",
+        [
+            (SINGLE_SOURCE, "\n[run]", "n = 2x\n[run]", "[sources] n"),
+            (CONVERGE_CONFIG, "total_mass = 1.0", "total_mass = 1.0x", "[sources] total_mass"),
+            (GAUSSIAN_CONFIG, "sigma = 0.3", "sigma = 0.3.", "[sources] sigma"),
+            (GAUSSIAN_CONFIG, "radius = 0.9", "radius = r", "[sources] radius"),
+            (SINGLE_SOURCE, "horizon = 0.3", "horizon = 0.5x", "[run] horizon"),
+            (SINGLE_SOURCE, "h = 0.03125", "h = 1/64", "[grid] h"),
+            (SINGLE_SOURCE, "boundary_spacing = 0.03125", "boundary_spacing = fine", "[grid] boundary_spacing"),
+            (SINGLE_SOURCE, "[output]", "[rng]\nseed = x1\n[output]", "[rng] seed"),
+            (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = 4e\n[output]", "[tolerances] dual_node_cap"),
+            (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = nan\n[output]", "[tolerances] dual_node_cap"),
+        ],
+        ids=["n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap"],
+    )
+    def test_bad_scalar_names_key(self, tmp_path, capsys, template, old, new, named):
+        assert template.count(old) == 1
+        path, out = write_config(tmp_path, template.replace(old, new))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert f"config error: {named}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -256,8 +285,16 @@ class TestVerify:
             (r"^domain\.wall_values = .*\n", "", "[config] lacks domain.wall_values"),
             (r"^(1 = t=.*) radii=\S+", r"\1", "[snapshots] entry 1 lacks radii"),
             (r"^(0 = \S+ \S+) \S+$", r"\1", "[sources] entries must hold x y rate"),
+            (r"^(1 = t=\S+) ", r"\1 junk ", "[snapshots] entry 1 holds a field that is not key=value"),
+            (r"^1 = t=\S+ ", "1 = t=abc ", "[snapshots] entry 1 t: could not convert string to float: 'abc'"),
+            (r"^(2 = .* radii=)\S+?,", r"\1r,", "[snapshots] entry 2 radii: could not convert string to float: 'r'"),
+            (r"^grid\.h = \S+$", "grid.h = 1/32", "[config] grid.h: could not convert string to float: '1/32'"),
+            (r"^(domain\.wall_values = \S+) \S+", r"\1 x", "[config] domain.wall_values: could not convert"),
         ],
-        ids=["config_key", "snapshot_key", "source_rate"],
+        ids=[
+            "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
+            "grid_h", "wall_values",
+        ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -282,6 +319,26 @@ class TestVerify:
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
+
+    def test_writer_round_trips_parsed_manifest(self, tmp_path):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        manifest = out / "manifest.txt"
+        before = manifest.read_bytes()
+        _write_sections(manifest, parse_manifest(manifest))
+        assert manifest.read_bytes() == before
+
+    def test_splice_keeps_section_order(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            "silopile-manifest-v1\n[config]\na = 1\n[certificates]\n[timings]\n"
+            "simulate_seconds = 1.000\nverify_seconds = 9.000\nother = 2.000\n[extra]\nx = 1\n"
+        )
+        _splice_manifest(manifest, ["0 = PASS"], {"verify_seconds": 3.0})
+        assert manifest.read_text() == (
+            "silopile-manifest-v1\n[config]\na = 1\n[certificates]\n0 = PASS\n[extra]\nx = 1\n"
+            "[timings]\nsimulate_seconds = 1.000\nother = 2.000\nverify_seconds = 3.000\n"
+        )
 
     def test_manifest_with_out_rejected(self, tmp_path, capsys):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, GridControl, analytic_phase, run, step
+from silopile.cones import ConeState, analytic_phase, run, step
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid
 from silopile.sources import make_sources
@@ -52,7 +52,7 @@ class TestStep:
         thresholds = np.array([0.5])
         state = ConeState(1.0, thresholds.copy(), np.array([True]), thresholds)
         grid = build_grid(unit_square, 1 / 64)
-        new, record, events = step(state, s, unit_square, grid, GridControl(h=1 / 64), dt_max=0.25)
+        new, record, events = step(state, s, unit_square, grid, dt_max=0.25)
         assert new.time == pytest.approx(1.25)
         np.testing.assert_array_equal(new.radii, state.radii)
         assert events == []
@@ -65,7 +65,7 @@ class TestStep:
         t = np.pi / 3  # r(t) = 1 exactly
         thresholds = np.array([dom.escape_cost((2, 2))[0]])
         state = ConeState(t, np.array([1.0]), np.array([False]), thresholds)
-        new, record, _ = step(state, s, dom, grid, GridControl(h=h))
+        new, record, _ = step(state, s, dom, grid)
         exact = (3 * new.time / np.pi) ** (1 / 3)
         # dominant error: O(h) relative area error times the advance
         assert new.radii[0] == pytest.approx(exact, abs=5 * h * record.dt)
@@ -76,7 +76,7 @@ class TestStep:
         thresholds = np.array([big_square.escape_cost(p)[0] for p in s.locations])
         state = ConeState(0.1, np.array([0.6, 0.6]), np.array([False, False]), thresholds)
         for _ in range(15):
-            state, _, _ = step(state, s, big_square, grid, GridControl(h=1 / 64))
+            state, _, _ = step(state, s, big_square, grid)
             assert state.radii[0] == state.radii[1]
 
 
@@ -85,7 +85,7 @@ class TestRun:
         dom = tall_walls(big_square)
         s = make_sources(dom, [(2, 2)], [1.0])
         times = [0.1, 0.5, 1.0]
-        traj = run(s, dom, 1.0, times, GridControl(h=1 / 32))
+        traj = run(s, dom, 1.0, times, 1 / 32)
         _, radii_fn = analytic_phase(s, dom)
         for t, st in zip(times, traj.states):
             np.testing.assert_array_equal(st.radii, radii_fn(t))
@@ -93,7 +93,7 @@ class TestRun:
 
     def test_single_source_freeze_bracket(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
-        traj = run(s, unit_square, 0.5, [0.25], GridControl(h=1 / 129))
+        traj = run(s, unit_square, 0.5, [0.25], 1 / 129)
         assert len(traj.freeze_events) == 1
         j, t1 = traj.freeze_events[0]
         assert j == 0
@@ -107,12 +107,12 @@ class TestRun:
     def test_rejects_bad_horizon(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         with pytest.raises(ValueError):
-            run(s, unit_square, 0.0, [], GridControl(h=1 / 32))
+            run(s, unit_square, 0.0, [], 1 / 32)
 
     def test_rejects_snapshot_outside_horizon(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         with pytest.raises(ValueError):
-            run(s, unit_square, 0.1, [0.2], GridControl(h=1 / 32))
+            run(s, unit_square, 0.1, [0.2], 1 / 32)
 
     def test_zero_sources_rejected_at_construction(self, unit_square):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestInvariants:
         s = make_sources(big_square, [(1, 1.2), (2.8, 2.6), (1.5, 3.0)], [0.5, 1.0, 0.75])
         dom = ConvexDomain(big_square.vertices, [0.3, 0.5, 0.2, 0.4])
         s = make_sources(dom, s.locations, s.rates)
-        traj = run(s, dom, 1.2, [1.2], GridControl(h=1 / 64))
+        traj = run(s, dom, 1.2, [1.2], 1 / 64)
         assert traj.steps, "expected stepped integration"
         c = s.rates
         for rec in traj.steps:
@@ -136,7 +136,7 @@ class TestInvariants:
         dom = ConvexDomain(big_square.vertices, [0.1, 0.2, 0.1, 0.3])
         s = make_sources(dom, [(1, 2), (3, 2)], [1.0, 2.0])
         times = list(np.linspace(0.05, 2.0, 12))
-        traj = run(s, dom, 2.0, times, GridControl(h=1 / 64))
+        traj = run(s, dom, 2.0, times, 1 / 64)
         prev = np.zeros(2)
         was_frozen = np.zeros(2, dtype=bool)
         for st in traj.states:
@@ -150,7 +150,7 @@ class TestInvariants:
         T = 0.08  # mid-growth, before freezing
         r = {}
         for n in (32, 64, 128):
-            traj = run(s, unit_square, T, [T], GridControl(h=1 / n))
+            traj = run(s, unit_square, T, [T], 1 / n)
             r[n] = traj.states[0].radii[0]
         exact = (3 * T / np.pi) ** (1 / 3)
         e32, e64, e128 = abs(r[32] - exact), abs(r[64] - exact), abs(r[128] - exact)
@@ -162,7 +162,7 @@ class TestInvariants:
         dom = ConvexDomain(big_square.vertices, [0.4, 0.6, 0.5, 0.4])
         pts = [(1.2, 1.4), (2.9, 2.4)]
         times = list(np.linspace(0.1, 1.5, 8))
-        base = run(make_sources(dom, pts, [0.6, 0.9]), dom, 1.5, times, GridControl(h=1 / 64))
-        double = run(make_sources(dom, pts, [1.2, 1.8]), dom, 1.5, times, GridControl(h=1 / 64))
+        base = run(make_sources(dom, pts, [0.6, 0.9]), dom, 1.5, times, 1 / 64)
+        double = run(make_sources(dom, pts, [1.2, 1.8]), dom, 1.5, times, 1 / 64)
         for st1, st2 in zip(double.states, base.states):
             assert np.all(st1.radii >= st2.radii - 1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_loops import deposit_loop
-from silopile.cones import ConeState, GridControl, escape_routes, run
+from silopile.cones import ConeState, escape_routes, run
 from silopile.fields import (
     BoundaryMeasure,
     boundary_measure_from_lines,
@@ -194,7 +194,7 @@ class TestEquilibrium:
 
     def test_huge_wall_not_reached(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
-        traj = run(s, big_square, 2.0, [2.0], GridControl(h=1 / 32))
+        traj = run(s, big_square, 2.0, [2.0], 1 / 32)
         assert not traj.final_state.frozen.any()
         assert traj.final_state.radii[0] < escape_routes(s, big_square)[0][0]
 
@@ -202,7 +202,7 @@ class TestEquilibrium:
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.05, 0.1, 0.0, 0.15])
         s = make_sources(dom, [(0.35, 0.4), (0.7, 0.6)], [1.0, 0.7])
         h = 1 / 64
-        traj = run(s, dom, 3.0, [3.0], GridControl(h=h))
+        traj = run(s, dom, 3.0, [3.0], h)
         assert traj.final_state.frozen.all()
         grid = build_grid(dom, h)
         sim = height_field(traj.final_state, s, grid)
@@ -215,7 +215,7 @@ class TestFieldInvariants:
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.12, 0.3, 0.2, 0.25])
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6), (0.45, 0.8)], [0.6, 0.8, 0.4])
         times = [0.05, 0.1, 0.18, 0.28, 0.4]
-        traj = run(s, dom, 0.4, times, GridControl(h=h))
+        traj = run(s, dom, 0.4, times, h)
         return dom, s, traj, h
 
     def test_boundary_bounds_and_monotonicity(self):

@@ -96,23 +96,6 @@ class TestContains:
 
 
 class TestNearestBoundary:
-    def test_off_center(self):
-        hits = unit_square().nearest_boundary((0.3, 0.5))
-        assert len(hits) == 1
-        np.testing.assert_allclose(hits[0].position, [0.0, 0.5])
-        assert hits[0].edge_index == 3
-
-    def test_center_four_way_tie(self):
-        hits = unit_square().nearest_boundary((0.5, 0.5))
-        assert len(hits) == 4
-        positions = sorted(tuple(np.round(h.position, 12)) for h in hits)
-        assert positions == [(0.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 0.5)]
-
-    def test_big_square(self):
-        hits = big_square().nearest_boundary((2, 1))
-        assert len(hits) == 1
-        np.testing.assert_allclose(hits[0].position, [2.0, 0.0])
-
     def test_distance(self):
         assert big_square().distance_to_boundary((2, 1)) == pytest.approx(1.0)
 

@@ -4,18 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silopile.geometry import ConvexDomain
-from silopile.regions import NONE_LABEL, area_refined, areas_with_floor, build_grid, distances, partition
+from silopile.regions import NONE_LABEL, areas_with_floor, build_grid, distances, partition
 from silopile.sources import make_sources
 
 
 @pytest.fixture
 def big_square():
     return ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [0.0] * 4)
-
-
-@pytest.fixture
-def unit_square():
-    return ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.0] * 4)
 
 
 class TestBuildGrid:
@@ -139,32 +134,6 @@ def test_distances_equal_norm(corner, side, h, locations, on_center):
     assert np.array_equal(distances(centers, locs), ref.T)
 
 
-class TestAreaRefined:
-    def test_interior_disc(self, big_square):
-        s = make_sources(big_square, [(2, 2)], [1.0])
-        areas = area_refined(big_square, s, [1.0], 1e-3)
-        assert areas[0] == pytest.approx(np.pi, rel=1e-3)
-
-    def test_clipped_disc_against_monte_carlo(self, unit_square):
-        s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
-        areas = area_refined(unit_square, s, [0.75], 1e-3)
-        rng = np.random.default_rng(123)
-        pts = rng.random((1_000_000, 2))
-        hits = (np.linalg.norm(pts - 0.5, axis=1) <= 0.75).mean()
-        sigma = np.sqrt(hits * (1 - hits) / 1_000_000)
-        assert abs(areas[0] - hits) <= 3 * sigma + 1e-3 * areas[0]
-
-    def test_symmetric_pair_exact_equality(self, big_square):
-        s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
-        areas = area_refined(big_square, s, [1.5, 1.5], 1e-3)
-        assert areas[0] == areas[1]
-
-    def test_rejects_bad_target(self, big_square):
-        s = make_sources(big_square, [(2, 2)], [1.0])
-        with pytest.raises(ValueError):
-            area_refined(big_square, s, [1.0], 0.0)
-
-
 class TestAreaFloor:
     def test_unresolved_region_aborts(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
@@ -179,8 +148,3 @@ class TestAreaFloor:
         areas = areas_with_floor(g, big_square, s, [0.08], [True])
         assert areas[0] > 0.0
 
-
-def test_area_refined_signature_defaults(big_square):
-    s = make_sources(big_square, [(2, 2)], [1.0])
-    areas = area_refined(big_square, s, [0.5], 5e-3)
-    assert areas[0] == pytest.approx(np.pi * 0.25, rel=5e-3)

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from silopile.cones import GridControl, escape_routes, run
+import reference_loops
+from silopile.cones import escape_routes, run
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
@@ -189,6 +190,16 @@ def block_instance(kind: str, rng) -> DiscreteProblem:
     )
 
 
+def shifted_lattice() -> DiscreteProblem:
+    """A 10 x 10 unit lattice against itself shifted by half a step.
+
+    Every pivot ties, so the simplex stalls and switches to Bland's rule.
+    """
+    g = 10 * lattice(10)
+    w = np.full(100, 0.01)
+    return transport_problem(g, w, g + (0.5, 0.0), w)
+
+
 class TestBlockPricing:
     """Instances whose pricing spans several column blocks, against the dense LP."""
 
@@ -205,11 +216,7 @@ class TestBlockPricing:
             assert sol.spill.sum() == pytest.approx(p.spill_total, abs=1e-12)
 
     def test_bland_fallback_on_shifted_lattice(self):
-        # a 10 x 10 unit lattice against itself shifted by half a step:
-        # every pivot ties, the simplex stalls and switches to Bland's rule
-        g = 10 * lattice(10)
-        w = np.full(100, 0.01)
-        p = transport_problem(g, w, g + (0.5, 0.0), w)
+        p = shifted_lattice()
         sol = solve_primal(p)
         assert sol.bland_pivots > 0
         assert sol.pivots >= sol.bland_pivots
@@ -267,6 +274,87 @@ class TestInitialBasis:
             solver = _TransportSimplex(supply, demand, cost)
             assert np.array_equal(solver.flows, flows)
             assert {(r, j) for j, rows in enumerate(solver.col_rows) for r in rows} == arcs
+
+
+def random_transports(rng, count):
+    """Balanced problems of 1-19 supplies and 1-199 demands, some masses zero."""
+    problems = []
+    for _ in range(count):
+        m, n = int(rng.integers(1, 20)), int(rng.integers(1, 200))
+        supply = rng.random(m) * (rng.random(m) > 0.3)
+        supply[0] += 0.1
+        demand = rng.random(n) * (rng.random(n) > 0.2)
+        demand[-1] += 0.1
+        demand *= supply.sum() / demand.sum()
+        problems.append(transport_problem(rng.random((m, 2)), supply, rng.random((n, 2)), demand))
+    return problems
+
+
+def spilling_snapshot():
+    """``build_problem`` at t = 0.1 of a six-source run in which three sources have frozen."""
+    dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.05, 0.3, 0.2, 0.1])
+    pts = [(0.2, 0.2), (0.5, 0.25), (0.8, 0.2), (0.25, 0.7), (0.55, 0.6), (0.8, 0.8)]
+    s = make_sources(dom, pts, [0.3, 0.5, 0.2, 0.6, 0.4, 0.25])
+    state = run(s, dom, 0.1, [0.1], 1 / 32).states[0]
+    assert state.frozen.sum() == 3
+    return build_problem(state, s, dom, build_grid(dom, 1 / 32), boundary_spacing=1 / 32)
+
+
+def integer_lattice(k: int) -> np.ndarray:
+    return np.argwhere(np.ones((k, k))).astype(float)
+
+
+TREE_DUAL_CASES = {
+    "random": lambda: random_transports(np.random.default_rng(37), 20)
+    + [block_instance(kind, np.random.default_rng(38)) for kind in ("random", "spill")],
+    # lattice points with dyadic or equal masses: exact ties and degenerate
+    # pivots; the last one runs under Bland's rule, which takes fresh duals
+    # at every pivot
+    "degenerate_lattice": lambda: [
+        transport_problem(integer_lattice(4), np.ones(16), integer_lattice(8) / 2, np.full(64, 0.25)),
+        block_instance("lattice", None),
+        shifted_lattice(),
+    ],
+    "single_row": lambda: [
+        transport_problem([(0.5, 0.5)], [1.0], lattice(7), np.full(49, 1 / 49)),
+        spill_problem(unit_square(0.2), (0.4, 0.45)),
+    ],
+    "spilling_snapshot": lambda: [spilling_snapshot()],
+}
+
+
+class TestTreeDuals:
+    """``duals`` against the depth-first walk it replaced (``reference_loops.tree_duals``)."""
+
+    @pytest.mark.parametrize("case", sorted(TREE_DUAL_CASES))
+    def test_bit_equal_at_every_call(self, monkeypatch, case):
+        problems = TREE_DUAL_CASES[case]()
+        duals, calls = _TransportSimplex.duals, []
+
+        def compared(solver):
+            u, v = duals(solver)
+            ref_u, ref_v = reference_loops.tree_duals(solver)
+            assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+            calls.append(solver.pivots)
+            return u, v
+
+        monkeypatch.setattr(_TransportSimplex, "duals", compared)
+        for p in problems:
+            solve_primal(p)
+        # at least the starting tree's duals and the final tree's, per solve
+        assert len(calls) >= 2 * len(problems)
+
+    def test_disconnected_basis_raises(self):
+        rng = np.random.default_rng(31)
+        supply, demand = rng.random(4) + 0.1, rng.random(9) + 0.1
+        solver = _TransportSimplex(supply, demand * supply.sum() / demand.sum(), rng.random((4, 9)))
+        j = solver.parent[1] - solver.m
+        assert j >= 0  # row 1 hangs under a junction column
+        solver.col_rows[j].discard(1)
+        solver.row_junc[1].discard(j)
+        for duals in (solver.duals, lambda: reference_loops.tree_duals(solver)):
+            with pytest.raises(RuntimeError, match="basis tree is not connected"):
+                duals()
 
 
 class TestSolveDual:
@@ -418,7 +506,7 @@ class TestSnapshotPipeline:
     def make_snapshot(self, t=0.25, h=1 / 32):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.12, 0.3, 0.2, 0.25])
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6)], [0.6, 0.8])
-        traj = run(s, dom, t, [t], GridControl(h=h))
+        traj = run(s, dom, t, [t], h)
         return dom, s, traj.states[0], h
 
     def test_prefreeze_all_interior(self):
