@@ -15,16 +15,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from silopile.cli import resolve_sources
 from silopile.config import parse_config
 from silopile.cones import run
-from silopile.sources import make_sources
 from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
 
 
 def main():
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "two_source.ini")
     domain = cfg.domain()
-    sources = make_sources(domain, cfg.source_points[:, :2], cfg.source_points[:, 2])
+    sources = resolve_sources(cfg, domain)
     print(f"domain area {domain.area:.3f}, total rate {sources.total_rate:.3f}")
 
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, echo_config, parse_config
-from .cones import ConeState, Trajectory, escape_routes, run
+from .config import ConfigError, RunConfig, _floats, _fmt, _number, _rows, _whole, echo_config, parse_config
+from .cones import ConeState, Trajectory, run
 from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
@@ -27,7 +27,7 @@ from .fields import (
 )
 from .geometry import ConvexDomain
 from .regions import build_grid, partition
-from .sources import POINT_LIST, SourceSet, discretize, make_sources
+from .sources import SourceSet, discretize, make_sources
 from .tolerances import DUAL_NODE_CAP, LP_TOL
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
@@ -35,14 +35,8 @@ MANIFEST_HEADER = "silopile-manifest-v1"
 
 
 def resolve_sources(cfg: RunConfig, domain: ConvexDomain) -> SourceSet:
-    """Point lists with n >= k pass through unchanged; otherwise discretize."""
-    if cfg.source_kind == POINT_LIST and cfg.n_sources >= len(cfg.source_points):
-        return make_sources(domain, cfg.source_points[:, :2], cfg.source_points[:, 2])
+    """The configured sources: the density discretized into at most ``cfg.n_sources`` points."""
     return discretize(cfg.density, cfg.n_sources, domain)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +98,15 @@ def parse_manifest(path: Path) -> dict[str, list[str]]:
     return sections
 
 
-def _entry(values: dict[str, str], where: str, key: str, parse=str):
-    """``parse(values[key])``; a missing or malformed value is a ConfigError naming where."""
-    try:
-        return parse(values[key])
-    except KeyError:
-        raise ConfigError(f"manifest {where} lacks {key}") from None
-    except ValueError as exc:
-        raise ConfigError(f"manifest {where} {key}: {exc}") from exc
+def _entry(values: dict[str, str], where: str, key: str, parse=None):
+    """``values[key]``, or ``parse(values[key], f"manifest {where} {key}")``.
+
+    ``parse`` is one of ``config``'s parsers, so a missing key and a
+    malformed value are both ConfigErrors that name where.
+    """
+    if key not in values:
+        raise ConfigError(f"manifest {where} lacks {key}")
+    return values[key] if parse is None else parse(values[key], f"manifest {where} {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +150,21 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     echo = dict(line.partition(" = ")[::2] for line in sections.get("config", []))  # key = value
     out = manifest_path.parent
 
-    vertices = np.array(_entry(
-        echo, "[config]", "domain.vertices", lambda text: [[float(v) for v in p.split()] for p in text.split(" ; ")]
-    ))
-    walls = np.array(_entry(echo, "[config]", "domain.wall_values", lambda text: [float(w) for w in text.split()]))
-    domain = ConvexDomain(vertices, walls)
-    src_rows = [line.partition(" = ")[2].split() for line in sections.get("sources", [])]
-    if any(len(r) != 3 for r in src_rows):
+    domain = ConvexDomain(
+        _entry(echo, "[config]", "domain.vertices", _rows),
+        _entry(echo, "[config]", "domain.wall_values", _floats),
+    )
+    rows = [line.partition(" = ")[::2] for line in sections.get("sources", [])]  # index, x y rate
+    if any(len(text.split()) != 3 for _, text in rows):
         raise ConfigError("manifest [sources] entries must hold x y rate")
-    locations = np.array([[float(r[0]), float(r[1])] for r in src_rows])
-    rates = np.array([float(r[2]) for r in src_rows])
-    sources = make_sources(domain, locations, rates)
-    h = _entry(echo, "[config]", "grid.h", float)
-    spacing = _entry(echo, "[config]", "grid.boundary_spacing", float)
-    node_cap = int(echo.get("tolerances.dual_node_cap", DUAL_NODE_CAP))
+    src = np.array([_floats(text, f"manifest [sources] entry {idx}") for idx, text in rows]).reshape(-1, 3)
+    sources = make_sources(domain, src[:, :2], src[:, 2])
+    h = _entry(echo, "[config]", "grid.h", _number)
+    spacing = _entry(echo, "[config]", "grid.boundary_spacing", _number)
+    cap = echo.get("tolerances.dual_node_cap", str(DUAL_NODE_CAP))  # absent from older manifests
+    node_cap = _number(cap, "manifest [config] tolerances.dual_node_cap", _whole)
     grid = build_grid(domain, h)
-    thresholds, _ = escape_routes(sources, domain)
+    thresholds, _ = domain.escape_cost(sources.locations)
 
     snapshots = []
     for line in sections.get("snapshots", []):
@@ -183,8 +177,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         u_file = _entry(fields, where, "u")
         if not (out / u_file).exists():
             raise ConfigError(f"missing snapshot file {u_file}")
-        t = _entry(fields, where, "t", float)
-        radii = np.array(_entry(fields, where, "radii", lambda text: [float(r) for r in text.split(",")]))
+        t = _entry(fields, where, "t", _number)
+        radii = np.array([_number(r, f"manifest {where} radii") for r in _entry(fields, where, "radii").split(",")])
         frozen = np.array([c == "1" for c in _entry(fields, where, "frozen").split(",")])
         snapshots.append((idx, ConeState(t, radii, frozen, thresholds)))
 
@@ -235,7 +229,7 @@ def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str,
 def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    routes = escape_routes(sources, domain)
+    routes = domain.escape_cost(sources.locations)
     thresholds = routes[0]
     bound = float(np.sum(domain.area * thresholds / sources.rates))
     limit = 1.1 * bound

@@ -63,16 +63,6 @@ class Trajectory:
     dist: np.ndarray  # regions.distances(grid.inside_centers(), sources.locations)
 
 
-def escape_routes(sources: SourceSet, domain: ConvexDomain) -> tuple[np.ndarray, list[BoundaryPoint]]:
-    """Each source's escape cost (its freeze threshold) and canonical spill atom.
-
-    The atom is the first minimizer of the escape cost, so ties between
-    wall crossings resolve to the lowest boundary parameterization.
-    """
-    costs, minimizers = domain.escape_cost(sources.locations)
-    return costs, [m[0] for m in minimizers]
-
-
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
     """Closed-form radii valid while all cones are disjoint discs in the domain.
 
@@ -159,7 +149,7 @@ def run(
     The analytic phase covers [0, min(t0, T)]; afterwards RK2 stepping takes
     over until T or until every source is frozen, on a grid of spacing h.
     Snapshot radii between step boundaries are interpolated linearly in r.
-    ``routes`` is the sources' ``escape_routes``, if already computed.
+    ``routes`` is ``domain.escape_cost(sources.locations)``, if already computed.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -169,7 +159,7 @@ def run(
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
 
-    thresholds, spill_atoms = routes if routes is not None else escape_routes(sources, domain)
+    thresholds, spill_atoms = routes if routes is not None else domain.escape_cost(sources.locations)
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, h)

@@ -26,9 +26,7 @@ class ConfigError(Exception):
 class RunConfig:
     domain_vertices: np.ndarray
     wall_values: np.ndarray
-    source_kind: str
-    source_points: np.ndarray | None      # (k, 3) rows x y rate for point lists
-    density: DensitySpec | None
+    density: DensitySpec
     n_sources: int
     horizon: float
     snapshot_times: list[float]
@@ -51,11 +49,16 @@ def _number(text: str, where: str, kind=float):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _fmt(x) -> str:
+    """Round-trip text of a number, as configs, manifests and reports write it."""
+    return f"{float(x):.17g}"
+
+
 def _whole(text: str) -> int:
     return int(float(text))  # integer keys accept float spellings such as 4.0
 
 
-def _rows(text: str, width: int, where: str) -> np.ndarray:
+def _rows(text: str, where: str, width: int = 2) -> np.ndarray:
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -94,25 +97,23 @@ def parse_config(path: str | Path) -> RunConfig:
     def number(section, key, fallback=None, kind=float):
         return _number(get(section, key, fallback), f"[{section}] {key}", kind)
 
-    vertices = _rows(get("domain", "vertices"), 2, "[domain] vertices")
+    vertices = _rows(get("domain", "vertices"), "[domain] vertices")
     walls = np.array(_floats(get("domain", "wall_values"), "[domain] wall_values"))
 
     kind = get("sources", "kind").strip()
-    source_points = None
-    density = None
     n_sources = number("sources", "n", "0", _whole)
     if kind == POINT_LIST:
-        source_points = _rows(get("sources", "points"), 3, "[sources] points")
+        points = _rows(get("sources", "points"), "[sources] points", 3)
         if n_sources == 0:
-            n_sources = len(source_points)
+            n_sources = len(points)
         density = DensitySpec(
             kind=POINT_LIST,
-            total_mass=float(source_points[:, 2].sum()),
-            points=source_points[:, :2].copy(),
-            weights=source_points[:, 2].copy(),
+            total_mass=float(points[:, 2].sum()),
+            points=points[:, :2].copy(),
+            weights=points[:, 2].copy(),
         )
     elif kind == UNIFORM_POLYGON:
-        poly = _rows(get("sources", "polygon"), 2, "[sources] polygon")
+        poly = _rows(get("sources", "polygon"), "[sources] polygon")
         density = DensitySpec(
             kind=UNIFORM_POLYGON,
             total_mass=number("sources", "total_mass"),
@@ -121,7 +122,7 @@ def parse_config(path: str | Path) -> RunConfig:
         if n_sources <= 0:
             raise ConfigError("[sources]: density kinds require n >= 1")
     elif kind == GAUSSIAN:
-        center = _rows(get("sources", "center"), 2, "[sources] center")[0]
+        center = _rows(get("sources", "center"), "[sources] center")[0]
         density = DensitySpec(
             kind=GAUSSIAN,
             total_mass=number("sources", "total_mass"),
@@ -151,8 +152,6 @@ def parse_config(path: str | Path) -> RunConfig:
     return RunConfig(
         domain_vertices=vertices,
         wall_values=walls,
-        source_kind=kind,
-        source_points=source_points,
         density=density,
         n_sources=n_sources,
         horizon=horizon,
@@ -168,39 +167,32 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def echo_config(cfg: RunConfig) -> list[str]:
     """Canonical, fully resolved key=value listing (stable order)."""
-
-    def fmt(x):
-        return f"{float(x):.17g}"
-
+    d = cfg.density
     lines = [
-        "domain.vertices = " + " ; ".join(f"{fmt(x)} {fmt(y)}" for x, y in cfg.domain_vertices),
-        "domain.wall_values = " + " ".join(fmt(w) for w in cfg.wall_values),
-        f"sources.kind = {cfg.source_kind}",
+        "domain.vertices = " + " ; ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in cfg.domain_vertices),
+        "domain.wall_values = " + " ".join(_fmt(w) for w in cfg.wall_values),
+        f"sources.kind = {d.kind}",
     ]
-    if cfg.source_points is not None:
+    if d.kind == POINT_LIST:
         lines.append(
             "sources.points = "
-            + " ; ".join(f"{fmt(x)} {fmt(y)} {fmt(c)}" for x, y, c in cfg.source_points)
+            + " ; ".join(f"{_fmt(x)} {_fmt(y)} {_fmt(c)}" for (x, y), c in zip(d.points, d.weights))
         )
-    if cfg.density is not None and cfg.source_kind == UNIFORM_POLYGON:
-        lines.append(
-            "sources.polygon = "
-            + " ; ".join(f"{fmt(x)} {fmt(y)}" for x, y in cfg.density.polygon)
-        )
-        lines.append(f"sources.total_mass = {fmt(cfg.density.total_mass)}")
-    if cfg.density is not None and cfg.source_kind == GAUSSIAN:
-        c = cfg.density.center
-        lines.append(f"sources.center = {fmt(c[0])} {fmt(c[1])}")
-        lines.append(f"sources.sigma = {fmt(cfg.density.sigma)}")
-        lines.append(f"sources.radius = {fmt(cfg.density.radius)}")
-        lines.append(f"sources.total_mass = {fmt(cfg.density.total_mass)}")
+    if d.kind == UNIFORM_POLYGON:
+        lines.append("sources.polygon = " + " ; ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in d.polygon))
+        lines.append(f"sources.total_mass = {_fmt(d.total_mass)}")
+    if d.kind == GAUSSIAN:
+        lines.append(f"sources.center = {_fmt(d.center[0])} {_fmt(d.center[1])}")
+        lines.append(f"sources.sigma = {_fmt(d.sigma)}")
+        lines.append(f"sources.radius = {_fmt(d.radius)}")
+        lines.append(f"sources.total_mass = {_fmt(d.total_mass)}")
     lines += [
         f"sources.n = {cfg.n_sources}",
-        f"run.horizon = {fmt(cfg.horizon)}",
-        "run.snapshot_times = " + " ".join(fmt(t) for t in cfg.snapshot_times),
+        f"run.horizon = {_fmt(cfg.horizon)}",
+        "run.snapshot_times = " + " ".join(_fmt(t) for t in cfg.snapshot_times),
         "run.n_list = " + " ".join(str(n) for n in cfg.n_list),
-        f"grid.h = {fmt(cfg.grid_h)}",
-        f"grid.boundary_spacing = {fmt(cfg.boundary_spacing)}",
+        f"grid.h = {_fmt(cfg.grid_h)}",
+        f"grid.boundary_spacing = {_fmt(cfg.boundary_spacing)}",
         f"output.directory = {cfg.output_dir}",
         f"rng.seed = {cfg.seed}",
         f"tolerances.dual_node_cap = {cfg.dual_node_cap}",

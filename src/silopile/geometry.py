@@ -2,7 +2,8 @@
 
 The silo floor is a convex polygon; the wall height is prescribed at each
 vertex and interpolated linearly along every edge.  All boundary queries
-(nearest point, wall-taxed escape cost, node placement) live here.
+(membership, distance to the wall, wall-taxed escape cost and its exit
+point, node placement) live here; each takes a (k, 2) array of points.
 """
 
 from __future__ import annotations
@@ -82,21 +83,22 @@ class ConvexDomain:
 
     def boundary_point(self, edge_index: int, s: float) -> BoundaryPoint:
         """Construct the boundary point at parameter ``s`` of one edge."""
-        edge_index = int(edge_index) % self.n_edges
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError("edge parameter outside [0, 1]")
-        if s >= 1.0 - GEOM_TOL:
-            edge_index = (edge_index + 1) % self.n_edges
-            s = 0.0
-        elif s <= GEOM_TOL:
-            s = 0.0
+        edge_index, s = self._canonical(int(edge_index), s)
+        edge_index, s = int(edge_index), float(s)
         pos = self.vertices[edge_index] + s * self.edges[edge_index]
         return BoundaryPoint(edge_index, s, pos)
 
-    def contains(self, x) -> bool:
-        """Closed-polygon membership of one point."""
-        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
+    def _canonical(self, edge_index, s):
+        """Canonical (edge, parameter) of edge points, elementwise over arrays.
+
+        A parameter >= 1 - GEOM_TOL wraps to parameter 0 of the next edge;
+        a parameter <= GEOM_TOL snaps to 0.
+        """
+        wrap = s >= 1.0 - GEOM_TOL
+        return (edge_index + wrap) % self.n_edges, np.where(wrap | (s <= GEOM_TOL), 0.0, s)
 
     def contains_many(self, points) -> np.ndarray:
         """Closed-polygon membership of an (m, 2) array: half-plane tests, tol GEOM_TOL."""
@@ -107,14 +109,12 @@ class ConvexDomain:
         ) / self.edge_lengths[None, :]
         return np.all(side >= -GEOM_TOL, axis=1)
 
-    def distance_to_boundary(self, x):
-        """Distance from one point to the boundary, or one per row of a (k, 2) array."""
-        x = np.asarray(x, dtype=float)
-        points = np.atleast_2d(x)
+    def distance_to_boundary(self, points) -> np.ndarray:
+        """Distance from each row of a (k, 2) array to the boundary."""
+        points = np.asarray(points, dtype=float)
         t = np.einsum("kij,ij->ki", points[:, None, :] - self.vertices, self.edges) / self.edge_lengths**2
         feet = self.vertices + np.clip(t, 0.0, 1.0)[..., None] * self.edges
-        dists = np.linalg.norm(feet - points[:, None, :], axis=2).min(axis=1)
-        return float(dists[0]) if x.ndim == 1 else dists
+        return np.linalg.norm(feet - points[:, None, :], axis=2).min(axis=1)
 
     def wall_height(self, b: BoundaryPoint) -> float:
         """Linear interpolation of the vertex wall values along the edge."""
@@ -122,8 +122,8 @@ class ConvexDomain:
         j = (i + 1) % self.n_edges
         return float((1.0 - b.edge_parameter) * self.wall_values[i] + b.edge_parameter * self.wall_values[j])
 
-    def escape_cost(self, y):
-        """Cheapest wall crossing from an interior point, or from each row of a (k, 2) array.
+    def escape_cost(self, points) -> tuple[np.ndarray, list[BoundaryPoint]]:
+        """Cheapest wall crossing from each row of a (k, 2) array of interior points.
 
         Minimizes wall height plus straight-line distance over the whole
         boundary.  Each edge's 1-D objective is convex (linear wall term
@@ -133,17 +133,19 @@ class ConvexDomain:
         The cost is exact to rounding, but the objective is flat at its
         minimum, so comparisons of its values locate the minimizer's edge
         parameter only to about 1e-8 (the square root of the machine
-        epsilon).  Returns the optimal cost and all minimizers within
-        TIE_TOL; for a (k, 2) array, the (k,) costs and one minimizer list
-        per row.
+        epsilon).  Returns the (k,) costs and one exit per row: among the
+        edge minimizers within TIE_TOL of the cost, the one with the
+        smallest canonical ``key``.
         """
-        y = np.asarray(y, dtype=float)
-        t, f = self._edge_minima(np.atleast_2d(y))
+        t, f = self._edge_minima(np.asarray(points, dtype=float))
         best = f.min(axis=1)
-        minimizers = [self._collect_ties(t[i], f[i], best[i]) for i in range(len(best))]
-        if y.ndim == 1:
-            return float(best[0]), minimizers[0]
-        return best, minimizers
+        edge, param = self._canonical(np.arange(self.n_edges), t)
+        tied = f <= best[:, None] + TIE_TOL
+        first_edge = np.where(tied, edge, self.n_edges).min(axis=1)
+        first_param = np.where(tied & (edge == first_edge[:, None]), param, np.inf).min(axis=1)
+        positions = self.vertices[first_edge] + first_param[:, None] * self.edges[first_edge]
+        exits = [BoundaryPoint(int(i), float(s), pos) for i, s, pos in zip(first_edge, first_param, positions)]
+        return best, exits
 
     def boundary_nodes(self, spacing: float) -> list[BoundaryPoint]:
         """Nodes at arc-length intervals <= spacing, vertices always included."""
@@ -206,10 +208,3 @@ class ConvexDomain:
             take = fs < best
             t, best = np.where(take, s, t), np.where(take, fs, best)
         return t, best
-
-    def _collect_ties(self, t: np.ndarray, values: np.ndarray, best: float) -> list[BoundaryPoint]:
-        points: dict[tuple[int, float], BoundaryPoint] = {}
-        for i in np.nonzero(values <= best + TIE_TOL)[0]:
-            bp = self.boundary_point(int(i), float(t[i]))
-            points.setdefault(bp.key, bp)
-        return [points[k] for k in sorted(points)]

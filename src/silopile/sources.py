@@ -93,7 +93,7 @@ def make_sources(domain: ConvexDomain, locations, rates) -> SourceSet:
     inside = domain.contains_many(out_loc) & (domain.distance_to_boundary(out_loc) > GEOM_TOL)
     if not inside.all():
         loc = out_loc[np.argmin(inside)]
-        raise ValueError(f"source at {tuple(loc)} is not strictly inside the domain")
+        raise ValueError(f"source at {tuple(loc.tolist())} is not strictly inside the domain")
     return SourceSet(locations=out_loc, rates=merged_rate[keep])
 
 
@@ -180,17 +180,16 @@ def _point_weights(f: DensitySpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _check_support_inside(f: DensitySpec, domain: ConvexDomain) -> None:
-    if f.kind == UNIFORM_POLYGON:
-        probe = np.atleast_2d(np.asarray(f.polygon, dtype=float))
-    elif f.kind == GAUSSIAN:
-        c = np.asarray(f.center, dtype=float)
-        if domain.distance_to_boundary(c) <= f.radius + GEOM_TOL or not domain.contains(c):
+    if f.kind == GAUSSIAN:
+        c = np.asarray(f.center, dtype=float)[None, :]
+        if not (domain.contains_many(c) & (domain.distance_to_boundary(c) > f.radius + GEOM_TOL))[0]:
             raise ValueError("gaussian support disc reaches the boundary")
         return
-    else:
-        probe = np.atleast_2d(np.asarray(f.points, dtype=float))
-    if not np.all(domain.contains_many(probe) & (domain.distance_to_boundary(probe) > GEOM_TOL)):
-        raise ValueError("measure support must be strictly inside the domain")
+    probe = np.atleast_2d(np.asarray(f.polygon if f.kind == UNIFORM_POLYGON else f.points, dtype=float))
+    inside = domain.contains_many(probe) & (domain.distance_to_boundary(probe) > GEOM_TOL)
+    if not inside.all():
+        loc = probe[np.argmin(inside)]
+        raise ValueError(f"measure support at {tuple(loc.tolist())} is not strictly inside the domain")
 
 
 def _bin_points(pts: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ refinement behaviour can be audited in one place.
 # products, coincident-point detection.
 GEOM_TOL = 1e-12
 
-# Tie resolution for multi-valued boundary projections: minimizers whose
-# objective value is within TIE_TOL of the optimum are all reported.
+# Tie resolution for the escape cost's exit: among the minimizers whose
+# objective value is within TIE_TOL of the optimum, the one with the
+# smallest canonical (edge, parameter) key is the exit.
 TIE_TOL = 1e-9
 
 # Bracket width at which golden-section refinement stops.  The escape-cost

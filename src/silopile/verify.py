@@ -59,8 +59,6 @@ class TransportSolution:
     plan_sink: np.ndarray      # (p,) sink index: demands first, then boundary
     plan_mass: np.ndarray      # (p,)
     spill: np.ndarray          # (nb,) mass over the wall per boundary node
-    potential_supply: np.ndarray
-    potential_sink: np.ndarray  # demands, then the absorbing column if any
     primal_value: float
     dual_value: float
     min_reduced_cost: float
@@ -155,8 +153,9 @@ def _transport_costs(p: DiscreteProblem):
 
     Returns the (m, nd) supply-demand distances and, when the problem
     spills, the absorbing column a_i = min_b (|x_i - b| + g_b) with each
-    supply's exit node, the first minimizer (the tie rule of
-    ``cones.escape_routes``).  Both are None when nothing spills.
+    supply's exit node, the first minimizer in boundary order (the tie rule
+    of ``ConvexDomain.escape_cost``'s exits).  Both are None when nothing
+    spills.
     """
     spills = p.spill_total > LP_TOL * max(1.0, float(p.supply_masses.sum()))
     if spills and p.n_boundary == 0:
@@ -199,8 +198,6 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
         plan_sink=sink_idx,
         plan_mass=flows[sup_idx, col_idx],
         spill=spill,
-        potential_supply=solver.u,
-        potential_sink=solver.v,
         primal_value=float((flows * cost).sum()),
         dual_value=float(solver.u @ supplies + solver.v @ demands),
         min_reduced_cost=solver.min_rc,

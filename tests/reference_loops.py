@@ -7,8 +7,8 @@ same bits.
 
 import numpy as np
 
-from silopile.geometry import _INV_GOLDEN
-from silopile.tolerances import GEOM_TOL, REFINE_TOL
+from silopile.geometry import _INV_GOLDEN, BoundaryPoint
+from silopile.tolerances import GEOM_TOL, REFINE_TOL, TIE_TOL
 
 
 def edge_minimum(domain, i, y):
@@ -44,6 +44,27 @@ def edge_minima(domain, points):
     """(k, n) minimizers and minima, one ``edge_minimum`` call per point and edge."""
     out = np.array([[edge_minimum(domain, i, y) for i in range(domain.n_edges)] for y in points])
     return out[..., 0], out[..., 1]
+
+
+def first_exit(domain, y):
+    """The escape cost's exit from one point, one tied edge minimizer at a time.
+
+    Every edge minimizer within TIE_TOL of the cost is canonicalized (a
+    parameter >= 1 - GEOM_TOL wraps to parameter 0 of the next edge, one
+    <= GEOM_TOL snaps to 0) and the one with the smallest key is the exit.
+    """
+    t, f = domain._edge_minima(np.asarray(y, dtype=float)[None, :])
+    t, f = t[0], f[0]
+    exits = {}
+    for i in np.nonzero(f <= f.min() + TIE_TOL)[0]:
+        edge, s = int(i), float(t[i])
+        if s >= 1.0 - GEOM_TOL:
+            edge, s = (edge + 1) % domain.n_edges, 0.0
+        elif s <= GEOM_TOL:
+            s = 0.0
+        exits.setdefault((edge, s), domain.vertices[edge] + s * domain.edges[edge])
+    key = min(exits)
+    return BoundaryPoint(key[0], key[1], exits[key])
 
 
 def merge_sources(locations, rates):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, escape_routes, run
+from silopile.cones import ConeState, run
 from silopile.fields import (
     eval_height_many,
     growth_rate_field,
@@ -211,7 +211,7 @@ def test_a6_measure_bounds():
 
     big = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
     sc = make_sources(big, [(2, 2)], [1.0])
-    thresholds, atoms = escape_routes(sc, big)
+    thresholds, atoms = big.escape_cost(sc.locations)
     state = ConeState(0.0, np.array([1.0]), np.array([False]), thresholds)
     gk = build_grid(big, h)
     mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms, gk)

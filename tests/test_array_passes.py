@@ -12,7 +12,7 @@ import pytest
 
 import reference_loops as ref
 from silopile import fields
-from silopile.cones import ConeState, escape_routes
+from silopile.cones import ConeState
 from silopile.fields import GridField, field_to_csv, rolling_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
@@ -81,18 +81,45 @@ class TestEscapeCost:
         assert np.array_equal(t, t_ref)
         assert np.array_equal(f, f_ref)
 
-    def test_batch_equals_single_points(self):
+    @staticmethod
+    def assert_first_exits(dom, pts):
+        costs, exits = dom.escape_cost(pts)
+        assert np.array_equal(costs, dom._edge_minima(pts)[1].min(axis=1))
+        assert len(exits) == len(pts)
+        for y, b in zip(pts, exits):
+            expected = ref.first_exit(dom, y)
+            assert type(b.edge_index) is int and type(b.edge_parameter) is float
+            assert b.key == expected.key
+            assert np.array_equal(b.position, expected.position)
+
+    def test_exits_match_tie_collection_on_random_polygons(self):
         rng = np.random.default_rng(12)
-        cases = symmetric_cases() + [(d, interior_points(d, rng, 8)) for d in (random_domain(rng) for _ in range(5))]
-        for dom, pts in cases:
-            costs, minimizers = dom.escape_cost(pts)
-            assert costs.shape == (len(pts),)
-            for y, cost, mins in zip(pts, costs, minimizers):
-                single_cost, single_mins = dom.escape_cost(y)
-                assert single_cost == cost
-                assert [(b.key, tuple(b.position)) for b in single_mins] == [
-                    (b.key, tuple(b.position)) for b in mins
-                ]
+        for _ in range(40):
+            dom = random_domain(rng)
+            self.assert_first_exits(dom, interior_points(dom, rng, 10))
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_exits_match_tie_collection_on_symmetry_lines(self, case):
+        self.assert_first_exits(*symmetric_cases()[case])
+
+    @pytest.mark.parametrize("walls", [[0.2] * 4, [0.0] * 4, [0.0, 0.3, 0.0, 0.3], [0.1, 0.1, 0.4, 0.4]])
+    def test_exits_match_tie_collection_on_lattice(self, walls):
+        # Lattice points on the square's diagonals and midlines tie 2 or 4 ways.
+        line = np.linspace(0.05, 0.95, 19)
+        pts = np.stack(np.meshgrid(line, line), axis=-1).reshape(-1, 2)
+        self.assert_first_exits(ConvexDomain(UNIT_SQUARE, walls), pts)
+
+    def test_exits_match_tie_collection_at_vertices(self):
+        # A zero wall at one vertex and steep walls elsewhere put every
+        # minimizer at that vertex: the end of one edge and the start of the
+        # next tie there, and the end wraps.  Collinear vertices included.
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            dom = random_domain(rng)
+            walls = np.full(dom.n_edges, 50.0)
+            walls[rng.integers(dom.n_edges)] = 0.0
+            dom = ConvexDomain(dom.vertices, walls)
+            self.assert_first_exits(dom, interior_points(dom, rng, 6))
 
 
 class TestMakeSources:
@@ -156,12 +183,11 @@ class TestMakeSources:
             pts = interior_points(dom, rng, 20)
             expected = [ref.distance_to_boundary(dom, y) for y in pts]
             assert list(dom.distance_to_boundary(pts)) == expected
-            assert [dom.distance_to_boundary(y) for y in pts] == expected
 
 
 def mixed_state(domain, sources, radii, grid):
     """Cone state with the given radii, capped and frozen at the escape costs."""
-    thresholds, atoms = escape_routes(sources, domain)
+    thresholds, atoms = domain.escape_cost(sources.locations)
     radii = np.minimum(np.asarray(radii, dtype=float), thresholds)
     state = ConeState(0.3, radii, radii >= thresholds - 1e-12, thresholds)
     return state, partition(grid, sources, radii), atoms

@@ -110,7 +110,7 @@ class TestConfig:
         cfg = parse_config(path)
         assert cfg.horizon == 0.3
         assert cfg.grid_h == 0.03125
-        assert len(cfg.source_points) == 2
+        assert len(cfg.density.points) == 2
         assert cfg.snapshot_times == [0.05, 0.12, 0.3]
 
     def test_missing_section_is_config_error(self, tmp_path):
@@ -261,6 +261,12 @@ class TestSimulate:
         path.write_text("[domain]\nvertices = broken\n")
         assert main(["simulate", "--config", str(path), "--quiet"]) == 2
 
+    def test_point_outside_domain_is_named(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.7 0.6 0.8", "1.5 0.6 0.8"))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert "(1.5, 0.6) is not strictly inside the domain" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_end_to_end_pass(self, tmp_path):
@@ -290,10 +296,16 @@ class TestVerify:
             (r"^(2 = .* radii=)\S+?,", r"\1r,", "[snapshots] entry 2 radii: could not convert string to float: 'r'"),
             (r"^grid\.h = \S+$", "grid.h = 1/32", "[config] grid.h: could not convert string to float: '1/32'"),
             (r"^(domain\.wall_values = \S+) \S+", r"\1 x", "[config] domain.wall_values: could not convert"),
+            (r"^0 = (\S+) (\S+ \S+)$", r"0 = \1x \2", "[sources] entry 0: could not convert string to float: '0."),
+            (
+                r"^tolerances\.dual_node_cap = \S+$",
+                "tolerances.dual_node_cap = 4e",
+                "[config] tolerances.dual_node_cap: could not convert string to float: '4e'",
+            ),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
-            "grid_h", "wall_values",
+            "grid_h", "wall_values", "source_coordinate", "node_cap",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):

@@ -63,7 +63,7 @@ class TestStep:
         h = 1 / 128
         grid = build_grid(dom, h)
         t = np.pi / 3  # r(t) = 1 exactly
-        thresholds = np.array([dom.escape_cost((2, 2))[0]])
+        thresholds = dom.escape_cost(s.locations)[0]
         state = ConeState(t, np.array([1.0]), np.array([False]), thresholds)
         new, record, _ = step(state, s, dom, grid)
         exact = (3 * new.time / np.pi) ** (1 / 3)
@@ -73,7 +73,7 @@ class TestStep:
     def test_symmetric_pair_stays_symmetric(self, big_square):
         s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
         grid = build_grid(big_square, 1 / 64)
-        thresholds = np.array([big_square.escape_cost(p)[0] for p in s.locations])
+        thresholds = big_square.escape_cost(s.locations)[0]
         state = ConeState(0.1, np.array([0.6, 0.6]), np.array([False, False]), thresholds)
         for _ in range(15):
             state, _, _ = step(state, s, big_square, grid)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_loops import deposit_loop
-from silopile.cones import ConeState, escape_routes, run
+from silopile.cones import ConeState, run
 from silopile.fields import (
     BoundaryMeasure,
     boundary_measure_from_lines,
@@ -35,7 +35,7 @@ def unit_square():
 
 
 def single_cone_state(domain, sources, r):
-    thresholds, _ = escape_routes(sources, domain)
+    thresholds, _ = domain.escape_cost(sources.locations)
     radii = np.full(sources.k, float(r))
     return ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
 
@@ -71,7 +71,7 @@ class TestEvalHeight:
         dom = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
         s = make_sources(dom, [(1.2, 1.5), (2.8, 2.3)], [1.0, 0.5])
         state = ConeState(
-            0.0, np.array([0.8, 1.1]), np.array([False, False]), escape_routes(s, dom)[0]
+            0.0, np.array([0.8, 1.1]), np.array([False, False]), dom.escape_cost(s.locations)[0]
         )
         u1, u2 = eval_height_many(state, s, [(x1, y1), (x2, y2)])
         assert abs(u1 - u2) <= np.hypot(x1 - x2, y1 - y2) + 1e-12
@@ -110,13 +110,13 @@ class TestSpillMeasure:
     def test_no_frozen_no_atoms(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 1.0)
-        assert spill_measure(state, s, escape_routes(s, big_square)[1]).atoms == []
+        assert spill_measure(state, s, big_square.escape_cost(s.locations)[1]).atoms == []
 
     def test_single_frozen_atom(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.2, 0.2, 5.0, 5.0])
         s = make_sources(dom, [(0.5, 0.3)], [1.0])
-        state = single_cone_state(dom, s, dom.escape_cost((0.5, 0.3))[0])
-        nu = spill_measure(state, s, escape_routes(s, dom)[1])
+        state = single_cone_state(dom, s, dom.escape_cost(s.locations)[0][0])
+        nu = spill_measure(state, s, dom.escape_cost(s.locations)[1])
         assert len(nu.atoms) == 1
         bp, m = nu.atoms[0]
         assert m == pytest.approx(1.0)
@@ -125,17 +125,17 @@ class TestSpillMeasure:
     def test_tie_selects_first_and_height_unaffected(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         state = single_cone_state(unit_square, s, 0.5)
-        nu = spill_measure(state, s, escape_routes(s, unit_square)[1])
+        nu = spill_measure(state, s, unit_square.escape_cost(s.locations)[1])
         assert len(nu.atoms) == 1
         bp, m = nu.atoms[0]
         assert m == pytest.approx(1.0)
         # four-way tie resolved to the lowest boundary parameterization
         np.testing.assert_allclose(bp.position, [0.5, 0.0], atol=1e-9)
-        # the standing layer is selection-independent: any tie atom sees u = g
-        value, mins = unit_square.escape_cost((0.5, 0.5))
+        # the standing layer is selection-independent: each of the four tied
+        # exits, the edge midpoints, sees u = g
         grid = build_grid(unit_square, 1 / 64)
         u = height_field(state, s, grid)
-        for alt in mins:
+        for alt in (unit_square.boundary_point(edge, 0.5) for edge in range(4)):
             u_alt = eval_height_many(state, s, alt.position)[0]
             assert u_alt == pytest.approx(unit_square.wall_height(alt), abs=1e-9)
         assert u.values.max() <= 0.5 + 1e-12
@@ -147,7 +147,7 @@ class TestRollingMeasure:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 64)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
         assert mu.total_mass == pytest.approx(2.0 / 3.0, rel=0.01)
 
     def test_monte_carlo_cross_check(self, big_square):
@@ -159,17 +159,17 @@ class TestRollingMeasure:
 
     def test_zero_radii_zero_measure(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
-        state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), escape_routes(s, big_square)[0])
+        state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), big_square.escape_cost(s.locations)[0])
         grid = build_grid(big_square, 1 / 32)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
         assert mu.total_mass == 0.0
 
     def test_diameter_bound(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.1, 0.4, 0.2, 0.3])
         s = make_sources(dom, [(0.3, 0.4), (0.7, 0.65)], [0.5, 1.25])
         grid = build_grid(dom, 1 / 64)
-        thresholds, atoms = escape_routes(s, dom)
+        thresholds, atoms = dom.escape_cost(s.locations)
         for r in (0.05, 0.2, 10.0):
             radii = np.minimum(np.full(2, r), thresholds)
             state = ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
@@ -181,7 +181,7 @@ class TestRollingMeasure:
 class TestEquilibrium:
     def test_single_source_closed_form(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
-        thresholds, _ = escape_routes(s, unit_square)
+        thresholds, _ = unit_square.escape_cost(s.locations)
         grid = build_grid(unit_square, 1 / 129)  # odd cell count: a cell centered on the apex
         eq = equilibrium_field(s, thresholds, grid)
         centers = grid.inside_centers()
@@ -196,7 +196,7 @@ class TestEquilibrium:
         s = make_sources(big_square, [(2, 2)], [1.0])
         traj = run(s, big_square, 2.0, [2.0], 1 / 32)
         assert not traj.final_state.frozen.any()
-        assert traj.final_state.radii[0] < escape_routes(s, big_square)[0][0]
+        assert traj.final_state.radii[0] < big_square.escape_cost(s.locations)[0][0]
 
     def test_two_source_long_run_matches_closed_form(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.05, 0.1, 0.0, 0.15])
@@ -293,7 +293,7 @@ class TestSerialization:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 16)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, escape_routes(s, big_square)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
         text = path_measure_to_csv(mu)
         back = field_from_csv(grid, text)
         np.testing.assert_array_equal(back.values, mu.density)

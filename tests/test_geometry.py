@@ -81,35 +81,41 @@ class TestConstruction:
 
 class TestContains:
     def test_interior(self):
-        assert unit_square().contains((0.5, 0.5))
+        assert unit_square().contains_many([(0.5, 0.5)])[0]
 
     def test_exterior(self):
-        assert not unit_square().contains((1.5, 0.5))
+        assert not unit_square().contains_many([(1.5, 0.5)])[0]
 
     def test_boundary_closed(self):
-        assert unit_square().contains((1.0, 0.5))
-
-    def test_vectorized_matches_scalar(self):
-        dom = unit_square()
-        pts = np.array([[0.5, 0.5], [1.5, 0.5], [1.0, 0.5], [-0.1, 0.2]])
-        assert list(dom.contains_many(pts)) == [dom.contains(p) for p in pts]
+        assert unit_square().contains_many([(1.0, 0.5)])[0]
 
 
 class TestNearestBoundary:
     def test_distance(self):
-        assert big_square().distance_to_boundary((2, 1)) == pytest.approx(1.0)
+        assert big_square().distance_to_boundary([(2, 1)])[0] == pytest.approx(1.0)
+
+
+def assert_four_way_tie(dom, value):
+    """The unit square's centre exits at edge 0's midpoint; all four midpoints attain the cost."""
+    y = np.array([0.5, 0.5])
+    (exit_point,) = dom.escape_cost(y[None, :])[1]
+    assert exit_point.edge_index == 0
+    assert exit_point.edge_parameter == pytest.approx(0.5, abs=1e-7)
+    for edge in range(4):
+        b = dom.boundary_point(edge, 0.5)
+        assert dom.wall_height(b) + np.linalg.norm(b.position - y) == pytest.approx(value, abs=1e-12)
 
 
 class TestEscapeCost:
     def test_constant_wall_center(self):
-        value, mins = unit_square(0.2).escape_cost((0.5, 0.5))
+        value = unit_square(0.2).escape_cost([(0.5, 0.5)])[0][0]
         assert value == pytest.approx(0.7, abs=1e-9)
-        assert len(mins) == 4
+        assert_four_way_tie(unit_square(0.2), value)
 
     def test_zero_wall_is_boundary_distance(self):
-        value, mins = unit_square(0.0).escape_cost((0.5, 0.5))
+        value = unit_square(0.0).escape_cost([(0.5, 0.5)])[0][0]
         assert value == pytest.approx(0.5, abs=1e-9)
-        assert len(mins) == 4
+        assert_four_way_tie(unit_square(0.0), value)
 
     def test_ramped_wall_against_boundary_scan(self):
         # Steep ramps emulate a low gate near the corner (0,0): the wall is
@@ -120,32 +126,29 @@ class TestEscapeCost:
         walls = [0.0, 10.0, 10.0, 10.0, 10.0, 1.0]
         dom = ConvexDomain(verts, walls)
         y = np.array([0.25, 0.5])
-        value, mins = dom.escape_cost(y)
+        (value,), (exit_point,) = dom.escape_cost(y[None, :])
         scan_value, scan_arg = boundary_scan(dom, y)
         # The scan samples at 1e-4 arc-length; the ramp slope 10/delta bounds
         # the value gap per sample interval.
         assert value <= scan_value + 1e-12
         assert value == pytest.approx(scan_value, abs=0.5 * 1e-4 * (1 + 10 / delta))
-        np.testing.assert_allclose(mins[0].position, scan_arg, atol=1e-3)
+        np.testing.assert_allclose(exit_point.position, scan_arg, atol=1e-3)
         # Frozen oracle value: minimum sits at the zero-wall corner (0,0).
         assert value == pytest.approx(np.sqrt(0.25**2 + 0.5**2), abs=1e-9)
 
     def test_minimizers_attain_value(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0.3, 0.0, 0.7, 0.2])
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            y = rng.uniform(1.0, 2.0, size=2)
-            if not dom.contains(y):
-                continue
-            value, mins = dom.escape_cost(y)
-            for b in mins:
-                attained = dom.wall_height(b) + np.linalg.norm(b.position - y)
-                assert attained == pytest.approx(value, abs=1e-9)
+        pts = np.random.default_rng(7).uniform(1.0, 2.0, size=(25, 2))
+        pts = pts[dom.contains_many(pts)]
+        values, exits = dom.escape_cost(pts)
+        for y, value, b in zip(pts, values, exits):
+            attained = dom.wall_height(b) + np.linalg.norm(b.position - y)
+            assert attained == pytest.approx(value, abs=1e-9)
 
     def test_minimality_over_random_boundary_points(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0.3, 0.0, 0.7, 0.2])
         y = np.array([2.0, 1.5])
-        value, _ = dom.escape_cost(y)
+        value = dom.escape_cost(y[None, :])[0][0]
         rng = np.random.default_rng(11)
         for _ in range(1000):
             i = int(rng.integers(dom.n_edges))
@@ -163,18 +166,14 @@ class TestEscapeCost:
         dom = ConvexDomain(quad, walls)
         w = np.array(weights)
         y = w @ dom.vertices / w.sum()  # positive weights: strictly inside
-        value, _ = dom.escape_cost(y)
+        value = dom.escape_cost(y[None, :])[0][0]
         assert abs(value - closed_form_escape(dom, y)) <= 1e-14
 
     def test_zero_wall_matches_nearest_boundary(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0.0] * 4)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            y = rng.uniform(0.5, 2.5, size=2)
-            if not dom.contains(y):
-                continue
-            value, _ = dom.escape_cost(y)
-            assert value == pytest.approx(dom.distance_to_boundary(y), abs=1e-9)
+        pts = np.random.default_rng(3).uniform(0.5, 2.5, size=(50, 2))
+        pts = pts[dom.contains_many(pts)]
+        np.testing.assert_allclose(dom.escape_cost(pts)[0], dom.distance_to_boundary(pts), rtol=0.0, atol=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,9 +183,7 @@ class TestEscapeCost:
         y2=st.floats(0.05, 0.95),
     )
     def test_one_lipschitz(self, x1, y1, x2, y2):
-        dom = unit_square(0.3)
-        v1, _ = dom.escape_cost((x1, y1))
-        v2, _ = dom.escape_cost((x2, y2))
+        v1, v2 = unit_square(0.3).escape_cost([(x1, y1), (x2, y2)])[0]
         assert abs(v1 - v2) <= np.hypot(x1 - x2, y1 - y2) + 1e-9
 
 

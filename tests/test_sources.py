@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from silopile.geometry import ConvexDomain
 from silopile.sources import (
     GAUSSIAN,
@@ -65,7 +66,7 @@ class TestMinSeparation:
             for i in range(len(pts))
             for j in range(i + 1, len(pts))
         )
-        brute2 = min(big_square.distance_to_boundary(p) for p in pts)
+        brute2 = min(ref.distance_to_boundary(big_square, p) for p in pts)
         assert m1 == pytest.approx(brute1)
         assert m2 == pytest.approx(brute2)
 
@@ -113,7 +114,7 @@ class TestDiscretize:
         hull = ConvexDomain(poly, [0.0] * 4)
         f = DensitySpec(kind=UNIFORM_POLYGON, total_mass=1.0, polygon=poly)
         s = discretize(f, 16, big_square)
-        assert all(hull.contains(p) for p in s.locations)
+        assert hull.contains_many(s.locations).all()
 
     def test_gaussian_mass_and_symmetry(self, big_square):
         f = DensitySpec(kind=GAUSSIAN, total_mass=1.0, center=np.array([2.0, 2.0]), sigma=0.3, radius=1.0)

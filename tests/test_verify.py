@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import reference_loops
-from silopile.cones import escape_routes, run
+from silopile.cones import run
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
@@ -93,7 +93,7 @@ class TestSolvePrimal:
         p = spill_problem(dom, y, spacing=0.01)
         sol = solve_primal(p)
         assert sol.spill.sum() == pytest.approx(1.0)
-        target, _ = dom.escape_cost(y)
+        target = dom.escape_cost([y])[0][0]
         assert sol.primal_value == pytest.approx(target, abs=0.01)
         assert sol.primal_value >= target - 1e-12  # node minimum cannot beat the true one
 
@@ -532,7 +532,7 @@ class TestSnapshotPipeline:
 
         dom = unit_square(5.0)
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6)], [0.6, 0.8])
-        thresholds, _ = escape_routes(s, dom)
+        thresholds, _ = dom.escape_cost(s.locations)
         # radii too small for a 0.45 grid: their cells carry no demand mass
         state = ConeState(0.01, np.array([0.02, 0.02]), np.array([False, False]), thresholds)
         tiny_grid = build_grid(dom, 0.45)
@@ -590,7 +590,7 @@ class TestSnapshotPipeline:
         dom, s, state, h = self.make_snapshot(t=0.25)
         grid = build_grid(dom, h)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, escape_routes(s, dom)[1], grid)
+        mu = rolling_measure(state, s, part, dom.escape_cost(s.locations)[1], grid)
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         sol = solve_primal(p)
         sink_pos = np.vstack([p.demand_locations, p.boundary_positions])
