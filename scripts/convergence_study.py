@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from silopile.cones import run
 from silopile.fields import eval_height_many
 from silopile.geometry import ConvexDomain
-from silopile.regions import build_grid
 from silopile.sources import UNIFORM_POLYGON, DensitySpec, discretize
 from silopile.verify import wasserstein
 
@@ -38,8 +37,6 @@ def main():
         polygon=np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]]),
     )
     qpts, qw = quadrature()
-    grid = build_grid(domain, 1 / 32)
-    centers = grid.inside_centers()
 
     fields = {}
     print(f"{'n':>4} {'W1 to quadrature':>18}")
@@ -48,7 +45,7 @@ def main():
         w1 = wasserstein(s.locations, s.rates, qpts, qw)
         print(f"{n:>4} {w1:18.6f}")
         traj = run(s, domain, max(TIMES), TIMES, 1 / 32)
-        fields[n] = [eval_height_many(st, s, centers) for st in traj.states]
+        fields[n] = [eval_height_many(st, traj.lists) for st in traj.states]
 
     print()
     print(f"{'pair':>10} " + " ".join(f"sup|du| at t={t:g}" for t in TIMES))

@@ -49,7 +49,7 @@ def write_manifest(
     sources: SourceSet,
     traj: Trajectory,
     snapshot_files: list[tuple[str, str]],
-    timings: dict[str, float],
+    timings: dict[str, float | int],
 ) -> None:
     snapshots = []
     for i, (t, state) in enumerate(zip(traj.snapshot_times, traj.states)):
@@ -70,8 +70,13 @@ def write_manifest(
     })
 
 
-def _timing_lines(timings: dict[str, float]) -> list[str]:
-    return [f"{key} = {timings[key]:.3f}" for key in sorted(timings)]
+def _timing_lines(timings: dict[str, float | int]) -> list[str]:
+    """One line per key, sorted: counts as integers, seconds to 3 decimals."""
+    lines = []
+    for key in sorted(timings):
+        value = timings[key]
+        lines.append(f"{key} = {value}" if isinstance(value, int) else f"{key} = {value:.3f}")
+    return lines
 
 
 def _write_sections(path: Path, sections: dict[str, list[str]]) -> None:
@@ -118,7 +123,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-    grid, dist = traj.grid, traj.dist
+    grid, lists = traj.grid, traj.lists
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,8 +132,8 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     for i, state in enumerate(traj.states):
         u_name = f"snap{i:03d}_u.csv"
         mu_name = f"snap{i:03d}_mu.csv"
-        u = height_field(state, sources, grid, dist)
-        part = partition(grid, sources, state.radii, dist)
+        u = height_field(state, sources, grid, lists)
+        part = partition(grid, sources, state.radii, lists)
         mu = rolling_measure(state, sources, part, traj.spill_atoms, grid)
         nu = spill_measure(state, sources, traj.spill_atoms)
         (out / u_name).write_text(field_to_csv(u))
@@ -137,7 +142,11 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
         snapshot_files.append((u_name, mu_name))
     (out / "nu.csv").write_text("".join(nu_blocks))
 
-    timings = {"simulate_seconds": time.perf_counter() - t_start}
+    timings = {
+        "simulate_seconds": time.perf_counter() - t_start,
+        "partition_rebuilds": lists.rebuilds,
+        "max_candidates": lists.max_candidates,
+    }
     write_manifest(out / "manifest.txt", cfg, sources, traj, snapshot_files, timings)
     if not quiet:
         print(f"simulate: {len(traj.states)} snapshots, {len(traj.freeze_events)} freezes -> {out}")
@@ -248,8 +257,8 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
             "without full freeze"
         )
 
-    sim = height_field(final, sources, traj.grid, traj.dist)
-    closed = equilibrium_field(sources, thresholds, traj.grid, traj.dist)
+    sim = height_field(final, sources, traj.grid, traj.lists)
+    closed = equilibrium_field(sources, thresholds, traj.grid, traj.lists)
     sup_diff = float(np.abs(sim.values - closed.values).max())
 
     out = Path(cfg.output_dir)
@@ -278,8 +287,7 @@ def cmd_converge(cfg: RunConfig, quiet: bool) -> int:
     for n in cfg.n_list:
         sources = discretize(cfg.density, n, domain)
         traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-        centers = traj.grid.inside_centers()
-        per_n[n] = [eval_height_many(state, sources, centers, traj.dist) for state in traj.states]
+        per_n[n] = [eval_height_many(state, traj.lists) for state in traj.states]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPoint, ConvexDomain
-from .regions import Grid, areas_with_floor, build_grid, distances
+from .regions import Grid, SourceLists, areas_with_floor, build_grid
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
 
@@ -60,7 +60,7 @@ class Trajectory:
     final_state: ConeState
     spill_atoms: list[BoundaryPoint]  # per source, where its rate crosses the wall once frozen
     grid: Grid  # the grid the stepped phase partitioned
-    dist: np.ndarray  # regions.distances(grid.inside_centers(), sources.locations)
+    lists: SourceLists  # the candidate sources of the grid's inside cells
 
 
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
@@ -89,19 +89,19 @@ def step(
     domain: ConvexDomain,
     grid: Grid,
     dt_max: float = np.inf,
-    dist: np.ndarray | None = None,
+    lists: SourceLists | None = None,
 ) -> tuple[ConeState, StepRecord, list[tuple[int, float]]]:
     """One explicit midpoint step with freeze clamping.
 
     Returns the new state, the start-of-step audit record and the freeze
     events (source index, interpolated crossing time) triggered by the step.
-    ``dist`` is the grid's cell-source distance matrix, if already computed.
+    ``lists`` are the grid's ``SourceLists``, if already built.
     """
     active = ~state.frozen
     r = state.radii.copy()
     c = sources.rates
 
-    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0), dist)
+    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0), lists)
     rdot = np.zeros_like(r)
     rdot[active] = c[active] / areas[active]
 
@@ -115,7 +115,7 @@ def step(
 
     r_half = r.copy()
     r_half[active] = np.minimum(r[active] + 0.5 * dt * rdot[active], state.thresholds[active])
-    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0), dist)
+    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0), lists)
     rdot_half = np.zeros_like(r)
     rdot_half[active] = c[active] / areas_half[active]
 
@@ -164,7 +164,7 @@ def run(
     t0 = min(t0, T)
     grid = build_grid(domain, h)
     # Sources and grid stay fixed for the run; only the radii move.
-    dist = distances(grid.inside_centers(), sources.locations)
+    lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
 
     def state_at_analytic(t: float) -> ConeState:
         r = np.minimum(radii_fn(t), thresholds)
@@ -177,7 +177,7 @@ def run(
 
     state = knots[0]
     while state.time < T - 1e-15 and not np.all(state.frozen):
-        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time, dist=dist)
+        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time, lists=lists)
         steps.append(record)
         freeze_events.extend(events)
         knots.append(state)
@@ -204,5 +204,5 @@ def run(
         final_state=knots[-1],
         spill_atoms=spill_atoms,
         grid=grid,
-        dist=dist,
+        lists=lists,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cones import ConeState
 from .geometry import BoundaryPoint, ConvexDomain
-from .regions import NONE_LABEL, Grid, Partition, cone_values
+from .regions import NONE_LABEL, Grid, Partition, SourceLists
 from .sources import SourceSet
 
 # Segments deposited per np.add.at pass of rolling_measure; bounds the
@@ -54,27 +54,26 @@ class PathMeasure:
         return float(self.density.sum() * self.grid.cell_area)
 
 
-def eval_height_many(state: ConeState, sources: SourceSet, points, dist=None) -> np.ndarray:
-    """Pile height max_j (r_j - |x - y_j|)+ at each of the given points, exact.
-
-    ``dist`` may pass ``regions.distances(points, sources.locations)``.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.maximum(cone_values(points, sources.locations, state.radii, dist).max(axis=1), 0.0)
+def eval_height_many(state: ConeState, lists: SourceLists) -> np.ndarray:
+    """Pile height max_j (r_j - |x - y_j|)+ at each of the lists' points, exact."""
+    return np.maximum(lists.best(state.radii)[1], 0.0)
 
 
-def height_field(state: ConeState, sources: SourceSet, grid: Grid, dist=None) -> GridField:
-    """Pile height at the inside cells; ``dist`` as in ``regions.partition``."""
+def height_field(state: ConeState, sources: SourceSet, grid: Grid, lists: SourceLists | None = None) -> GridField:
+    """Pile height at the inside cells; ``lists`` as in ``regions.partition``."""
+    if lists is None:
+        lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
     values = np.zeros((grid.ny, grid.nx))
-    centers = grid.inside_centers()
-    values[grid.inside_mask] = eval_height_many(state, sources, centers, dist)
+    values[grid.inside_mask] = eval_height_many(state, lists)
     return GridField(grid=grid, values=values)
 
 
-def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid, dist=None) -> GridField:
+def equilibrium_field(
+    sources: SourceSet, thresholds: np.ndarray, grid: Grid, lists: SourceLists | None = None
+) -> GridField:
     """Stationary profile after every source froze: cones capped at their escape costs."""
     state = ConeState(0.0, thresholds.copy(), np.ones(sources.k, dtype=bool), thresholds)
-    return height_field(state, sources, grid, dist)
+    return height_field(state, sources, grid, lists)
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:

@@ -1,9 +1,16 @@
 """Per-source feeding regions on a uniform grid.
 
 Each source with positive cone radius dominates the region where its cone
-height ``r_j - |x - y_j|`` beats every other cone and zero.  Areas are
-estimated by cell counting, which is first-order accurate in the grid
-spacing and refined on demand.
+height ``r_j - |x - y_j|`` beats every other cone and zero: an additively
+weighted (Apollonius) cell.  Areas are estimated by cell counting, which is
+first-order accurate in the grid spacing and refined on demand.
+
+A cell is only ever won by one of a few nearby sources, and during a run
+only the radii move.  ``SourceLists`` keeps, per cell, the few sources that
+can win while the radii stay near their values at the last rebuild, with
+their exact distances, so a partition reads (cells x few) values instead of
+a (cells x sources) matrix and gives the same labels and heights, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -16,6 +23,20 @@ import numpy as np
 from .geometry import ConvexDomain
 
 NONE_LABEL = -1
+
+# Cells per side of a rebuild tile: the tile pass measures tiles x sources,
+# 1/16 of the cells x sources matrix, and a tile's radius (about 2h) widens
+# the lists little.
+TILE = 4
+# Radius drift, in grid spacings, that the lists survive: about four maximal
+# RK2 advances (cones.STEP_SAFETY is 0.25).
+DRIFT = 1.0
+# A tile keeping more than k / DENSE_SHARE sources makes the lists save too
+# little over the full matrix to repay their gathers and rebuilds.
+DENSE_SHARE = 8
+# Rounding slack of the tile bound, relative to the extent of points, sources
+# and radii: far above the few ulps a distance or a difference can be off.
+SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,32 +108,138 @@ def distances(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     locations = np.asarray(locations, dtype=float)
-    dist = points[:, 0, None] - locations[None, :, 0]
-    dy = points[:, 1, None] - locations[None, :, 1]
-    dist *= dist
+    return _norm(points[:, 0, None] - locations[None, :, 0], points[:, 1, None] - locations[None, :, 1])
+
+
+def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), written over ``dx``: the arithmetic of ``distances``."""
+    dx *= dx
     dy *= dy
-    dist += dy
-    return np.sqrt(dist, out=dist)
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-def cone_values(points: np.ndarray, locations: np.ndarray, radii: np.ndarray, dist=None) -> np.ndarray:
-    """(m, k) array of r_j - |x_i - y_j|, one row per point and one column per source.
+class SourceLists:
+    """Per point, the sources that can win the argmax of r_j - |x - y_j|.
 
-    ``dist`` may pass ``distances(points, locations)`` computed beforehand.
+    Points and sources stay fixed; the radii may change from call to call.
+    At a rebuild with radii r0 each point keeps the sources with
+    r0_j - d_j >= max_i (r0_i - d_i) - 3 delta, in ascending index order,
+    with their exact distances, where delta = DRIFT * h.  The lists serve
+    while every |r_j - r0_j| <= delta: a source left out then stays at least
+    delta below the point's best, so every source tied at the maximum is
+    listed and an argmax over a list keeps the lowest-index tie rule of the
+    full row.  Snapshots go back in time, so the drift check is two-sided.
+
+    A rebuild finds each point's list from a tile pass: points are grouped
+    into tiles of TILE x TILE cells, each with a centre c and radius rho,
+    and a tile keeps the sources within 2 rho + 3 delta of its best value at
+    c.  When some tile keeps more than k / DENSE_SHARE sources, the lists
+    give way, for good, to the full (points, k) distance matrix.
+
+    ``rebuilds`` counts the builds (the full matrix counts once) and
+    ``max_candidates`` the longest list built (k for the full matrix).
     """
-    if dist is None:
-        dist = distances(points, locations)
-    return radii[None, :] - dist
+
+    def __init__(self, points, locations, h: float):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.locations = np.asarray(locations, dtype=float)
+        self.h = float(h)
+        self.delta = DRIFT * self.h
+        self.index = None  # (m, width) listed sources; None for the full matrix
+        self.dist = None   # (m, width) or (m, k) distances, +inf after a short list
+        self.base_radii = None  # the radii of the last rebuild
+        self.rebuilds = 0
+        self.max_candidates = 0
+        self._tiles = None
+
+    @property
+    def k(self) -> int:
+        return len(self.locations)
+
+    def best(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: the lowest-index source maximizing r_j - |x - y_j|, and that maximum."""
+        radii = np.asarray(radii, dtype=float)
+        if self.dist is None or (self.index is not None and np.abs(radii - self.base_radii).max() > self.delta):
+            self._rebuild(radii)
+        values = (radii if self.index is None else radii[self.index]) - self.dist
+        pos = np.argmax(values, axis=1)
+        rows = np.arange(len(values))
+        return (pos if self.index is None else self.index[rows, pos]), values[rows, pos]
+
+    def _rebuild(self, radii: np.ndarray) -> None:
+        self.rebuilds += 1
+        self.base_radii = radii.copy()
+        k, m = self.k, len(self.points)
+        # With k < DENSE_SHARE every tile keeps more than k / DENSE_SHARE sources.
+        if m > 0 and k >= DENSE_SHARE:
+            tile_of, centres, rho, extent = self._tile_geometry()
+            values = distances(centres, self.locations)
+            np.subtract(radii, values, out=values)
+            slack = SLACK * (extent + float(np.abs(radii).max()))
+            keep = values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
+            del values
+            if keep.sum(axis=1).max() <= k / DENSE_SHARE:
+                self._lists_from_tiles(radii, tile_of, keep)
+                return
+        self.index = None
+        self.dist = distances(self.points, self.locations)
+        self.max_candidates = k
+
+    def _tile_geometry(self):
+        """Tile of each point, each tile's centre and radius, and the extent of points and sources (cached)."""
+        if self._tiles is None:
+            p = self.points
+            cells = np.rint((p - p.min(axis=0)) / self.h).astype(np.int64) // TILE
+            _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
+            tile_of = tile_of.ravel()
+            members = np.bincount(tile_of)
+            centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
+            centres /= members[:, None]
+            reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
+            rho = np.zeros(len(members))
+            np.maximum.at(rho, tile_of, reach)
+            both = np.vstack([p, self.locations])
+            self._tiles = tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
+        return self._tiles
+
+    def _lists_from_tiles(self, radii, tile_of, keep) -> None:
+        """Each point's list, from exact distances to its tile's sources."""
+        k = self.k
+        rows, cols, slot, width = _pack(keep)
+        tile_index = np.full((len(keep), width), k)  # k: a source at infinity pads the rows
+        tile_index[rows, slot] = cols
+        index = tile_index[tile_of]
+        xs, ys = np.append(self.locations[:, 0], np.inf), np.append(self.locations[:, 1], np.inf)
+        dist = _norm(self.points[:, 0, None] - xs[index], self.points[:, 1, None] - ys[index])
+        values = np.append(radii, 0.0)[index] - dist
+        rows, cols, slot, width = _pack(values >= (values.max(axis=1) - 3.0 * self.delta)[:, None])
+        self.index = np.zeros((len(index), width), dtype=np.int64)
+        self.index[rows, slot] = index[rows, cols]
+        self.dist = np.full((len(index), width), np.inf)
+        self.dist[rows, slot] = dist[rows, cols]
+        self.max_candidates = max(self.max_candidates, width)
 
 
-def partition(grid: Grid, sources, radii, dist=None) -> Partition:
+def _pack(keep: np.ndarray):
+    """The True entries of each row of ``keep``, moved left in column order.
+
+    Returns their rows and columns, their slots in the packed rows and the
+    packed width.
+    """
+    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])  # ascending column within a row
+    counts = np.bincount(rows, minlength=len(keep))
+    slot = np.arange(len(cols)) - (np.cumsum(counts) - counts)[rows]
+    return rows, cols, slot, int(counts.max())
+
+
+def partition(grid: Grid, sources, radii, lists: SourceLists | None = None) -> Partition:
     """Label every inside cell by the dominating source.
 
     A cell belongs to source j when r_j - |x - y_j| is maximal among all
     sources and strictly positive; ties go to the lowest source index.
-    ``dist`` may pass the (inside cells, sources) matrix
-    ``distances(grid.inside_centers(), sources.locations)``, which stays
-    fixed while only the radii change; without it the matrix is computed here.
+    ``lists`` may pass the run's ``SourceLists`` of the grid's inside cells;
+    without it a one-shot one is built here.
     """
     radii = np.asarray(radii, dtype=float)
     locations = np.asarray(sources.locations, dtype=float)
@@ -121,39 +248,40 @@ def partition(grid: Grid, sources, radii, dist=None) -> Partition:
     if np.any(radii < 0.0):
         raise ValueError("radii must be non-negative")
     k = len(radii)
-    if dist is not None and dist.shape != (int(grid.inside_mask.sum()), k):
+    m = int(grid.inside_mask.sum())
+    if lists is not None and (len(lists.points) != m or lists.k != k or lists.h != grid.h):
         raise ValueError(
-            f"distance matrix of shape {dist.shape} does not match "
-            f"{int(grid.inside_mask.sum())} inside cells and {k} sources"
+            f"source lists of {len(lists.points)} points, {lists.k} sources and spacing {lists.h:.6g} "
+            f"do not match {m} inside cells, {k} sources and spacing {grid.h:.6g}"
         )
 
     labels = np.full((grid.ny, grid.nx), NONE_LABEL, dtype=np.int64)
     if k > 0 and np.any(radii > 0.0):
-        if dist is None:
-            dist = distances(grid.inside_centers(), locations)
-        values = radii[None, :] - dist
-        best = np.argmax(values, axis=1)           # lowest index wins ties
-        covered = values[np.arange(len(values)), best] > 0.0
-        labels[grid.inside_mask] = np.where(covered, best, NONE_LABEL)
+        if lists is None:
+            lists = SourceLists(grid.inside_centers(), locations, grid.h)
+        best, value = lists.best(radii)
+        labels[grid.inside_mask] = np.where(value > 0.0, best, NONE_LABEL)
 
     counts = np.bincount(labels[labels >= 0].ravel(), minlength=k)
     return Partition(grid=grid, labels=labels, areas=counts * grid.cell_area)
 
 
-def areas_only(grid: Grid, sources, radii, dist=None) -> np.ndarray:
-    return partition(grid, sources, radii, dist).areas
+def areas_only(grid: Grid, sources, radii, lists: SourceLists | None = None) -> np.ndarray:
+    return partition(grid, sources, radii, lists).areas
 
 
-def areas_with_floor(grid: Grid, domain: ConvexDomain, sources, radii, needs_area, dist=None) -> np.ndarray:
+def areas_with_floor(
+    grid: Grid, domain: ConvexDomain, sources, radii, needs_area, lists: SourceLists | None = None
+) -> np.ndarray:
     """Areas for the integrator: a needed source must have positive area.
 
     A source that still feeds the pile (positive radius below its escape
     cost) must occupy positive area; a zero count means the grid cannot
     resolve its region.  One halving is attempted before giving up.
-    ``dist`` is the cell-source distance matrix of ``grid`` (see
-    ``partition``); the halved grid computes its own.
+    ``lists`` are the ``SourceLists`` of ``grid`` (see ``partition``); the
+    halved grid builds its own.
     """
-    areas = areas_only(grid, sources, radii, dist)
+    areas = areas_only(grid, sources, radii, lists)
     needs_area = np.asarray(needs_area, dtype=bool)
     if not np.any(needs_area & (areas <= 0.0)):
         return areas

@@ -2,12 +2,14 @@
 
 Each function does, one source, edge or row at a time, what the package
 now does in one array pass.  The oracle tests assert that both give the
-same bits.
+same bits.  ``dense_partition`` and ``dense_heights`` are the full
+(points x sources) forms that ``regions.SourceLists`` replaced.
 """
 
 import numpy as np
 
 from silopile.geometry import _INV_GOLDEN, BoundaryPoint
+from silopile.regions import NONE_LABEL, distances
 from silopile.tolerances import GEOM_TOL, REFINE_TOL, TIE_TOL
 
 
@@ -185,3 +187,24 @@ def tree_duals(solver):
         raise RuntimeError("basis tree is not connected")
     v = cost[solver.col_row, np.arange(n)] - u[solver.col_row]
     return u, v
+
+
+def dense_partition(grid, sources, radii):
+    """Labels and areas from the full (inside cells, sources) matrix of r_j - |x - y_j|."""
+    radii = np.asarray(radii, dtype=float)
+    k = len(radii)
+    labels = np.full((grid.ny, grid.nx), NONE_LABEL, dtype=np.int64)
+    if k > 0 and np.any(radii > 0.0):
+        values = radii[None, :] - distances(grid.inside_centers(), sources.locations)
+        best = np.argmax(values, axis=1)  # lowest index wins ties
+        covered = values[np.arange(len(values)), best] > 0.0
+        labels[grid.inside_mask] = np.where(covered, best, NONE_LABEL)
+    counts = np.bincount(labels[labels >= 0].ravel(), minlength=k)
+    return labels, counts * grid.cell_area
+
+
+def dense_heights(radii, sources, points):
+    """Pile height max_j (r_j - |x - y_j|)+ from the full (points, sources) matrix."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.asarray(radii, dtype=float)[None, :] - distances(points, sources.locations)
+    return np.maximum(values.max(axis=1), 0.0)

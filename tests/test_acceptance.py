@@ -19,7 +19,7 @@ from silopile.fields import (
     spill_measure,
 )
 from silopile.geometry import ConvexDomain
-from silopile.regions import build_grid, partition
+from silopile.regions import SourceLists, build_grid, partition
 from silopile.sources import DensitySpec, UNIFORM_POLYGON, discretize, make_sources
 from silopile.verify import (
     build_problem,
@@ -113,23 +113,23 @@ def test_a3_structural_invariants():
     atom_gap = 0.0
     prev = None
     for state in traj.states:
-        ua = eval_height_many(state, s, pairs_a)
-        ub = eval_height_many(state, s, pairs_b)
+        ua = eval_height_many(state, SourceLists(pairs_a, s.locations, grid.h))
+        ub = eval_height_many(state, SourceLists(pairs_b, s.locations, grid.h))
         gaps = np.abs(ua - ub) - np.linalg.norm(pairs_a - pairs_b, axis=1)
         lip_slack = max(lip_slack, float(gaps.max()))
 
-        u_bdry = eval_height_many(state, s, node_pos)
+        u_bdry = eval_height_many(state, SourceLists(node_pos, s.locations, grid.h))
         bound_violation = max(
             bound_violation, float(max((-u_bdry).max(), (u_bdry - walls).max()))
         )
 
-        u_grid = eval_height_many(state, s, centers)
+        u_grid = eval_height_many(state, SourceLists(centers, s.locations, grid.h))
         if prev is not None:
             monotone_violation = max(monotone_violation, float((prev - u_grid).max()))
         prev = u_grid
 
         for bp, _ in spill_measure(state, s, traj.spill_atoms).atoms:
-            u_atom = eval_height_many(state, s, bp.position[None, :])[0]
+            u_atom = eval_height_many(state, SourceLists(bp.position, s.locations, grid.h))[0]
             atom_gap = max(atom_gap, abs(u_atom - dom.wall_height(bp)))
 
     ok = (
@@ -180,7 +180,7 @@ def test_a5_equilibrium():
 
     grid = build_grid(dom, h)
     centers = grid.inside_centers()
-    u_sim = eval_height_many(traj.final_state, s, centers)
+    u_sim = eval_height_many(traj.final_state, traj.lists)
     closed = np.maximum(0.5 - np.linalg.norm(centers - 0.5, axis=1), 0.0)
     sup = float(np.abs(u_sim - closed).max())
 
@@ -232,13 +232,11 @@ def test_a7_comparison_principle():
     dom, s, traj = three_source_run(h=h, times=times)
     doubled = make_sources(dom, s.locations, 2.0 * s.rates)
     traj2 = run(doubled, dom, 0.3, list(times), h)
-    grid = build_grid(dom, h)
-    centers = grid.inside_centers()
 
     worst = -np.inf
     for st1, st2 in zip(traj.states, traj2.states):
-        u1 = eval_height_many(st1, s, centers)
-        u2 = eval_height_many(st2, doubled, centers)
+        u1 = eval_height_many(st1, traj.lists)
+        u2 = eval_height_many(st2, traj2.lists)
         worst = max(worst, float((u1 - u2).max()))
     report("A7", worst <= 1e-12, f"max undershoot {worst:.2e}")
 
@@ -250,14 +248,12 @@ def test_a8_source_convergence():
         total_mass=1.0,
         polygon=np.array([[1, 1], [3, 1], [3, 3], [1, 3]], dtype=float),
     )
-    grid = build_grid(dom, 1 / 32)
-    centers = grid.inside_centers()
     times = [0.2, 0.5]
     fields = {}
     for n in (4, 16, 64):
         s = discretize(f, n, dom)
         traj = run(s, dom, 0.5, times, 1 / 32)
-        fields[n] = [eval_height_many(state, s, centers) for state in traj.states]
+        fields[n] = [eval_height_many(state, traj.lists) for state in traj.states]
 
     ok = True
     detail = []

@@ -80,6 +80,29 @@ directory = {out}
 """
 
 
+# 256 sources at h = 1/64: short source lists, as in the benchmark's grow workload.
+MANY_SOURCES = """
+[domain]
+vertices = 0 0 ; 1 0 ; 1 1 ; 0 1
+wall_values = 0 0.02 0.01 0.03
+
+[sources]
+kind = uniform-on-polygon
+polygon = 0.05 0.05 ; 0.95 0.05 ; 0.95 0.95 ; 0.05 0.95
+total_mass = 1.0
+n = 256
+
+[run]
+horizon = 0.02
+snapshot_times = 0.005 0.02
+
+[grid]
+h = 0.015625
+
+[output]
+directory = {out}
+"""
+
 GAUSSIAN_CONFIG = CONVERGE_CONFIG.replace(
     "kind = uniform-on-polygon\npolygon = 1 1 ; 3 1 ; 3 3 ; 1 3",
     "kind = gaussian-truncated\ncenter = 2 2\nsigma = 0.3\nradius = 0.9",
@@ -209,38 +232,56 @@ class TestSimulate:
         assert sum(points) == 2
 
     def test_distances_once_per_run(self, tmp_path, monkeypatch):
-        # One cell-source matrix per run, shared by the RK2 steps and the
-        # snapshot loop, however many steps the horizon takes.
+        # One set of source lists per run, shared by the RK2 steps and the
+        # snapshot loop, however many steps the horizon takes.  With two
+        # sources they hold the full cells x sources matrix, built once; with
+        # 256 they never build it.
         from silopile import cones, regions
 
-        calls, steps = [], []
-        distances, step = regions.distances, cones.step
+        built, shapes, steps = [], [], []
+        lists_type, distances, step = regions.SourceLists, regions.distances, cones.step
+
+        def counted_lists(points, locations, h):
+            built.append(len(points))
+            return lists_type(points, locations, h)
 
         def counted_distances(points, locations):
-            calls.append(len(points))
+            shapes.append((len(points), len(locations)))
             return distances(points, locations)
 
         def counted_step(*args, **kwargs):
             steps.append(args[0].time)
             return step(*args, **kwargs)
 
-        for module in (regions, cones, cli):
-            if hasattr(module, "distances"):
-                monkeypatch.setattr(module, "distances", counted_distances)
+        monkeypatch.setattr(cones, "SourceLists", counted_lists)
+        monkeypatch.setattr(regions, "distances", counted_distances)
         monkeypatch.setattr(cones, "step", counted_step)
+
+        def simulate(template, where):
+            (tmp_path / where).mkdir()
+            path, out = write_config(tmp_path / where, template)
+            built.clear()
+            shapes.clear()
+            steps.clear()
+            assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+            cells = int(parse_config(path).grid_h ** -2)  # the unit square's inside cells
+            return len(built), len(steps), [shape for shape in shapes if shape[0] == cells], out
+
         per_horizon = []
         for horizon, times in (("0.12", "0.05 0.12"), ("0.3", "0.05 0.12 0.3")):
             template = SINGLE_SOURCE.replace("horizon = 0.3", f"horizon = {horizon}").replace(
                 "snapshot_times = 0.05 0.12 0.3", f"snapshot_times = {times}")
-            (tmp_path / horizon).mkdir()
-            path, out = write_config(tmp_path / horizon, template)
-            calls.clear()
-            steps.clear()
-            assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-            per_horizon.append((len(calls), len(steps)))
-        (calls_short, steps_short), (calls_long, steps_long) = per_horizon
+            per_horizon.append(simulate(template, horizon))
+        (built_short, steps_short, full_short, _), (built_long, steps_long, full_long, _) = per_horizon
         assert 0 < steps_short < steps_long
-        assert calls_short == calls_long == 1
+        assert built_short == built_long == 1
+        assert full_short == full_long == [(1024, 2)]
+
+        built_many, steps_many, full_many, out = simulate(MANY_SOURCES, "many")
+        assert built_many == 1 and steps_many > 0
+        assert full_many == []
+        timings = parse_manifest(out / "manifest.txt")["timings"]
+        assert any(line.startswith("partition_rebuilds = ") for line in timings)
 
     def test_does_not_import_the_dual_solver(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -331,6 +372,17 @@ class TestVerify:
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
+
+    def test_partition_counters_survive_verify(self, tmp_path):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
+        # Two sources: the full matrix, built once, with both sources per cell.
+        assert timings["partition_rebuilds"] == "1"
+        assert timings["max_candidates"] == "2"
+        assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])
+        assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
     def test_writer_round_trips_parsed_manifest(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
+from silopile.cones import ConeState
+from silopile.fields import eval_height_many, height_field
 from silopile.geometry import ConvexDomain
-from silopile.regions import NONE_LABEL, areas_with_floor, build_grid, distances, partition
+from silopile.regions import NONE_LABEL, SourceLists, areas_with_floor, build_grid, distances, partition
 from silopile.sources import make_sources
 
 
@@ -54,12 +59,14 @@ class TestPartition:
         right = p.labels == 1
         assert centers[left][:, 0].max() < 2.0
         assert centers[right][:, 0].min() > 2.0
-        # The run's precomputed matrix labels as a fresh partition does, also
+        # A run's persistent lists label as a one-shot partition does, also
         # for a pair mirrored about a cell column, whose exact ties go to 0.
         for shift in (0.0, 1 / 128):
             pair = make_sources(big_square, [(1 + shift, 2), (3 + shift, 2)], [1.0, 1.0])
+            lists = SourceLists(g.inside_centers(), pair.locations, g.h)
+            partition(g, pair, [1.6, 1.4], lists)
             fresh = partition(g, pair, [1.5, 1.5])
-            cached = partition(g, pair, [1.5, 1.5], distances(g.inside_centers(), pair.locations))
+            cached = partition(g, pair, [1.5, 1.5], lists)
             np.testing.assert_array_equal(cached.labels, fresh.labels)
             np.testing.assert_array_equal(cached.areas, fresh.areas)
         tie_column = cached.labels[:, centers[0, :, 0] == 2 + 1 / 128]
@@ -67,10 +74,15 @@ class TestPartition:
         assert cached.areas[0] > cached.areas[1]
 
     def test_rejects_mismatched_distances(self, big_square):
+        # Lists hold the distances of one point set, source set and spacing.
         s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
         g = build_grid(big_square, 1 / 16)
-        dist = distances(g.inside_centers(), s.locations)
-        for bad in (dist.T, dist[:-1], dist[:, :1]):
+        centers = g.inside_centers()
+        for bad in (
+            SourceLists(centers[:-1], s.locations, g.h),
+            SourceLists(centers, s.locations[:1], g.h),
+            SourceLists(centers, s.locations, g.h / 2),
+        ):
             with pytest.raises(ValueError):
                 partition(g, s, [1.5, 1.5], bad)
 
@@ -148,3 +160,172 @@ class TestAreaFloor:
         areas = areas_with_floor(g, big_square, s, [0.08], [True])
         assert areas[0] > 0.0
 
+
+
+UNIT = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.0] * 4)
+
+
+def assert_dense_bits(grid, sources, lists, radii):
+    """Labels, areas, best values and heights through ``lists`` equal the full matrix's bits."""
+    radii = np.asarray(radii, dtype=float)
+    values = radii[None, :] - distances(lists.points, sources.locations)
+    best, value = lists.best(radii)
+    assert np.array_equal(best, np.argmax(values, axis=1))
+    assert np.array_equal(value.view(np.uint64), values.max(axis=1).view(np.uint64))
+    part = partition(grid, sources, radii, lists)
+    labels, areas = ref.dense_partition(grid, sources, radii)
+    assert np.array_equal(part.labels, labels)
+    assert np.array_equal(part.areas, areas)
+    state = ConeState(0.0, radii, np.zeros(len(radii), dtype=bool), np.full(len(radii), 1e9))
+    dense = ref.dense_heights(radii, sources, lists.points)
+    assert np.array_equal(eval_height_many(state, lists).view(np.uint64), dense.view(np.uint64))
+    u = height_field(state, sources, grid, lists).values[grid.inside_mask]
+    assert np.array_equal(u.view(np.uint64), dense.view(np.uint64))
+
+
+def lattice_sources(n, h):
+    """n x n sources on cell centres of the unit square's h-grid, spaced 1/n: dyadic, so ties are exact."""
+    per = round(1 / (n * h))
+    xs = (np.arange(n) * per + per // 2 + 0.5) * h
+    gx, gy = np.meshgrid(xs, xs)
+    return make_sources(UNIT, np.stack([gx.ravel(), gy.ravel()], axis=1), np.ones(n * n))
+
+
+class TestSourceLists:
+    """``SourceLists`` against the full (cells x sources) matrix it replaced, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # (sources per side, h): the full matrix for n <= 4, mostly short lists beyond.
+        case=st.sampled_from([(1, 1 / 32), (2, 1 / 32), (4, 1 / 64), (8, 1 / 128), (16, 1 / 64), (16, 1 / 64)]),
+        steps=st.integers(4, 12),
+        frozen_share=st.floats(0.0, 0.5),
+    )
+    def test_growing_radii_with_backward_jumps(self, seed, case, steps, frozen_share):
+        n, h = case
+        rng = np.random.default_rng(seed)
+        k = n * n
+        lattice = (np.stack(np.meshgrid(np.arange(n), np.arange(n)), axis=-1).reshape(-1, 2) + 0.5) / n
+        s = make_sources(UNIT, lattice + rng.uniform(-0.4, 0.4, (k, 2)) / n, np.ones(k))
+        g = build_grid(UNIT, h)
+        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        frozen = rng.random(k) < frozen_share
+        radii = np.where(rng.random(k) < 0.2, 0.0, rng.uniform(0.0, 0.5 / n, k))
+        history = [radii]
+        for _ in range(steps):
+            step = rng.uniform(0.0, 0.6 * h, k)
+            if rng.random() < 0.2:
+                step *= 5.0  # a jump beyond the drift bound
+            radii = np.where(frozen, radii, radii + step)
+            history.append(radii)
+            assert_dense_bits(g, s, lists, radii)
+        # Snapshots go back in time, by more than the drift bound.
+        for earlier in rng.permutation(len(history)):
+            assert_dense_bits(g, s, lists, history[earlier])
+        assert 1 <= lists.rebuilds <= 2 * steps + 2
+        assert lists.max_candidates <= k
+
+    @settings(max_examples=10, deadline=None)
+    @given(radius=st.floats(0.0, 0.3), growth=st.floats(0.0, 0.05), n=st.sampled_from([4, 8]))
+    def test_lattice_ties_with_equal_radii(self, radius, growth, n):
+        g = build_grid(UNIT, 1 / 64)
+        s = lattice_sources(n, g.h)
+        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        for r in (radius, radius + growth, radius + 2 * growth, radius):
+            assert_dense_bits(g, s, lists, np.full(s.k, r))
+        if n == 8:
+            assert lists.index is not None  # short lists, not the full matrix
+
+    def test_lattice_ties_split_lowest_index(self):
+        g = build_grid(UNIT, 1 / 64)
+        s = lattice_sources(8, g.h)
+        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        part = partition(g, s, np.full(s.k, 0.2), lists)
+        assert lists.index is not None
+        # Cells on the bisector column between the first two lattice columns tie exactly.
+        column = g.cell_centers()[0, :, 0] == 0.5 * (s.locations[0, 0] + s.locations[1, 0])
+        assert np.any(column)
+        on_column = part.labels[:, column].ravel()
+        assert np.all(on_column % 8 != 1)  # ties go to the lower source
+
+    @settings(max_examples=10, deadline=None)
+    @given(half=st.integers(1, 40), rows=st.integers(0, 20), r=st.floats(0.05, 0.6))
+    def test_mirror_pairs_tie_to_lowest_index(self, half, rows, r):
+        g = build_grid(UNIT, 1 / 64)
+        axis = 32.5 / 64  # a column of cell centres
+        y = (20 + rows + 0.5) / 64
+        pts = [(axis - half / 128, y), (axis + half / 128, y)]
+        pts += [(x, 0.9) for x in np.linspace(0.05, 0.95, 14)]
+        s = make_sources(UNIT, pts, np.ones(len(pts)))
+        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        radii = np.r_[r, r, np.zeros(14)]
+        assert_dense_bits(g, s, lists, radii)
+        assert_dense_bits(g, s, lists, radii * 0.5)
+
+    def test_tie_at_the_drift_bound(self):
+        # Source 0 sits exactly 2 delta below source 1 at the rebuild; both
+        # then move by exactly delta, towards each other, and tie on the
+        # mirror column.  A margin of 2 delta loses source 0 to rounding
+        # where b - d crosses a power of two; 3 delta keeps it.  Sixty-two
+        # far sources of radius zero keep the lists short.
+        dom = ConvexDomain([(0, 0), (2, 0), (2, 2), (0, 2)], [0.0] * 4)
+        g = build_grid(dom, 1 / 64)
+        axis = 64.5 / 64  # a column of cell centres
+        pts = [(axis - 10 / 64, 1.0 + 0.5 / 64), (axis + 10 / 64, 1.0 + 0.5 / 64)]
+        pts += [(x, y) for y in (0.03, 1.97) for x in np.linspace(0.05, 1.95, 31)]
+        s = make_sources(dom, pts, np.ones(len(pts)))
+        far = np.zeros(62)
+        for b in 1.0 + np.arange(0, 64, 4) / 64:
+            lists = SourceLists(g.inside_centers(), s.locations, g.h)
+            assert_dense_bits(g, s, lists, np.r_[b - 2 * g.h, b, far])
+            assert_dense_bits(g, s, lists, np.r_[b - g.h, b - g.h, far])
+            assert lists.index is not None and lists.rebuilds == 1
+
+    def test_full_matrix_for_few_sources_and_crowded_tiles(self):
+        g = build_grid(UNIT, 1 / 32)
+        one = make_sources(UNIT, [(0.3, 0.6)], [1.0])
+        lists = SourceLists(g.inside_centers(), one.locations, g.h)
+        for r in (0.0, 0.2, 0.1):
+            assert_dense_bits(g, one, lists, [r])
+        assert lists.index is None and lists.max_candidates == 1
+        # Sixteen sources crowded into one tile: every tile keeps all of them.
+        rng = np.random.default_rng(3)
+        crowd = make_sources(UNIT, 0.5 + rng.uniform(-0.05, 0.05, (16, 2)), np.ones(16))
+        lists = SourceLists(g.inside_centers(), crowd.locations, g.h)
+        radii = rng.uniform(0.0, 0.3, 16)
+        for scale in (1.0, 1.5, 0.2, 0.0):
+            assert_dense_bits(g, crowd, lists, radii * scale)
+        assert lists.index is None and lists.rebuilds == 1 and lists.max_candidates == 16
+
+    def test_zero_radii_and_uncovered_cells(self):
+        g = build_grid(UNIT, 1 / 64)
+        s = lattice_sources(8, g.h)
+        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        assert_dense_bits(g, s, lists, np.zeros(s.k))
+        radii = np.zeros(s.k)
+        radii[::3] = 0.02  # most cells have best value <= 0
+        assert_dense_bits(g, s, lists, radii)
+        assert np.any(lists.best(radii)[1] <= 0.0)
+
+
+def test_memory_stays_below_a_quarter_of_the_dense_matrix():
+    # k = 1024 sources on the h = 1/128 unit square: the full matrix is
+    # 16,384 cells x 1024 sources x 8 B = 128 MiB.
+    g = build_grid(UNIT, 1 / 128)
+    s = lattice_sources(32, 1 / 1024)
+    rng = np.random.default_rng(1)
+    radii = rng.uniform(0.0, 0.04, s.k)
+    state = ConeState(0.0, radii, np.zeros(s.k, dtype=bool), np.full(s.k, 1e9))
+    dense_bytes = int(g.inside_mask.sum()) * s.k * 8
+    tracemalloc.start()
+    try:
+        part = partition(g, s, radii)
+        u = height_field(state, s, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4, f"peak {peak / 2**20:.1f} MiB"
+    labels, areas = ref.dense_partition(g, s, radii)
+    assert np.array_equal(part.labels, labels) and np.array_equal(part.areas, areas)
+    assert np.array_equal(u.values[g.inside_mask], ref.dense_heights(radii, s, g.inside_centers()))
