@@ -4,7 +4,7 @@ Each rung runs ``simulate`` on 256 or 1024 sources uniform on
 [0.05, 0.95]^2 in the unit silo, at grid spacing 1/64, 1/128 or 1/256, in
 a fresh process.  Wall time is measured around the process; peak RSS is
 the child's own maximum resident set, from ``os.wait4``.  The rungs and
-their numbers are written to ``BENCH_<label>.json``.
+their numbers are written to ``BENCH_<label>.json`` in the working directory.
 
     python scripts/scale_ladder.py --label mine            # all six rungs
     python scripts/scale_ladder.py --label ci --smallest   # 256 sources at h = 1/64 only
@@ -72,7 +72,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--smallest", action="store_true", help="run only the smallest rung")
-    parser.add_argument("--out", default=".", help="directory of the output file")
     args = parser.parse_args(argv)
 
     rungs = [(k, h) for k in SOURCES for h in SPACINGS]
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
             results.append(result)
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
                   f"peak RSS {result['peak_rss_mb']:8.1f} MB  exit {result['exit_code']}")
-    path = Path(args.out) / f"BENCH_{args.label}.json"
+    path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps({
         "label": args.label,
         "horizon": HORIZON,

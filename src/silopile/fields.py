@@ -62,7 +62,7 @@ def eval_height_many(state: ConeState, lists: SourceLists) -> np.ndarray:
 def height_field(state: ConeState, sources: SourceSet, grid: Grid, lists: SourceLists | None = None) -> GridField:
     """Pile height at the inside cells; ``lists`` as in ``regions.partition``."""
     if lists is None:
-        lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
+        lists = SourceLists(grid.inside_centers(), sources.locations)
     values = np.zeros((grid.ny, grid.nx))
     values[grid.inside_mask] = eval_height_many(state, lists)
     return GridField(grid=grid, values=values)

@@ -28,11 +28,12 @@ NONE_LABEL = -1
 # 1/16 of the cells x sources matrix, and a tile's radius (about 2h) widens
 # the lists little.
 TILE = 4
-# Radius drift, in grid spacings, that the lists survive: about four maximal
-# RK2 advances (cones.STEP_SAFETY is 0.25).
-DRIFT = 1.0
-# A tile keeping more than k / DENSE_SHARE sources makes the lists save too
-# little over the full matrix to repay their gathers and rebuilds.
+# A tile keeping more than k / DENSE_SHARE sources gives way to full lists of
+# all k sources, computed once and never rebuilt.  Measured on the benchmark
+# (2-core VM, 16 in-process passes): short lists for every k made a certify
+# (k = 2) pass rebuild 53 times and spend 98 ms in ``best``, against 39 ms
+# with full lists (pass medians 0.39 and 0.32 s), and a refine (k = 4, 16)
+# pass 49 ms against 36 ms; grow (k = 256) keeps at most 20 sources per tile.
 DENSE_SHARE = 8
 # Rounding slack of the tile bound, relative to the extent of points, sources
 # and radii: far above the few ulps a distance or a difference can be off.
@@ -125,29 +126,34 @@ class SourceLists:
     Points and sources stay fixed; the radii may change from call to call.
     At a rebuild with radii r0 each point keeps the sources with
     r0_j - d_j >= max_i (r0_i - d_i) - 3 delta, in ascending index order,
-    with their exact distances, where delta = DRIFT * h.  The lists serve
-    while every |r_j - r0_j| <= delta: a source left out then stays at least
-    delta below the point's best, so every source tied at the maximum is
-    listed and an argmax over a list keeps the lowest-index tie rule of the
-    full row.  Snapshots go back in time, so the drift check is two-sided.
+    with their exact distances.  The lists serve while every
+    |r_j - r0_j| <= delta: a source left out then stays at least delta
+    below the point's best, so every source tied at the maximum is listed
+    and an argmax over a list keeps the lowest-index tie rule of the full
+    row.  Snapshots go back in time, so the drift check is two-sided.
+
+    ``h`` is the spacing of the grid the points are the cell centres of;
+    delta = h, so the lists of a run survive a few steps.  Without it the
+    lists are for one set of radii: delta = 0, and any change of radii
+    rebuilds them.
 
     A rebuild finds each point's list from a tile pass: points are grouped
-    into tiles of TILE x TILE cells, each with a centre c and radius rho,
-    and a tile keeps the sources within 2 rho + 3 delta of its best value at
-    c.  When some tile keeps more than k / DENSE_SHARE sources, the lists
-    give way, for good, to the full (points, k) distance matrix.
+    into tiles of TILE x TILE cells (of spacing h, or of the points' extent
+    over the square root of their count), each with a centre c and radius
+    rho, and a tile keeps the sources within 2 rho + 3 delta of its best
+    value at c.  When some tile keeps more than k / DENSE_SHARE sources,
+    every point lists all k sources instead; such lists serve any radii.
 
-    ``rebuilds`` counts the builds (the full matrix counts once) and
-    ``max_candidates`` the longest list built (k for the full matrix).
+    ``rebuilds`` counts the builds and ``max_candidates`` the longest list built.
     """
 
-    def __init__(self, points, locations, h: float):
+    def __init__(self, points, locations, h: float | None = None):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.locations = np.asarray(locations, dtype=float)
-        self.h = float(h)
-        self.delta = DRIFT * self.h
-        self.index = None  # (m, width) listed sources; None for the full matrix
-        self.dist = None   # (m, width) or (m, k) distances, +inf after a short list
+        self.h = h
+        self.delta = 0.0 if h is None else float(h)
+        self.index = None  # (m, width) listed sources, ascending; one shared row for full lists
+        self.dist = None   # (m, width) their distances, +inf after a short list
         self.base_radii = None  # the radii of the last rebuild
         self.rebuilds = 0
         self.max_candidates = 0
@@ -160,52 +166,28 @@ class SourceLists:
     def best(self, radii) -> tuple[np.ndarray, np.ndarray]:
         """Per point: the lowest-index source maximizing r_j - |x - y_j|, and that maximum."""
         radii = np.asarray(radii, dtype=float)
-        if self.dist is None or (self.index is not None and np.abs(radii - self.base_radii).max() > self.delta):
+        if len(self.points) == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        if self.base_radii is None or np.abs(radii - self.base_radii).max() > self.delta:
             self._rebuild(radii)
-        values = (radii if self.index is None else radii[self.index]) - self.dist
+        values = radii[self.index] - self.dist
         pos = np.argmax(values, axis=1)
         rows = np.arange(len(values))
-        return (pos if self.index is None else self.index[rows, pos]), values[rows, pos]
+        return self.index[rows if len(self.index) > 1 else 0, pos], values[rows, pos]
 
     def _rebuild(self, radii: np.ndarray) -> None:
         self.rebuilds += 1
         self.base_radii = radii.copy()
-        k, m = self.k, len(self.points)
-        # With k < DENSE_SHARE every tile keeps more than k / DENSE_SHARE sources.
-        if m > 0 and k >= DENSE_SHARE:
-            tile_of, centres, rho, extent = self._tile_geometry()
-            values = distances(centres, self.locations)
-            np.subtract(radii, values, out=values)
-            slack = SLACK * (extent + float(np.abs(radii).max()))
-            keep = values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
-            del values
-            if keep.sum(axis=1).max() <= k / DENSE_SHARE:
-                self._lists_from_tiles(radii, tile_of, keep)
-                return
-        self.index = None
-        self.dist = distances(self.points, self.locations)
-        self.max_candidates = k
-
-    def _tile_geometry(self):
-        """Tile of each point, each tile's centre and radius, and the extent of points and sources (cached)."""
-        if self._tiles is None:
-            p = self.points
-            cells = np.rint((p - p.min(axis=0)) / self.h).astype(np.int64) // TILE
-            _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
-            tile_of = tile_of.ravel()
-            members = np.bincount(tile_of)
-            centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
-            centres /= members[:, None]
-            reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
-            rho = np.zeros(len(members))
-            np.maximum.at(rho, tile_of, reach)
-            both = np.vstack([p, self.locations])
-            self._tiles = tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
-        return self._tiles
-
-    def _lists_from_tiles(self, radii, tile_of, keep) -> None:
-        """Each point's list, from exact distances to its tile's sources."""
         k = self.k
+        # With k < DENSE_SHARE every tile keeps more than k / DENSE_SHARE sources.
+        keep = self._tile_candidates(radii) if k >= DENSE_SHARE else None
+        if keep is None or keep.sum(axis=1).max() > k / DENSE_SHARE:
+            self.index = np.arange(k)[None, :]
+            self.dist = distances(self.points, self.locations)
+            self.delta = np.inf
+            self.max_candidates = k
+            return
+        tile_of = self._tile_geometry()[0]
         rows, cols, slot, width = _pack(keep)
         tile_index = np.full((len(keep), width), k)  # k: a source at infinity pads the rows
         tile_index[rows, slot] = cols
@@ -219,6 +201,32 @@ class SourceLists:
         self.dist = np.full((len(index), width), np.inf)
         self.dist[rows, slot] = dist[rows, cols]
         self.max_candidates = max(self.max_candidates, width)
+
+    def _tile_candidates(self, radii: np.ndarray) -> np.ndarray:
+        """(tiles, k) bool: the sources within 2 rho + 3 delta of each tile's best at its centre."""
+        _, centres, rho, extent = self._tile_geometry()
+        values = distances(centres, self.locations)
+        np.subtract(radii, values, out=values)
+        slack = SLACK * (extent + float(np.abs(radii).max()))
+        return values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
+
+    def _tile_geometry(self):
+        """Tile of each point, each tile's centre and radius, and the extent of points and sources (cached)."""
+        if self._tiles is None:
+            p = self.points
+            spacing = self.h or float(np.ptp(p, axis=0).max()) / np.sqrt(len(p)) or 1.0
+            cells = np.rint((p - p.min(axis=0)) / spacing).astype(np.int64) // TILE
+            _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
+            tile_of = tile_of.ravel()
+            members = np.bincount(tile_of)
+            centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
+            centres /= members[:, None]
+            reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
+            rho = np.zeros(len(members))
+            np.maximum.at(rho, tile_of, reach)
+            both = np.vstack([p, self.locations])
+            self._tiles = tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
+        return self._tiles
 
 
 def _pack(keep: np.ndarray):
@@ -251,14 +259,14 @@ def partition(grid: Grid, sources, radii, lists: SourceLists | None = None) -> P
     m = int(grid.inside_mask.sum())
     if lists is not None and (len(lists.points) != m or lists.k != k or lists.h != grid.h):
         raise ValueError(
-            f"source lists of {len(lists.points)} points, {lists.k} sources and spacing {lists.h:.6g} "
-            f"do not match {m} inside cells, {k} sources and spacing {grid.h:.6g}"
+            f"source lists of {len(lists.points)} points, {lists.k} sources and spacing {lists.h} "
+            f"do not match {m} inside cells, {k} sources and spacing {grid.h}"
         )
 
     labels = np.full((grid.ny, grid.nx), NONE_LABEL, dtype=np.int64)
     if k > 0 and np.any(radii > 0.0):
         if lists is None:
-            lists = SourceLists(grid.inside_centers(), locations, grid.h)
+            lists = SourceLists(grid.inside_centers(), locations)
         best, value = lists.best(radii)
         labels[grid.inside_mask] = np.where(value > 0.0, best, NONE_LABEL)
 

@@ -308,7 +308,7 @@ def certify(
 def snapshot_heights(state: ConeState, sources: SourceSet, p: DiscreteProblem):
     """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem."""
     nodes = (p.supply_locations, p.demand_locations, p.boundary_positions)
-    return tuple(eval_height_many(state, SourceLists(x, sources.locations, p.h)) for x in nodes)
+    return tuple(eval_height_many(state, SourceLists(x, sources.locations)) for x in nodes)
 
 
 def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:

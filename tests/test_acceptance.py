@@ -113,23 +113,23 @@ def test_a3_structural_invariants():
     atom_gap = 0.0
     prev = None
     for state in traj.states:
-        ua = eval_height_many(state, SourceLists(pairs_a, s.locations, grid.h))
-        ub = eval_height_many(state, SourceLists(pairs_b, s.locations, grid.h))
+        ua = eval_height_many(state, SourceLists(pairs_a, s.locations))
+        ub = eval_height_many(state, SourceLists(pairs_b, s.locations))
         gaps = np.abs(ua - ub) - np.linalg.norm(pairs_a - pairs_b, axis=1)
         lip_slack = max(lip_slack, float(gaps.max()))
 
-        u_bdry = eval_height_many(state, SourceLists(node_pos, s.locations, grid.h))
+        u_bdry = eval_height_many(state, SourceLists(node_pos, s.locations))
         bound_violation = max(
             bound_violation, float(max((-u_bdry).max(), (u_bdry - walls).max()))
         )
 
-        u_grid = eval_height_many(state, SourceLists(centers, s.locations, grid.h))
+        u_grid = eval_height_many(state, SourceLists(centers, s.locations))
         if prev is not None:
             monotone_violation = max(monotone_violation, float((prev - u_grid).max()))
         prev = u_grid
 
         for bp, _ in spill_measure(state, s, traj.spill_atoms).atoms:
-            u_atom = eval_height_many(state, SourceLists(bp.position, s.locations, grid.h))[0]
+            u_atom = eval_height_many(state, SourceLists(bp.position, s.locations))[0]
             atom_gap = max(atom_gap, abs(u_atom - dom.wall_height(bp)))
 
     ok = (

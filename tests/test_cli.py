@@ -378,7 +378,7 @@ class TestVerify:
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
-        # Two sources: the full matrix, built once, with both sources per cell.
+        # Two sources: full lists, built once, with both sources per cell.
         assert timings["partition_rebuilds"] == "1"
         assert timings["max_candidates"] == "2"
         assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])

@@ -50,17 +50,17 @@ class TestEvalHeight:
     def test_apex_value(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((2, 2), s.locations, 1 / 64))[0] == pytest.approx(0.5)
+        assert eval_height_many(state, SourceLists((2, 2), s.locations))[0] == pytest.approx(0.5)
 
     def test_cone_slope(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((2.3, 2.2), s.locations, 1 / 64))[0] == pytest.approx(0.5 - np.sqrt(0.13))
+        assert eval_height_many(state, SourceLists((2.3, 2.2), s.locations))[0] == pytest.approx(0.5 - np.sqrt(0.13))
 
     def test_clipped_to_zero(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((3.5, 3.5), s.locations, 1 / 64))[0] == 0.0
+        assert eval_height_many(state, SourceLists((3.5, 3.5), s.locations))[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -73,7 +73,7 @@ class TestEvalHeight:
         state = ConeState(
             0.0, np.array([0.8, 1.1]), np.array([False, False]), dom.escape_cost(s.locations)[0]
         )
-        u1, u2 = eval_height_many(state, SourceLists([(x1, y1), (x2, y2)], s.locations, 1 / 64))
+        u1, u2 = eval_height_many(state, SourceLists([(x1, y1), (x2, y2)], s.locations))
         assert abs(u1 - u2) <= np.hypot(x1 - x2, y1 - y2) + 1e-12
 
 
@@ -136,7 +136,7 @@ class TestSpillMeasure:
         grid = build_grid(unit_square, 1 / 64)
         u = height_field(state, s, grid)
         for alt in (unit_square.boundary_point(edge, 0.5) for edge in range(4)):
-            u_alt = eval_height_many(state, SourceLists(alt.position, s.locations, grid.h))[0]
+            u_alt = eval_height_many(state, SourceLists(alt.position, s.locations))[0]
             assert u_alt == pytest.approx(unit_square.wall_height(alt), abs=1e-9)
         assert u.values.max() <= 0.5 + 1e-12
 
@@ -225,7 +225,7 @@ class TestFieldInvariants:
         walls = np.array([dom.wall_height(b) for b in nodes])
         prev = None
         for state in traj.states:
-            ub = eval_height_many(state, SourceLists(node_pos, s.locations, h))
+            ub = eval_height_many(state, SourceLists(node_pos, s.locations))
             assert np.all(ub >= 0.0)
             assert np.all(ub <= walls + 1e-9)
             u = eval_height_many(state, traj.lists)
@@ -239,7 +239,7 @@ class TestFieldInvariants:
         assert final.frozen.any()
         nu = spill_measure(final, s, traj.spill_atoms)
         for bp, _ in nu.atoms:
-            assert eval_height_many(final, SourceLists(bp.position, s.locations, traj.grid.h))[0] == pytest.approx(dom.wall_height(bp), abs=1e-9)
+            assert eval_height_many(final, SourceLists(bp.position, s.locations))[0] == pytest.approx(dom.wall_height(bp), abs=1e-9)
 
     def test_weak_form_residual_first_order(self):
         for h in (1 / 64, 1 / 128):

@@ -197,7 +197,7 @@ class TestSourceLists:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        # (sources per side, h): the full matrix for n <= 4, mostly short lists beyond.
+        # (sources per side, h): full lists for n <= 4, mostly short lists beyond.
         case=st.sampled_from([(1, 1 / 32), (2, 1 / 32), (4, 1 / 64), (8, 1 / 128), (16, 1 / 64), (16, 1 / 64)]),
         steps=st.integers(4, 12),
         frozen_share=st.floats(0.0, 0.5),
@@ -235,14 +235,14 @@ class TestSourceLists:
         for r in (radius, radius + growth, radius + 2 * growth, radius):
             assert_dense_bits(g, s, lists, np.full(s.k, r))
         if n == 8:
-            assert lists.index is not None  # short lists, not the full matrix
+            assert lists.max_candidates < s.k  # short lists, not all sources
 
     def test_lattice_ties_split_lowest_index(self):
         g = build_grid(UNIT, 1 / 64)
         s = lattice_sources(8, g.h)
         lists = SourceLists(g.inside_centers(), s.locations, g.h)
         part = partition(g, s, np.full(s.k, 0.2), lists)
-        assert lists.index is not None
+        assert lists.max_candidates < s.k
         # Cells on the bisector column between the first two lattice columns tie exactly.
         column = g.cell_centers()[0, :, 0] == 0.5 * (s.locations[0, 0] + s.locations[1, 0])
         assert np.any(column)
@@ -280,15 +280,15 @@ class TestSourceLists:
             lists = SourceLists(g.inside_centers(), s.locations, g.h)
             assert_dense_bits(g, s, lists, np.r_[b - 2 * g.h, b, far])
             assert_dense_bits(g, s, lists, np.r_[b - g.h, b - g.h, far])
-            assert lists.index is not None and lists.rebuilds == 1
+            assert lists.max_candidates < s.k and lists.rebuilds == 1
 
-    def test_full_matrix_for_few_sources_and_crowded_tiles(self):
+    def test_full_lists_for_few_sources_and_crowded_tiles(self):
         g = build_grid(UNIT, 1 / 32)
         one = make_sources(UNIT, [(0.3, 0.6)], [1.0])
         lists = SourceLists(g.inside_centers(), one.locations, g.h)
         for r in (0.0, 0.2, 0.1):
             assert_dense_bits(g, one, lists, [r])
-        assert lists.index is None and lists.max_candidates == 1
+        assert lists.delta == np.inf and lists.max_candidates == 1
         # Sixteen sources crowded into one tile: every tile keeps all of them.
         rng = np.random.default_rng(3)
         crowd = make_sources(UNIT, 0.5 + rng.uniform(-0.05, 0.05, (16, 2)), np.ones(16))
@@ -296,7 +296,7 @@ class TestSourceLists:
         radii = rng.uniform(0.0, 0.3, 16)
         for scale in (1.0, 1.5, 0.2, 0.0):
             assert_dense_bits(g, crowd, lists, radii * scale)
-        assert lists.index is None and lists.rebuilds == 1 and lists.max_candidates == 16
+        assert lists.delta == np.inf and lists.rebuilds == 1 and lists.max_candidates == 16
 
     def test_zero_radii_and_uncovered_cells(self):
         g = build_grid(UNIT, 1 / 64)
@@ -307,6 +307,35 @@ class TestSourceLists:
         radii[::3] = 0.02  # most cells have best value <= 0
         assert_dense_bits(g, s, lists, radii)
         assert np.any(lists.best(radii)[1] <= 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["scatter", "one", "coincident", "collinear", "empty"]),
+        m=st.integers(1, 300),
+        k=st.sampled_from([1, 3, 16, 64]),
+    )
+    def test_one_shot_lists_of_any_points(self, seed, layout, m, k):
+        # Without a grid spacing the tiles follow the points' own extent and
+        # the lists hold only the sources tied at the best value: exact for
+        # the radii they were built at, and rebuilt for any other radii.
+        rng = np.random.default_rng(seed)
+        points = {
+            "scatter": rng.uniform(0.0, 1.0, (m, 2)),
+            "one": rng.uniform(0.0, 1.0, (1, 2)),
+            "coincident": np.tile(rng.uniform(0.0, 1.0, 2), (m, 1)),
+            "collinear": np.stack([np.linspace(0.0, 1.0, m), np.full(m, 0.5)], axis=1),
+            "empty": np.zeros((0, 2)),
+        }[layout]
+        s = make_sources(UNIT, 0.05 + 0.9 * rng.random((k, 2)), np.ones(k))
+        lists = SourceLists(points, s.locations)
+        for radii in (rng.uniform(0.0, 0.4, k), np.zeros(k), rng.uniform(0.0, 0.2, k)):
+            values = radii[None, :] - distances(points, s.locations)
+            best, value = lists.best(radii)
+            assert np.array_equal(best, np.argmax(values, axis=1))
+            assert np.array_equal(value.view(np.uint64), values.max(axis=1).view(np.uint64))
+        if len(points) and lists.delta == 0.0:
+            assert lists.rebuilds == 3  # short lists are rebuilt for each new set of radii
 
 
 def test_memory_stays_below_a_quarter_of_the_dense_matrix():
