@@ -19,6 +19,7 @@ from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
     eval_height_many,
+    field_from_csv,
     field_to_csv,
     height_field,
     path_measure_to_csv,
@@ -26,7 +27,7 @@ from .fields import (
     spill_measure,
 )
 from .geometry import ConvexDomain
-from .regions import build_grid, partition
+from .regions import SourceLists, build_grid, partition
 from .sources import SourceSet, discretize, make_sources
 from .tolerances import DUAL_NODE_CAP, LP_TOL
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
@@ -174,6 +175,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     node_cap = _number(cap, "manifest [config] tolerances.dual_node_cap", _whole)
     grid = build_grid(domain, h)
     thresholds, _ = domain.escape_cost(sources.locations)
+    # the inside cells' heights, to check each snapshot's u file against
+    lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
 
     snapshots = []
     for line in sections.get("snapshots", []):
@@ -186,28 +189,36 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         u_file = _entry(fields, where, "u")
         if not (out / u_file).exists():
             raise ConfigError(f"missing snapshot file {u_file}")
+        try:
+            u = field_from_csv(grid, (out / u_file).read_text()).values[grid.inside_mask]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"snapshot file {u_file}: {exc}") from None
         t = _entry(fields, where, "t", _number)
         radii = np.array([_number(r, f"manifest {where} radii") for r in _entry(fields, where, "radii").split(",")])
         frozen = np.array([c == "1" for c in _entry(fields, where, "frozen").split(",")])
-        snapshots.append((idx, ConeState(t, radii, frozen, thresholds)))
+        snapshots.append((idx, ConeState(t, radii, frozen, thresholds), u))
 
     cert_lines = []
     all_pass = True
-    for idx, state in snapshots:
+    pivots = 0
+    for idx, state, u in snapshots:
+        u_residual = float(np.abs(u - eval_height_many(state, lists)).max(initial=0.0))
         problem = build_problem(state, sources, domain, grid, spacing)
         sol = solve_primal(problem)
         report = certify(*snapshot_heights(state, sources, problem), sol, problem)
         dual = solve_dual(problem, node_cap)
         primal_coarse = solve_primal(dual.problem)
+        pivots += sol.pivots + primal_coarse.pivots
         lp_gap = abs(dual.value - primal_coarse.primal_value)
-        passed = report.passed and lp_gap <= LP_TOL * max(1.0, primal_coarse.primal_value)
+        lp_ok = lp_gap <= LP_TOL * max(1.0, primal_coarse.primal_value)
+        passed = report.passed and u_residual <= LP_TOL and lp_ok
         status = "PASS" if passed else "FAIL"
         all_pass &= passed
         cert_lines.append(
             f"{idx} = t={_fmt(state.time)} primal={_fmt(sol.primal_value)} dual={_fmt(dual.value)} "
             f"lp_gap={_fmt(lp_gap)} pairing_gap={_fmt(report.duality_gap)} "
             f"ray_residual={_fmt(report.ray_residual)} wall_residual={_fmt(report.wall_residual)} "
-            f"tolerance={_fmt(report.tolerance)} {status}"
+            f"u_residual={_fmt(u_residual)} tolerance={_fmt(report.tolerance)} {status}"
         )
         if not quiet:
             print(f"snapshot {idx}: {status} (gap {report.duality_gap:.3e}, tol {report.tolerance:.3e})")
@@ -219,14 +230,14 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     (out / "certificates.txt").write_text(report_text)
 
     # refresh the manifest's certificate section, keeping timings quarantined
-    timings = {"verify_seconds": time.perf_counter() - t_start}
+    timings = {"verify_seconds": time.perf_counter() - t_start, "primal_pivots": pivots}
     _splice_manifest(manifest_path, cert_lines, timings)
     if not quiet:
         print(f"verify: {summary}")
     return 0 if all_pass else 1
 
 
-def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float]) -> None:
+def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float | int]) -> None:
     """Replace the certificates; ``extra_timings`` replace same-named timings, which stay last."""
     sections = parse_manifest(path)
     sections["certificates"] = cert_lines

@@ -64,7 +64,6 @@ class TransportSolution:
     min_reduced_cost: float
     marginal_error: float
     pivots: int                # network simplex pivots
-    bland_pivots: int          # of which under Bland's rule
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,6 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
             max(np.abs(flows.sum(axis=1) - supplies).max(), np.abs(flows.sum(axis=0) - demands).max())
         ),
         pivots=solver.pivots,
-        bland_pivots=solver.bland_pivots,
     )
 
 
@@ -335,10 +333,16 @@ class _TransportSimplex:
     subtree's potentials, the columns' through one gather over ``col_row``.
     A pass over all blocks without a candidate is followed by fresh tree
     duals and one full reduced-cost pass, which either finds the next
-    entering arc or proves optimality; Bland's rule, switched on after a
-    long run of degenerate pivots, prices every pivot that way.  After
-    ``solve``, ``flows``, the final tree's ``u`` and ``v`` and ``min_rc``,
-    the minimum of all m*n reduced costs, certify the plan on their own.
+    entering arc or proves optimality.  After ``solve``, ``flows``, the
+    final tree's ``u`` and ``v`` and ``min_rc``, the minimum of all m*n
+    reduced costs, certify the plan on their own.
+
+    The tree stays strongly feasible (Cunningham 1976): a zero-flow arc to
+    a junction column hangs the column under its row, so zero-flow arcs
+    point away from the root and degenerate pivots cannot cycle.  The
+    northwest-corner start has this property and ``_pivot``'s leaving rule
+    keeps it.  Rows of zero supply, which carry no flow in any plan, are
+    the one exception: they hang under a column over a zero-flow arc.
     """
 
     BLOCK_CELLS = 4096
@@ -359,7 +363,6 @@ class _TransportSimplex:
         self.parent = [-1] * (self.m + self.n)
         self.depth = [0] * (self.m + self.n)
         self.pivots = 0
-        self.bland_pivots = 0
         self._initial_basis()
 
     # -- construction -----------------------------------------------------
@@ -451,17 +454,14 @@ class _TransportSimplex:
     def solve(self):
         m, n = self.m, self.n
         max_iter = 400 * (m + n) + 5000
-        mass_scale = max(1.0, float(self.supply.sum()))
         floor = -LP_TOL * self.scale
         width = -(-self.BLOCK_CELLS // m)
         blocks = -(-n // width)
         start = 0
-        stall = 0
-        bland = False
         self.u, self.v = self.duals()
         for _ in range(max_iter):
             enter = None
-            for b in range(0 if bland else blocks):
+            for b in range(blocks):
                 lo = (start + b) % blocks * width
                 cols = slice(lo, lo + width)
                 reduced = self.cost[:, cols] - self.u[:, None] - self.v[None, cols]
@@ -471,28 +471,19 @@ class _TransportSimplex:
                     enter = ei, lo + ej, float(reduced.flat[flat])
                     break
             if enter is None:
-                # no block prices out (or Bland's rule is on): fresh tree
-                # duals and one pass over all m*n reduced costs decide
+                # no block prices out: fresh tree duals and one pass over
+                # all m*n reduced costs decide
                 self.u, self.v = self.duals()
                 reduced = self.cost - self.u[:, None] - self.v[None, :]
                 flat = int(np.argmin(reduced))
                 if reduced.flat[flat] >= floor:
                     self.min_rc = float(reduced.flat[flat])
                     return
-                if bland:
-                    flat = int(np.argmax(reduced < floor))  # first in row-major order
                 ei, ej = divmod(flat, n)
                 enter = ei, ej, float(reduced.flat[flat])
             start = enter[1] // width + 1
             self.pivots += 1
-            self.bland_pivots += bland
-            theta = self._pivot(*enter)
-            if theta <= 1e-14 * mass_scale:
-                stall += 1
-                if stall > m + n:
-                    bland = True
-            else:
-                stall = 0
+            self._pivot(*enter)
         raise RuntimeError("network simplex exceeded its iteration budget")
 
     def _hang(self, x: int, y: int):
@@ -521,7 +512,7 @@ class _TransportSimplex:
                     stack.append(k)
         return rows
 
-    def _pivot(self, ei: int, ej: int, rc: float) -> float:
+    def _pivot(self, ei: int, ej: int, rc: float):
         m, parent, depth = self.m, self.parent, self.depth
         leaf = len(self.col_rows[ej]) == 1
         r0 = int(self.col_row[ej])
@@ -541,7 +532,13 @@ class _TransportSimplex:
         minus = cells[0::2]
         plus = cells[1::2]
         theta = min(self.flows[i, j] for i, j in minus)
-        leave = min((i, j) for i, j in minus if self.flows[i, j] <= theta)
+        # Strongly feasible rule: leave by the last blocking arc met going
+        # from the apex against the flow, down to ej and back up from ei.
+        # cells[:len(up) - 1] is ei's climb; minus arcs sit at even indices.
+        blocking = [k for k in range(0, len(cells), 2) if self.flows[cells[k]] <= theta]
+        climb = [k for k in blocking if k < len(up) - 1]
+        cut = (climb or blocking)[-1]
+        leave = cells[cut]
 
         self.flows[ei, ej] += theta
         for i, j in plus:
@@ -555,7 +552,7 @@ class _TransportSimplex:
         # The leaving arc cuts off the subtree below it.  It holds ei when
         # the arc lies on ei's climb, and ej otherwise; hang it under the
         # other end of the entering arc, which makes that arc tight.
-        if cells.index(leave) < len(up) - 1:
+        if cut < len(up) - 1:
             if leaf:
                 parent[m + ej] = r0
                 depth[m + ej] = depth[r0] + 1
@@ -569,7 +566,6 @@ class _TransportSimplex:
             # the subtree's columns are those whose row is in it, but for ej
             self.v -= delta[self.col_row]
         self.v[ej] = self.cost[ei, ej] - self.u[ei]
-        return float(theta)
 
     def _add_arc(self, i: int, j: int):
         rows = self.col_rows[j]

@@ -326,6 +326,32 @@ class TestVerify:
         (out / "snap001_u.csv").unlink()
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
 
+    def test_edited_height_fails_its_snapshot(self, tmp_path):
+        # simulate writes u to 17 digits, so verify reads back the heights
+        # it recomputes from the radii exactly; 0.5 on one cell FAILs
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        u_file = out / "snap001_u.csv"
+        header, first, *rest = u_file.read_text().splitlines()
+        x, y, value = first.split(",")
+        u_file.write_text("\n".join([header, f"{x},{y},{float(value) + 0.5!r}", *rest]) + "\n")
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
+        lines = (out / "certificates.txt").read_text().splitlines()
+        assert lines[1] == "result = FAIL"
+        assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
+        residuals = [float(re.search(r" u_residual=(\S+) ", line).group(1)) for line in lines[2:]]
+        assert residuals[0] == residuals[2] == 0.0
+        assert residuals[1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_truncated_height_file_is_named(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        u_file = out / "snap001_u.csv"
+        u_file.write_text("".join(u_file.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+        assert "snapshot file snap001_u.csv: expected" in capsys.readouterr().err
+        assert not (out / "certificates.txt").exists()
+
     @pytest.mark.parametrize(
         "pattern, keep, named",
         [
@@ -366,10 +392,11 @@ class TestVerify:
         manifest = out / "manifest.txt"
         before = manifest.read_text()
         for seconds in (1.0, 2.0, 3.0):
-            _splice_manifest(manifest, [], {"verify_seconds": seconds})
+            _splice_manifest(manifest, [], {"verify_seconds": seconds, "primal_pivots": int(seconds)})
         after = manifest.read_text()
         timings = after.split("\n[timings]\n", 1)[1].splitlines()
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
+        assert [line for line in timings if line.startswith("primal_pivots")] == ["primal_pivots = 3"]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
 
@@ -383,6 +410,24 @@ class TestVerify:
         assert timings["max_candidates"] == "2"
         assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
+
+    def test_primal_pivots_counted(self, tmp_path, monkeypatch):
+        # the sum over both primal solves of every snapshot; a third source
+        # makes the starting trees non-optimal, so the simplex pivots
+        solve_primal, pivots = cli.solve_primal, []
+
+        def counted(problem):
+            sol = solve_primal(problem)
+            pivots.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(cli, "solve_primal", counted)
+        path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
+        assert len(pivots) == 6 and sum(pivots) > 0
+        assert timings["primal_pivots"] == str(sum(pivots))
 
     def test_writer_round_trips_parsed_manifest(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -193,7 +193,7 @@ def block_instance(kind: str, rng) -> DiscreteProblem:
 def shifted_lattice() -> DiscreteProblem:
     """A 10 x 10 unit lattice against itself shifted by half a step.
 
-    Every pivot ties, so the simplex stalls and switches to Bland's rule.
+    With equal masses every pivot is degenerate: the flow never moves.
     """
     g = 10 * lattice(10)
     w = np.full(100, 0.01)
@@ -215,11 +215,11 @@ class TestBlockPricing:
         if kind == "spill":
             assert sol.spill.sum() == pytest.approx(p.spill_total, abs=1e-12)
 
-    def test_bland_fallback_on_shifted_lattice(self):
+    def test_shifted_lattice_without_stalling(self):
+        # the strongly feasible leaving rule takes about 200 pivots here
         p = shifted_lattice()
         sol = solve_primal(p)
-        assert sol.bland_pivots > 0
-        assert sol.pivots >= sol.bland_pivots
+        assert sol.pivots <= 300
         assert abs(sol.primal_value - 0.5) <= 1e-12
         assert sol.min_reduced_cost >= -LP_TOL * solver_scale(p)
 
@@ -308,8 +308,7 @@ TREE_DUAL_CASES = {
     "random": lambda: random_transports(np.random.default_rng(37), 20)
     + [block_instance(kind, np.random.default_rng(38)) for kind in ("random", "spill")],
     # lattice points with dyadic or equal masses: exact ties and degenerate
-    # pivots; the last one runs under Bland's rule, which takes fresh duals
-    # at every pivot
+    # pivots
     "degenerate_lattice": lambda: [
         transport_problem(integer_lattice(4), np.ones(16), integer_lattice(8) / 2, np.full(64, 0.25)),
         block_instance("lattice", None),
@@ -355,6 +354,44 @@ class TestTreeDuals:
         for duals in (solver.duals, lambda: reference_loops.tree_duals(solver)):
             with pytest.raises(RuntimeError, match="basis tree is not connected"):
                 duals()
+
+
+class TestStronglyFeasible:
+    """The tree after ``_initial_basis`` and after every pivot is strongly feasible."""
+
+    @staticmethod
+    def assert_strongly_feasible(solver):
+        # A zero-flow arc to a junction column hangs the column under its row.
+        # Rows of zero supply are skipped: all their arcs carry zero flow and
+        # their parent is a column, so no tree can orient them away from the root.
+        m = solver.m
+        for j, rows in enumerate(solver.col_rows):
+            if len(rows) < 2:
+                continue
+            for r in rows:
+                if solver.supply[r] > 0.0 and solver.flows[r, j] == 0.0:
+                    assert solver.parent[m + j] == r, f"zero-flow arc ({r}, {j}) points toward the root"
+
+    @pytest.mark.parametrize("case", sorted(TREE_DUAL_CASES))
+    def test_every_tree(self, monkeypatch, case):
+        problems = TREE_DUAL_CASES[case]()
+        start, pivot, checked = _TransportSimplex._initial_basis, _TransportSimplex._pivot, []
+
+        def checked_start(solver):
+            start(solver)
+            self.assert_strongly_feasible(solver)
+            checked.append(0)
+
+        def checked_pivot(solver, *enter):
+            pivot(solver, *enter)
+            self.assert_strongly_feasible(solver)
+            checked.append(solver.pivots)
+
+        monkeypatch.setattr(_TransportSimplex, "_initial_basis", checked_start)
+        monkeypatch.setattr(_TransportSimplex, "_pivot", checked_pivot)
+        for p in problems:
+            solve_primal(p)
+        assert checked.count(0) == len(problems)
 
 
 class TestSolveDual:
