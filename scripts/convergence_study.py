@@ -29,13 +29,19 @@ def quadrature(n_side=60):
     return pts, np.full(len(pts), 1.0 / len(pts))
 
 
-def main():
+def fed_square():
+    """The 4 x 4 silo and the uniform density on [1,3]^2 that feeds it."""
     domain = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
     f = DensitySpec(
         kind=UNIFORM_POLYGON,
         total_mass=1.0,
         polygon=np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]]),
     )
+    return domain, f
+
+
+def main():
+    domain, f = fed_square()
     qpts, qw = quadrature()
 
     fields = {}

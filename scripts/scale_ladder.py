@@ -3,8 +3,12 @@
 Each rung runs ``simulate`` on 256 or 1024 sources uniform on
 [0.05, 0.95]^2 in the unit silo, at grid spacing 1/64, 1/128 or 1/256, in
 a fresh process.  Wall time is measured around the process; peak RSS is
-the child's own maximum resident set, from ``os.wait4``.  The rungs and
-their numbers are written to ``BENCH_<label>.json`` in the working directory.
+the child's own maximum resident set, from ``os.wait4``.  A second fresh
+process times ``build_problem`` and ``solve_primal`` on the rung's
+snapshot, with the simplex's pivots, where the dense cost matrix has at
+most ``PRIMAL_CELLS`` entries.  Last, the W1 solves of
+``convergence_study.py`` are timed, one per n.  The rungs and their
+numbers are written to ``BENCH_<label>.json`` in the working directory.
 
     python scripts/scale_ladder.py --label mine            # all six rungs
     python scripts/scale_ladder.py --label ci --smallest   # 256 sources at h = 1/64 only
@@ -20,11 +24,15 @@ import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 
 SOURCES = (256, 1024)
 SPACINGS = (1 / 64, 1 / 128, 1 / 256)
 HORIZON = 0.02
+# Sources x cells above which the snapshot's primal is skipped: its dense
+# cost matrix alone would pass 36 MB, and the solve holds several such.
+PRIMAL_CELLS = 4_500_000
 
 CONFIG = """[domain]
 vertices = 0 0 ; 1 0 ; 1 1 ; 0 1
@@ -48,31 +56,94 @@ directory = {out}
 """
 
 
-def run_rung(k: int, h: float, workdir: Path) -> dict:
-    """One ``simulate`` in a fresh process: wall seconds, peak RSS in MB, exit code."""
-    config = workdir / f"k{k}_h{round(1 / h)}.ini"
-    config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=workdir / config.stem))
+def run_child(args: list[str]) -> tuple[float, float, int, str]:
+    """A fresh Python process: wall seconds, peak RSS in MB, exit code and its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "silopile", "simulate", "--config", str(config), "--quiet"], env=env)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
-    return {
+    with tempfile.TemporaryFile("w+") as out:
+        child = subprocess.Popen([sys.executable, *args], env=env, stdout=out)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+        out.seek(0)
+        text = out.read()
+    return wall, usage.ru_maxrss / 1024, child.returncode, text  # ru_maxrss is in KiB on Linux
+
+
+def run_rung(k: int, h: float, workdir: Path) -> dict:
+    """``simulate`` in a fresh process, then the snapshot's primal in another."""
+    config = workdir / f"k{k}_h{round(1 / h)}.ini"
+    config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=workdir / config.stem))
+    wall, rss, code, _ = run_child(["-m", "silopile", "simulate", "--config", str(config), "--quiet"])
+    cells = round(1 / h) ** 2
+    rung = {
         "sources": k,
         "h": h,
-        "cells": round(1 / h) ** 2,
+        "cells": cells,
         "wall_s": round(wall, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
-        "exit_code": child.returncode,
+        "peak_rss_mb": round(rss, 1),
+        "exit_code": code,
+        "primal_s": None,
+        "primal_pivots": None,
+        "primal_peak_rss_mb": None,
     }
+    if k * cells <= PRIMAL_CELLS:
+        _, rss, code, text = run_child([__file__, "--primal", str(config)])
+        if code == 0:
+            primal = json.loads(text)
+            rung.update(primal_s=round(primal["seconds"], 3), primal_pivots=primal["pivots"])
+        rung["primal_peak_rss_mb"] = round(rss, 1)
+        rung["exit_code"] = rung["exit_code"] or code
+    return rung
+
+
+def snapshot_primal(config: str) -> dict:
+    """``build_problem`` and ``solve_primal`` on the last snapshot of a run of ``config``."""
+    from silopile.cli import resolve_sources
+    from silopile.config import parse_config
+    from silopile.cones import run
+    from silopile.verify import build_problem, solve_primal
+
+    cfg = parse_config(config)
+    domain = cfg.domain()
+    sources = resolve_sources(cfg, domain)
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
+    start = time.perf_counter()
+    problem = build_problem(traj.states[-1], sources, domain, traj.grid, cfg.boundary_spacing)
+    sol = solve_primal(problem)
+    return {"seconds": time.perf_counter() - start, "pivots": sol.pivots}
+
+
+def w1_seconds() -> list[dict]:
+    """Seconds of each W1 solve of ``convergence_study.py``, one per n."""
+    sys.path.insert(0, str(HERE))
+    from convergence_study import N_LIST, fed_square, quadrature
+
+    from silopile.sources import discretize
+    from silopile.verify import wasserstein
+
+    domain, f = fed_square()
+    qpts, qw = quadrature()
+    rows = []
+    for n in N_LIST:
+        s = discretize(f, n, domain)
+        start = time.perf_counter()
+        w1 = wasserstein(s.locations, s.rates, qpts, qw)
+        rows.append({"n": n, "w1": w1, "seconds": round(time.perf_counter() - start, 3)})
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--smallest", action="store_true", help="run only the smallest rung")
+    parser.add_argument("--primal", metavar="CONFIG", help=argparse.SUPPRESS)  # a rung's second child
     args = parser.parse_args(argv)
+    if args.primal:
+        print(json.dumps(snapshot_primal(args.primal)))
+        return 0
+    if not args.label:
+        parser.error("--label is required")
 
     rungs = [(k, h) for k in SOURCES for h in SPACINGS]
     if args.smallest:
@@ -82,8 +153,13 @@ def main(argv=None) -> int:
         for k, h in rungs:
             result = run_rung(k, h, Path(tmp))
             results.append(result)
+            primal = "skipped" if result["primal_s"] is None else (
+                f"{result['primal_s']:.3f} s, {result['primal_pivots']} pivots")
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
-                  f"peak RSS {result['peak_rss_mb']:8.1f} MB  exit {result['exit_code']}")
+                  f"peak RSS {result['peak_rss_mb']:8.1f} MB  primal {primal}  exit {result['exit_code']}")
+    w1 = w1_seconds()
+    for row in w1:
+        print(f"W1 n={row['n']:<4d} {row['seconds']:8.3f} s")
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps({
         "label": args.label,
@@ -92,6 +168,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "rungs": results,
+        "w1": w1,
     }, indent=2) + "\n")
     print(f"-> {path}")
     return 0 if all(r["exit_code"] == 0 for r in results) else 1

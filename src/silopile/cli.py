@@ -72,11 +72,16 @@ def write_manifest(
 
 
 def _timing_lines(timings: dict[str, float | int]) -> list[str]:
-    """One line per key, sorted: counts as integers, seconds to 3 decimals."""
+    """One line per key, sorted: counts as integers, seconds to 3 decimals, other measures to 17 digits."""
     lines = []
     for key in sorted(timings):
         value = timings[key]
-        lines.append(f"{key} = {value}" if isinstance(value, int) else f"{key} = {value:.3f}")
+        if isinstance(value, int):
+            lines.append(f"{key} = {value}")
+        elif key.endswith("_seconds"):
+            lines.append(f"{key} = {value:.3f}")
+        else:
+            lines.append(f"{key} = {_fmt(value)}")
     return lines
 
 
@@ -200,10 +205,11 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
 
     cert_lines = []
     all_pass = True
-    pivots = 0
+    pivots, rescale = 0, 0.0
     for idx, state, u in snapshots:
         u_residual = float(np.abs(u - eval_height_many(state, lists)).max(initial=0.0))
         problem = build_problem(state, sources, domain, grid, spacing)
+        rescale = max(rescale, problem.demand_rescale)
         sol = solve_primal(problem)
         report = certify(*snapshot_heights(state, sources, problem), sol, problem)
         dual = solve_dual(problem, node_cap)
@@ -230,7 +236,11 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     (out / "certificates.txt").write_text(report_text)
 
     # refresh the manifest's certificate section, keeping timings quarantined
-    timings = {"verify_seconds": time.perf_counter() - t_start, "primal_pivots": pivots}
+    timings = {
+        "verify_seconds": time.perf_counter() - t_start,
+        "primal_pivots": pivots,
+        "max_demand_rescale": rescale,
+    }
     _splice_manifest(manifest_path, cert_lines, timings)
     if not quiet:
         print(f"verify: {summary}")

@@ -161,16 +161,18 @@ def field_to_csv(field: GridField) -> str:
 
 
 def field_from_csv(grid: Grid, text: str) -> GridField:
+    """The field of a ``field_to_csv`` table; row k must start with inside cell k's ``x,y``."""
     rows = text.strip().splitlines()
     if rows[0] != "x,y,value":
         raise ValueError("missing x,y,value header")
-    parsed = [line.split(",") for line in rows[1:]]
-    vals = np.array([float(p[2]) for p in parsed])
-    n_inside = int(grid.inside_mask.sum())
-    if len(vals) != n_inside:
-        raise ValueError(f"expected {n_inside} rows, found {len(vals)}")
+    body, labels = rows[1:], grid.center_labels
+    if len(body) != len(labels):
+        raise ValueError(f"expected {len(labels)} rows, found {len(body)}")
+    if not all(map(str.startswith, body, labels)):
+        k = next(k for k, (line, xy) in enumerate(zip(body, labels)) if not line.startswith(xy))
+        raise ValueError(f"row {k + 1} {body[k]!r} is not at the cell centre {labels[k][:-1]}")
     values = np.zeros((grid.ny, grid.nx))
-    values[grid.inside_mask] = vals
+    values[grid.inside_mask] = [float(line[len(xy):]) for line, xy in zip(body, labels)]
     return GridField(grid=grid, values=values)
 
 

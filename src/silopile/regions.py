@@ -54,11 +54,15 @@ class Grid:
     def cell_area(self) -> float:
         return self.h * self.h
 
-    def cell_centers(self) -> np.ndarray:
-        """(ny, nx, 2) array of cell centers."""
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell centers' x per column and y per row."""
         xs = self.origin[0] + (np.arange(self.nx) + 0.5) * self.h
         ys = self.origin[1] + (np.arange(self.ny) + 0.5) * self.h
-        cx, cy = np.meshgrid(xs, ys)
+        return xs, ys
+
+    def cell_centers(self) -> np.ndarray:
+        """(ny, nx, 2) array of cell centers."""
+        cx, cy = np.meshgrid(*self._axes())
         return np.stack([cx, cy], axis=-1)
 
     def inside_centers(self) -> np.ndarray:
@@ -68,7 +72,10 @@ class Grid:
     @cached_property
     def center_labels(self) -> list[str]:
         """``"x,y,"`` text of each inside cell center, 17 significant digits, row-major."""
-        return [f"{x:.17g},{y:.17g}," for x, y in self.inside_centers().tolist()]
+        # each column's x and each row's y formatted once
+        xs, ys = ([f"{v:.17g}," for v in axis.tolist()] for axis in self._axes())
+        rows, cols = np.nonzero(self.inside_mask)
+        return [xs[c] + ys[r] for r, c in zip(rows.tolist(), cols.tolist())]
 
     def cell_index(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of the cells containing the given points."""

@@ -27,6 +27,11 @@ FREEZE_TOL = 1e-12
 # marginals are checked to the same tolerance.
 LP_TOL = 1e-9
 
+# Rounding residue of the network simplex's greedy start: supply or
+# demand left over within RESIDUE_TOL times a row's supply stays with
+# that row instead of opening a new arc (``_TransportSimplex``).
+RESIDUE_TOL = 1e-12
+
 # Dual LP size cap: demand nodes are coarsened 4:1 until the node count
 # (supplies + demands + boundary) drops below this.  The default of the
 # ``[tolerances] dual_node_cap`` config key.

@@ -24,7 +24,7 @@ from .fields import eval_height_many, growth_rate_field
 from .geometry import ConvexDomain
 from .regions import Grid, SourceLists, distances, partition
 from .sources import SourceSet
-from .tolerances import DUAL_NODE_CAP, LP_TOL
+from .tolerances import DUAL_NODE_CAP, LP_TOL, RESIDUE_TOL
 
 # Snapshot imbalance beyond this fraction of the supply is a hard error;
 # anything smaller is absorbed by proportional demand rescaling.
@@ -43,6 +43,9 @@ class DiscreteProblem:
     boundary_walls: np.ndarray      # (nb,)
     spill_total: float
     h: float
+    # the snapshot's cone radii, the simplex's row offsets for its start
+    radii: np.ndarray | None = None     # (m,)
+    demand_rescale: float = 0.0         # |expected / counted demand - 1|
 
     @property
     def n_demand(self) -> int:
@@ -112,8 +115,8 @@ def build_problem(
             f"snapshot mass imbalance {got - expected_demand:+.3e} exceeds "
             f"{MAX_IMBALANCE:.0%} of the supply {supply_total:.6g}"
         )
-    if got > 0.0:
-        demand_mass = demand_mass * (expected_demand / got)
+    rescale = expected_demand / got if got > 0.0 else 1.0
+    demand_mass = demand_mass * rescale
 
     nodes = domain.boundary_nodes(boundary_spacing)
     spill_total = float(sources.rates[state.frozen].sum())
@@ -126,6 +129,8 @@ def build_problem(
         boundary_walls=np.array([domain.wall_height(b) for b in nodes]),
         spill_total=spill_total,
         h=grid.h,
+        radii=state.radii.copy(),
+        demand_rescale=abs(rescale - 1.0),
     )
 
 
@@ -173,7 +178,13 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
 
     The spill goes through the absorbing column of ``_transport_costs``,
     whose demand is the spill total; each supply's flow into it is
-    reported at that supply's exit node.
+    reported at that supply's exit node.  The simplex starts from the
+    cheapest rows under c_ij - o_i with the problem's cone radii as o
+    (zeros without them): each demand cell then goes to its partition
+    label and each frozen source to the absorbing column, a plan that is
+    already optimal up to rounding.  The start only saves pivots; the
+    optimum is proven as from any start, by the final tree's duals and
+    the minimum of all m*n reduced costs.
     """
     nd = p.n_demand
     cost, absorb, exits = _transport_costs(p)
@@ -182,7 +193,7 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
     if absorb is not None:
         cost = np.hstack([cost, absorb[:, None]])
         demands = np.append(demands, p.spill_total)
-    solver = _TransportSimplex(supplies, demands, cost)
+    solver = _TransportSimplex(supplies, demands, cost, p.radii)
     solver.solve()
     flows = solver.flows
 
@@ -217,18 +228,12 @@ def coarsen_problem(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> Discre
         block = scale * max(out.h, 1e-12)
         keys = np.floor(out.demand_locations / block).astype(np.int64)
         order = np.lexsort((keys[:, 0], keys[:, 1]))
-        keys_sorted = keys[order]
-        boundaries = np.nonzero(np.any(np.diff(keys_sorted, axis=0) != 0, axis=1))[0] + 1
-        groups = np.split(order, boundaries)
-        locs = np.array(
-            [
-                (out.demand_locations[g] * out.demand_masses[g, None]).sum(axis=0)
-                / out.demand_masses[g].sum()
-                for g in groups
-            ]
-        )
-        masses = np.array([out.demand_masses[g].sum() for g in groups])
-        out = replace(out, demand_locations=locs, demand_masses=masses)
+        # each block's cells are a run of the sorted order
+        starts = np.flatnonzero(np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)])
+        mass = out.demand_masses[order]
+        masses = np.add.reduceat(mass, starts)
+        moments = np.add.reduceat(out.demand_locations[order] * mass[:, None], starts, axis=0)
+        out = replace(out, demand_locations=moments / masses[:, None], demand_masses=masses)
         scale *= 2.0
     return out
 
@@ -310,7 +315,12 @@ def snapshot_heights(state: ConeState, sources: SourceSet, p: DiscreteProblem):
 
 
 def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:
-    """Exact W1 between two balanced discrete measures (no boundary)."""
+    """Exact W1 between two balanced discrete measures (no boundary).
+
+    The network simplex starts from the greedy cheapest-row plan with zero
+    row offsets: each b point goes to its nearest a point that has mass
+    left, in ascending order of that distance.
+    """
     p = transport_problem(a_locations, a_masses, b_locations, b_masses)
     return solve_primal(p).primal_value
 
@@ -325,6 +335,19 @@ class _TransportSimplex:
     2m - 1 nodes, rooted at row 0; ``parent`` and ``depth`` locate each
     core node in it, and every other column hangs as a leaf under its row.
 
+    The start (Kelly & O'Neill 1991 on advanced starts) is greedy on the
+    key c_ij - o_i, with an optional row offset o, zero by default.
+    ``_initial_basis`` ships each column to its cheapest rows with supply
+    left, visiting the columns by ascending cheapest key; each arc closes
+    a row or a column, so the positive flows form a forest.  ``_join``
+    then joins the forest into a spanning tree by zero-flow arcs of least
+    reduced cost under the tree's potentials.  ``solve_primal`` passes a
+    snapshot's cone radii as o: a demand cell's cheapest row is then the
+    source whose additively weighted (Apollonius) cell holds it, its
+    partition label, so the start is the simulation's own plan (Hartmann &
+    Schuhmacher 2020 on semi-discrete W1), and the snapshots of the shipped
+    configs and of the benchmark solve without a pivot.
+
     Pricing scans blocks of about 4096 reduced costs, starting after the
     block that supplied the last entering arc, and enters the most negative
     arc of the first block that has one.  The potentials ``u`` and ``v``
@@ -335,19 +358,21 @@ class _TransportSimplex:
     duals and one full reduced-cost pass, which either finds the next
     entering arc or proves optimality.  After ``solve``, ``flows``, the
     final tree's ``u`` and ``v`` and ``min_rc``, the minimum of all m*n
-    reduced costs, certify the plan on their own.
+    reduced costs, certify the plan on their own, whatever the start.
 
     The tree stays strongly feasible (Cunningham 1976): a zero-flow arc to
     a junction column hangs the column under its row, so zero-flow arcs
     point away from the root and degenerate pivots cannot cycle.  The
-    northwest-corner start has this property and ``_pivot``'s leaving rule
-    keeps it.  Rows of zero supply, which carry no flow in any plan, are
-    the one exception: they hang under a column over a zero-flow arc.
+    start has this property: its forest carries positive flow only, and
+    each join hangs another component's column under a tree row.
+    ``_pivot``'s leaving rule keeps it.  Rows of zero supply, which carry
+    no flow in any plan, are the one exception: they hang under a column
+    over a zero-flow arc.
     """
 
     BLOCK_CELLS = 4096
 
-    def __init__(self, supply, demand, cost):
+    def __init__(self, supply, demand, cost, offset=None):
         self.supply = np.asarray(supply, dtype=float)
         self.demand = np.asarray(demand, dtype=float)
         self.cost = np.asarray(cost, dtype=float)
@@ -363,64 +388,138 @@ class _TransportSimplex:
         self.parent = [-1] * (self.m + self.n)
         self.depth = [0] * (self.m + self.n)
         self.pivots = 0
-        self._initial_basis()
+        self._initial_basis(np.zeros(self.m) if offset is None else np.asarray(offset, dtype=float))
 
     # -- construction -----------------------------------------------------
 
-    def _initial_basis(self):
-        """Northwest-corner start on greedily ordered columns.
+    def _initial_basis(self, offset):
+        """Greedy cheapest-row plan on the key c_ij - o_i, joined into a tree.
 
-        Columns are grouped by their cheapest supply row and, within a
-        group, ordered by decreasing regret, so the initial tree is already
-        close to the nearest-supply assignment.
+        Columns are visited in ascending order of their cheapest key.  Each
+        ships to its cheapest row that still has supply, and spills down
+        its own ranking of the rows only when that row runs out.  A row
+        closes when it runs out; the last live row never closes.  What is
+        left within ``RESIDUE_TOL`` of a row's supply, on the row or on the
+        column it serves, is rounding residue: the row keeps it or takes
+        it, so no arc carries it.  Zero-demand columns wait for ``_join``.
         """
         m, n = self.m, self.n
-        if m == 1:
-            order = np.arange(n)
-        else:
-            nearest = np.argmin(self.cost, axis=0)
-            part = np.partition(self.cost, 1, axis=0)
-            regret = part[1] - part[0]
-            order = np.lexsort((-regret, nearest))
+        key = self.cost - offset[:, None]
+        first = np.argmin(key, axis=0)
+        cheapest = key[first, np.arange(n)]
+        key -= cheapest  # the ray residual: 0 on each column's cheapest row
 
         # Python floats: the same IEEE arithmetic as float64, without the
-        # per-element cost of numpy scalars; each cell is visited once
+        # per-element cost of numpy scalars
         rem_s = self.supply.tolist()
+        residue = (RESIDUE_TOL * self.supply).tolist()
+        live = [s > 0.0 for s in rem_s]
+        if not any(live):
+            live[0] = True
+        n_live = sum(live)
         demand = self.demand.tolist()
+        first = first.tolist()
         arc_rows, arc_cols, takes = [], [], []
-        i = 0
-        for j in order.tolist():
+        for j in np.argsort(cheapest, kind="stable").tolist():
             rem_d = demand[j]
+            if rem_d <= 0.0:
+                continue
+            ranking = None
+            i = first[j]
             while True:
-                take = min(rem_s[i], rem_d)
+                if not live[i]:
+                    # rank the column's rows only once its first choice is spent
+                    if ranking is None:
+                        ranking = iter(np.argsort(key[:, j], kind="stable").tolist())
+                    i = next(ranking)
+                    continue
+                take = rem_d if n_live == 1 or rem_d - rem_s[i] <= residue[i] else rem_s[i]
                 arc_rows.append(i)
                 arc_cols.append(j)
                 takes.append(take)
                 rem_s[i] -= take
                 rem_d -= take
-                if rem_d <= 0.0 or i + 1 >= m:
+                if n_live > 1 and rem_s[i] <= residue[i]:
+                    live[i] = False
+                    n_live -= 1
+                if rem_d <= 0.0:
                     break
-                if rem_s[i] <= 0.0:
-                    i += 1
         self.flows[arc_rows, arc_cols] = takes
-        arcs = set(zip(arc_rows, arc_cols))
-        # the walk gives every row it reaches an arc and reaches rows 0..i;
-        # the rest (trailing zero supplies) hang off their cheapest column
-        # with a degenerate zero-flow arc
-        for r in range(i + 1, m):
-            arcs.add((r, int(np.argmin(self.cost[r]))))
-        for r, j in arcs:
-            self.col_rows[j].add(r)
-        for j in range(n):
-            if not self.col_rows[j]:
-                # unreachable for a balanced problem, but keep the basis total
-                self.col_rows[j].add(m - 1)
+        joins = self._join(key, np.array(arc_rows, dtype=np.int64), np.array(arc_cols, dtype=np.int64))
+        for i, j in zip(arc_rows, arc_cols):
+            self.col_rows[j].add(i)
+        for i, j in joins:
+            self.col_rows[j].add(i)
         for j, rows in enumerate(self.col_rows):
             self.col_row[j] = next(iter(rows))
             if len(rows) > 1:
                 for r in rows:
                     self.row_junc[r].add(j)
         self._hang(0, -1)
+
+    def _join(self, residual, arc_rows, arc_cols):
+        """Zero-flow arcs that join the start's forest into a spanning tree.
+
+        The tree grows from row 0's component and carries potentials, d_i
+        on rows and b_j on columns, with b_j - d_i = residual_ij on each of
+        its arcs; they are its duals less the offsets and the column minima.
+        Each step hangs the component of the column j outside the tree with
+        the least d_i + residual_ij over tree rows i, by that arc, so b_j
+        is that least value (Dijkstra); ties go to the lower column, then
+        the lower row.  Every arc from a tree row into a component joined
+        later then prices out nonnegative, and so does the whole tree when
+        each component is one row and the columns it is cheapest for, as
+        for a snapshot under its radii.  Rows without arcs (zero supply)
+        hang last, each under the column of greatest b_j - residual_rj.
+        """
+        m, n = self.m, self.n
+        # the forest's neighbours of node y (rows i, columns m + j) are
+        # near[bound[y]:bound[y + 1]]
+        ends = np.concatenate([arc_rows, m + arc_cols])
+        order = np.argsort(ends, kind="stable")
+        near = np.concatenate([m + arc_cols, arc_rows])[order]
+        bound = np.searchsorted(ends[order], np.arange(m + n + 1)).tolist()
+        pot = np.zeros(m + n)
+        in_tree = [False] * (m + n)
+        best, mate = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+        out_cols = np.ones(n, dtype=bool)
+        joins = []
+        x = 0
+        while True:
+            # potentials over x's component, outward from x
+            in_tree[x] = True
+            comp, stack = [x], [x]
+            while stack:
+                y = stack.pop()
+                for z in near[bound[y] : bound[y + 1]].tolist():
+                    if not in_tree[z]:
+                        in_tree[z] = True
+                        if z < m:
+                            pot[z] = pot[y] - residual[z, y - m]
+                        else:
+                            pot[z] = pot[y] + residual[y, z - m]
+                        comp.append(z)
+                        stack.append(z)
+            comp = np.array(sorted(comp))
+            rows, cols = comp[comp < m], comp[comp >= m] - m
+            out_cols[cols] = False
+            best[cols] = np.inf
+            if len(rows):
+                reach = residual[rows]
+                reach += pot[rows, None]
+                arg = np.argmin(reach, axis=0)
+                reach, row = reach[arg, np.arange(n)], rows[arg]
+                better = out_cols & ((reach < best) | ((reach == best) & (row < mate)))
+                best[better], mate[better] = reach[better], row[better]
+            if not out_cols.any():
+                break
+            j = int(np.argmin(best))
+            joins.append((int(mate[j]), j))
+            x = m + j
+            pot[x] = best[j]
+        for r in [i for i in range(m) if not in_tree[i]]:
+            joins.append((r, int(np.argmax(pot[m:] - residual[r]))))
+        return joins
 
     # -- duals -------------------------------------------------------------
 

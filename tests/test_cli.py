@@ -352,6 +352,19 @@ class TestVerify:
         assert "snapshot file snap001_u.csv: expected" in capsys.readouterr().err
         assert not (out / "certificates.txt").exists()
 
+    def test_relabelled_height_row_is_named(self, tmp_path, capsys):
+        # the value is untouched, but the row no longer names its cell
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        u_file = out / "snap001_u.csv"
+        header, first, *rest = u_file.read_text().splitlines()
+        value = first.rsplit(",", 1)[1]
+        u_file.write_text("\n".join([header, f"9,9,{value}", *rest]) + "\n")
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"snapshot file snap001_u.csv: row 1 '9,9,{value}' is not at the cell centre" in err
+        assert not (out / "certificates.txt").exists()
+
     @pytest.mark.parametrize(
         "pattern, keep, named",
         [
@@ -392,11 +405,15 @@ class TestVerify:
         manifest = out / "manifest.txt"
         before = manifest.read_text()
         for seconds in (1.0, 2.0, 3.0):
-            _splice_manifest(manifest, [], {"verify_seconds": seconds, "primal_pivots": int(seconds)})
+            extra = {"verify_seconds": seconds, "primal_pivots": int(seconds), "max_demand_rescale": seconds / 7}
+            _splice_manifest(manifest, [], extra)
         after = manifest.read_text()
         timings = after.split("\n[timings]\n", 1)[1].splitlines()
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
         assert [line for line in timings if line.startswith("primal_pivots")] == ["primal_pivots = 3"]
+        assert [line for line in timings if line.startswith("max_demand_rescale")] == [
+            f"max_demand_rescale = {3 / 7:.17g}"
+        ]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
 
@@ -412,15 +429,17 @@ class TestVerify:
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
     def test_primal_pivots_counted(self, tmp_path, monkeypatch):
-        # the sum over both primal solves of every snapshot; a third source
-        # makes the starting trees non-optimal, so the simplex pivots
-        solve_primal, pivots = cli.solve_primal, []
+        # the sum over both primal solves of every snapshot; under the cone
+        # radii the start is already optimal, so they are dropped: with a
+        # third source the plain cheapest-row start then pivots
+        build_problem, solve_primal, pivots = cli.build_problem, cli.solve_primal, []
 
         def counted(problem):
             sol = solve_primal(problem)
             pivots.append(sol.pivots)
             return sol
 
+        monkeypatch.setattr(cli, "build_problem", lambda *args: replace(build_problem(*args), radii=None))
         monkeypatch.setattr(cli, "solve_primal", counted)
         path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
@@ -428,6 +447,24 @@ class TestVerify:
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
         assert len(pivots) == 6 and sum(pivots) > 0
         assert timings["primal_pivots"] == str(sum(pivots))
+
+    def test_demand_rescale_recorded(self, tmp_path, monkeypatch):
+        # the largest |expected / counted demand - 1| of build_problem over
+        # the snapshots; with three sources some count differs by rounding
+        build_problem, rescales = cli.build_problem, []
+
+        def recorded(*args):
+            problem = build_problem(*args)
+            rescales.append(problem.demand_rescale)
+            return problem
+
+        monkeypatch.setattr(cli, "build_problem", recorded)
+        path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
+        assert len(rescales) == 3 and max(rescales) > 0.0
+        assert float(timings["max_demand_rescale"]) == max(rescales)
 
     def test_writer_round_trips_parsed_manifest(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

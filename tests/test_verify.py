@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import reference_loops
+from test_golden import CONFIGS, GOLDEN_CERTIFICATES
+from silopile.cli import resolve_sources
 from silopile.cones import run
+from silopile.config import parse_config
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
@@ -23,7 +27,7 @@ from silopile.verify import (
     wasserstein,
     _TransportSimplex,
 )
-from silopile.tolerances import LP_TOL
+from silopile.tolerances import LP_TOL, RESIDUE_TOL
 
 
 def node_costs(p: DiscreteProblem) -> np.ndarray:
@@ -225,42 +229,80 @@ class TestBlockPricing:
 
 
 def reference_start(supply, demand, cost):
-    """The simplex's starting plan and basic arcs by the plain numpy walk.
+    """The simplex's starting plan and basic arcs, by plain loops (offsets 0).
 
-    Columns grouped by cheapest row, by decreasing regret within a group,
-    then the northwest corner; rows the walk never reaches hang off their
-    cheapest column.
+    Columns in ascending order of their least cost, each shipped to its live
+    rows in order of cost until its demand is met; a row closes when its
+    supply runs out, unless it is the last live row, and rounding residue
+    stays with the row.  Zero-demand columns wait for the joins.  Then the
+    tree grows from row 0's component with potentials, b_j - d_i equal to
+    the residual on its arcs: each step takes the least d_i + residual_ij
+    from a tree row to another component's column, ties to the lower
+    column, then the lower row.  Rows without arcs hang last under the
+    column of greatest b_j - residual_rj, ties to the lower column.
     """
     m, n = cost.shape
-    if m == 1:
-        order = np.arange(n)
-    else:
-        part = np.partition(cost, 1, axis=0)
-        order = np.lexsort((-(part[1] - part[0]), np.argmin(cost, axis=0)))
+    cheapest = [min(cost[i, j] for i in range(m)) for j in range(n)]
+    residual = [[float(cost[i, j] - cheapest[j]) for j in range(n)] for i in range(m)]
+    rem_s = [float(s) for s in supply]
+    residue = [RESIDUE_TOL * s for s in rem_s]
+    live = [s > 0.0 for s in rem_s]
     flows = np.zeros((m, n))
     arcs = set()
-    i = 0
-    rem_s = supply.copy()
-    for j in order:
+    for j in sorted(range(n), key=lambda j: (cheapest[j], j)):
         rem_d = float(demand[j])
-        while True:
-            take = min(rem_s[i], rem_d)
-            flows[i, j] += take
-            arcs.add((i, int(j)))
+        for i in sorted(range(m), key=lambda i: (residual[i][j], i)):
+            if rem_d <= 0.0:
+                break
+            if not live[i]:
+                continue
+            last = sum(live) == 1
+            take = rem_d if last or rem_d - rem_s[i] <= residue[i] else rem_s[i]
+            flows[i, j] = take
+            arcs.add((i, j))
             rem_s[i] -= take
             rem_d -= take
-            if rem_d <= 0.0 or i + 1 >= m:
-                break
-            if rem_s[i] <= 0.0:
-                i += 1
+            if not last and rem_s[i] <= residue[i]:
+                live[i] = False
+
+    forest = sorted(arcs)
+    pot, tree = {}, set()
+
+    def attach(x, px):
+        """Add x's component to the tree, with potentials outward from x."""
+        pot[x] = px
+        tree.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for i, j in forest:
+                if y == i:
+                    z, value = m + j, pot[y] + residual[i][j]
+                elif y == m + j:
+                    z, value = i, pot[y] - residual[i][j]
+                else:
+                    continue
+                if z not in tree:
+                    pot[z] = value
+                    tree.add(z)
+                    stack.append(z)
+
+    attach(0, 0.0)
+    while any(m + j not in tree for j in range(n)):
+        value, j, i = min(
+            (pot[i] + residual[i][j], j, i) for i in range(m) if i in tree for j in range(n) if m + j not in tree
+        )
+        arcs.add((i, j))
+        attach(m + j, value)
     for r in range(m):
-        if not any(a[0] == r for a in arcs):
-            arcs.add((r, int(np.argmin(cost[r]))))
+        if r not in tree:
+            _, j = max((pot[m + j] - residual[r][j], -j) for j in range(n))
+            arcs.add((r, -j))
     return flows, arcs
 
 
 class TestInitialBasis:
-    def test_matches_reference_walk(self):
+    def test_matches_reference_start(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
             m, n = int(rng.integers(1, 20)), int(rng.integers(1, 200))
@@ -377,8 +419,8 @@ class TestStronglyFeasible:
         problems = TREE_DUAL_CASES[case]()
         start, pivot, checked = _TransportSimplex._initial_basis, _TransportSimplex._pivot, []
 
-        def checked_start(solver):
-            start(solver)
+        def checked_start(solver, offset):
+            start(solver, offset)
             self.assert_strongly_feasible(solver)
             checked.append(0)
 
@@ -392,6 +434,39 @@ class TestStronglyFeasible:
         for p in problems:
             solve_primal(p)
         assert checked.count(0) == len(problems)
+
+
+class TestRadiiStart:
+    """With the cone radii as row offsets, the start is the partition's plan.
+
+    Each demand cell's cheapest row under c_ij - r_i is its label, and the
+    frozen rows are the absorbing column's, so a handful of pivots prove
+    the optimum.  Values equal the recorded optima to 1e-12; for
+    two_source, the golden certificates' primal column.
+    """
+
+    def test_spilling_snapshot(self):
+        p = spilling_snapshot()
+        sol = solve_primal(p)
+        assert sol.pivots <= 5
+        assert abs(sol.primal_value - 0.6334023423595533) <= 1e-12
+        assert sol.min_reduced_cost >= -LP_TOL * solver_scale(p)
+        # the offsets make the difference: without them the same start pivots
+        assert solve_primal(replace(p, radii=None)).pivots > 20
+
+    def test_two_source_snapshots(self):
+        cfg = parse_config(CONFIGS / "two_source.ini")
+        dom = cfg.domain()
+        s = resolve_sources(cfg, dom)
+        traj = run(s, dom, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
+        grid = build_grid(dom, cfg.grid_h)
+        assert len(traj.states) == len(GOLDEN_CERTIFICATES)
+        for state, golden in zip(traj.states, GOLDEN_CERTIFICATES):
+            p = build_problem(state, s, dom, grid, cfg.boundary_spacing)
+            sol = solve_primal(p)
+            assert sol.pivots <= 5
+            assert abs(sol.primal_value - golden[1]) <= 1e-12
+            assert sol.min_reduced_cost >= -LP_TOL * solver_scale(p)
 
 
 class TestSolveDual:
