@@ -140,7 +140,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
         mu_name = f"snap{i:03d}_mu.csv"
         u = height_field(state, sources, grid, lists)
         part = partition(grid, sources, state.radii, lists)
-        mu = rolling_measure(state, sources, part, traj.spill_atoms, grid)
+        mu = rolling_measure(state, sources, part, traj.spill_atoms)
         nu = spill_measure(state, sources, traj.spill_atoms)
         (out / u_name).write_text(field_to_csv(u))
         (out / mu_name).write_text(path_measure_to_csv(mu))
@@ -200,8 +200,14 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
             raise ConfigError(f"snapshot file {u_file}: {exc}") from None
         t = _entry(fields, where, "t", _number)
         radii = np.array([_number(r, f"manifest {where} radii") for r in _entry(fields, where, "radii").split(",")])
-        frozen = np.array([c == "1" for c in _entry(fields, where, "frozen").split(",")])
-        snapshots.append((idx, ConeState(t, radii, frozen, thresholds), u))
+        flags = _entry(fields, where, "frozen").split(",")
+        if not set(flags) <= {"0", "1"}:
+            raise ConfigError(f"manifest {where} frozen: flags must be 0 or 1, got {','.join(flags)!r}")
+        try:
+            state = ConeState(t, radii, np.array([c == "1" for c in flags]), thresholds)
+        except ValueError as exc:
+            raise ConfigError(f"manifest {where}: {exc}") from None
+        snapshots.append((idx, state, u))
 
     cert_lines = []
     all_pass = True
@@ -375,7 +381,3 @@ def _load(args) -> RunConfig:
     if args.out is not None:
         cfg.output_dir = args.out
     return cfg
-
-
-if __name__ == "__main__":
-    sys.exit(main())

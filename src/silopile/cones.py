@@ -33,6 +33,11 @@ class ConeState:
     thresholds: np.ndarray
 
     def __post_init__(self):
+        if not len(self.radii) == len(self.frozen) == len(self.thresholds):
+            raise ValueError(
+                f"{len(self.radii)} radii and {len(self.frozen)} frozen flags "
+                f"for {len(self.thresholds)} sources"
+            )
         if np.any(self.radii < -FREEZE_TOL) or np.any(self.radii > self.thresholds + FREEZE_TOL):
             raise ValueError("radii must stay within [0, escape cost]")
         at_wall = self.radii >= self.thresholds - FREEZE_TOL
@@ -124,13 +129,12 @@ def step(
 
     frozen = state.frozen.copy()
     events: list[tuple[int, float]] = []
-    for j in np.nonzero(active)[0]:
-        if r_new[j] >= state.thresholds[j] - FREEZE_TOL:
-            advance = r_new[j] - r[j]
-            frac = (state.thresholds[j] - r[j]) / advance if advance > 0.0 else 1.0
-            events.append((int(j), state.time + min(max(frac, 0.0), 1.0) * dt))
-            r_new[j] = state.thresholds[j]
-            frozen[j] = True
+    for j in np.flatnonzero(active & (r_new >= state.thresholds - FREEZE_TOL)).tolist():
+        advance = r_new[j] - r[j]
+        frac = (state.thresholds[j] - r[j]) / advance if advance > 0.0 else 1.0
+        events.append((j, state.time + min(max(frac, 0.0), 1.0) * dt))
+        r_new[j] = state.thresholds[j]
+        frozen[j] = True
 
     new_state = ConeState(state.time + dt, r_new, frozen, state.thresholds)
     return new_state, StepRecord(state.time, dt, areas, rdot, active), events

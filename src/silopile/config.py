@@ -119,8 +119,6 @@ def parse_config(path: str | Path) -> RunConfig:
             total_mass=number("sources", "total_mass"),
             polygon=poly,
         )
-        if n_sources <= 0:
-            raise ConfigError("[sources]: density kinds require n >= 1")
     elif kind == GAUSSIAN:
         center = _rows(get("sources", "center"), "[sources] center")[0]
         density = DensitySpec(
@@ -130,10 +128,10 @@ def parse_config(path: str | Path) -> RunConfig:
             sigma=number("sources", "sigma"),
             radius=number("sources", "radius"),
         )
-        if n_sources <= 0:
-            raise ConfigError("[sources]: density kinds require n >= 1")
     else:
         raise ConfigError(f"[sources]: unknown kind {kind!r}")
+    if n_sources < 1:
+        raise ConfigError("[sources] n: must be at least 1")
 
     horizon = number("run", "horizon")
     snapshot_times = _floats(get("run", "snapshot_times", ""), "[run] snapshot_times")

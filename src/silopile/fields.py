@@ -102,7 +102,6 @@ def rolling_measure(
     sources: SourceSet,
     part: Partition,
     atoms: list[BoundaryPoint],
-    grid: Grid,
 ) -> PathMeasure:
     """Discretized rolling layer.
 
@@ -112,6 +111,7 @@ def rolling_measure(
     equal sub-deposits binned to grid cells.  Deposits accumulate by
     source index, row-major cells within a source, then the spill atoms.
     """
+    grid = part.grid
     labels = part.labels.ravel()
     feeding = ~state.frozen & (part.areas > 0.0)
     cell_weight = np.zeros(sources.k)

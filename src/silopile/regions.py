@@ -15,7 +15,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -100,12 +100,8 @@ def build_grid(domain: ConvexDomain, h: float) -> Grid:
     lo, hi = domain.bbox
     nx = max(1, int(np.ceil((hi[0] - lo[0]) / h - 1e-12)))
     ny = max(1, int(np.ceil((hi[1] - lo[1]) / h - 1e-12)))
-    xs = lo[0] + (np.arange(nx) + 0.5) * h
-    ys = lo[1] + (np.arange(ny) + 0.5) * h
-    cx, cy = np.meshgrid(xs, ys)
-    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    mask = domain.contains_many(centers).reshape(ny, nx)
-    return Grid(origin=np.asarray(lo, dtype=float), h=float(h), nx=nx, ny=ny, inside_mask=mask)
+    box = Grid(np.asarray(lo, dtype=float), float(h), nx, ny, np.ones((ny, nx), dtype=bool))
+    return replace(box, inside_mask=domain.contains_many(box.inside_centers()).reshape(ny, nx))
 
 
 def distances(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -164,7 +160,6 @@ class SourceLists:
         self.base_radii = None  # the radii of the last rebuild
         self.rebuilds = 0
         self.max_candidates = 0
-        self._tiles = None
 
     @property
     def k(self) -> int:
@@ -194,7 +189,7 @@ class SourceLists:
             self.delta = np.inf
             self.max_candidates = k
             return
-        tile_of = self._tile_geometry()[0]
+        tile_of = self._tile_geometry[0]
         rows, cols, slot, width = _pack(keep)
         tile_index = np.full((len(keep), width), k)  # k: a source at infinity pads the rows
         tile_index[rows, slot] = cols
@@ -211,29 +206,28 @@ class SourceLists:
 
     def _tile_candidates(self, radii: np.ndarray) -> np.ndarray:
         """(tiles, k) bool: the sources within 2 rho + 3 delta of each tile's best at its centre."""
-        _, centres, rho, extent = self._tile_geometry()
+        _, centres, rho, extent = self._tile_geometry
         values = distances(centres, self.locations)
         np.subtract(radii, values, out=values)
         slack = SLACK * (extent + float(np.abs(radii).max()))
         return values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
 
+    @cached_property
     def _tile_geometry(self):
-        """Tile of each point, each tile's centre and radius, and the extent of points and sources (cached)."""
-        if self._tiles is None:
-            p = self.points
-            spacing = self.h or float(np.ptp(p, axis=0).max()) / np.sqrt(len(p)) or 1.0
-            cells = np.rint((p - p.min(axis=0)) / spacing).astype(np.int64) // TILE
-            _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
-            tile_of = tile_of.ravel()
-            members = np.bincount(tile_of)
-            centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
-            centres /= members[:, None]
-            reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
-            rho = np.zeros(len(members))
-            np.maximum.at(rho, tile_of, reach)
-            both = np.vstack([p, self.locations])
-            self._tiles = tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
-        return self._tiles
+        """Tile of each point, each tile's centre and radius, and the extent of points and sources."""
+        p = self.points
+        spacing = self.h or float(np.ptp(p, axis=0).max()) / np.sqrt(len(p)) or 1.0
+        cells = np.rint((p - p.min(axis=0)) / spacing).astype(np.int64) // TILE
+        _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
+        tile_of = tile_of.ravel()
+        members = np.bincount(tile_of)
+        centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
+        centres /= members[:, None]
+        reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
+        rho = np.zeros(len(members))
+        np.maximum.at(rho, tile_of, reach)
+        both = np.vstack([p, self.locations])
+        return tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
 
 
 def _pack(keep: np.ndarray):

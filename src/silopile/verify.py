@@ -354,11 +354,12 @@ class _TransportSimplex:
     persist across pivots: a pivot walks parent pointers to find its cycle,
     re-hangs the subtree cut off by the leaving arc and shifts only that
     subtree's potentials, the columns' through one gather over ``col_row``.
-    A pass over all blocks without a candidate is followed by fresh tree
-    duals and one full reduced-cost pass, which either finds the next
-    entering arc or proves optimality.  After ``solve``, ``flows``, the
-    final tree's ``u`` and ``v`` and ``min_rc``, the minimum of all m*n
-    reduced costs, certify the plan on their own, whatever the start.
+    A cycle of blocks without a candidate is followed by fresh tree duals
+    and a second pass over the blocks in order, whose least reduced cost
+    (the first in row order, with no (m, n) temporary) enters or proves
+    optimality.  After ``solve``, ``flows``, the final tree's ``u`` and
+    ``v`` and ``min_rc``, the minimum of all m*n reduced costs, certify
+    the plan on their own, whatever the start.
 
     The tree stays strongly feasible (Cunningham 1976): a zero-flow arc to
     a junction column hangs the column under its row, so zero-flow arcs
@@ -446,15 +447,8 @@ class _TransportSimplex:
                     break
         self.flows[arc_rows, arc_cols] = takes
         joins = self._join(key, np.array(arc_rows, dtype=np.int64), np.array(arc_cols, dtype=np.int64))
-        for i, j in zip(arc_rows, arc_cols):
-            self.col_rows[j].add(i)
-        for i, j in joins:
-            self.col_rows[j].add(i)
-        for j, rows in enumerate(self.col_rows):
-            self.col_row[j] = next(iter(rows))
-            if len(rows) > 1:
-                for r in rows:
-                    self.row_junc[r].add(j)
+        for i, j in [*zip(arc_rows, arc_cols), *joins]:
+            self._add_arc(i, j)
         self._hang(0, -1)
 
     def _join(self, residual, arc_rows, arc_cols):
@@ -555,35 +549,38 @@ class _TransportSimplex:
         max_iter = 400 * (m + n) + 5000
         floor = -LP_TOL * self.scale
         width = -(-self.BLOCK_CELLS // m)
-        blocks = -(-n // width)
+        blocks = range(0, n, width)
         start = 0
         self.u, self.v = self.duals()
         for _ in range(max_iter):
-            enter = None
-            for b in range(blocks):
-                lo = (start + b) % blocks * width
-                cols = slice(lo, lo + width)
-                reduced = self.cost[:, cols] - self.u[:, None] - self.v[None, cols]
-                flat = int(np.argmin(reduced))
-                if reduced.flat[flat] < floor:
-                    ei, ej = divmod(flat, reduced.shape[1])
-                    enter = ei, lo + ej, float(reduced.flat[flat])
+            for b in range(len(blocks)):
+                rc, ei, ej = self._block_min(blocks[(start + b) % len(blocks)], width)
+                if rc < floor:
                     break
-            if enter is None:
-                # no block prices out: fresh tree duals and one pass over
-                # all m*n reduced costs decide
+            else:
+                # no block prices out: fresh tree duals and a pass over all
+                # m*n reduced costs, the same blocks in order, decide
                 self.u, self.v = self.duals()
-                reduced = self.cost - self.u[:, None] - self.v[None, :]
-                flat = int(np.argmin(reduced))
-                if reduced.flat[flat] >= floor:
-                    self.min_rc = float(reduced.flat[flat])
+                rc, ei, ej = min(self._block_min(lo, width) for lo in blocks)
+                if rc >= floor:
+                    self.min_rc = rc
                     return
-                ei, ej = divmod(flat, n)
-                enter = ei, ej, float(reduced.flat[flat])
-            start = enter[1] // width + 1
+            start = ej // width + 1
             self.pivots += 1
-            self._pivot(*enter)
+            self._pivot(ei, ej, rc)
         raise RuntimeError("network simplex exceeded its iteration budget")
+
+    def _block_min(self, lo: int, width: int) -> tuple[float, int, int]:
+        """(c_ij - u_i - v_j, i, j) least over the columns lo .. lo + width - 1, first in row order.
+
+        As a tuple's order breaks ties by row, then column, the least of
+        the blocks' minima is the first minimum of all m*n in row order.
+        """
+        cols = slice(lo, lo + width)
+        reduced = self.cost[:, cols] - self.u[:, None] - self.v[None, cols]
+        flat = int(np.argmin(reduced))
+        i, j = divmod(flat, reduced.shape[1])
+        return float(reduced.flat[flat]), i, lo + j
 
     def _hang(self, x: int, y: int):
         """Hang core node x and everything beyond it (away from y) under y.

@@ -199,7 +199,7 @@ def test_a6_measure_bounds():
     t_prev = 0.0
     for t, state in zip(traj.snapshot_times, traj.states):
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, traj.spill_atoms, grid)
+        mu = rolling_measure(state, s, part, traj.spill_atoms)
         nu = spill_measure(state, s, traj.spill_atoms)
         mu_ok &= mu.total_mass <= dom.diameter * total + 1e-12
         nu_ok &= nu.total_mass <= total + 1e-12
@@ -214,7 +214,7 @@ def test_a6_measure_bounds():
     thresholds, atoms = big.escape_cost(sc.locations)
     state = ConeState(0.0, np.array([1.0]), np.array([False]), thresholds)
     gk = build_grid(big, h)
-    mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms, gk)
+    mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms)
     cone_ok = abs(mu_cone.total_mass - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
 
     ok = mu_ok and nu_ok and l2_ok and cone_ok

@@ -210,7 +210,7 @@ class TestRollingMeasure:
             state, part, atoms = mixed_state(dom, s, radii, grid)
             if radii[0] == 9.0 and radii[3] == 0.01:
                 assert state.frozen[0] and not state.frozen[3:].any() and not part.areas[3:].any()
-            mu = rolling_measure(state, s, part, atoms, grid)
+            mu = rolling_measure(state, s, part, atoms)
             mass, _ = ref.deposit_loop(state, s, part, atoms, grid)
             assert np.array_equal(mu.density, mass / grid.cell_area)
 
@@ -221,7 +221,7 @@ class TestRollingMeasure:
         grid = build_grid(dom, 1 / 64)
         state, part, atoms = mixed_state(dom, s, rng.uniform(0.0, 0.12, 64), grid)
         assert state.frozen.any() and (~state.frozen & (part.areas == 0.0)).any()
-        mu = rolling_measure(state, s, part, atoms, grid)
+        mu = rolling_measure(state, s, part, atoms)
         mass, _ = ref.deposit_loop(state, s, part, atoms, grid)
         assert np.array_equal(mu.density, mass / grid.cell_area)
 

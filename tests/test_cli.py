@@ -297,6 +297,54 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_gaussian_round_trip(self, tmp_path):
+        template = GAUSSIAN_CONFIG.replace("0 0 ; 4 0 ; 4 4 ; 0 4", "0 0 ; 1 0 ; 1 1 ; 0 1").replace(
+            "center = 2 2\nsigma = 0.3\nradius = 0.9", "center = 0.5 0.5\nsigma = 0.2\nradius = 0.3").replace(
+            "horizon = 0.25\nsnapshot_times = 0.1 0.25", "horizon = 0.05\nsnapshot_times = 0.02 0.05").replace(
+            "h = 0.0625", "h = 0.03125")
+        path, out = write_config(tmp_path, template)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        echo = parse_manifest(out / "manifest.txt")["config"]
+        assert echo[2:8] == [
+            "sources.kind = gaussian-truncated",
+            "sources.center = 0.5 0.5",
+            "sources.sigma = 0.20000000000000001",
+            "sources.radius = 0.29999999999999999",
+            "sources.total_mass = 1",
+            "sources.n = 4",
+        ]
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
+        assert "result = PASS" in (out / "certificates.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, template, old, new, named",
+        [
+            (["simulate", "--config", "{config}"], SINGLE_SOURCE, "kind = point-list", "kind = cloud",
+             "[sources]: unknown kind 'cloud'"),
+            (["simulate", "--config", "{config}"], CONVERGE_CONFIG, "n = 4\n", "n = 0\n",
+             "[sources] n: must be at least 1"),
+            (["simulate", "--config", "{config}"], SINGLE_SOURCE, "h = 0.03125", "h = -0.03125",
+             "[grid]: spacings must be positive"),
+            (["simulate", "--config", "{config}"], SINGLE_SOURCE, "horizon = 0.3", "horizon = 0",
+             "[run]: horizon must be positive"),
+            (["simulate", "--config", "{config}.missing"], SINGLE_SOURCE, None, None, "cannot read config file"),
+            (["simulate", "--config", "{config}"], SINGLE_SOURCE, "[grid]\n", "[mesh]\n", "missing section [grid]"),
+            (["verify"], SINGLE_SOURCE, None, None, "verify needs --manifest or --config"),
+            (["verify", "--manifest", "{config}"], SINGLE_SOURCE, None, None, "not a silopile-manifest-v1 file"),
+            (["converge", "--config", "{config}"], SINGLE_SOURCE, None, None, "[run]: converge requires n_list"),
+        ],
+        ids=["unknown_kind", "density_n_0", "grid_h", "horizon", "unreadable", "missing_section", "verify_no_input",
+             "manifest_header", "converge_n_list"],
+    )
+    def test_exit_2_names_cause(self, tmp_path, capsys, argv, template, old, new, named):
+        if old is not None:
+            assert template.count(old) == 1
+            template = template.replace(old, new)
+        path, out = write_config(tmp_path, template)
+        assert main([arg.format(config=path) for arg in argv] + ["--quiet"]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_code_2_on_bad_config(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[domain]\nvertices = broken\n")
@@ -382,10 +430,15 @@ class TestVerify:
                 "tolerances.dual_node_cap = 4e",
                 "[config] tolerances.dual_node_cap: could not convert string to float: '4e'",
             ),
+            (r"^(1 = t=.* radii=[^,\s]+),\S+", r"\1", "[snapshots] entry 1: 1 radii and 2 frozen flags for 2 sources"),
+            (r"^(1 = t=.* frozen=\d),\d$", r"\1", "[snapshots] entry 1: 2 radii and 1 frozen flags for 2 sources"),
+            (r"^(1 = t=.* frozen=\d),\d$", r"\1,x", "[snapshots] entry 1 frozen: flags must be 0 or 1, got '0,x'"),
+            (r"^(0 = t=.* frozen=)0,", r"\g<1>1,", "[snapshots] entry 0: frozen flags inconsistent with radii"),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
-            "grid_h", "wall_values", "source_coordinate", "node_cap",
+            "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
+            "flag_inconsistent",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):

@@ -147,7 +147,7 @@ class TestRollingMeasure:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 64)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
         assert mu.total_mass == pytest.approx(2.0 / 3.0, rel=0.01)
 
     def test_monte_carlo_cross_check(self, big_square):
@@ -162,7 +162,7 @@ class TestRollingMeasure:
         state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), big_square.escape_cost(s.locations)[0])
         grid = build_grid(big_square, 1 / 32)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
         assert mu.total_mass == 0.0
 
     def test_diameter_bound(self):
@@ -174,7 +174,7 @@ class TestRollingMeasure:
             radii = np.minimum(np.full(2, r), thresholds)
             state = ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
             part = partition(grid, s, radii)
-            mu = rolling_measure(state, s, part, atoms, grid)
+            mu = rolling_measure(state, s, part, atoms)
             assert mu.total_mass <= dom.diameter * s.total_rate + 1e-12
 
 
@@ -291,7 +291,7 @@ class TestSerialization:
         state = single_cone_state(big_square, s, 1.0)
         grid = build_grid(big_square, 1 / 16)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1], grid)
+        mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
         text = path_measure_to_csv(mu)
         back = field_from_csv(grid, text)
         np.testing.assert_array_equal(back.values, mu.density)

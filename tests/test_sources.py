@@ -86,6 +86,19 @@ class TestDiscretize:
             s = discretize(f, n, big_square)
             np.testing.assert_allclose(s.locations, pts)
 
+    def test_point_list_binned_below_its_count(self, big_square):
+        # n = 4 < 9 points: a 2 x 2 overlay of the points' bounding box
+        # [1, 3]^2, one source per occupied bin at its weighted centroid
+        points = np.array([
+            [1.0, 1.0, 1.0], [3.0, 3.0, 2.0], [2.5, 1.2, 1.0], [1.5, 1.5, 1.0], [1.0, 3.0, 2.0],
+            [3.0, 1.0, 3.0], [1.2, 1.8, 2.0], [2.2, 2.4, 3.0], [1.4, 2.6, 2.0],
+        ])
+        f = DensitySpec(kind=POINT_LIST, total_mass=17.0, points=points[:, :2], weights=points[:, 2])
+        s = discretize(f, 4, big_square)
+        np.testing.assert_allclose(s.locations, [[1.225, 1.525], [2.875, 1.05], [1.2, 2.8], [2.52, 2.64]], rtol=1e-15)
+        np.testing.assert_allclose(s.rates, [4.0, 4.0, 4.0, 5.0], rtol=1e-15)
+        assert s.rates.sum() == 17.0
+
     def test_uniform_square_n4(self, big_square):
         f = DensitySpec(
             kind=UNIFORM_POLYGON,

@@ -702,7 +702,7 @@ class TestSnapshotPipeline:
         dom, s, state, h = self.make_snapshot(t=0.25)
         grid = build_grid(dom, h)
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, dom.escape_cost(s.locations)[1], grid)
+        mu = rolling_measure(state, s, part, dom.escape_cost(s.locations)[1])
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         sol = solve_primal(p)
         sink_pos = np.vstack([p.demand_locations, p.boundary_positions])
