@@ -8,6 +8,7 @@ the freeze events.  Equivalent to
     silopile verify   --config configs/two_source.ini
 
 but kept as a script so the intermediate objects are easy to poke at.
+Exits 1 if any snapshot's certificate fails, like ``silopile verify``.
 """
 
 import sys
@@ -21,7 +22,7 @@ from silopile.cones import run
 from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
 
 
-def main():
+def main() -> int:
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "two_source.ini")
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
@@ -32,16 +33,19 @@ def main():
         print(f"source {j} froze at t = {t:.5f}")
 
     grid = traj.grid
+    failed = 0
     for t, state in zip(traj.snapshot_times, traj.states):
         problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
         sol = solve_primal(problem)
         rep = certify(*snapshot_heights(state, sources, problem), sol, problem)
         verdict = "PASS" if rep.passed else "FAIL"
+        failed += not rep.passed
         print(
             f"t={t:5.2f}: transport cost {sol.primal_value:8.5f}, "
             f"gap {rep.duality_gap:.2e}, ray residual {rep.ray_residual:.2e} -> {verdict}"
         )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

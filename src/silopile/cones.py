@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPoint, ConvexDomain
+from .geometry import BoundaryPoints, ConvexDomain
 from .regions import Grid, SourceLists, areas_with_floor, build_grid
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
@@ -63,7 +63,7 @@ class Trajectory:
     freeze_events: list[tuple[int, float]]
     steps: list[StepRecord]
     final_state: ConeState
-    spill_atoms: list[BoundaryPoint]  # per source, where its rate crosses the wall once frozen
+    spill_atoms: BoundaryPoints  # per source, where its rate crosses the wall once frozen
     grid: Grid  # the grid the stepped phase partitioned
     lists: SourceLists  # the candidate sources of the grid's inside cells
 
@@ -146,7 +146,7 @@ def run(
     T: float,
     snapshot_times,
     h: float,
-    routes: tuple[np.ndarray, list[BoundaryPoint]] | None = None,
+    routes: tuple[np.ndarray, BoundaryPoints] | None = None,
 ) -> Trajectory:
     """Integrate to time T, emitting interpolated snapshots.
 

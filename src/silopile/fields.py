@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeState
-from .geometry import BoundaryPoint, ConvexDomain
-from .regions import NONE_LABEL, Grid, Partition, SourceLists
+from .geometry import BoundaryPoints, ConvexDomain
+from .regions import NONE_LABEL, Grid, Partition, SourceLists, distances
 from .sources import SourceSet
 
 # Segments deposited per np.add.at pass of rolling_measure; bounds the
 # sub-deposit arrays without changing the order of accumulation.
 DEPOSIT_BLOCK = 1024
+# Outside-inside cell distances per pass when rolling_measure moves the mass
+# of cells centred outside the domain to their nearest inside cells.
+STRAY_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,14 @@ class GridField:
 
 @dataclass(frozen=True)
 class BoundaryMeasure:
-    """Non-negative atoms on the boundary."""
+    """Non-negative atoms on the boundary: mass ``masses[i]`` at point i."""
 
-    atoms: list[tuple[BoundaryPoint, float]]
+    points: BoundaryPoints
+    masses: np.ndarray  # (k,)
 
     @property
     def total_mass(self) -> float:
-        return float(sum(m for _, m in self.atoms))
+        return float(self.masses.sum())
 
 
 @dataclass(frozen=True)
@@ -86,50 +90,57 @@ def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> 
     return GridField(grid=part.grid, values=values)
 
 
-def spill_measure(state: ConeState, sources: SourceSet, atoms: list[BoundaryPoint]) -> BoundaryMeasure:
-    """One atom of mass c_j at the canonical wall crossing ``atoms[j]`` of each frozen source."""
-    masses: dict[tuple[int, float], float] = {}
-    points: dict[tuple[int, float], BoundaryPoint] = {}
-    for j in np.nonzero(state.frozen)[0]:
-        bp = atoms[j]
-        masses[bp.key] = masses.get(bp.key, 0.0) + float(sources.rates[j])
-        points[bp.key] = bp
-    return BoundaryMeasure(atoms=[(points[k], masses[k]) for k in sorted(masses)])
+def spill_measure(state: ConeState, sources: SourceSet, atoms: BoundaryPoints) -> BoundaryMeasure:
+    """Mass c_j at the canonical wall crossing (point j of ``atoms``) of each frozen source j.
+
+    Sources crossing at the same (edge, param) share one atom, whose mass
+    sums their rates in ascending source index; atoms ascend by (edge, param).
+    """
+    frozen = np.flatnonzero(state.frozen)
+    frozen = frozen[np.lexsort((atoms.param[frozen], atoms.edge[frozen]))]  # stable: ties keep source order
+    edge, param = atoms.edge[frozen], atoms.param[frozen]
+    first = np.ones(len(frozen), dtype=bool)
+    first[1:] = (edge[1:] != edge[:-1]) | (param[1:] != param[:-1])
+    masses = np.zeros(int(first.sum()))
+    np.add.at(masses, np.cumsum(first) - 1, sources.rates[frozen])
+    at = frozen[first]
+    return BoundaryMeasure(BoundaryPoints(atoms.edge[at], atoms.param[at], atoms.position[at]), masses)
 
 
-def rolling_measure(
-    state: ConeState,
-    sources: SourceSet,
-    part: Partition,
-    atoms: list[BoundaryPoint],
-) -> PathMeasure:
+def rolling_measure(state: ConeState, sources: SourceSet, part: Partition, atoms: BoundaryPoints) -> PathMeasure:
     """Discretized rolling layer.
 
-    Every labeled cell, and the spill atom ``atoms[j]`` of every frozen
-    source j, is treated as a point mass shipping to its source; mass
-    w * |x - y| is spread along the segment [x, y] in ceil(|x - y| / h)
-    equal sub-deposits binned to grid cells.  Deposits accumulate by
-    source index, row-major cells within a source, then the spill atoms.
+    Every labeled cell, with its mass growth rate x h^2, and the spill atom
+    (point j of ``atoms``) of every frozen source j, with mass c_j, is
+    treated as a point mass shipping to its source; mass w * |x - y| is
+    spread along the segment [x, y] in ceil(|x - y| / h) equal sub-deposits
+    binned to grid cells.  Deposits accumulate by source index, row-major
+    cells within a source, then the spill atoms.  A cell whose centre lies
+    outside the domain passes its mass to the nearest inside cell (lowest
+    index on ties), so the inside cells hold the layer's whole mass.
     """
     grid = part.grid
     labels = part.labels.ravel()
-    feeding = ~state.frozen & (part.areas > 0.0)
-    cell_weight = np.zeros(sources.k)
-    cell_weight[feeding] = sources.rates[feeding] / part.areas[feeding] * grid.cell_area
-    cells = np.flatnonzero(labels != NONE_LABEL)
-    cells = cells[feeding[labels[cells]]]
+    cell_mass = growth_rate_field(state, sources, part).values.ravel() * grid.cell_area
+    cells = np.flatnonzero(cell_mass > 0.0)
     cells = cells[np.argsort(labels[cells], kind="stable")]
     frozen = np.flatnonzero(state.frozen)
 
-    starts = np.concatenate(
-        [grid.cell_centers().reshape(-1, 2)[cells], np.array([atoms[j].position for j in frozen]).reshape(-1, 2)]
-    )
+    centers = grid.cell_centers().reshape(-1, 2)
+    starts = np.concatenate([centers[cells], atoms.position[frozen]])
     owners = np.concatenate([labels[cells], frozen])
-    weights = np.concatenate([cell_weight[labels[cells]], sources.rates[frozen]])
+    weights = np.concatenate([cell_mass[cells], sources.rates[frozen]])
     mass = np.zeros((grid.ny, grid.nx))
     for b in range(0, len(starts), DEPOSIT_BLOCK):
         block = slice(b, b + DEPOSIT_BLOCK)
         _deposit_segments(grid, starts[block], sources.locations[owners[block]], weights[block], mass)
+    flat, inside = mass.ravel(), np.flatnonzero(grid.inside_mask)
+    stray = np.flatnonzero((flat != 0.0) & ~grid.inside_mask.ravel())
+    step = max(1, STRAY_BLOCK // max(len(inside), 1))
+    for b in range(0, len(stray), step):
+        block = stray[b : b + step]
+        np.add.at(flat, inside[distances(centers[block], centers[inside]).argmin(axis=1)], flat[block])
+    flat[stray] = 0.0
     return PathMeasure(grid=grid, density=mass / grid.cell_area)
 
 
@@ -181,18 +192,14 @@ def path_measure_to_csv(mu: PathMeasure) -> str:
 
 
 def boundary_measure_to_lines(nu: BoundaryMeasure) -> str:
-    lines = ["edge_index,edge_parameter,mass"]
-    for bp, m in nu.atoms:
-        lines.append(f"{bp.edge_index},{bp.edge_parameter:.17g},{m:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(nu.points.edge.tolist(), nu.points.param.tolist(), nu.masses.tolist())
+    return "edge_index,edge_parameter,mass\n" + "".join([f"{e},{s:.17g},{m:.17g}\n" for e, s, m in rows])
 
 
 def boundary_measure_from_lines(domain: ConvexDomain, text: str) -> BoundaryMeasure:
     rows = text.strip().splitlines()
     if rows[0] != "edge_index,edge_parameter,mass":
         raise ValueError("missing edge_index,edge_parameter,mass header")
-    atoms = []
-    for line in rows[1:]:
-        e, s, m = line.split(",")
-        atoms.append((domain.boundary_point(int(e), float(s)), float(m)))
-    return BoundaryMeasure(atoms=atoms)
+    table = np.array([line.split(",") for line in rows[1:]], dtype=str).reshape(-1, 3)
+    points = domain.boundary_points(table[:, 0].astype(np.int64), table[:, 1].astype(float))
+    return BoundaryMeasure(points, table[:, 2].astype(float))

@@ -18,21 +18,17 @@ _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    """Point on the polygon boundary, parameterized along one edge.
+class BoundaryPoints:
+    """Points on the polygon boundary, each parameterized along one edge.
 
-    ``edge_parameter`` runs from 0 at the edge's start vertex to 1 at its
-    end vertex; points shared by two edges are canonicalized to parameter
-    0 of the later edge.
+    ``param`` runs from 0 at the edge's start vertex to 1 at its end
+    vertex; points shared by two edges are canonicalized to parameter 0
+    of the later edge.
     """
 
-    edge_index: int
-    edge_parameter: float
-    position: np.ndarray
-
-    @property
-    def key(self) -> tuple[int, float]:
-        return (self.edge_index, self.edge_parameter)
+    edge: np.ndarray      # (k,) int64
+    param: np.ndarray     # (k,)
+    position: np.ndarray  # (k, 2)
 
 
 class ConvexDomain:
@@ -81,15 +77,17 @@ class ConvexDomain:
     def n_edges(self) -> int:
         return len(self.vertices)
 
-    def boundary_point(self, edge_index: int, s: float) -> BoundaryPoint:
-        """Construct the boundary point at parameter ``s`` of one edge."""
-        s = float(s)
-        if not 0.0 <= s <= 1.0:
+    def boundary_points(self, edges, params) -> BoundaryPoints:
+        """The boundary points at parameters ``params`` of edges ``edges``, canonicalized."""
+        edges, params = np.asarray(edges, dtype=np.int64), np.asarray(params, dtype=float)
+        if not np.all((params >= 0.0) & (params <= 1.0)):
             raise ValueError("edge parameter outside [0, 1]")
-        edge_index, s = self._canonical(int(edge_index), s)
-        edge_index, s = int(edge_index), float(s)
-        pos = self.vertices[edge_index] + s * self.edges[edge_index]
-        return BoundaryPoint(edge_index, s, pos)
+        if np.any((edges < 0) | (edges >= self.n_edges)):
+            raise ValueError("edge index outside [0, n_edges)")
+        return self._points(*self._canonical(edges, params))
+
+    def _points(self, edges: np.ndarray, params: np.ndarray) -> BoundaryPoints:
+        return BoundaryPoints(edges, params, self.vertices[edges] + params[:, None] * self.edges[edges])
 
     def _canonical(self, edge_index, s):
         """Canonical (edge, parameter) of edge points, elementwise over arrays.
@@ -116,13 +114,12 @@ class ConvexDomain:
         feet = self.vertices + np.clip(t, 0.0, 1.0)[..., None] * self.edges
         return np.linalg.norm(feet - points[:, None, :], axis=2).min(axis=1)
 
-    def wall_height(self, b: BoundaryPoint) -> float:
-        """Linear interpolation of the vertex wall values along the edge."""
-        i = b.edge_index
-        j = (i + 1) % self.n_edges
-        return float((1.0 - b.edge_parameter) * self.wall_values[i] + b.edge_parameter * self.wall_values[j])
+    def wall_height(self, points: BoundaryPoints) -> np.ndarray:
+        """Linear interpolation of the vertex wall values along each point's edge."""
+        i, s = points.edge, points.param
+        return (1.0 - s) * self.wall_values[i] + s * self.wall_values[(i + 1) % self.n_edges]
 
-    def escape_cost(self, points) -> tuple[np.ndarray, list[BoundaryPoint]]:
+    def escape_cost(self, points) -> tuple[np.ndarray, BoundaryPoints]:
         """Cheapest wall crossing from each row of a (k, 2) array of interior points.
 
         Minimizes wall height plus straight-line distance over the whole
@@ -135,7 +132,7 @@ class ConvexDomain:
         parameter only to about 1e-8 (the square root of the machine
         epsilon).  Returns the (k,) costs and one exit per row: among the
         edge minimizers within TIE_TOL of the cost, the one with the
-        smallest canonical ``key``.
+        smallest canonical (edge, param).
         """
         t, f = self._edge_minima(np.asarray(points, dtype=float))
         best = f.min(axis=1)
@@ -143,21 +140,16 @@ class ConvexDomain:
         tied = f <= best[:, None] + TIE_TOL
         first_edge = np.where(tied, edge, self.n_edges).min(axis=1)
         first_param = np.where(tied & (edge == first_edge[:, None]), param, np.inf).min(axis=1)
-        positions = self.vertices[first_edge] + first_param[:, None] * self.edges[first_edge]
-        exits = [BoundaryPoint(int(i), float(s), pos) for i, s, pos in zip(first_edge, first_param, positions)]
-        return best, exits
+        return best, self._points(first_edge, first_param)
 
-    def boundary_nodes(self, spacing: float) -> list[BoundaryPoint]:
+    def boundary_nodes(self, spacing: float) -> BoundaryPoints:
         """Nodes at arc-length intervals <= spacing, vertices always included."""
         if spacing <= 0.0:
             raise ValueError("spacing must be positive")
-        nodes = []
-        for i in range(self.n_edges):
-            n_sub = max(1, int(np.ceil(self.edge_lengths[i] / spacing - GEOM_TOL)))
-            for k in range(n_sub):
-                s = k / n_sub
-                nodes.append(BoundaryPoint(i, s, self.vertices[i] + s * self.edges[i]))
-        return nodes
+        n_sub = np.maximum(1, np.ceil(self.edge_lengths / spacing - GEOM_TOL).astype(np.int64))
+        edge = np.repeat(np.arange(self.n_edges), n_sub)
+        k = np.arange(len(edge)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+        return self._points(edge, k / n_sub[edge])
 
     def _edge_minima(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Golden-section minimum of wall(s) + |edge(s) - y| per (point, edge).

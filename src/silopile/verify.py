@@ -125,8 +125,8 @@ def build_problem(
         supply_masses=sources.rates.copy(),
         demand_locations=demand_loc,
         demand_masses=demand_mass,
-        boundary_positions=np.array([b.position for b in nodes]),
-        boundary_walls=np.array([domain.wall_height(b) for b in nodes]),
+        boundary_positions=nodes.position,
+        boundary_walls=domain.wall_height(nodes),
         spill_total=spill_total,
         h=grid.h,
         radii=state.radii.copy(),

@@ -8,7 +8,7 @@ same bits.  ``dense_partition`` and ``dense_heights`` are the full
 
 import numpy as np
 
-from silopile.geometry import _INV_GOLDEN, BoundaryPoint
+from silopile.geometry import _INV_GOLDEN
 from silopile.regions import NONE_LABEL, distances
 from silopile.tolerances import GEOM_TOL, REFINE_TOL, TIE_TOL
 
@@ -49,7 +49,7 @@ def edge_minima(domain, points):
 
 
 def first_exit(domain, y):
-    """The escape cost's exit from one point, one tied edge minimizer at a time.
+    """The escape cost's exit ``(edge, param, position)`` from one point, one tied edge minimizer at a time.
 
     Every edge minimizer within TIE_TOL of the cost is canonicalized (a
     parameter >= 1 - GEOM_TOL wraps to parameter 0 of the next edge, one
@@ -66,7 +66,40 @@ def first_exit(domain, y):
             s = 0.0
         exits.setdefault((edge, s), domain.vertices[edge] + s * domain.edges[edge])
     key = min(exits)
-    return BoundaryPoint(key[0], key[1], exits[key])
+    return key[0], key[1], exits[key]
+
+
+def wall_height(domain, i, s):
+    """Wall height at parameter s of edge i."""
+    j = (i + 1) % domain.n_edges
+    return float((1.0 - s) * domain.wall_values[i] + s * domain.wall_values[j])
+
+
+def boundary_nodes(domain, spacing):
+    """``(edges, params, positions)`` of the boundary nodes, one node at a time."""
+    nodes = []
+    for i in range(domain.n_edges):
+        n_sub = max(1, int(np.ceil(domain.edge_lengths[i] / spacing - GEOM_TOL)))
+        for k in range(n_sub):
+            s = k / n_sub
+            nodes.append((i, s, domain.vertices[i] + s * domain.edges[i]))
+    edges, params, positions = zip(*nodes)
+    return list(edges), list(params), np.array(positions)
+
+
+def spill_atoms(state, sources, atoms):
+    """``(keys, positions, masses)`` of the spill measure, one frozen source at a time.
+
+    Rates accumulate per exact (edge, param) key in a dict, in ascending
+    source index; the keys come out sorted.
+    """
+    masses, points = {}, {}
+    for j in np.nonzero(state.frozen)[0]:
+        key = (int(atoms.edge[j]), float(atoms.param[j]))
+        masses[key] = masses.get(key, 0.0) + float(sources.rates[j])
+        points[key] = atoms.position[j]
+    keys = sorted(masses)
+    return keys, np.array([points[k] for k in keys]).reshape(-1, 2), np.array([masses[k] for k in keys])
 
 
 def merge_sources(locations, rates):
@@ -121,7 +154,7 @@ def deposit_loop(state, sources, part, atoms, grid):
     for j in np.nonzero(state.frozen)[0]:
         _deposit(
             grid,
-            atoms[j].position[None, :],
+            atoms.position[j][None, :],
             sources.locations[j],
             np.array([float(sources.rates[j])]),
             mass,

@@ -13,7 +13,7 @@ import pytest
 import reference_loops as ref
 from silopile import fields
 from silopile.cones import ConeState
-from silopile.fields import GridField, field_to_csv, rolling_measure
+from silopile.fields import GridField, field_to_csv, rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
 from silopile.sources import make_sources, min_separation
@@ -85,12 +85,11 @@ class TestEscapeCost:
     def assert_first_exits(dom, pts):
         costs, exits = dom.escape_cost(pts)
         assert np.array_equal(costs, dom._edge_minima(pts)[1].min(axis=1))
-        assert len(exits) == len(pts)
-        for y, b in zip(pts, exits):
-            expected = ref.first_exit(dom, y)
-            assert type(b.edge_index) is int and type(b.edge_parameter) is float
-            assert b.key == expected.key
-            assert np.array_equal(b.position, expected.position)
+        edges, params, positions = zip(*(ref.first_exit(dom, y) for y in pts))
+        assert exits.edge.dtype == np.int64 and exits.param.dtype == np.float64
+        assert np.array_equal(exits.edge, edges)
+        assert np.array_equal(exits.param, params)
+        assert np.array_equal(exits.position, np.array(positions))
 
     def test_exits_match_tie_collection_on_random_polygons(self):
         rng = np.random.default_rng(12)
@@ -183,6 +182,89 @@ class TestMakeSources:
             pts = interior_points(dom, rng, 20)
             expected = [ref.distance_to_boundary(dom, y) for y in pts]
             assert list(dom.distance_to_boundary(pts)) == expected
+
+
+class TestBoundaryArrays:
+    def test_nodes_match_per_node_loop(self):
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            dom = random_domain(rng)
+            for spacing in (rng.uniform(0.01, 0.3), rng.uniform(0.5, 5.0), float(dom.edge_lengths.min())):
+                nodes = dom.boundary_nodes(spacing)
+                edges, params, positions = ref.boundary_nodes(dom, spacing)
+                assert nodes.edge.dtype == np.int64
+                assert np.array_equal(nodes.edge, edges)
+                assert np.array_equal(nodes.param, params)
+                assert np.array_equal(nodes.position, positions)
+
+    def test_wall_height_matches_scalar_form(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            dom = random_domain(rng)
+            edges = rng.integers(dom.n_edges, size=50)
+            params = np.concatenate([rng.random(44), [0.0, 1.0, GEOM_TOL, 1.0 - GEOM_TOL, 0.5, 0.25]])
+            points = dom.boundary_points(edges, params)
+            expected = [ref.wall_height(dom, i, t) for i, t in zip(points.edge.tolist(), points.param.tolist())]
+            assert np.array_equal(dom.wall_height(points), expected)
+            nodes = dom.boundary_nodes(0.1)
+            expected = [ref.wall_height(dom, i, t) for i, t in zip(nodes.edge.tolist(), nodes.param.tolist())]
+            assert np.array_equal(dom.wall_height(nodes), expected)
+
+
+def frozen_state(thresholds, frozen):
+    radii = np.where(frozen, thresholds, 0.0)
+    return ConeState(0.3, radii, np.asarray(frozen, dtype=bool), thresholds)
+
+
+class TestSpillMeasure:
+    @staticmethod
+    def assert_matches_dict(state, sources, atoms):
+        nu = spill_measure(state, sources, atoms)
+        keys, positions, masses = ref.spill_atoms(state, sources, atoms)
+        assert nu.points.edge.tolist() == [e for e, _ in keys]
+        assert nu.points.param.tolist() == [t for _, t in keys]
+        assert np.array_equal(nu.points.position, positions)
+        assert np.array_equal(nu.masses, masses)
+        return nu
+
+    def test_shared_exits_match_dict_accumulation(self):
+        # Zero walls at one or two vertices that share no edge and steep walls
+        # elsewhere: every source exits at one of those vertices.
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            dom = random_domain(rng)
+            walls = np.full(dom.n_edges, 50.0)
+            a = int(rng.integers(dom.n_edges))
+            walls[[a, (a + 2) % dom.n_edges] if dom.n_edges > 3 else a] = 0.0
+            dom = ConvexDomain(dom.vertices, walls)
+            s = make_sources(dom, interior_points(dom, rng, 40), rng.uniform(1e-3, 1.0, 40) ** 4)
+            thresholds, atoms = dom.escape_cost(s.locations)
+            assert np.all(atoms.param == 0.0)
+            for frozen in (rng.random(s.k) < 0.6, np.ones(s.k, dtype=bool)):
+                self.assert_matches_dict(frozen_state(thresholds, frozen), s, atoms)
+
+    def test_one_exit_sums_rates_in_source_order(self):
+        # Walls (0, 1, 1, 1) and sources closer than 1 to vertex 0: all exit there.
+        dom = ConvexDomain(UNIT_SQUARE, [0.0, 1.0, 1.0, 1.0])
+        rng = np.random.default_rng(21)
+        rates = np.concatenate([np.full(8, 1e-16), [1.0], rng.uniform(0.0, 1.0, 7) * 1e-16])
+        s = make_sources(dom, rng.uniform(0.05, 0.45, (16, 2)), rates)
+        thresholds, atoms = dom.escape_cost(s.locations)
+        assert atoms.edge.tolist() == [0] * 16 and atoms.param.tolist() == [0.0] * 16
+        nu = self.assert_matches_dict(frozen_state(thresholds, np.ones(16, dtype=bool)), s, atoms)
+        total = 0.0
+        for r in s.rates.tolist():
+            total += r
+        assert nu.masses.tolist() == [total]
+        assert total != sum(reversed(s.rates.tolist()))  # the order shows in the bits
+        np.testing.assert_array_equal(nu.points.position, [[0.0, 0.0]])
+
+    def test_no_frozen_source(self):
+        dom = ConvexDomain(UNIT_SQUARE, [0.0, 1.0, 1.0, 1.0])
+        s = make_sources(dom, [(0.3, 0.4), (0.6, 0.7)], [1.0, 2.0])
+        thresholds, atoms = dom.escape_cost(s.locations)
+        nu = self.assert_matches_dict(frozen_state(thresholds, [False, False]), s, atoms)
+        assert nu.masses.shape == (0,) and nu.points.position.shape == (0, 2)
 
 
 def mixed_state(domain, sources, radii, grid):

@@ -110,34 +110,33 @@ class TestSpillMeasure:
     def test_no_frozen_no_atoms(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 1.0)
-        assert spill_measure(state, s, big_square.escape_cost(s.locations)[1]).atoms == []
+        nu = spill_measure(state, s, big_square.escape_cost(s.locations)[1])
+        assert nu.points.edge.shape == nu.points.param.shape == nu.masses.shape == (0,)
+        assert nu.points.position.shape == (0, 2) and nu.total_mass == 0.0
+        assert boundary_measure_to_lines(nu) == "edge_index,edge_parameter,mass\n"
 
     def test_single_frozen_atom(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.2, 0.2, 5.0, 5.0])
         s = make_sources(dom, [(0.5, 0.3)], [1.0])
         state = single_cone_state(dom, s, dom.escape_cost(s.locations)[0][0])
         nu = spill_measure(state, s, dom.escape_cost(s.locations)[1])
-        assert len(nu.atoms) == 1
-        bp, m = nu.atoms[0]
-        assert m == pytest.approx(1.0)
-        np.testing.assert_allclose(bp.position, [0.5, 0.0], atol=1e-9)
+        assert nu.masses.tolist() == [1.0]
+        np.testing.assert_allclose(nu.points.position, [[0.5, 0.0]], atol=1e-9)
 
     def test_tie_selects_first_and_height_unaffected(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         state = single_cone_state(unit_square, s, 0.5)
         nu = spill_measure(state, s, unit_square.escape_cost(s.locations)[1])
-        assert len(nu.atoms) == 1
-        bp, m = nu.atoms[0]
-        assert m == pytest.approx(1.0)
+        assert nu.masses.tolist() == [1.0]
         # four-way tie resolved to the lowest boundary parameterization
-        np.testing.assert_allclose(bp.position, [0.5, 0.0], atol=1e-9)
+        np.testing.assert_allclose(nu.points.position, [[0.5, 0.0]], atol=1e-9)
         # the standing layer is selection-independent: each of the four tied
         # exits, the edge midpoints, sees u = g
         grid = build_grid(unit_square, 1 / 64)
         u = height_field(state, s, grid)
-        for alt in (unit_square.boundary_point(edge, 0.5) for edge in range(4)):
-            u_alt = eval_height_many(state, SourceLists(alt.position, s.locations))[0]
-            assert u_alt == pytest.approx(unit_square.wall_height(alt), abs=1e-9)
+        alt = unit_square.boundary_points(range(4), [0.5] * 4)
+        u_alt = eval_height_many(state, SourceLists(alt.position, s.locations))
+        np.testing.assert_allclose(u_alt, unit_square.wall_height(alt), rtol=0.0, atol=1e-9)
         assert u.values.max() <= 0.5 + 1e-12
 
 
@@ -164,6 +163,33 @@ class TestRollingMeasure:
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
         assert mu.total_mass == 0.0
+
+    def test_slanted_wall_mass_reaches_inside_cells(self):
+        # Sub-deposits near the triangle's slanted walls land in cells centred
+        # outside it, which the CSV does not list; each passes its mass to
+        # the nearest inside cell.
+        dom = ConvexDomain([(0, 0), (1, 0), (0.5, 0.9)], [0.0, 0.01, 0.005])
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(dom.bbox[0], dom.bbox[1], (400, 2))
+        pts = pts[dom.contains_many(pts) & (dom.distance_to_boundary(pts) >= 0.03)][:40]
+        s = make_sources(dom, pts, np.full(40, 1 / 40))
+        traj = run(s, dom, 0.1, [0.1], 1 / 50)
+        state, grid = traj.states[0], traj.grid
+        part = partition(grid, s, state.radii)
+        assert state.frozen.any() and not state.frozen.all()
+        mu = rolling_measure(state, s, part, traj.spill_atoms)
+
+        mass, _ = deposit_loop(state, s, part, traj.spill_atoms, grid)
+        stray = ~grid.inside_mask & (mass != 0.0)
+        assert stray.any()
+        centers, inside = grid.cell_centers(), np.argwhere(grid.inside_mask)
+        for r, c in np.argwhere(stray):
+            nearest = inside[np.argmin(np.linalg.norm(centers[grid.inside_mask] - centers[r, c], axis=1))]
+            mass[tuple(nearest)] += mass[r, c]
+            mass[r, c] = 0.0
+        np.testing.assert_array_equal(mu.density, mass / grid.cell_area)
+        written = field_from_csv(grid, path_measure_to_csv(mu)).values.sum() * grid.cell_area
+        assert written == pytest.approx(mu.total_mass, rel=1e-14)
 
     def test_diameter_bound(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.1, 0.4, 0.2, 0.3])
@@ -221,8 +247,7 @@ class TestFieldInvariants:
     def test_boundary_bounds_and_monotonicity(self):
         dom, s, traj, h = self.make_run()
         nodes = dom.boundary_nodes(0.02)
-        node_pos = np.array([b.position for b in nodes])
-        walls = np.array([dom.wall_height(b) for b in nodes])
+        node_pos, walls = nodes.position, dom.wall_height(nodes)
         prev = None
         for state in traj.states:
             ub = eval_height_many(state, SourceLists(node_pos, s.locations))
@@ -238,8 +263,8 @@ class TestFieldInvariants:
         final = traj.final_state
         assert final.frozen.any()
         nu = spill_measure(final, s, traj.spill_atoms)
-        for bp, _ in nu.atoms:
-            assert eval_height_many(final, SourceLists(bp.position, s.locations))[0] == pytest.approx(dom.wall_height(bp), abs=1e-9)
+        u_atoms = eval_height_many(final, SourceLists(nu.points.position, s.locations))
+        np.testing.assert_allclose(u_atoms, dom.wall_height(nu.points), rtol=0.0, atol=1e-9)
 
     def test_weak_form_residual_first_order(self):
         for h in (1 / 64, 1 / 128):
@@ -259,7 +284,7 @@ class TestFieldInvariants:
                         + (g[:, 1] * direction_mass[..., 1].ravel()).sum()
                     )
                     t3 = float((s.rates * phi(s.locations)).sum())
-                    t4 = float(sum(m * phi(bp.position[None, :])[0] for bp, m in nu.atoms))
+                    t4 = float((nu.masses * phi(nu.points.position)).sum())
                     assert abs(t1 + t2 - t3 + t4) <= 3.0 * h
 
     def test_squared_rate_bound(self):
@@ -297,17 +322,16 @@ class TestSerialization:
         np.testing.assert_array_equal(back.values, mu.density)
 
     def test_boundary_measure_round_trip(self, unit_square):
-        nu = BoundaryMeasure(
-            atoms=[
-                (unit_square.boundary_point(0, 0.5), 0.75),
-                (unit_square.boundary_point(2, 0.125), 1.0 / 3.0),
-            ]
-        )
+        nu = BoundaryMeasure(unit_square.boundary_points([0, 2], [0.5, 0.125]), np.array([0.75, 1.0 / 3.0]))
         back = boundary_measure_from_lines(unit_square, boundary_measure_to_lines(nu))
-        assert len(back.atoms) == 2
-        for (b1, m1), (b2, m2) in zip(back.atoms, nu.atoms):
-            assert b1.key == b2.key
-            assert m1 == m2
+        assert back.points.edge.tolist() == [0, 2] and back.points.param.tolist() == [0.5, 0.125]
+        np.testing.assert_array_equal(back.points.position, nu.points.position)
+        np.testing.assert_array_equal(back.masses, nu.masses)
+
+    @pytest.mark.parametrize("row", ["6,0.25,1.0", "-1,0.25,1.0", "1,1.1,1.0", "1,-0.1,1.0", "1,nan,1.0"])
+    def test_boundary_measure_rejects_point_off_the_wall(self, unit_square, row):
+        with pytest.raises(ValueError, match="outside"):
+            boundary_measure_from_lines(unit_square, f"edge_index,edge_parameter,mass\n0,0.5,1.0\n{row}\n")
 
     def test_rejects_bad_header(self, unit_square):
         grid = build_grid(unit_square, 0.5)

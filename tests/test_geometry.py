@@ -24,7 +24,7 @@ def boundary_scan(domain, y, step=1e-4):
         n = int(np.ceil(domain.edge_lengths[i] / step))
         for s in np.linspace(0.0, 1.0, n + 1):
             pos = domain.vertices[i] + s * domain.edges[i]
-            val = domain.wall_height(domain.boundary_point(i, s)) + np.linalg.norm(pos - y)
+            val = domain.wall_height(domain.boundary_points([i], [s]))[0] + np.linalg.norm(pos - y)
             if val < best:
                 best, arg = val, pos
     return best, arg
@@ -98,12 +98,12 @@ class TestNearestBoundary:
 def assert_four_way_tie(dom, value):
     """The unit square's centre exits at edge 0's midpoint; all four midpoints attain the cost."""
     y = np.array([0.5, 0.5])
-    (exit_point,) = dom.escape_cost(y[None, :])[1]
-    assert exit_point.edge_index == 0
-    assert exit_point.edge_parameter == pytest.approx(0.5, abs=1e-7)
-    for edge in range(4):
-        b = dom.boundary_point(edge, 0.5)
-        assert dom.wall_height(b) + np.linalg.norm(b.position - y) == pytest.approx(value, abs=1e-12)
+    exits = dom.escape_cost(y[None, :])[1]
+    assert exits.edge.tolist() == [0]
+    assert exits.param[0] == pytest.approx(0.5, abs=1e-7)
+    mids = dom.boundary_points(range(4), [0.5] * 4)
+    attained = dom.wall_height(mids) + np.linalg.norm(mids.position - y, axis=1)
+    np.testing.assert_allclose(attained, value, rtol=0.0, atol=1e-12)
 
 
 class TestEscapeCost:
@@ -126,13 +126,13 @@ class TestEscapeCost:
         walls = [0.0, 10.0, 10.0, 10.0, 10.0, 1.0]
         dom = ConvexDomain(verts, walls)
         y = np.array([0.25, 0.5])
-        (value,), (exit_point,) = dom.escape_cost(y[None, :])
+        (value,), exits = dom.escape_cost(y[None, :])
         scan_value, scan_arg = boundary_scan(dom, y)
         # The scan samples at 1e-4 arc-length; the ramp slope 10/delta bounds
         # the value gap per sample interval.
         assert value <= scan_value + 1e-12
         assert value == pytest.approx(scan_value, abs=0.5 * 1e-4 * (1 + 10 / delta))
-        np.testing.assert_allclose(exit_point.position, scan_arg, atol=1e-3)
+        np.testing.assert_allclose(exits.position[0], scan_arg, atol=1e-3)
         # Frozen oracle value: minimum sits at the zero-wall corner (0,0).
         assert value == pytest.approx(np.sqrt(0.25**2 + 0.5**2), abs=1e-9)
 
@@ -141,20 +141,16 @@ class TestEscapeCost:
         pts = np.random.default_rng(7).uniform(1.0, 2.0, size=(25, 2))
         pts = pts[dom.contains_many(pts)]
         values, exits = dom.escape_cost(pts)
-        for y, value, b in zip(pts, values, exits):
-            attained = dom.wall_height(b) + np.linalg.norm(b.position - y)
-            assert attained == pytest.approx(value, abs=1e-9)
+        attained = dom.wall_height(exits) + np.linalg.norm(exits.position - pts, axis=1)
+        np.testing.assert_allclose(attained, values, rtol=0.0, atol=1e-9)
 
     def test_minimality_over_random_boundary_points(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0.3, 0.0, 0.7, 0.2])
         y = np.array([2.0, 1.5])
         value = dom.escape_cost(y[None, :])[0][0]
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            i = int(rng.integers(dom.n_edges))
-            s = float(rng.random())
-            pos = dom.vertices[i] + s * dom.edges[i]
-            assert value <= dom.wall_height(dom.boundary_point(i, s)) + np.linalg.norm(pos - y) + 1e-9
+        b = dom.boundary_points(rng.integers(dom.n_edges, size=1000), rng.random(1000))
+        assert np.all(value <= dom.wall_height(b) + np.linalg.norm(b.position - y, axis=1) + 1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -190,42 +186,51 @@ class TestEscapeCost:
 class TestWallHeight:
     def test_constant(self):
         dom = unit_square(0.2)
-        assert dom.wall_height(dom.boundary_point(1, 0.37)) == pytest.approx(0.2)
+        assert dom.wall_height(dom.boundary_points([1], [0.37]))[0] == pytest.approx(0.2)
 
     def test_linear_interpolation(self):
         dom = ConvexDomain(UNIT_SQUARE, [0.0, 1.0, 0.0, 0.0])
-        assert dom.wall_height(dom.boundary_point(0, 0.25)) == pytest.approx(0.25)
+        np.testing.assert_allclose(dom.wall_height(dom.boundary_points([0, 1, 3], [0.25, 0.5, 1.0])), [0.25, 0.5, 0.0])
 
     def test_vertex_continuity(self):
         dom = ConvexDomain(UNIT_SQUARE, [0.4, 0.8, 0.1, 0.6])
-        end_of_0 = dom.boundary_point(0, 1.0)
-        start_of_1 = dom.boundary_point(1, 0.0)
-        assert end_of_0.key == start_of_1.key
-        assert dom.wall_height(end_of_0) == pytest.approx(0.8)
+        ends = dom.boundary_points([0, 1, 3], [1.0, 0.0, 1.0])
+        assert ends.edge.tolist() == [1, 1, 0] and ends.param.tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(ends.position, [(1, 0), (1, 0), (0, 0)])
+        np.testing.assert_allclose(dom.wall_height(ends), [0.8, 0.8, 0.4])
+
+
+class TestBoundaryPoints:
+    @pytest.mark.parametrize("edge, s", [(0, -0.1), (0, 1.1), (0, np.nan), (-1, 0.5), (4, 0.5)])
+    def test_rejects_parameter_or_edge_outside_range(self, edge, s):
+        with pytest.raises(ValueError, match="outside"):
+            unit_square().boundary_points([1, edge], [0.5, s])
 
 
 class TestBoundaryNodes:
     def test_unit_square_half_spacing(self):
         nodes = unit_square().boundary_nodes(0.5)
-        assert len(nodes) == 8
+        assert nodes.edge.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert nodes.param.tolist() == [0.0, 0.5] * 4
 
     def test_unit_square_unit_spacing(self):
         nodes = unit_square().boundary_nodes(1.0)
-        assert len(nodes) == 4
-        np.testing.assert_allclose([n.edge_parameter for n in nodes], 0.0)
+        assert len(nodes.edge) == 4
+        np.testing.assert_array_equal(nodes.param, 0.0)
+        np.testing.assert_array_equal(nodes.position, UNIT_SQUARE)
 
     def test_345_triangle(self):
         dom = ConvexDomain([(0, 0), (3, 0), (0, 4)], [0, 0, 0])
-        assert len(dom.boundary_nodes(1.0)) == 12
+        assert np.bincount(dom.boundary_nodes(1.0).edge).tolist() == [3, 5, 4]
 
     def test_spacing_respected(self):
         dom = ConvexDomain([(0, 0), (3, 0), (4, 2), (1, 3)], [0] * 4)
         nodes = dom.boundary_nodes(0.3)
-        pos = np.array([n.position for n in nodes])
+        pos = nodes.position
         gaps = np.linalg.norm(np.roll(pos, -1, axis=0) - pos, axis=1)
         assert gaps.max() <= 0.3 + 1e-12
 
     def test_deterministic(self):
         a = unit_square().boundary_nodes(0.17)
         b = unit_square().boundary_nodes(0.17)
-        assert [n.key for n in a] == [n.key for n in b]
+        assert np.array_equal(a.edge, b.edge) and np.array_equal(a.param, b.param)

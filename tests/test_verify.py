@@ -60,10 +60,7 @@ def linprog_oracle(p: DiscreteProblem) -> float:
 def taxed_nodes(domain, spacing):
     """``DiscreteProblem`` boundary fields for the domain's nodes at this spacing."""
     nodes = domain.boundary_nodes(spacing)
-    return {
-        "boundary_positions": np.array([b.position for b in nodes]),
-        "boundary_walls": np.array([domain.wall_height(b) for b in nodes]),
-    }
+    return {"boundary_positions": nodes.position, "boundary_walls": domain.wall_height(nodes)}
 
 
 def unit_square(g=0.0):
