@@ -7,8 +7,9 @@ the child's own maximum resident set, from ``os.wait4``.  A second fresh
 process times ``build_problem`` and ``solve_primal`` on the rung's
 snapshot, with the simplex's pivots, where the dense cost matrix has at
 most ``PRIMAL_CELLS`` entries.  Last, the W1 solves of
-``convergence_study.py`` are timed, one per n.  The rungs and their
-numbers are written to ``BENCH_<label>.json`` in the working directory.
+``convergence_study.py`` are timed, one per n, with their pivots.  The
+rungs and their numbers are written to ``BENCH_<label>.json`` in the
+working directory.
 
     python scripts/scale_ladder.py --label mine            # all six rungs
     python scripts/scale_ladder.py --label ci --smallest   # 256 sources at h = 1/64 only
@@ -31,7 +32,11 @@ SOURCES = (256, 1024)
 SPACINGS = (1 / 64, 1 / 128, 1 / 256)
 HORIZON = 0.02
 # Sources x cells above which the snapshot's primal is skipped: its dense
-# cost matrix alone would pass 36 MB, and the solve holds several such.
+# cost matrix alone would pass 36 MB.  The solve holds at most three
+# (m, n) float arrays at once: the two coordinate differences and their
+# norm while the distances are computed, then the cost with its absorbing
+# column, the start's key and the rows of the component being joined.
+# The flows live on the tree's arcs, not in an (m, n) matrix.
 PRIMAL_CELLS = 4_500_000
 
 CONFIG = """[domain]
@@ -115,12 +120,12 @@ def snapshot_primal(config: str) -> dict:
 
 
 def w1_seconds() -> list[dict]:
-    """Seconds of each W1 solve of ``convergence_study.py``, one per n."""
+    """Seconds and pivots of each W1 solve of ``convergence_study.py``, one per n."""
     sys.path.insert(0, str(HERE))
     from convergence_study import N_LIST, fed_square, quadrature
 
     from silopile.sources import discretize
-    from silopile.verify import wasserstein
+    from silopile.verify import solve_primal, transport_problem
 
     domain, f = fed_square()
     qpts, qw = quadrature()
@@ -128,8 +133,9 @@ def w1_seconds() -> list[dict]:
     for n in N_LIST:
         s = discretize(f, n, domain)
         start = time.perf_counter()
-        w1 = wasserstein(s.locations, s.rates, qpts, qw)
-        rows.append({"n": n, "w1": w1, "seconds": round(time.perf_counter() - start, 3)})
+        sol = solve_primal(transport_problem(s.locations, s.rates, qpts, qw))
+        seconds = time.perf_counter() - start
+        rows.append({"n": n, "w1": sol.primal_value, "seconds": round(seconds, 3), "pivots": sol.pivots})
     return rows
 
 
@@ -159,7 +165,7 @@ def main(argv=None) -> int:
                   f"peak RSS {result['peak_rss_mb']:8.1f} MB  primal {primal}  exit {result['exit_code']}")
     w1 = w1_seconds()
     for row in w1:
-        print(f"W1 n={row['n']:<4d} {row['seconds']:8.3f} s")
+        print(f"W1 n={row['n']:<4d} {row['seconds']:8.3f} s  {row['pivots']} pivots")
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps({
         "label": args.label,

@@ -266,14 +266,19 @@ def _bin_gaussian(f: DensitySpec, q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(locs), masses
 
 
+def _polygon_edges(poly: np.ndarray):
+    """x, y of each vertex and of the next one round the polygon, by slicing one closed ring."""
+    ring = np.concatenate([poly, poly[:1]])
+    return ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
+
+
 def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return float(0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    x, y, xn, yn = _polygon_edges(poly)
+    return float(0.5 * abs(np.sum(x * yn - xn * y)))
 
 
 def _polygon_centroid(poly: np.ndarray) -> np.ndarray:
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y, xn, yn = _polygon_edges(poly)
     cross = x * yn - xn * y
     a = 0.5 * cross.sum()
     cx = np.sum((x + xn) * cross) / (6.0 * a)

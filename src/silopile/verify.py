@@ -7,10 +7,17 @@ taxed by the wall height).  Boundary sinks have unlimited capacity, so the
 taxed boundary collapses into one absorbing column: supply i spills at its
 cheapest taxed crossing a_i = min_b (|x_i - b| + g_b), and that column's
 demand is the spill total.  The primal is solved exactly by a network
-simplex on the bipartite graph.  The dual is the exact LP dual of the same
-problem, solved independently by HiGHS, which keeps the duality check
-non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand pair and,
-when the problem spills, the bound u_i <= a_i (see ``solve_dual``).
+simplex on the bipartite graph.  Its basis is a spanning tree whose
+flows live on the tree's arcs: a leaf column, of one arc, is two array
+entries (its row and that arc's flow), and only the at most m - 1
+junction columns, of two arcs or more, keep Python sets and arc flows.
+The greedy start ships its columns in bulk, in one round per row that
+closes, so the Python work of a start, a pivot or the tree duals grows
+with the rows and junctions, not with the n demand cells.  The dual is
+the exact LP dual of the same problem, solved independently by HiGHS,
+which keeps the duality check non-circular: one row u_i - w_j <=
+|x_i - y_j| per supply-demand pair and, when the problem spills, the
+bound u_i <= a_i (see ``solve_dual``).
 """
 
 from __future__ import annotations
@@ -135,16 +142,27 @@ def build_problem(
 
 
 def transport_problem(supply_locations, supply_masses, demand_locations, demand_masses, h=0.0) -> DiscreteProblem:
-    """Balanced two-marginal problem with the boundary disabled."""
-    supply_masses = np.asarray(supply_masses, dtype=float)
-    demand_masses = np.asarray(demand_masses, dtype=float)
-    if abs(supply_masses.sum() - demand_masses.sum()) > LP_TOL * max(1.0, supply_masses.sum()):
+    """Balanced two-marginal problem with the boundary disabled.
+
+    Masses must be finite and nonnegative and locations finite; a bad
+    value raises ``ValueError`` naming its argument.
+    """
+    args = {
+        "supply_locations": np.atleast_2d(np.asarray(supply_locations, dtype=float)),
+        "supply_masses": np.asarray(supply_masses, dtype=float),
+        "demand_locations": np.atleast_2d(np.asarray(demand_locations, dtype=float)),
+        "demand_masses": np.asarray(demand_masses, dtype=float),
+    }
+    for name, values in args.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+        if name.endswith("masses") and (values < 0.0).any():
+            raise ValueError(f"{name} must be nonnegative")
+    total = args["supply_masses"].sum()
+    if abs(total - args["demand_masses"].sum()) > LP_TOL * max(1.0, total):
         raise ValueError("marginals must balance when the boundary is disabled")
     return DiscreteProblem(
-        supply_locations=np.atleast_2d(np.asarray(supply_locations, dtype=float)),
-        supply_masses=supply_masses,
-        demand_locations=np.atleast_2d(np.asarray(demand_locations, dtype=float)),
-        demand_masses=demand_masses,
+        **args,
         boundary_positions=np.empty((0, 2)),
         boundary_walls=np.empty(0),
         spill_total=0.0,
@@ -195,24 +213,31 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
         demands = np.append(demands, p.spill_total)
     solver = _TransportSimplex(supplies, demands, cost, p.radii)
     solver.solve()
-    flows = solver.flows
+    rows, cols, flows = solver.plan()
 
-    sup_idx, col_idx = np.nonzero(flows > LP_TOL)
+    keep = flows > LP_TOL
+    sup_idx, col_idx = rows[keep], cols[keep]
     sink_idx, spill = col_idx, np.zeros(p.n_boundary)
     if absorb is not None:
         sink_idx = np.where(col_idx == nd, nd + exits[sup_idx], col_idx)
-        spill = np.bincount(exits, weights=flows[:, nd], minlength=p.n_boundary)
+        # each supply's flow into the absorbing column, zero off the tree
+        to_wall = np.zeros(len(supplies))
+        to_wall[rows[cols == nd]] = flows[cols == nd]
+        spill = np.bincount(exits, weights=to_wall, minlength=p.n_boundary)
 
     return TransportSolution(
         plan_supply=sup_idx,
         plan_sink=sink_idx,
-        plan_mass=flows[sup_idx, col_idx],
+        plan_mass=flows[keep],
         spill=spill,
-        primal_value=float((flows * cost).sum()),
+        primal_value=float(np.sum(flows * cost[rows, cols])),
         dual_value=float(solver.u @ supplies + solver.v @ demands),
         min_reduced_cost=solver.min_rc,
         marginal_error=float(
-            max(np.abs(flows.sum(axis=1) - supplies).max(), np.abs(flows.sum(axis=0) - demands).max())
+            max(
+                np.abs(np.bincount(rows, weights=flows, minlength=len(supplies)) - supplies).max(),
+                np.abs(np.bincount(cols, weights=flows, minlength=len(demands)) - demands).max(),
+            )
         ),
         pivots=solver.pivots,
     )
@@ -325,41 +350,66 @@ def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:
     return solve_primal(p).primal_value
 
 
+def _first_min(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum over the rows of ``block`` and the first row that attains it.
+
+    The same as ``block.min(axis=0)`` and ``np.argmin(block, axis=0)``, in
+    one pass per row instead of numpy's strided arg-reduction down the
+    columns, which is about ten times slower.
+    """
+    least = block.min(axis=0)
+    first = np.full(block.shape[1], len(block) - 1)
+    for i in range(len(block) - 2, -1, -1):
+        first[block[i] == least] = i
+    return least, first
+
+
 class _TransportSimplex:
     """Primal network simplex specialised to dense transportation problems.
 
-    Basis bookkeeping: ``col_rows[j]`` holds the basic rows of column j,
-    ``col_row[j]`` one of them (the unique one for leaf columns), and
-    ``row_junc[i]`` the junction columns (degree >= 2) touching row i.
-    Rows and junction columns (node m + j) span a core tree of at most
-    2m - 1 nodes, rooted at row 0; ``parent`` and ``depth`` locate each
-    core node in it, and every other column hangs as a leaf under its row.
+    The basis is a spanning tree of m + n - 1 arcs.  A leaf column, of one
+    basic arc, is described by two arrays over the columns: ``col_row[j]``,
+    its row, and ``col_flow[j]``, the flow on that arc.  Only a junction
+    column (degree >= 2; a tree has at most m - 1) keeps Python
+    containers: its rows in the set ``col_rows[j]`` and its arcs' flows in
+    ``arc_flow[i, j]``; its ``col_row[j]`` is one of those rows, and
+    ``row_junc[i]`` holds the junction columns touching row i.  A column
+    keeps its set when it falls back to a leaf, because set iteration order
+    picks a junction's next ``col_row`` when it loses that arc, and the
+    order depends on the set's history.  Rows and junction columns (node
+    m + j) span a core tree of at most 2m - 1 nodes, rooted at row 0;
+    ``parent`` and ``depth`` locate each core node in it, and every leaf
+    column hangs under its row.  Python loops run over rows and junction
+    columns only; what touches every column is one numpy expression.
 
     The start (Kelly & O'Neill 1991 on advanced starts) is greedy on the
     key c_ij - o_i, with an optional row offset o, zero by default.
     ``_initial_basis`` ships each column to its cheapest rows with supply
-    left, visiting the columns by ascending cheapest key; each arc closes
-    a row or a column, so the positive flows form a forest.  ``_join``
-    then joins the forest into a spanning tree by zero-flow arcs of least
-    reduced cost under the tree's potentials.  ``solve_primal`` passes a
-    snapshot's cone radii as o: a demand cell's cheapest row is then the
-    source whose additively weighted (Apollonius) cell holds it, its
-    partition label, so the start is the simulation's own plan (Hartmann &
-    Schuhmacher 2020 on semi-discrete W1), and the snapshots of the shipped
-    configs and of the benchmark solve without a pivot.
+    left, visiting the columns by ascending cheapest key, in rounds that
+    end where a row closes; each arc closes a row or a column, so the
+    positive flows form a forest.  ``_join`` then joins the forest into a
+    spanning tree by zero-flow arcs of least reduced cost under the tree's
+    potentials.  ``solve_primal`` passes a snapshot's cone radii as o: a
+    demand cell's cheapest row is then the source whose additively weighted
+    (Apollonius) cell holds it, its partition label, so the start is the
+    simulation's own plan (Hartmann & Schuhmacher 2020 on semi-discrete
+    W1), and the snapshots of the shipped configs and of the benchmark
+    solve without a pivot.
 
     Pricing scans blocks of about 4096 reduced costs, starting after the
     block that supplied the last entering arc, and enters the most negative
     arc of the first block that has one.  The potentials ``u`` and ``v``
     persist across pivots: a pivot walks parent pointers to find its cycle,
-    re-hangs the subtree cut off by the leaving arc and shifts only that
-    subtree's potentials, the columns' through one gather over ``col_row``.
-    A cycle of blocks without a candidate is followed by fresh tree duals
-    and a second pass over the blocks in order, whose least reduced cost
-    (the first in row order, with no (m, n) temporary) enters or proves
-    optimality.  After ``solve``, ``flows``, the final tree's ``u`` and
-    ``v`` and ``min_rc``, the minimum of all m*n reduced costs, certify
-    the plan on their own, whatever the start.
+    updates the flows on its arcs, Python floats in ``arc_flow`` (with the
+    entering arc in, every arc of the cycle is a junction arc), re-hangs
+    the subtree cut off by the leaving arc and
+    shifts only that subtree's potentials, the columns' through one gather
+    over ``col_row``.  A cycle of blocks without a candidate is followed by
+    fresh tree duals and a second pass over the blocks in order, whose
+    least reduced cost (the first in row order, with no (m, n) temporary)
+    enters or proves optimality.  After ``solve``, ``plan()``, the final
+    tree's ``u`` and ``v`` and ``min_rc``, the minimum of all m*n reduced
+    costs, certify the plan on their own, whatever the start.
 
     The tree stays strongly feasible (Cunningham 1976): a zero-flow arc to
     a junction column hangs the column under its row, so zero-flow arcs
@@ -381,10 +431,9 @@ class _TransportSimplex:
         total = self.supply.sum()
         if abs(total - self.demand.sum()) > LP_TOL * max(1.0, total):
             raise ValueError("unbalanced transportation problem")
-        self.scale = max(1.0, float(np.abs(self.cost).max()))
-        self.flows = np.zeros((self.m, self.n))
-        self.col_rows: list[set[int]] = [set() for _ in range(self.n)]
-        self.col_row = np.zeros(self.n, dtype=np.int64)
+        self.scale = max(1.0, float(max(self.cost.max(), -self.cost.min())))
+        self.col_rows: dict[int, set[int]] = {}
+        self.arc_flow: dict[tuple[int, int], float] = {}
         self.row_junc: list[set[int]] = [set() for _ in range(self.m)]
         self.parent = [-1] * (self.m + self.n)
         self.depth = [0] * (self.m + self.n)
@@ -403,30 +452,65 @@ class _TransportSimplex:
         left within ``RESIDUE_TOL`` of a row's supply, on the row or on the
         column it serves, is rounding residue: the row keeps it or takes
         it, so no arc carries it.  Zero-demand columns wait for ``_join``.
+
+        The columns ship in rounds, one per event where a row closes, so
+        at most m of them.  Until the next event every column sends its
+        whole demand to its first live row, so a round ships its columns in
+        bulk.  Each row's supply left along its queue of columns is one
+        ``np.subtract.accumulate``, the same rounding as one subtraction
+        per column, and says where the row would close.  Python runs only
+        for the column at which a row closes and for that column's spill.
         """
         m, n = self.m, self.n
         key = self.cost - offset[:, None]
-        first = np.argmin(key, axis=0)
-        cheapest = key[first, np.arange(n)]
+        cheapest, first = _first_min(key)
         key -= cheapest  # the ray residual: 0 on each column's cheapest row
 
-        # Python floats: the same IEEE arithmetic as float64, without the
-        # per-element cost of numpy scalars
-        rem_s = self.supply.tolist()
-        residue = (RESIDUE_TOL * self.supply).tolist()
-        live = [s > 0.0 for s in rem_s]
-        if not any(live):
+        order = np.argsort(cheapest, kind="stable")
+        order = order[self.demand[order] > 0.0]
+        demand = self.demand[order]
+        queued = len(order)
+        residue = RESIDUE_TOL * self.supply
+        live = self.supply > 0.0
+        if not live.any():
             live[0] = True
-        n_live = sum(live)
-        demand = self.demand.tolist()
-        first = first.tolist()
-        arc_rows, arc_cols, takes = [], [], []
-        for j in np.argsort(cheapest, kind="stable").tolist():
-            rem_d = demand[j]
-            if rem_d <= 0.0:
-                continue
-            ranking = None
-            i = first[j]
+        n_live = int(live.sum())
+        # target[q]: the first live row in the ranking of column order[q]
+        target = first[order]
+
+        def retarget(pos):
+            rows = np.flatnonzero(live)
+            target[pos] = rows[np.argmin(key[rows[:, None], order[pos]], axis=0)]
+
+        # each live row's queue, the positions it serves next in ascending
+        # order, with its supply left along them; close_at is where it closes
+        queues = {}
+        close_at = np.full(m, queued)
+
+        def requeue(i, q, supply_left):
+            ship = demand[q]
+            run = np.subtract.accumulate(np.concatenate(([supply_left], ship)))
+            closes = (ship - run[:-1] > residue[i]) | (run[1:] <= residue[i])
+            k = int(closes.argmax()) if len(q) else 0
+            close_at[i] = q[k] if len(q) and closes[k] else queued
+            queues[i] = q, run
+
+        def left_before(i, p):
+            q, run = queues[i]
+            return float(run[q.searchsorted(p)])
+
+        retarget(np.flatnonzero(~live[target]))
+        if n_live > 1:
+            by_row = np.argsort(target, kind="stable")
+            cuts = np.searchsorted(target[by_row], np.arange(m + 1)).tolist()
+            for i in np.flatnonzero(live).tolist():
+                requeue(i, by_row[cuts[i] : cuts[i + 1]], self.supply[i])
+        events, event_rows, event_cols, takes = [], [], [], []
+        while n_live > 1 and (e := int(close_at.min())) < queued:
+            # column j ships down its ranking as long as rows close
+            events.append(e)
+            j, rem_d, i = int(order[e]), float(demand[e]), int(target[e])
+            shipped, ranking = {}, None
             while True:
                 if not live[i]:
                     # rank the column's rows only once its first choice is spent
@@ -434,21 +518,52 @@ class _TransportSimplex:
                         ranking = iter(np.argsort(key[:, j], kind="stable").tolist())
                     i = next(ranking)
                     continue
-                take = rem_d if n_live == 1 or rem_d - rem_s[i] <= residue[i] else rem_s[i]
-                arc_rows.append(i)
-                arc_cols.append(j)
+                rem_s = left_before(i, e)
+                take = rem_d if n_live == 1 or rem_d - rem_s <= residue[i] else rem_s
+                event_rows.append(i)
+                event_cols.append(j)
                 takes.append(take)
-                rem_s[i] -= take
+                shipped[i] = rem_s - take
                 rem_d -= take
-                if n_live > 1 and rem_s[i] <= residue[i]:
+                if n_live > 1 and shipped[i] <= residue[i]:
                     live[i] = False
                     n_live -= 1
+                    close_at[i] = queued
                 if rem_d <= 0.0:
                     break
-        self.flows[arc_rows, arc_cols] = takes
-        joins = self._join(key, np.array(arc_rows, dtype=np.int64), np.array(arc_cols, dtype=np.int64))
-        for i, j in [*zip(arc_rows, arc_cols), *joins]:
+            # the rest of the closed rows' queues moves to the next live rows
+            p = e + 1
+            closed = [queues.pop(i)[0] for i in shipped if not live[i]]
+            moved = np.concatenate([q[q.searchsorted(p) :] for q in closed])
+            if len(moved):
+                retarget(moved)
+            if n_live == 1:
+                break
+            heirs = target[moved]
+            for i in {*heirs.tolist(), *(i for i in shipped if live[i])}:
+                q, run = queues[i]
+                k = q.searchsorted(p)
+                q = np.sort(np.concatenate([q[k:], moved[heirs == i]]))
+                requeue(i, q, shipped[i] if i in shipped else run[k])
+        # every other column ships its whole demand to its target row
+        bulk = np.ones(queued, dtype=bool)
+        bulk[events] = False
+        arc_rows = np.concatenate([target[bulk], np.array(event_rows, dtype=np.int64)])
+        arc_cols = np.concatenate([order[bulk], np.array(event_cols, dtype=np.int64)])
+        takes = np.concatenate([demand[bulk], takes])
+        join_rows, join_cols = self._join(key, arc_rows, arc_cols)
+        rows = np.concatenate([arc_rows, join_rows])
+        cols = np.concatenate([arc_cols, join_cols])
+        flows = np.concatenate([takes, np.zeros(len(join_rows))])
+        # each column's first arc makes it a leaf; every further arc goes
+        # through _add_arc, which turns the column into a junction
+        _, head = np.unique(cols, return_index=True)
+        self.col_row, self.col_flow = rows[head], flows[head]
+        more = np.ones(len(cols), dtype=bool)
+        more[head] = False
+        for i, j, flow in zip(rows[more].tolist(), cols[more].tolist(), flows[more].tolist()):
             self._add_arc(i, j)
+            self.arc_flow[i, j] = flow
         self._hang(0, -1)
 
     def _join(self, residual, arc_rows, arc_cols):
@@ -465,55 +580,116 @@ class _TransportSimplex:
         each component is one row and the columns it is cheapest for, as
         for a snapshot under its radii.  Rows without arcs (zero supply)
         hang last, each under the column of greatest b_j - residual_rj.
+
+        A component's potentials spread by a walk over its rows and
+        junction columns; its leaf columns take theirs from their rows in
+        one expression.  Columns without arcs (zero demand) join alone and
+        change no other column's least value, so all of them that precede
+        the next component's column in (value, column) order join at once.
+        Returns the joining arcs' rows and columns, in joining order.
         """
         m, n = self.m, self.n
-        # the forest's neighbours of node y (rows i, columns m + j) are
-        # near[bound[y]:bound[y + 1]]
-        ends = np.concatenate([arc_rows, m + arc_cols])
-        order = np.argsort(ends, kind="stable")
-        near = np.concatenate([m + arc_cols, arc_rows])[order]
-        bound = np.searchsorted(ends[order], np.arange(m + n + 1)).tolist()
+        degree = np.bincount(arc_cols, minlength=n)
+        leaf = degree[arc_cols] == 1
+        # the forest's leaf columns by row: row i's are leaf_cols[bound[i]:bound[i + 1]]
+        by_row = np.argsort(arc_rows[leaf], kind="stable")
+        leaf_cols = arc_cols[leaf][by_row]
+        bound = np.searchsorted(arc_rows[leaf][by_row], np.arange(m + 1))
+        leaves_of = np.diff(bound)
+        leaf_row = np.zeros(n, dtype=np.int64)
+        leaf_row[arc_cols[leaf]] = arc_rows[leaf]
+        # the forest's other arcs, between rows i and junction columns m + j
+        near: dict[int, list[int]] = {}
+        for i, x in zip(arc_rows[~leaf].tolist(), (m + arc_cols[~leaf]).tolist()):
+            near.setdefault(i, []).append(x)
+            near.setdefault(x, []).append(i)
+        alone = degree == 0
+        n_alone = int(alone.sum())
         pot = np.zeros(m + n)
-        in_tree = [False] * (m + n)
+        seen = set()
         best, mate = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
         out_cols = np.ones(n, dtype=bool)
-        joins = []
+        joins = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
         x = 0
         while True:
             # potentials over x's component, outward from x
-            in_tree[x] = True
-            comp, stack = [x], [x]
+            start = x
+            if x >= m and degree[x - m] == 1:
+                start = int(leaf_row[x - m])
+                pot[start] = pot[x] - residual[start, x - m]
+            seen.add(start)
+            comp, stack = [start], [start]
             while stack:
                 y = stack.pop()
-                for z in near[bound[y] : bound[y + 1]].tolist():
-                    if not in_tree[z]:
-                        in_tree[z] = True
+                for z in near.get(y, ()):
+                    if z not in seen:
+                        seen.add(z)
                         if z < m:
                             pot[z] = pot[y] - residual[z, y - m]
                         else:
                             pot[z] = pot[y] + residual[y, z - m]
                         comp.append(z)
                         stack.append(z)
-            comp = np.array(sorted(comp))
-            rows, cols = comp[comp < m], comp[comp >= m] - m
+            comp.sort()
+            rows = np.array([y for y in comp if y < m], dtype=np.int64)
+            tips = np.concatenate([leaf_cols[bound[i] : bound[i + 1]] for i in rows])
+            tip_rows = np.repeat(rows, leaves_of[rows])
+            entry = pot[x]
+            pot[m + tips] = pot[tip_rows] + residual[tip_rows, tips]
+            pot[x] = entry
+            cols = np.concatenate([tips, [y - m for y in comp if y >= m]]).astype(np.int64)
             out_cols[cols] = False
             best[cols] = np.inf
-            if len(rows):
-                reach = residual[rows]
-                reach += pot[rows, None]
-                arg = np.argmin(reach, axis=0)
-                reach, row = reach[arg, np.arange(n)], rows[arg]
-                better = out_cols & ((reach < best) | ((reach == best) & (row < mate)))
-                best[better], mate[better] = reach[better], row[better]
-            if not out_cols.any():
-                break
+            if len(rows) == 1:
+                reach, row = residual[rows[0]] + pot[rows[0]], rows[0]
+            else:
+                block = residual[rows]
+                block += pot[rows, None]
+                reach, arg = _first_min(block)
+                row = rows[arg]
+            better = reach < best
+            better |= (reach == best) & (row < mate)
+            better &= out_cols
+            np.copyto(best, reach, where=better)
+            np.copyto(mate, row, where=better)
+
             j = int(np.argmin(best))
-            joins.append((int(mate[j]), j))
+            if n_alone:
+                # columns without arcs that precede the next component's
+                # column j in (least value, column) order
+                grown = out_cols & ~alone
+                j = int(np.argmin(np.where(grown, best, np.inf))) if grown.any() else n
+                ahead = out_cols & alone
+                if j < n:
+                    ahead &= (best < best[j]) | ((best == best[j]) & (np.arange(n) < j))
+                lone = np.flatnonzero(ahead)
+                lone = lone[np.argsort(best[lone], kind="stable")]
+                n_alone -= len(lone)
+                joins.append((mate[lone], lone))
+                pot[m + lone] = best[lone]
+                out_cols[lone] = False
+                best[lone] = np.inf
+            if j == n or best[j] == np.inf:
+                break
+            joins.append((mate[j : j + 1], np.array([j])))
             x = m + j
             pot[x] = best[j]
-        for r in [i for i in range(m) if not in_tree[i]]:
-            joins.append((r, int(np.argmax(pot[m:] - residual[r]))))
-        return joins
+        for r in range(m):
+            if r not in seen:
+                joins.append((np.array([r]), np.array([np.argmax(pot[m:] - residual[r])])))
+        join_rows, join_cols = (np.concatenate(part) for part in zip(*joins))
+        return join_rows, join_cols
+
+    def plan(self):
+        """The basic arcs as (rows, columns, flows), in row-major order."""
+        junction = np.array(list(self.arc_flow), dtype=np.int64).reshape(-1, 2)
+        leaves = np.ones(self.n, dtype=bool)
+        leaves[junction[:, 1]] = False
+        rows = np.concatenate([self.col_row[leaves], junction[:, 0]])
+        cols = np.concatenate([np.flatnonzero(leaves), junction[:, 1]])
+        flows = np.concatenate([self.col_flow[leaves], np.fromiter(self.arc_flow.values(), float, len(self.arc_flow))])
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], flows[order]
 
     # -- duals -------------------------------------------------------------
 
@@ -526,12 +702,13 @@ class _TransportSimplex:
         """
         m, n, cost, col_rows, depth = self.m, self.n, self.cost, self.col_rows, self.depth
         u, v = np.zeros(m), np.zeros(n)
-        junctions = [m + j for j, rows in enumerate(col_rows) if len(rows) > 1]
+        junctions = sorted(m + j for j, rows in col_rows.items() if len(rows) > 1)
         for x in sorted([*range(1, m), *junctions], key=depth.__getitem__):
             p = self.parent[x]
             i, j = (x, p - m) if x < m else (p, x - m)
+            rows = col_rows.get(j, ())
             one_up = p >= 0 and (p < m) != (x < m) and depth[p] == depth[x] - 1
-            if not (one_up and len(col_rows[j]) > 1 and i in col_rows[j]):
+            if not (one_up and len(rows) > 1 and i in rows):
                 raise RuntimeError("basis tree is not connected")
             if x < m:
                 u[i] = cost[i, j] - v[j]
@@ -577,8 +754,9 @@ class _TransportSimplex:
         the blocks' minima is the first minimum of all m*n in row order.
         """
         cols = slice(lo, lo + width)
-        reduced = self.cost[:, cols] - self.u[:, None] - self.v[None, cols]
-        flat = int(np.argmin(reduced))
+        reduced = self.cost[:, cols] - self.u[:, None]
+        reduced -= self.v[cols]
+        flat = int(reduced.argmin())
         i, j = divmod(flat, reduced.shape[1])
         return float(reduced.flat[flat]), i, lo + j
 
@@ -598,20 +776,26 @@ class _TransportSimplex:
             up, below = parent[node], depth[node] + 1
             if node < m:
                 rows.append(node)
-                near = [m + j for j in row_junc[node]]
+                for j in row_junc[node]:
+                    k = m + j
+                    if k != up:
+                        parent[k] = node
+                        depth[k] = below
+                        stack.append(k)
             else:
-                near = col_rows[node - m]
-            for k in near:
-                if k != up:
-                    parent[k] = node
-                    depth[k] = below
-                    stack.append(k)
+                for k in col_rows[node - m]:
+                    if k != up:
+                        parent[k] = node
+                        depth[k] = below
+                        stack.append(k)
         return rows
 
     def _pivot(self, ei: int, ej: int, rc: float):
-        m, parent, depth = self.m, self.parent, self.depth
-        leaf = len(self.col_rows[ej]) == 1
+        m, parent, depth, flow = self.m, self.parent, self.depth, self.arc_flow
+        leaf = len(self.col_rows.get(ej, ())) < 2
         r0 = int(self.col_row[ej])
+        # with the entering arc in, every arc of the cycle is a junction arc
+        self._add_arc(ei, ej)
         # climb from both ends of the entering arc to their common ancestor
         up, down = [ei], [r0 if leaf else m + ej]
         while up[-1] != down[-1]:
@@ -627,23 +811,21 @@ class _TransportSimplex:
             cells.append((a, b - m) if a < m else (b, a - m))
         minus = cells[0::2]
         plus = cells[1::2]
-        theta = min(self.flows[i, j] for i, j in minus)
+        theta = min(flow[cell] for cell in minus)
         # Strongly feasible rule: leave by the last blocking arc met going
         # from the apex against the flow, down to ej and back up from ei.
         # cells[:len(up) - 1] is ei's climb; minus arcs sit at even indices.
-        blocking = [k for k in range(0, len(cells), 2) if self.flows[cells[k]] <= theta]
+        blocking = [k for k in range(0, len(cells), 2) if flow[cells[k]] <= theta]
         climb = [k for k in blocking if k < len(up) - 1]
         cut = (climb or blocking)[-1]
         leave = cells[cut]
 
-        self.flows[ei, ej] += theta
-        for i, j in plus:
-            self.flows[i, j] += theta
-        for i, j in minus:
-            self.flows[i, j] -= theta
-        self._add_arc(ei, ej)
+        flow[ei, ej] += theta
+        for cell in plus:
+            flow[cell] += theta
+        for cell in minus:
+            flow[cell] -= theta
         self._remove_arc(*leave)
-        self.flows[leave] = 0.0
 
         # The leaving arc cuts off the subtree below it.  It holds ei when
         # the arc lies on ei's climb, and ej otherwise; hang it under the
@@ -664,12 +846,16 @@ class _TransportSimplex:
         self.v[ej] = self.cost[ei, ej] - self.u[ei]
 
     def _add_arc(self, i: int, j: int):
-        rows = self.col_rows[j]
+        """Arc (i, j), at zero flow, into column j, which has an arc already."""
+        rows = self.col_rows.get(j)
+        if rows is None:
+            rows = self.col_rows[j] = {int(self.col_row[j])}
+        if len(rows) == 1:
+            # a leaf becomes a junction: its arc's flow moves to arc_flow
+            self.arc_flow[int(self.col_row[j]), j] = float(self.col_flow[j])
         rows.add(i)
-        deg = len(rows)
-        if deg == 1:
-            self.col_row[j] = i
-        elif deg == 2:
+        self.arc_flow[i, j] = 0.0
+        if len(rows) == 2:
             for r in rows:
                 self.row_junc[r].add(j)
         else:
@@ -679,12 +865,12 @@ class _TransportSimplex:
         rows = self.col_rows[j]
         rows.discard(i)
         self.row_junc[i].discard(j)
-        deg = len(rows)
-        if deg == 0:
-            raise RuntimeError("leaving arc would disconnect its column")
-        if deg == 1:
+        del self.arc_flow[i, j]
+        if len(rows) == 1:
+            # a junction becomes a leaf: its arc's flow moves to col_flow
             survivor = next(iter(rows))
             self.row_junc[survivor].discard(j)
             self.col_row[j] = survivor
+            self.col_flow[j] = self.arc_flow.pop((survivor, j))
         elif self.col_row[j] == i:
             self.col_row[j] = next(iter(rows))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+from silopile import sources
 from silopile.geometry import ConvexDomain
 from silopile.sources import (
     GAUSSIAN,
@@ -9,6 +10,8 @@ from silopile.sources import (
     UNIFORM_POLYGON,
     DensitySpec,
     discretize,
+    _polygon_area,
+    _polygon_centroid,
     make_sources,
     min_separation,
 )
@@ -69,6 +72,31 @@ class TestMinSeparation:
         brute2 = min(ref.distance_to_boundary(big_square, p) for p in pts)
         assert m1 == pytest.approx(brute1)
         assert m2 == pytest.approx(brute2)
+
+
+class TestPolygonHelpers:
+    """Area and centroid by slicing one closed ring, against the ``np.roll`` forms."""
+
+    def test_same_bits_on_random_polygons(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            k = int(rng.integers(3, 12))
+            # convex polygons, as the clipping leaves them, and arbitrary rings
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+            convex = rng.uniform(-3, 3, 2) + rng.uniform(0.01, 2.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            for poly in (convex, rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-6, 6)):
+                assert _polygon_area(poly) == ref.polygon_area_roll(poly)
+                assert np.array_equal(_polygon_centroid(poly), ref.polygon_centroid_roll(poly), equal_nan=True)
+
+    def test_discretize_same_bits(self, big_square, monkeypatch):
+        # a uniform feed's overlay cells, clipped at its support
+        f = DensitySpec(kind=UNIFORM_POLYGON, total_mass=1.0, polygon=np.array([[1.0, 0.5], [3.5, 1.0], [2.0, 3.5]]))
+        s = discretize(f, 64, big_square)
+        monkeypatch.setattr(sources, "_polygon_area", ref.polygon_area_roll)
+        monkeypatch.setattr(sources, "_polygon_centroid", ref.polygon_centroid_roll)
+        rolled = discretize(f, 64, big_square)
+        assert s.k > 16
+        assert np.array_equal(s.locations, rolled.locations) and np.array_equal(s.rates, rolled.rates)
 
 
 class TestDiscretize:

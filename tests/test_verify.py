@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from silopile.config import parse_config
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
-from silopile.sources import make_sources
+from silopile.sources import discretize, make_sources
 from silopile.verify import (
     DiscreteProblem,
     build_problem,
@@ -26,6 +28,7 @@ from silopile.verify import (
     transport_problem,
     wasserstein,
     _TransportSimplex,
+    _transport_costs,
 )
 from silopile.tolerances import LP_TOL, RESIDUE_TOL
 
@@ -298,6 +301,14 @@ def reference_start(supply, demand, cost):
     return flows, arcs
 
 
+def dense_plan(solver) -> np.ndarray:
+    """The (m, n) flow matrix of a simplex's basic arcs."""
+    rows, cols, flows = solver.plan()
+    dense = np.zeros((solver.m, solver.n))
+    dense[rows, cols] = flows
+    return dense
+
+
 class TestInitialBasis:
     def test_matches_reference_start(self):
         rng = np.random.default_rng(29)
@@ -311,8 +322,10 @@ class TestInitialBasis:
             cost = rng.random((m, n))
             flows, arcs = reference_start(supply, demand, cost)
             solver = _TransportSimplex(supply, demand, cost)
-            assert np.array_equal(solver.flows, flows)
-            assert {(r, j) for j, rows in enumerate(solver.col_rows) for r in rows} == arcs
+            assert np.array_equal(dense_plan(solver), flows)
+            rows, cols, _ = solver.plan()
+            assert len(rows) == m + n - 1
+            assert set(zip(rows.tolist(), cols.tolist())) == arcs
 
 
 def random_transports(rng, count):
@@ -404,11 +417,11 @@ class TestStronglyFeasible:
         # Rows of zero supply are skipped: all their arcs carry zero flow and
         # their parent is a column, so no tree can orient them away from the root.
         m = solver.m
-        for j, rows in enumerate(solver.col_rows):
+        for j, rows in solver.col_rows.items():
             if len(rows) < 2:
                 continue
             for r in rows:
-                if solver.supply[r] > 0.0 and solver.flows[r, j] == 0.0:
+                if solver.supply[r] > 0.0 and solver.arc_flow[r, j] == 0.0:
                     assert solver.parent[m + j] == r, f"zero-flow arc ({r}, {j}) points toward the root"
 
     @pytest.mark.parametrize("case", sorted(TREE_DUAL_CASES))
@@ -431,6 +444,103 @@ class TestStronglyFeasible:
         for p in problems:
             solve_primal(p)
         assert checked.count(0) == len(problems)
+
+
+def simplex_inputs(p: DiscreteProblem):
+    """The supply, demand, cost and row offsets ``solve_primal`` hands its simplex."""
+    cost, absorb, _ = _transport_costs(p)
+    demand = p.demand_masses
+    if absorb is not None:
+        cost = np.hstack([cost, absorb[:, None]])
+        demand = np.append(demand, p.spill_total)
+    return p.supply_masses, demand, cost, p.radii
+
+
+def quantized_transports(rng, count):
+    """Simplex inputs with costs in quarters, so that keys and potentials tie exactly.
+
+    Some supplies and demands are zero; every other problem has random row
+    offsets, also in quarters.
+    """
+    cases = []
+    for k in range(count):
+        m, n = int(rng.integers(2, 20)), int(rng.integers(2, 200))
+        supply = rng.random(m) * (rng.random(m) > 0.3)
+        supply[0] += 0.1
+        demand = rng.random(n) * (rng.random(n) > 0.2)
+        demand[-1] += 0.1
+        demand *= supply.sum() / demand.sum()
+        offset = None if k % 2 else np.round(rng.random(m) * 4) / 4
+        cases.append((supply, demand, np.round(rng.random((m, n)) * 4) / 4, offset))
+    return cases
+
+
+def residue_transport():
+    """Row 0 runs out within rounding residue of its supply before a column that prefers it.
+
+    0.4 - 0.1 - 0.1 - 0.1 - 0.1 leaves 2.8e-17 on row 0, so it closes, and
+    column 4 ships all of its demand to row 1.
+    """
+    cost = np.ones((2, 10))
+    cost[0, :4] = 0.0
+    cost[1, 5:] = 0.0
+    cost[:, 4] = (0.5, 0.6)
+    return np.array([0.4, 0.6]), np.full(10, 0.1), cost, None
+
+
+ORACLE_CASES = {
+    # rows with zero supply, columns with zero demand; every other problem
+    # with random row offsets
+    "random": lambda: [
+        simplex_inputs(replace(p, radii=None if k % 2 else np.random.default_rng(k).random(len(p.supply_masses))))
+        for k, p in enumerate(random_transports(np.random.default_rng(41), 24))
+    ],
+    "ties": lambda: [
+        simplex_inputs(shifted_lattice()),
+        simplex_inputs(transport_problem(integer_lattice(4), np.ones(16), integer_lattice(8) / 2, np.full(64, 0.25))),
+        *quantized_transports(np.random.default_rng(47), 40),
+    ],
+    "residue": lambda: [residue_transport()],
+    # the absorbing column, with and without the cone radii as offsets
+    "absorbing": lambda: [simplex_inputs(spilling_snapshot()), simplex_inputs(block_instance("spill", np.random.default_rng(43)))],
+}
+
+
+class TestDenseOracle:
+    """The simplex against ``reference_loops.DenseTransportSimplex``, which kept an (m, n) flow matrix.
+
+    Starts, trees, pivot counts and duals must be the same bits.
+    """
+
+    @staticmethod
+    def assert_same_basis(solver, oracle):
+        assert np.array_equal(dense_plan(solver), oracle.flows)
+        assert solver.parent == oracle.parent
+        assert solver.depth == oracle.depth
+        assert np.array_equal(solver.col_row, oracle.col_row)
+        junctions = {j: rows for j, rows in solver.col_rows.items() if len(rows) > 1}
+        assert junctions == {j: rows for j, rows in enumerate(oracle.col_rows) if len(rows) > 1}
+        # set iteration order picks col_row when a junction loses that arc
+        assert all(list(rows) == list(oracle.col_rows[j]) for j, rows in junctions.items())
+        # only junction columns keep their arcs in Python containers
+        assert set(solver.arc_flow) == {(i, j) for j, rows in junctions.items() for i in rows}
+        assert all(len(rows) <= solver.m for rows in junctions.values()) and len(junctions) < solver.m
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_same_start_tree_pivots_and_duals(self, case):
+        for args in ORACLE_CASES[case]():
+            solver, oracle = _TransportSimplex(*args), reference_loops.DenseTransportSimplex(*args)
+            self.assert_same_basis(solver, oracle)
+            for got, want in zip(solver.duals(), oracle.duals()):
+                assert np.array_equal(got, want)
+            if case == "residue":
+                assert dense_plan(solver)[:, 4].tolist() == [0.0, 0.1]
+            solver.solve()
+            oracle.solve()
+            assert solver.pivots == oracle.pivots
+            self.assert_same_basis(solver, oracle)
+            assert np.array_equal(solver.u, oracle.u) and np.array_equal(solver.v, oracle.v)
+            assert solver.min_rc == oracle.min_rc
 
 
 class TestRadiiStart:
@@ -609,6 +719,58 @@ class TestWasserstein:
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError):
             transport_problem([(0, 0)], [1.0], [(1, 1)], [0.5])
+
+    @pytest.mark.parametrize(
+        "masses, locations, named",
+        [
+            ([np.nan, 1.0], [[0, 0], [1, 0]], "supply_masses must be finite"),
+            ([np.inf, 1.0], [[0, 0], [1, 0]], "supply_masses must be finite"),
+            ([-1.0, 2.0], [[0, 0], [1, 0]], "supply_masses must be nonnegative"),
+            ([0.5, 0.5], [[0, 0], [np.inf, 0]], "supply_locations must be finite"),
+            ([0.5, 0.5], [[0, 0], [1, np.nan]], "supply_locations must be finite"),
+        ],
+    )
+    def test_rejects_bad_supply(self, masses, locations, named):
+        with pytest.raises(ValueError, match=named):
+            wasserstein(locations, masses, [[0, 1], [1, 1]], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "masses, locations, named",
+        [
+            ([0.5, np.nan], [[0, 1], [1, 1]], "demand_masses must be finite"),
+            ([2.0, -1.0], [[0, 1], [1, 1]], "demand_masses must be nonnegative"),
+            ([0.5, 0.5], [[0, 1], [-np.inf, 1]], "demand_locations must be finite"),
+        ],
+    )
+    def test_rejects_bad_demand(self, masses, locations, named):
+        with pytest.raises(ValueError, match=named):
+            wasserstein([[0, 0], [1, 0]], [0.5, 0.5], locations, masses)
+
+
+def convergence_study():
+    """``scripts/convergence_study.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConvergenceStudyW1:
+    """The W1 solves of ``scripts/convergence_study.py``: the pivot sequence is pinned."""
+
+    def test_pivot_counts(self):
+        study = convergence_study()
+        domain, f = study.fed_square()
+        qpts, qw = study.quadrature()
+        pivots = []
+        for n in study.N_LIST:
+            s = discretize(f, n, domain)
+            sol = solve_primal(transport_problem(s.locations, s.rates, qpts, qw))
+            assert sol.min_reduced_cost >= -LP_TOL and sol.marginal_error <= LP_TOL
+            pivots.append(sol.pivots)
+        assert study.N_LIST == [4, 16, 64, 256]
+        assert pivots == [0, 0, 808, 1524]
 
 
 class TestSnapshotPipeline:
