@@ -11,13 +11,13 @@ simplex on the bipartite graph.  Its basis is a spanning tree whose
 flows live on the tree's arcs: a leaf column, of one arc, is two array
 entries (its row and that arc's flow), and only the at most m - 1
 junction columns, of two arcs or more, keep Python sets and arc flows.
-The greedy start ships its columns in bulk, in one round per row that
-closes, so the Python work of a start, a pivot or the tree duals grows
-with the rows and junctions, not with the n demand cells.  The dual is
-the exact LP dual of the same problem, solved independently by HiGHS,
-which keeps the duality check non-circular: one row u_i - w_j <=
-|x_i - y_j| per supply-demand pair and, when the problem spills, the
-bound u_i <= a_i (see ``solve_dual``).
+The Python work of a pivot or of the tree duals grows with the rows and
+junctions, not with the n demand cells; the greedy start makes one pass
+over the columns on Python floats.  The dual is the exact LP dual of the
+same problem, solved independently by HiGHS, which keeps the duality
+check non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand
+pair and, when the problem spills, the bound u_i <= a_i (see
+``solve_dual``).
 """
 
 from __future__ import annotations
@@ -379,22 +379,22 @@ class _TransportSimplex:
     order depends on the set's history.  Rows and junction columns (node
     m + j) span a core tree of at most 2m - 1 nodes, rooted at row 0;
     ``parent`` and ``depth`` locate each core node in it, and every leaf
-    column hangs under its row.  Python loops run over rows and junction
-    columns only; what touches every column is one numpy expression.
+    column hangs under its row.  Past the start's one pass over the
+    columns, Python loops run over rows and junction columns only; what
+    touches every column is one numpy expression.
 
     The start (Kelly & O'Neill 1991 on advanced starts) is greedy on the
     key c_ij - o_i, with an optional row offset o, zero by default.
     ``_initial_basis`` ships each column to its cheapest rows with supply
-    left, visiting the columns by ascending cheapest key, in rounds that
-    end where a row closes; each arc closes a row or a column, so the
-    positive flows form a forest.  ``_join`` then joins the forest into a
-    spanning tree by zero-flow arcs of least reduced cost under the tree's
-    potentials.  ``solve_primal`` passes a snapshot's cone radii as o: a
-    demand cell's cheapest row is then the source whose additively weighted
-    (Apollonius) cell holds it, its partition label, so the start is the
-    simulation's own plan (Hartmann & Schuhmacher 2020 on semi-discrete
-    W1), and the snapshots of the shipped configs and of the benchmark
-    solve without a pivot.
+    left, visiting the columns by ascending cheapest key; each arc closes
+    a row or a column, so the positive flows form a forest.  ``_join``
+    then joins the forest into a spanning tree by zero-flow arcs of least
+    reduced cost under the tree's potentials.  ``solve_primal`` passes a
+    snapshot's cone radii as o: a demand cell's cheapest row is then the
+    source whose additively weighted (Apollonius) cell holds it, its
+    partition label, so the start is the simulation's own plan (Hartmann &
+    Schuhmacher 2020 on semi-discrete W1), and the snapshots of the
+    shipped configs and of the benchmark solve without a pivot.
 
     Pricing scans blocks of about 4096 reduced costs, starting after the
     block that supplied the last entering arc, and enters the most negative
@@ -452,65 +452,30 @@ class _TransportSimplex:
         left within ``RESIDUE_TOL`` of a row's supply, on the row or on the
         column it serves, is rounding residue: the row keeps it or takes
         it, so no arc carries it.  Zero-demand columns wait for ``_join``.
-
-        The columns ship in rounds, one per event where a row closes, so
-        at most m of them.  Until the next event every column sends its
-        whole demand to its first live row, so a round ships its columns in
-        bulk.  Each row's supply left along its queue of columns is one
-        ``np.subtract.accumulate``, the same rounding as one subtraction
-        per column, and says where the row would close.  Python runs only
-        for the column at which a row closes and for that column's spill.
+        The arcs land in arrays, and each column's first arc makes it a
+        leaf; only further arcs go through ``_add_arc``.
         """
-        m, n = self.m, self.n
         key = self.cost - offset[:, None]
         cheapest, first = _first_min(key)
         key -= cheapest  # the ray residual: 0 on each column's cheapest row
 
-        order = np.argsort(cheapest, kind="stable")
-        order = order[self.demand[order] > 0.0]
-        demand = self.demand[order]
-        queued = len(order)
-        residue = RESIDUE_TOL * self.supply
-        live = self.supply > 0.0
-        if not live.any():
+        # Python floats: the same IEEE arithmetic as float64, without the
+        # per-element cost of numpy scalars
+        rem_s = self.supply.tolist()
+        residue = (RESIDUE_TOL * self.supply).tolist()
+        live = [s > 0.0 for s in rem_s]
+        if not any(live):
             live[0] = True
-        n_live = int(live.sum())
-        # target[q]: the first live row in the ranking of column order[q]
-        target = first[order]
-
-        def retarget(pos):
-            rows = np.flatnonzero(live)
-            target[pos] = rows[np.argmin(key[rows[:, None], order[pos]], axis=0)]
-
-        # each live row's queue, the positions it serves next in ascending
-        # order, with its supply left along them; close_at is where it closes
-        queues = {}
-        close_at = np.full(m, queued)
-
-        def requeue(i, q, supply_left):
-            ship = demand[q]
-            run = np.subtract.accumulate(np.concatenate(([supply_left], ship)))
-            closes = (ship - run[:-1] > residue[i]) | (run[1:] <= residue[i])
-            k = int(closes.argmax()) if len(q) else 0
-            close_at[i] = q[k] if len(q) and closes[k] else queued
-            queues[i] = q, run
-
-        def left_before(i, p):
-            q, run = queues[i]
-            return float(run[q.searchsorted(p)])
-
-        retarget(np.flatnonzero(~live[target]))
-        if n_live > 1:
-            by_row = np.argsort(target, kind="stable")
-            cuts = np.searchsorted(target[by_row], np.arange(m + 1)).tolist()
-            for i in np.flatnonzero(live).tolist():
-                requeue(i, by_row[cuts[i] : cuts[i + 1]], self.supply[i])
-        events, event_rows, event_cols, takes = [], [], [], []
-        while n_live > 1 and (e := int(close_at.min())) < queued:
-            # column j ships down its ranking as long as rows close
-            events.append(e)
-            j, rem_d, i = int(order[e]), float(demand[e]), int(target[e])
-            shipped, ranking = {}, None
+        n_live = sum(live)
+        demand = self.demand.tolist()
+        first = first.tolist()
+        arc_rows, arc_cols, takes = [], [], []
+        for j in np.argsort(cheapest, kind="stable").tolist():
+            rem_d = demand[j]
+            if rem_d <= 0.0:
+                continue
+            ranking = None
+            i = first[j]
             while True:
                 if not live[i]:
                     # rank the column's rows only once its first choice is spent
@@ -518,45 +483,23 @@ class _TransportSimplex:
                         ranking = iter(np.argsort(key[:, j], kind="stable").tolist())
                     i = next(ranking)
                     continue
-                rem_s = left_before(i, e)
-                take = rem_d if n_live == 1 or rem_d - rem_s <= residue[i] else rem_s
-                event_rows.append(i)
-                event_cols.append(j)
+                take = rem_d if n_live == 1 or rem_d - rem_s[i] <= residue[i] else rem_s[i]
+                arc_rows.append(i)
+                arc_cols.append(j)
                 takes.append(take)
-                shipped[i] = rem_s - take
+                rem_s[i] -= take
                 rem_d -= take
-                if n_live > 1 and shipped[i] <= residue[i]:
+                if n_live > 1 and rem_s[i] <= residue[i]:
                     live[i] = False
                     n_live -= 1
-                    close_at[i] = queued
                 if rem_d <= 0.0:
                     break
-            # the rest of the closed rows' queues moves to the next live rows
-            p = e + 1
-            closed = [queues.pop(i)[0] for i in shipped if not live[i]]
-            moved = np.concatenate([q[q.searchsorted(p) :] for q in closed])
-            if len(moved):
-                retarget(moved)
-            if n_live == 1:
-                break
-            heirs = target[moved]
-            for i in {*heirs.tolist(), *(i for i in shipped if live[i])}:
-                q, run = queues[i]
-                k = q.searchsorted(p)
-                q = np.sort(np.concatenate([q[k:], moved[heirs == i]]))
-                requeue(i, q, shipped[i] if i in shipped else run[k])
-        # every other column ships its whole demand to its target row
-        bulk = np.ones(queued, dtype=bool)
-        bulk[events] = False
-        arc_rows = np.concatenate([target[bulk], np.array(event_rows, dtype=np.int64)])
-        arc_cols = np.concatenate([order[bulk], np.array(event_cols, dtype=np.int64)])
-        takes = np.concatenate([demand[bulk], takes])
+        arc_rows = np.array(arc_rows, dtype=np.int64)
+        arc_cols = np.array(arc_cols, dtype=np.int64)
         join_rows, join_cols = self._join(key, arc_rows, arc_cols)
         rows = np.concatenate([arc_rows, join_rows])
         cols = np.concatenate([arc_cols, join_cols])
         flows = np.concatenate([takes, np.zeros(len(join_rows))])
-        # each column's first arc makes it a leaf; every further arc goes
-        # through _add_arc, which turns the column into a junction
         _, head = np.unique(cols, return_index=True)
         self.col_row, self.col_flow = rows[head], flows[head]
         more = np.ones(len(cols), dtype=bool)
@@ -583,10 +526,8 @@ class _TransportSimplex:
 
         A component's potentials spread by a walk over its rows and
         junction columns; its leaf columns take theirs from their rows in
-        one expression.  Columns without arcs (zero demand) join alone and
-        change no other column's least value, so all of them that precede
-        the next component's column in (value, column) order join at once.
-        Returns the joining arcs' rows and columns, in joining order.
+        one expression.  Returns the joining arcs' rows and columns, in
+        joining order.
         """
         m, n = self.m, self.n
         degree = np.bincount(arc_cols, minlength=n)
@@ -603,13 +544,11 @@ class _TransportSimplex:
         for i, x in zip(arc_rows[~leaf].tolist(), (m + arc_cols[~leaf]).tolist()):
             near.setdefault(i, []).append(x)
             near.setdefault(x, []).append(i)
-        alone = degree == 0
-        n_alone = int(alone.sum())
         pot = np.zeros(m + n)
         seen = set()
         best, mate = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
         out_cols = np.ones(n, dtype=bool)
-        joins = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+        joins = []
         x = 0
         while True:
             # potentials over x's component, outward from x
@@ -632,52 +571,36 @@ class _TransportSimplex:
                         stack.append(z)
             comp.sort()
             rows = np.array([y for y in comp if y < m], dtype=np.int64)
-            tips = np.concatenate([leaf_cols[bound[i] : bound[i + 1]] for i in rows])
-            tip_rows = np.repeat(rows, leaves_of[rows])
-            entry = pot[x]
-            pot[m + tips] = pot[tip_rows] + residual[tip_rows, tips]
-            pot[x] = entry
-            cols = np.concatenate([tips, [y - m for y in comp if y >= m]]).astype(np.int64)
+            cols = np.array([y - m for y in comp if y >= m], dtype=np.int64)
+            if len(rows):
+                tips = np.concatenate([leaf_cols[bound[i] : bound[i + 1]] for i in rows])
+                tip_rows = np.repeat(rows, leaves_of[rows])
+                entry = pot[x]
+                pot[m + tips] = pot[tip_rows] + residual[tip_rows, tips]
+                pot[x] = entry
+                cols = np.concatenate([tips, cols])
             out_cols[cols] = False
             best[cols] = np.inf
-            if len(rows) == 1:
-                reach, row = residual[rows[0]] + pot[rows[0]], rows[0]
-            else:
+            if len(rows):
                 block = residual[rows]
                 block += pot[rows, None]
                 reach, arg = _first_min(block)
                 row = rows[arg]
-            better = reach < best
-            better |= (reach == best) & (row < mate)
-            better &= out_cols
-            np.copyto(best, reach, where=better)
-            np.copyto(mate, row, where=better)
-
+                better = reach < best
+                better |= (reach == best) & (row < mate)
+                better &= out_cols
+                np.copyto(best, reach, where=better)
+                np.copyto(mate, row, where=better)
             j = int(np.argmin(best))
-            if n_alone:
-                # columns without arcs that precede the next component's
-                # column j in (least value, column) order
-                grown = out_cols & ~alone
-                j = int(np.argmin(np.where(grown, best, np.inf))) if grown.any() else n
-                ahead = out_cols & alone
-                if j < n:
-                    ahead &= (best < best[j]) | ((best == best[j]) & (np.arange(n) < j))
-                lone = np.flatnonzero(ahead)
-                lone = lone[np.argsort(best[lone], kind="stable")]
-                n_alone -= len(lone)
-                joins.append((mate[lone], lone))
-                pot[m + lone] = best[lone]
-                out_cols[lone] = False
-                best[lone] = np.inf
-            if j == n or best[j] == np.inf:
+            if best[j] == np.inf:
                 break
-            joins.append((mate[j : j + 1], np.array([j])))
+            joins.append((int(mate[j]), j))
             x = m + j
             pot[x] = best[j]
         for r in range(m):
             if r not in seen:
-                joins.append((np.array([r]), np.array([np.argmax(pot[m:] - residual[r])])))
-        join_rows, join_cols = (np.concatenate(part) for part in zip(*joins))
+                joins.append((r, int(np.argmax(pot[m:] - residual[r]))))
+        join_rows, join_cols = np.array(joins, dtype=np.int64).reshape(-1, 2).T
         return join_rows, join_cols
 
     def plan(self):
@@ -862,7 +785,9 @@ class _TransportSimplex:
             self.row_junc[i].add(j)
 
     def _remove_arc(self, i: int, j: int):
-        rows = self.col_rows[j]
+        rows = self.col_rows.get(j, ())
+        if len(rows) < 2 or i not in rows:
+            raise RuntimeError("leaving arc would disconnect its column")
         rows.discard(i)
         self.row_junc[i].discard(j)
         del self.arc_flow[i, j]

@@ -327,6 +327,16 @@ class TestInitialBasis:
             assert len(rows) == m + n - 1
             assert set(zip(rows.tolist(), cols.tolist())) == arcs
 
+    def test_leaf_arc_cannot_leave(self):
+        # row 0 serves columns 0 and 1, row 1 columns 2 and 3; one join
+        # makes a junction, and the other columns stay leaves
+        solver = _TransportSimplex([0.5, 0.5], np.full(4, 0.25), np.arange(8.0).reshape(2, 4))
+        leaves = [j for j in range(4) if len(solver.col_rows.get(j, ())) < 2]
+        assert len(leaves) == 3
+        for j in leaves:
+            with pytest.raises(RuntimeError, match="disconnect its column"):
+                solver._remove_arc(int(solver.col_row[j]), j)
+
 
 def random_transports(rng, count):
     """Balanced problems of 1-19 supplies and 1-199 demands, some masses zero."""
