@@ -13,7 +13,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from silopile.cones import run
-from silopile.fields import eval_height_many
+from silopile.fields import height_field
 from silopile.geometry import ConvexDomain
 from silopile.sources import UNIFORM_POLYGON, DensitySpec, discretize
 from silopile.verify import wasserstein
@@ -51,7 +51,7 @@ def main():
         w1 = wasserstein(s.locations, s.rates, qpts, qw)
         print(f"{n:>4} {w1:18.6f}")
         traj = run(s, domain, max(TIMES), TIMES, 1 / 32)
-        fields[n] = [eval_height_many(st, traj.lists) for st in traj.states]
+        fields[n] = [height_field(st, s, traj.grid).values for st in traj.states]
 
     print()
     print(f"{'pair':>10} " + " ".join(f"sup|du| at t={t:g}" for t in TIMES))

@@ -34,14 +34,14 @@ def main() -> int:
 
     grid = traj.grid
     failed = 0
-    for t, state in zip(traj.snapshot_times, traj.states):
+    for state in traj.states:
         problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
         sol = solve_primal(problem)
         rep = certify(*snapshot_heights(state, sources, problem), sol, problem)
         verdict = "PASS" if rep.passed else "FAIL"
         failed += not rep.passed
         print(
-            f"t={t:5.2f}: transport cost {sol.primal_value:8.5f}, "
+            f"t={state.time:5.2f}: transport cost {sol.primal_value:8.5f}, "
             f"gap {rep.duality_gap:.2e}, ray residual {rep.ray_residual:.2e} -> {verdict}"
         )
     return 1 if failed else 0

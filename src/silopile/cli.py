@@ -18,7 +18,6 @@ from .cones import ConeState, Trajectory, run
 from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
-    eval_height_many,
     field_from_csv,
     field_to_csv,
     height_field,
@@ -27,7 +26,7 @@ from .fields import (
     spill_measure,
 )
 from .geometry import ConvexDomain
-from .regions import SourceLists, build_grid, partition
+from .regions import build_grid, partition
 from .sources import SourceSet, discretize, make_sources
 from .tolerances import DUAL_NODE_CAP, LP_TOL
 from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
@@ -53,11 +52,11 @@ def write_manifest(
     timings: dict[str, float | int],
 ) -> None:
     snapshots = []
-    for i, (t, state) in enumerate(zip(traj.snapshot_times, traj.states)):
+    for i, state in enumerate(traj.states):
         u_file, mu_file = snapshot_files[i]
         radii = ",".join(_fmt(r) for r in state.radii)
         frozen = ",".join("1" if f else "0" for f in state.frozen)
-        snapshots.append(f"{i} = t={_fmt(t)} u={u_file} mu={mu_file} radii={radii} frozen={frozen}")
+        snapshots.append(f"{i} = t={_fmt(state.time)} u={u_file} mu={mu_file} radii={radii} frozen={frozen}")
     _write_sections(path, {
         "config": echo_config(cfg),
         "sources": [
@@ -129,7 +128,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-    grid, lists = traj.grid, traj.lists
+    grid = traj.grid
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,16 +137,17 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     for i, state in enumerate(traj.states):
         u_name = f"snap{i:03d}_u.csv"
         mu_name = f"snap{i:03d}_mu.csv"
-        u = height_field(state, sources, grid, lists)
-        part = partition(grid, sources, state.radii, lists)
+        u = height_field(state, sources, grid)
+        part = partition(grid, sources, state.radii)
         mu = rolling_measure(state, sources, part, traj.spill_atoms)
         nu = spill_measure(state, sources, traj.spill_atoms)
         (out / u_name).write_text(field_to_csv(u))
         (out / mu_name).write_text(path_measure_to_csv(mu))
-        nu_blocks.append(f"# snapshot {i} t={_fmt(traj.snapshot_times[i])}\n" + boundary_measure_to_lines(nu))
+        nu_blocks.append(f"# snapshot {i} t={_fmt(state.time)}\n" + boundary_measure_to_lines(nu))
         snapshot_files.append((u_name, mu_name))
     (out / "nu.csv").write_text("".join(nu_blocks))
 
+    lists = grid.source_lists(sources.locations)
     timings = {
         "simulate_seconds": time.perf_counter() - t_start,
         "partition_rebuilds": lists.rebuilds,
@@ -180,8 +180,6 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     node_cap = _number(cap, "manifest [config] tolerances.dual_node_cap", _whole)
     grid = build_grid(domain, h)
     thresholds, _ = domain.escape_cost(sources.locations)
-    # the inside cells' heights, to check each snapshot's u file against
-    lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
 
     snapshots = []
     for line in sections.get("snapshots", []):
@@ -195,7 +193,7 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         if not (out / u_file).exists():
             raise ConfigError(f"missing snapshot file {u_file}")
         try:
-            u = field_from_csv(grid, (out / u_file).read_text()).values[grid.inside_mask]
+            u = field_from_csv(grid, (out / u_file).read_text()).values
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"snapshot file {u_file}: {exc}") from None
         t = _entry(fields, where, "t", _number)
@@ -203,17 +201,23 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         flags = _entry(fields, where, "frozen").split(",")
         if not set(flags) <= {"0", "1"}:
             raise ConfigError(f"manifest {where} frozen: flags must be 0 or 1, got {','.join(flags)!r}")
+        if not len(radii) == len(flags) == sources.k:
+            raise ConfigError(
+                f"manifest {where}: {len(radii)} radii and {len(flags)} frozen flags for {sources.k} sources"
+            )
         try:
-            state = ConeState(t, radii, np.array([c == "1" for c in flags]), thresholds)
+            state = ConeState(t, radii, thresholds)
         except ValueError as exc:
             raise ConfigError(f"manifest {where}: {exc}") from None
+        if np.any(state.frozen != (np.array(flags) == "1")):
+            raise ConfigError(f"manifest {where}: frozen flags inconsistent with radii")
         snapshots.append((idx, state, u))
 
     cert_lines = []
     all_pass = True
     pivots, rescale = 0, 0.0
     for idx, state, u in snapshots:
-        u_residual = float(np.abs(u - eval_height_many(state, lists)).max(initial=0.0))
+        u_residual = float(np.abs(u - height_field(state, sources, grid).values).max(initial=0.0))
         problem = build_problem(state, sources, domain, grid, spacing)
         rescale = max(rescale, problem.demand_rescale)
         sol = solve_primal(problem)
@@ -223,7 +227,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         pivots += sol.pivots + primal_coarse.pivots
         lp_gap = abs(dual.value - primal_coarse.primal_value)
         lp_ok = lp_gap <= LP_TOL * max(1.0, primal_coarse.primal_value)
-        passed = report.passed and u_residual <= LP_TOL and lp_ok
+        marginal_ok = sol.marginal_error <= LP_TOL * max(1.0, float(problem.supply_masses.sum()))
+        passed = report.passed and u_residual <= LP_TOL and lp_ok and marginal_ok
         status = "PASS" if passed else "FAIL"
         all_pass &= passed
         cert_lines.append(
@@ -284,8 +289,8 @@ def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:
             "without full freeze"
         )
 
-    sim = height_field(final, sources, traj.grid, traj.lists)
-    closed = equilibrium_field(sources, thresholds, traj.grid, traj.lists)
+    sim = height_field(final, sources, traj.grid)
+    closed = equilibrium_field(sources, thresholds, traj.grid)
     sup_diff = float(np.abs(sim.values - closed.values).max())
 
     out = Path(cfg.output_dir)
@@ -314,7 +319,7 @@ def cmd_converge(cfg: RunConfig, quiet: bool) -> int:
     for n in cfg.n_list:
         sources = discretize(cfg.density, n, domain)
         traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-        per_n[n] = [eval_height_many(state, traj.lists) for state in traj.states]
+        per_n[n] = [height_field(state, sources, traj.grid).values for state in traj.states]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,10 @@ until it reaches the escape cost of its source, after which the radius is
 frozen and the source's entire rate spills over the wall.  While the cones
 are disjoint discs inside the domain the ODE has the closed-form solution
 r_j(t) = (3 c_j t / pi)^(1/3); the integrator starts from that phase, which
-removes the t -> 0 singularity of the right-hand side.
+removes the t -> 0 singularity of the right-hand side.  A cone is frozen
+exactly when its radius is within FREEZE_TOL of its escape cost, so a
+state holds radii only and derives its freeze flags; the stepped phase
+partitions one grid, whose source lists serve the whole run.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPoints, ConvexDomain
-from .regions import Grid, SourceLists, areas_with_floor, build_grid
+from .regions import Grid, areas_with_floor, build_grid
 from .sources import SourceSet, min_separation
 from .tolerances import FREEZE_TOL
 
@@ -25,24 +28,22 @@ STEP_SAFETY = 0.25
 
 @dataclass(frozen=True)
 class ConeState:
-    """Radii and freeze flags of all cones at one instant."""
+    """Radii of all cones at one instant, with their escape costs."""
 
     time: float
     radii: np.ndarray
-    frozen: np.ndarray
     thresholds: np.ndarray
 
     def __post_init__(self):
-        if not len(self.radii) == len(self.frozen) == len(self.thresholds):
-            raise ValueError(
-                f"{len(self.radii)} radii and {len(self.frozen)} frozen flags "
-                f"for {len(self.thresholds)} sources"
-            )
+        if len(self.radii) != len(self.thresholds):
+            raise ValueError(f"{len(self.radii)} radii for {len(self.thresholds)} sources")
         if np.any(self.radii < -FREEZE_TOL) or np.any(self.radii > self.thresholds + FREEZE_TOL):
             raise ValueError("radii must stay within [0, escape cost]")
-        at_wall = self.radii >= self.thresholds - FREEZE_TOL
-        if np.any(self.frozen != at_wall):
-            raise ValueError("frozen flags inconsistent with radii")
+
+    @property
+    def frozen(self) -> np.ndarray:
+        """Per source: its radius reached its escape cost, within FREEZE_TOL."""
+        return self.radii >= self.thresholds - FREEZE_TOL
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    snapshot_times: list[float]
-    states: list[ConeState]
+    states: list[ConeState]  # one per snapshot time
     freeze_events: list[tuple[int, float]]
     steps: list[StepRecord]
     final_state: ConeState
     spill_atoms: BoundaryPoints  # per source, where its rate crosses the wall once frozen
-    grid: Grid  # the grid the stepped phase partitioned
-    lists: SourceLists  # the candidate sources of the grid's inside cells
+    grid: Grid  # the grid the stepped phase partitioned; it holds the run's source lists
 
 
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
@@ -94,25 +93,23 @@ def step(
     domain: ConvexDomain,
     grid: Grid,
     dt_max: float = np.inf,
-    lists: SourceLists | None = None,
 ) -> tuple[ConeState, StepRecord, list[tuple[int, float]]]:
     """One explicit midpoint step with freeze clamping.
 
     Returns the new state, the start-of-step audit record and the freeze
     events (source index, interpolated crossing time) triggered by the step.
-    ``lists`` are the grid's ``SourceLists``, if already built.
     """
     active = ~state.frozen
     r = state.radii.copy()
     c = sources.rates
 
-    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0), lists)
+    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0))
     rdot = np.zeros_like(r)
     rdot[active] = c[active] / areas[active]
 
     if not np.any(active):
         dt = dt_max if np.isfinite(dt_max) else 0.0
-        new_state = ConeState(state.time + dt, r, state.frozen.copy(), state.thresholds)
+        new_state = ConeState(state.time + dt, r, state.thresholds)
         return new_state, StepRecord(state.time, dt, areas, rdot, active), []
 
     dt = float(np.min(STEP_SAFETY * grid.h * areas[active] / c[active]))
@@ -120,23 +117,21 @@ def step(
 
     r_half = r.copy()
     r_half[active] = np.minimum(r[active] + 0.5 * dt * rdot[active], state.thresholds[active])
-    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0), lists)
+    areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0))
     rdot_half = np.zeros_like(r)
     rdot_half[active] = c[active] / areas_half[active]
 
     r_new = r.copy()
     r_new[active] = r[active] + dt * rdot_half[active]
 
-    frozen = state.frozen.copy()
     events: list[tuple[int, float]] = []
     for j in np.flatnonzero(active & (r_new >= state.thresholds - FREEZE_TOL)).tolist():
         advance = r_new[j] - r[j]
         frac = (state.thresholds[j] - r[j]) / advance if advance > 0.0 else 1.0
         events.append((j, state.time + min(max(frac, 0.0), 1.0) * dt))
         r_new[j] = state.thresholds[j]
-        frozen[j] = True
 
-    new_state = ConeState(state.time + dt, r_new, frozen, state.thresholds)
+    new_state = ConeState(state.time + dt, r_new, state.thresholds)
     return new_state, StepRecord(state.time, dt, areas, rdot, active), events
 
 
@@ -167,13 +162,9 @@ def run(
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, h)
-    # Sources and grid stay fixed for the run; only the radii move.
-    lists = SourceLists(grid.inside_centers(), sources.locations, grid.h)
 
     def state_at_analytic(t: float) -> ConeState:
-        r = np.minimum(radii_fn(t), thresholds)
-        frozen = r >= thresholds - FREEZE_TOL
-        return ConeState(t, r, frozen, thresholds)
+        return ConeState(t, np.minimum(radii_fn(t), thresholds), thresholds)
 
     knots: list[ConeState] = [state_at_analytic(t0)]
     steps: list[StepRecord] = []
@@ -181,7 +172,7 @@ def run(
 
     state = knots[0]
     while state.time < T - 1e-15 and not np.all(state.frozen):
-        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time, lists=lists)
+        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time)
         steps.append(record)
         freeze_events.extend(events)
         knots.append(state)
@@ -193,20 +184,14 @@ def run(
             if t <= b.time + 1e-15:
                 span = b.time - a.time
                 w = (t - a.time) / span if span > 0.0 else 1.0
-                r = a.radii + min(max(w, 0.0), 1.0) * (b.radii - a.radii)
-                frozen = r >= thresholds - FREEZE_TOL
-                return ConeState(t, r, frozen, thresholds)
-        last = knots[-1]
-        return ConeState(t, last.radii.copy(), last.frozen.copy(), thresholds)
+                return ConeState(t, a.radii + min(max(w, 0.0), 1.0) * (b.radii - a.radii), thresholds)
+        return ConeState(t, knots[-1].radii.copy(), thresholds)
 
-    snapshots = [state_at(t) for t in snapshot_times]
     return Trajectory(
-        snapshot_times=snapshot_times,
-        states=snapshots,
+        states=[state_at(t) for t in snapshot_times],
         freeze_events=freeze_events,
         steps=steps,
         final_state=knots[-1],
         spill_atoms=spill_atoms,
         grid=grid,
-        lists=lists,
     )

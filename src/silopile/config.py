@@ -8,6 +8,7 @@ the output directory.  Numbers are parsed by float() at full precision.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,11 +43,14 @@ class RunConfig:
 
 
 def _number(text: str, where: str, kind=float):
-    """``kind(text)``; a malformed number is a ConfigError naming where."""
+    """``kind(text)``; a malformed or non-finite number is a ConfigError naming where."""
     try:
-        return kind(text)
+        value = kind(text)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text.strip()!r} is not a finite number")
+    return value
 
 
 def _fmt(x) -> str:
@@ -55,7 +59,10 @@ def _fmt(x) -> str:
 
 
 def _whole(text: str) -> int:
-    return int(float(text))  # integer keys accept float spellings such as 4.0
+    value = float(text)  # integer keys accept float spellings such as 4.0
+    if not value.is_integer():
+        raise ValueError(f"{text.strip()!r} is not a whole number")
+    return int(value)
 
 
 def _rows(text: str, where: str, width: int = 2) -> np.ndarray:

@@ -63,21 +63,16 @@ def eval_height_many(state: ConeState, lists: SourceLists) -> np.ndarray:
     return np.maximum(lists.best(state.radii)[1], 0.0)
 
 
-def height_field(state: ConeState, sources: SourceSet, grid: Grid, lists: SourceLists | None = None) -> GridField:
-    """Pile height at the inside cells; ``lists`` as in ``regions.partition``."""
-    if lists is None:
-        lists = SourceLists(grid.inside_centers(), sources.locations)
+def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
+    """Pile height at the inside cells, from the grid's source lists."""
     values = np.zeros((grid.ny, grid.nx))
-    values[grid.inside_mask] = eval_height_many(state, lists)
+    values[grid.inside_mask] = eval_height_many(state, grid.source_lists(sources.locations))
     return GridField(grid=grid, values=values)
 
 
-def equilibrium_field(
-    sources: SourceSet, thresholds: np.ndarray, grid: Grid, lists: SourceLists | None = None
-) -> GridField:
+def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid) -> GridField:
     """Stationary profile after every source froze: cones capped at their escape costs."""
-    state = ConeState(0.0, thresholds.copy(), np.ones(sources.k, dtype=bool), thresholds)
-    return height_field(state, sources, grid, lists)
+    return height_field(ConeState(0.0, thresholds.copy(), thresholds), sources, grid)
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:

@@ -70,8 +70,6 @@ class ConvexDomain:
             np.max(np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2))
         )
         self.bbox = (vertices.min(axis=0), vertices.max(axis=0))
-        # Inward normals: rotate CCW edge direction by +90 degrees.
-        self._normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / lengths[:, None]
 
     @property
     def n_edges(self) -> int:

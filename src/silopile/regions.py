@@ -10,7 +10,9 @@ only the radii move.  ``SourceLists`` keeps, per cell, the few sources that
 can win while the radii stay near their values at the last rebuild, with
 their exact distances, so a partition reads (cells x few) values instead of
 a (cells x sources) matrix and gives the same labels and heights, bit for
-bit.
+bit.  The grid owns the lists of its inside cells (``Grid.source_lists``):
+every partition and height field on one grid with one set of sources, over
+a whole run, reads the same lists.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ class Grid:
         xs, ys = ([f"{v:.17g}," for v in axis.tolist()] for axis in self._axes())
         rows, cols = np.nonzero(self.inside_mask)
         return [xs[c] + ys[r] for r, c in zip(rows.tolist(), cols.tolist())]
+
+    def source_lists(self, locations) -> SourceLists:
+        """The ``SourceLists`` of the inside cells at spacing h, for these source locations.
+
+        Built on the first call and returned again while the same locations
+        come back; other locations replace them.
+        """
+        locations = np.asarray(locations, dtype=float)
+        lists = getattr(self, "_lists", None)
+        if lists is None or not np.array_equal(lists.locations, locations):
+            lists = SourceLists(self.inside_centers(), locations, self.h)
+            object.__setattr__(self, "_lists", lists)  # a cache, not a field: == and replace() ignore it
+        return lists
 
     def cell_index(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of the cells containing the given points."""
@@ -242,13 +257,12 @@ def _pack(keep: np.ndarray):
     return rows, cols, slot, int(counts.max())
 
 
-def partition(grid: Grid, sources, radii, lists: SourceLists | None = None) -> Partition:
+def partition(grid: Grid, sources, radii) -> Partition:
     """Label every inside cell by the dominating source.
 
     A cell belongs to source j when r_j - |x - y_j| is maximal among all
-    sources and strictly positive; ties go to the lowest source index.
-    ``lists`` may pass the run's ``SourceLists`` of the grid's inside cells;
-    without it a one-shot one is built here.
+    sources and strictly positive; ties go to the lowest source index.  The
+    maxima come from the grid's ``source_lists``.
     """
     radii = np.asarray(radii, dtype=float)
     locations = np.asarray(sources.locations, dtype=float)
@@ -257,40 +271,29 @@ def partition(grid: Grid, sources, radii, lists: SourceLists | None = None) -> P
     if np.any(radii < 0.0):
         raise ValueError("radii must be non-negative")
     k = len(radii)
-    m = int(grid.inside_mask.sum())
-    if lists is not None and (len(lists.points) != m or lists.k != k or lists.h != grid.h):
-        raise ValueError(
-            f"source lists of {len(lists.points)} points, {lists.k} sources and spacing {lists.h} "
-            f"do not match {m} inside cells, {k} sources and spacing {grid.h}"
-        )
 
     labels = np.full((grid.ny, grid.nx), NONE_LABEL, dtype=np.int64)
     if k > 0 and np.any(radii > 0.0):
-        if lists is None:
-            lists = SourceLists(grid.inside_centers(), locations)
-        best, value = lists.best(radii)
+        best, value = grid.source_lists(locations).best(radii)
         labels[grid.inside_mask] = np.where(value > 0.0, best, NONE_LABEL)
 
     counts = np.bincount(labels[labels >= 0].ravel(), minlength=k)
     return Partition(grid=grid, labels=labels, areas=counts * grid.cell_area)
 
 
-def areas_only(grid: Grid, sources, radii, lists: SourceLists | None = None) -> np.ndarray:
-    return partition(grid, sources, radii, lists).areas
+def areas_only(grid: Grid, sources, radii) -> np.ndarray:
+    return partition(grid, sources, radii).areas
 
 
-def areas_with_floor(
-    grid: Grid, domain: ConvexDomain, sources, radii, needs_area, lists: SourceLists | None = None
-) -> np.ndarray:
+def areas_with_floor(grid: Grid, domain: ConvexDomain, sources, radii, needs_area) -> np.ndarray:
     """Areas for the integrator: a needed source must have positive area.
 
     A source that still feeds the pile (positive radius below its escape
     cost) must occupy positive area; a zero count means the grid cannot
-    resolve its region.  One halving is attempted before giving up.
-    ``lists`` are the ``SourceLists`` of ``grid`` (see ``partition``); the
-    halved grid builds its own.
+    resolve its region.  One halving is attempted before giving up; the
+    halved grid builds its own source lists.
     """
-    areas = areas_only(grid, sources, radii, lists)
+    areas = areas_only(grid, sources, radii)
     needs_area = np.asarray(needs_area, dtype=bool)
     if not np.any(needs_area & (areas <= 0.0)):
         return areas

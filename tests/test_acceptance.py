@@ -179,7 +179,7 @@ def test_a5_equilibrium():
 
     grid = build_grid(dom, h)
     centers = grid.inside_centers()
-    u_sim = eval_height_many(traj.final_state, traj.lists)
+    u_sim = eval_height_many(traj.final_state, traj.grid.source_lists(s.locations))
     closed = np.maximum(0.5 - np.linalg.norm(centers - 0.5, axis=1), 0.0)
     sup = float(np.abs(u_sim - closed).max())
 
@@ -196,22 +196,22 @@ def test_a6_measure_bounds():
     mu_ok = nu_ok = True
     sq_total = 0.0
     t_prev = 0.0
-    for t, state in zip(traj.snapshot_times, traj.states):
+    for state in traj.states:
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, traj.spill_atoms)
         nu = spill_measure(state, s, traj.spill_atoms)
         mu_ok &= mu.total_mass <= dom.diameter * total + 1e-12
         nu_ok &= nu.total_mass <= total + 1e-12
         active = ~state.frozen & (part.areas > 0.0)
-        sq_total += float((s.rates[active] ** 2 / part.areas[active]).sum()) * (t - t_prev)
-        t_prev = t
+        sq_total += float((s.rates[active] ** 2 / part.areas[active]).sum()) * (state.time - t_prev)
+        t_prev = state.time
     u_max = float(traj.states[-1].radii.max())
     l2_ok = sq_total <= u_max * total * (1 + 5 * h)
 
     big = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
     sc = make_sources(big, [(2, 2)], [1.0])
     thresholds, atoms = big.escape_cost(sc.locations)
-    state = ConeState(0.0, np.array([1.0]), np.array([False]), thresholds)
+    state = ConeState(0.0, np.array([1.0]), thresholds)
     gk = build_grid(big, h)
     mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms)
     cone_ok = abs(mu_cone.total_mass - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
@@ -234,8 +234,8 @@ def test_a7_comparison_principle():
 
     worst = -np.inf
     for st1, st2 in zip(traj.states, traj2.states):
-        u1 = eval_height_many(st1, traj.lists)
-        u2 = eval_height_many(st2, traj2.lists)
+        u1 = eval_height_many(st1, traj.grid.source_lists(s.locations))
+        u2 = eval_height_many(st2, traj2.grid.source_lists(doubled.locations))
         worst = max(worst, float((u1 - u2).max()))
     report("A7", worst <= 1e-12, f"max undershoot {worst:.2e}")
 
@@ -252,7 +252,7 @@ def test_a8_source_convergence():
     for n in (4, 16, 64):
         s = discretize(f, n, dom)
         traj = run(s, dom, 0.5, times, 1 / 32)
-        fields[n] = [eval_height_many(state, traj.lists) for state in traj.states]
+        fields[n] = [eval_height_many(state, traj.grid.source_lists(s.locations)) for state in traj.states]
 
     ok = True
     detail = []

@@ -213,7 +213,7 @@ class TestBoundaryArrays:
 
 def frozen_state(thresholds, frozen):
     radii = np.where(frozen, thresholds, 0.0)
-    return ConeState(0.3, radii, np.asarray(frozen, dtype=bool), thresholds)
+    return ConeState(0.3, radii, thresholds)
 
 
 class TestSpillMeasure:
@@ -271,7 +271,7 @@ def mixed_state(domain, sources, radii, grid):
     """Cone state with the given radii, capped and frozen at the escape costs."""
     thresholds, atoms = domain.escape_cost(sources.locations)
     radii = np.minimum(np.asarray(radii, dtype=float), thresholds)
-    state = ConeState(0.3, radii, radii >= thresholds - 1e-12, thresholds)
+    state = ConeState(0.3, radii, thresholds)
     return state, partition(grid, sources, radii), atoms
 
 

@@ -169,8 +169,15 @@ class TestConfig:
             (SINGLE_SOURCE, "[output]", "[rng]\nseed = x1\n[output]", "[rng] seed"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = 4e\n[output]", "[tolerances] dual_node_cap"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = nan\n[output]", "[tolerances] dual_node_cap"),
+            (SINGLE_SOURCE, "h = 0.03125", "h = inf", "[grid] h"),
+            (SINGLE_SOURCE, "h = 0.03125", "h = nan", "[grid] h"),
+            (SINGLE_SOURCE, "horizon = 0.3", "horizon = inf", "[run] horizon"),
+            (SINGLE_SOURCE, "\n[run]", "n = 16.9\n[run]", "[sources] n"),
         ],
-        ids=["n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap"],
+        ids=[
+            "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap",
+            "inf_h", "nan_h", "inf_horizon", "fractional_n",
+        ],
     )
     def test_bad_scalar_names_key(self, tmp_path, capsys, template, old, new, named):
         assert template.count(old) == 1
@@ -232,10 +239,12 @@ class TestSimulate:
         assert sum(points) == 2
 
     def test_distances_once_per_run(self, tmp_path, monkeypatch):
-        # One set of source lists per run, shared by the RK2 steps and the
-        # snapshot loop, however many steps the horizon takes.  With two
-        # sources they hold the full cells x sources matrix, built once; with
-        # 256 they never build it.
+        # One set of source lists per run, owned by the run's grid and shared
+        # by the RK2 steps and the snapshot loop, however many steps the
+        # horizon takes.  With two sources they hold the full cells x sources
+        # matrix, built once; with 256 they never build it.  verify's
+        # partitions and height read-back share one set too, equilibrium's
+        # fields share the run's, and converge builds one per n.
         from silopile import cones, regions
 
         built, shapes, steps = [], [], []
@@ -253,7 +262,7 @@ class TestSimulate:
             steps.append(args[0].time)
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(cones, "SourceLists", counted_lists)
+        monkeypatch.setattr(regions, "SourceLists", counted_lists)
         monkeypatch.setattr(regions, "distances", counted_distances)
         monkeypatch.setattr(cones, "step", counted_step)
 
@@ -282,6 +291,16 @@ class TestSimulate:
         assert full_many == []
         timings = parse_manifest(out / "manifest.txt")["timings"]
         assert any(line.startswith("partition_rebuilds = ") for line in timings)
+
+        built.clear()
+        assert main(["verify", "--manifest", str(per_horizon[1][3] / "manifest.txt"), "--quiet"]) == 0
+        assert len(built) == 1
+        for command, template, runs in (("equilibrium", SINGLE_SOURCE, 1), ("converge", CONVERGE_CONFIG, 2)):
+            (tmp_path / command).mkdir()
+            path, _ = write_config(tmp_path / command, template)
+            built.clear()
+            assert main([command, "--config", str(path), "--quiet"]) == 0
+            assert len(built) == runs, command
 
     def test_does_not_import_the_dual_solver(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -434,11 +453,14 @@ class TestVerify:
             (r"^(1 = t=.* frozen=\d),\d$", r"\1", "[snapshots] entry 1: 2 radii and 1 frozen flags for 2 sources"),
             (r"^(1 = t=.* frozen=\d),\d$", r"\1,x", "[snapshots] entry 1 frozen: flags must be 0 or 1, got '0,x'"),
             (r"^(0 = t=.* frozen=)0,", r"\g<1>1,", "[snapshots] entry 0: frozen flags inconsistent with radii"),
+            (r"^grid\.h = \S+$", "grid.h = inf", "[config] grid.h: 'inf' is not a finite number"),
+            (r"^(2 = .* radii=)\S+?,", r"\1nan,", "[snapshots] entry 2 radii: 'nan' is not a finite number"),
+            (r"^(1 = t=)\S+ ", r"\1inf ", "[snapshots] entry 1 t: 'inf' is not a finite number"),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
-            "flag_inconsistent",
+            "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
@@ -565,6 +587,25 @@ class TestVerify:
         lines = (out / "certificates.txt").read_text().splitlines()
         assert lines[1] == "result = FAIL"
         assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
+
+    def test_marginal_error_gates_pass(self, tmp_path, monkeypatch):
+        # A certified plan whose marginals miss by 1e-6 fails that snapshot,
+        # although its cost, the LP gap and every residual still pass.
+        solve_primal, calls = cli.solve_primal, []
+
+        def off_by_a_micro(problem):
+            sol = solve_primal(problem)
+            calls.append(sol.marginal_error)
+            return replace(sol, marginal_error=1e-6) if len(calls) == 3 else sol  # snapshot 1's full problem
+
+        monkeypatch.setattr(cli, "solve_primal", off_by_a_micro)
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
+        lines = (out / "certificates.txt").read_text().splitlines()
+        assert lines[1] == "result = FAIL"
+        assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
+        assert max(calls) <= 1e-9
 
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

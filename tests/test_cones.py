@@ -50,7 +50,7 @@ class TestStep:
     def test_all_frozen_only_time_moves(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         thresholds = np.array([0.5])
-        state = ConeState(1.0, thresholds.copy(), np.array([True]), thresholds)
+        state = ConeState(1.0, thresholds.copy(), thresholds)
         grid = build_grid(unit_square, 1 / 64)
         new, record, events = step(state, s, unit_square, grid, dt_max=0.25)
         assert new.time == pytest.approx(1.25)
@@ -64,7 +64,7 @@ class TestStep:
         grid = build_grid(dom, h)
         t = np.pi / 3  # r(t) = 1 exactly
         thresholds = dom.escape_cost(s.locations)[0]
-        state = ConeState(t, np.array([1.0]), np.array([False]), thresholds)
+        state = ConeState(t, np.array([1.0]), thresholds)
         new, record, _ = step(state, s, dom, grid)
         exact = (3 * new.time / np.pi) ** (1 / 3)
         # dominant error: O(h) relative area error times the advance
@@ -74,7 +74,7 @@ class TestStep:
         s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
         grid = build_grid(big_square, 1 / 64)
         thresholds = big_square.escape_cost(s.locations)[0]
-        state = ConeState(0.1, np.array([0.6, 0.6]), np.array([False, False]), thresholds)
+        state = ConeState(0.1, np.array([0.6, 0.6]), thresholds)
         for _ in range(15):
             state, _, _ = step(state, s, big_square, grid)
             assert state.radii[0] == state.radii[1]

@@ -37,7 +37,7 @@ def unit_square():
 def single_cone_state(domain, sources, r):
     thresholds, _ = domain.escape_cost(sources.locations)
     radii = np.full(sources.k, float(r))
-    return ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
+    return ConeState(0.0, radii, thresholds)
 
 
 def value_at(field, x):
@@ -70,9 +70,7 @@ class TestEvalHeight:
     def test_one_lipschitz(self, x1, y1, x2, y2):
         dom = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
         s = make_sources(dom, [(1.2, 1.5), (2.8, 2.3)], [1.0, 0.5])
-        state = ConeState(
-            0.0, np.array([0.8, 1.1]), np.array([False, False]), dom.escape_cost(s.locations)[0]
-        )
+        state = ConeState(0.0, np.array([0.8, 1.1]), dom.escape_cost(s.locations)[0])
         u1, u2 = eval_height_many(state, SourceLists([(x1, y1), (x2, y2)], s.locations))
         assert abs(u1 - u2) <= np.hypot(x1 - x2, y1 - y2) + 1e-12
 
@@ -158,7 +156,7 @@ class TestRollingMeasure:
 
     def test_zero_radii_zero_measure(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
-        state = ConeState(0.0, np.zeros(1), np.zeros(1, dtype=bool), big_square.escape_cost(s.locations)[0])
+        state = ConeState(0.0, np.zeros(1), big_square.escape_cost(s.locations)[0])
         grid = build_grid(big_square, 1 / 32)
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
@@ -198,7 +196,7 @@ class TestRollingMeasure:
         thresholds, atoms = dom.escape_cost(s.locations)
         for r in (0.05, 0.2, 10.0):
             radii = np.minimum(np.full(2, r), thresholds)
-            state = ConeState(0.0, radii, radii >= thresholds - 1e-12, thresholds)
+            state = ConeState(0.0, radii, thresholds)
             part = partition(grid, s, radii)
             mu = rolling_measure(state, s, part, atoms)
             assert mu.total_mass <= dom.diameter * s.total_rate + 1e-12
@@ -253,7 +251,7 @@ class TestFieldInvariants:
             ub = eval_height_many(state, SourceLists(node_pos, s.locations))
             assert np.all(ub >= 0.0)
             assert np.all(ub <= walls + 1e-9)
-            u = eval_height_many(state, traj.lists)
+            u = eval_height_many(state, traj.grid.source_lists(s.locations))
             if prev is not None:
                 assert np.all(u >= prev - 1e-12)
             prev = u
@@ -292,12 +290,12 @@ class TestFieldInvariants:
         grid = build_grid(dom, h)
         total = 0.0
         t_prev = 0.0
-        for t, state in zip(traj.snapshot_times, traj.states):
+        for state in traj.states:
             part = partition(grid, s, state.radii)
             active = ~state.frozen & (part.areas > 0.0)
             sq = float((s.rates[active] ** 2 / part.areas[active]).sum())
-            total += sq * (t - t_prev)
-            t_prev = t
+            total += sq * (state.time - t_prev)
+            t_prev = state.time
         u_max = float(traj.states[-1].radii.max())
         assert total <= u_max * s.total_rate * (1 + 5 * h)
 

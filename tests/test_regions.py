@@ -59,32 +59,18 @@ class TestPartition:
         right = p.labels == 1
         assert centers[left][:, 0].max() < 2.0
         assert centers[right][:, 0].min() > 2.0
-        # A run's persistent lists label as a one-shot partition does, also
+        # A grid's persistent lists label as a fresh grid's do, also
         # for a pair mirrored about a cell column, whose exact ties go to 0.
         for shift in (0.0, 1 / 128):
             pair = make_sources(big_square, [(1 + shift, 2), (3 + shift, 2)], [1.0, 1.0])
-            lists = SourceLists(g.inside_centers(), pair.locations, g.h)
-            partition(g, pair, [1.6, 1.4], lists)
-            fresh = partition(g, pair, [1.5, 1.5])
-            cached = partition(g, pair, [1.5, 1.5], lists)
+            partition(g, pair, [1.6, 1.4])
+            fresh = partition(build_grid(big_square, 1 / 64), pair, [1.5, 1.5])
+            cached = partition(g, pair, [1.5, 1.5])
             np.testing.assert_array_equal(cached.labels, fresh.labels)
             np.testing.assert_array_equal(cached.areas, fresh.areas)
         tie_column = cached.labels[:, centers[0, :, 0] == 2 + 1 / 128]
         assert np.all(tie_column[tie_column != NONE_LABEL] == 0) and np.any(tie_column == 0)
         assert cached.areas[0] > cached.areas[1]
-
-    def test_rejects_mismatched_distances(self, big_square):
-        # Lists hold the distances of one point set, source set and spacing.
-        s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
-        g = build_grid(big_square, 1 / 16)
-        centers = g.inside_centers()
-        for bad in (
-            SourceLists(centers[:-1], s.locations, g.h),
-            SourceLists(centers, s.locations[:1], g.h),
-            SourceLists(centers, s.locations, g.h / 2),
-        ):
-            with pytest.raises(ValueError):
-                partition(g, s, [1.5, 1.5], bad)
 
     def test_source_cell_labeled_when_active(self, big_square):
         s = make_sources(big_square, [(1.3, 2.2), (2.8, 1.7)], [1.0, 1.0])
@@ -166,20 +152,21 @@ UNIT = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.0] * 4)
 
 
 def assert_dense_bits(grid, sources, lists, radii):
-    """Labels, areas, best values and heights through ``lists`` equal the full matrix's bits."""
+    """Labels, areas, best values and heights through ``lists``, the grid's, equal the full matrix's bits."""
+    assert grid.source_lists(sources.locations) is lists
     radii = np.asarray(radii, dtype=float)
     values = radii[None, :] - distances(lists.points, sources.locations)
     best, value = lists.best(radii)
     assert np.array_equal(best, np.argmax(values, axis=1))
     assert np.array_equal(value.view(np.uint64), values.max(axis=1).view(np.uint64))
-    part = partition(grid, sources, radii, lists)
+    part = partition(grid, sources, radii)
     labels, areas = ref.dense_partition(grid, sources, radii)
     assert np.array_equal(part.labels, labels)
     assert np.array_equal(part.areas, areas)
-    state = ConeState(0.0, radii, np.zeros(len(radii), dtype=bool), np.full(len(radii), 1e9))
+    state = ConeState(0.0, radii, np.full(len(radii), 1e9))
     dense = ref.dense_heights(radii, sources, lists.points)
     assert np.array_equal(eval_height_many(state, lists).view(np.uint64), dense.view(np.uint64))
-    u = height_field(state, sources, grid, lists).values[grid.inside_mask]
+    u = height_field(state, sources, grid).values[grid.inside_mask]
     assert np.array_equal(u.view(np.uint64), dense.view(np.uint64))
 
 
@@ -209,7 +196,7 @@ class TestSourceLists:
         lattice = (np.stack(np.meshgrid(np.arange(n), np.arange(n)), axis=-1).reshape(-1, 2) + 0.5) / n
         s = make_sources(UNIT, lattice + rng.uniform(-0.4, 0.4, (k, 2)) / n, np.ones(k))
         g = build_grid(UNIT, h)
-        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        lists = g.source_lists(s.locations)
         frozen = rng.random(k) < frozen_share
         radii = np.where(rng.random(k) < 0.2, 0.0, rng.uniform(0.0, 0.5 / n, k))
         history = [radii]
@@ -231,7 +218,7 @@ class TestSourceLists:
     def test_lattice_ties_with_equal_radii(self, radius, growth, n):
         g = build_grid(UNIT, 1 / 64)
         s = lattice_sources(n, g.h)
-        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        lists = g.source_lists(s.locations)
         for r in (radius, radius + growth, radius + 2 * growth, radius):
             assert_dense_bits(g, s, lists, np.full(s.k, r))
         if n == 8:
@@ -240,8 +227,8 @@ class TestSourceLists:
     def test_lattice_ties_split_lowest_index(self):
         g = build_grid(UNIT, 1 / 64)
         s = lattice_sources(8, g.h)
-        lists = SourceLists(g.inside_centers(), s.locations, g.h)
-        part = partition(g, s, np.full(s.k, 0.2), lists)
+        lists = g.source_lists(s.locations)
+        part = partition(g, s, np.full(s.k, 0.2))
         assert lists.max_candidates < s.k
         # Cells on the bisector column between the first two lattice columns tie exactly.
         column = g.cell_centers()[0, :, 0] == 0.5 * (s.locations[0, 0] + s.locations[1, 0])
@@ -258,7 +245,7 @@ class TestSourceLists:
         pts = [(axis - half / 128, y), (axis + half / 128, y)]
         pts += [(x, 0.9) for x in np.linspace(0.05, 0.95, 14)]
         s = make_sources(UNIT, pts, np.ones(len(pts)))
-        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        lists = g.source_lists(s.locations)
         radii = np.r_[r, r, np.zeros(14)]
         assert_dense_bits(g, s, lists, radii)
         assert_dense_bits(g, s, lists, radii * 0.5)
@@ -270,14 +257,14 @@ class TestSourceLists:
         # where b - d crosses a power of two; 3 delta keeps it.  Sixty-two
         # far sources of radius zero keep the lists short.
         dom = ConvexDomain([(0, 0), (2, 0), (2, 2), (0, 2)], [0.0] * 4)
-        g = build_grid(dom, 1 / 64)
         axis = 64.5 / 64  # a column of cell centres
         pts = [(axis - 10 / 64, 1.0 + 0.5 / 64), (axis + 10 / 64, 1.0 + 0.5 / 64)]
         pts += [(x, y) for y in (0.03, 1.97) for x in np.linspace(0.05, 1.95, 31)]
         s = make_sources(dom, pts, np.ones(len(pts)))
         far = np.zeros(62)
         for b in 1.0 + np.arange(0, 64, 4) / 64:
-            lists = SourceLists(g.inside_centers(), s.locations, g.h)
+            g = build_grid(dom, 1 / 64)
+            lists = g.source_lists(s.locations)
             assert_dense_bits(g, s, lists, np.r_[b - 2 * g.h, b, far])
             assert_dense_bits(g, s, lists, np.r_[b - g.h, b - g.h, far])
             assert lists.max_candidates < s.k and lists.rebuilds == 1
@@ -285,14 +272,14 @@ class TestSourceLists:
     def test_full_lists_for_few_sources_and_crowded_tiles(self):
         g = build_grid(UNIT, 1 / 32)
         one = make_sources(UNIT, [(0.3, 0.6)], [1.0])
-        lists = SourceLists(g.inside_centers(), one.locations, g.h)
+        lists = g.source_lists(one.locations)
         for r in (0.0, 0.2, 0.1):
             assert_dense_bits(g, one, lists, [r])
         assert lists.delta == np.inf and lists.max_candidates == 1
         # Sixteen sources crowded into one tile: every tile keeps all of them.
         rng = np.random.default_rng(3)
         crowd = make_sources(UNIT, 0.5 + rng.uniform(-0.05, 0.05, (16, 2)), np.ones(16))
-        lists = SourceLists(g.inside_centers(), crowd.locations, g.h)
+        lists = g.source_lists(crowd.locations)
         radii = rng.uniform(0.0, 0.3, 16)
         for scale in (1.0, 1.5, 0.2, 0.0):
             assert_dense_bits(g, crowd, lists, radii * scale)
@@ -301,7 +288,7 @@ class TestSourceLists:
     def test_zero_radii_and_uncovered_cells(self):
         g = build_grid(UNIT, 1 / 64)
         s = lattice_sources(8, g.h)
-        lists = SourceLists(g.inside_centers(), s.locations, g.h)
+        lists = g.source_lists(s.locations)
         assert_dense_bits(g, s, lists, np.zeros(s.k))
         radii = np.zeros(s.k)
         radii[::3] = 0.02  # most cells have best value <= 0
@@ -345,7 +332,7 @@ def test_memory_stays_below_a_quarter_of_the_dense_matrix():
     s = lattice_sources(32, 1 / 1024)
     rng = np.random.default_rng(1)
     radii = rng.uniform(0.0, 0.04, s.k)
-    state = ConeState(0.0, radii, np.zeros(s.k, dtype=bool), np.full(s.k, 1e9))
+    state = ConeState(0.0, radii, np.full(s.k, 1e9))
     dense_bytes = int(g.inside_mask.sum()) * s.k * 8
     tracemalloc.start()
     try:

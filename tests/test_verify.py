@@ -327,6 +327,32 @@ class TestInitialBasis:
             assert len(rows) == m + n - 1
             assert set(zip(rows.tolist(), cols.tolist())) == arcs
 
+    def test_join_ties_go_to_the_lower_row(self):
+        # Each row ships to its own column 0, 1 or 2.  Row 0 joins column 2
+        # at potential 2, then column 1 at 4; zero-demand column 3 is then
+        # reached at 4 both from row 2 (2 + 2, first) and from row 1 (4 + 0),
+        # and hangs under the lower row, 1.
+        cost = np.array([[0, 4, 2, 10], [5, 0, 5, 0], [5, 5, 0, 2]], dtype=float)
+        supply, demand = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]
+        rows, cols, _ = _TransportSimplex(supply, demand, cost).plan()
+        arcs = set(zip(rows.tolist(), cols.tolist()))
+        assert arcs == {(0, 0), (1, 1), (2, 2), (0, 2), (0, 1), (1, 3)}
+        assert arcs == reference_start(supply, demand, cost)[1]
+
+    def test_join_keeps_the_entry_potential(self):
+        # Row 1 alone has supply, and column 1 ships to it although row 2 is
+        # its cheapest: the arc's residual is 0.8 - 0.1.  Column 1 joins from
+        # row 0 at potential 0.2 - 0.1 = 0.1, two ulps above column 0's
+        # 0.5 - 0.4; recomputed through row 1, (0.1 - 0.7) + 0.7 would drop
+        # it to column 0's value.  Zero-supply row 2 hangs under the column
+        # of greatest potential less its residual (0 for both): column 1.
+        cost = np.array([[0.5, 0.2, 0.4], [0.6, 0.8, 0.5], [0.4, 0.1, 0.5]])
+        supply, demand = [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]
+        rows, cols, _ = _TransportSimplex(supply, demand, cost).plan()
+        arcs = set(zip(rows.tolist(), cols.tolist()))
+        assert arcs == {(1, 1), (0, 2), (0, 0), (0, 1), (2, 1)}
+        assert arcs == reference_start(supply, demand, cost)[1]
+
     def test_leaf_arc_cannot_leave(self):
         # row 0 serves columns 0 and 1, row 1 columns 2 and 3; one join
         # makes a junction, and the other columns stay leaves
@@ -815,7 +841,7 @@ class TestSnapshotPipeline:
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6)], [0.6, 0.8])
         thresholds, _ = dom.escape_cost(s.locations)
         # radii too small for a 0.45 grid: their cells carry no demand mass
-        state = ConeState(0.01, np.array([0.02, 0.02]), np.array([False, False]), thresholds)
+        state = ConeState(0.01, np.array([0.02, 0.02]), thresholds)
         tiny_grid = build_grid(dom, 0.45)
         with pytest.raises(ValueError):
             build_problem(state, s, dom, tiny_grid, boundary_spacing=0.45)
