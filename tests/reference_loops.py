@@ -339,7 +339,9 @@ class DenseTransportSimplex:
 
         Columns are visited in ascending order of their cheapest key.  Each
         ships to its cheapest row that still has supply, and spills down
-        its own ranking of the rows only when that row runs out.  A row
+        its own ranking of the rows only when that row runs out.  Of
+        several exactly tied cheapest rows it ships first to the live one
+        with the most supply left, the lowest on equal supply.  A row
         closes when it runs out; the last live row never closes.  What is
         left within ``RESIDUE_TOL`` of a row's supply, on the row or on the
         column it serves, is rounding residue: the row keeps it or takes
@@ -368,6 +370,11 @@ class DenseTransportSimplex:
                 continue
             ranking = None
             i = first[j]
+            # exact ties at the least key: the live row with the most
+            # supply left, the lowest of those with equal supply
+            for r in range(m):
+                if key[r, j] == 0.0 and live[r] and (not live[i] or rem_s[r] > rem_s[i]):
+                    i = r
             while True:
                 if not live[i]:
                     # rank the column's rows only once its first choice is spent

@@ -176,8 +176,9 @@ def block_instance(kind: str, rng) -> DiscreteProblem:
     """16 supplies and 900 demands: pricing cycles through four blocks."""
     m, n = 16, 900
     if kind == "lattice":
-        # exact distance ties everywhere, equal masses on each side
-        return transport_problem(lattice(4), np.full(m, 1.0 / m), lattice(30), np.full(n, 1.0 / n))
+        # exact distance ties everywhere; a ramp of supplies, (1 + i) / 136,
+        # moves the optimum far from the nearest-source plan
+        return transport_problem(lattice(4), np.arange(1, m + 1) / 136, lattice(30), np.full(n, 1.0 / n))
     sm = rng.random(m) + 0.1
     dm = rng.random(n) + 0.1
     if kind == "random":
@@ -232,7 +233,8 @@ def reference_start(supply, demand, cost):
     """The simplex's starting plan and basic arcs, by plain loops (offsets 0).
 
     Columns in ascending order of their least cost, each shipped to its live
-    rows in order of cost until its demand is met; a row closes when its
+    rows in order of cost until its demand is met, first to the tied
+    cheapest live row with the most supply left; a row closes when its
     supply runs out, unless it is the last live row, and rounding residue
     stays with the row.  Zero-demand columns wait for the joins.  Then the
     tree grows from row 0's component with potentials, b_j - d_i equal to
@@ -251,7 +253,15 @@ def reference_start(supply, demand, cost):
     arcs = set()
     for j in sorted(range(n), key=lambda j: (cheapest[j], j)):
         rem_d = float(demand[j])
-        for i in sorted(range(m), key=lambda i: (residual[i][j], i)):
+        order = sorted(range(m), key=lambda i: (residual[i][j], i))
+        # of several live rows at the least cost, the one with the most
+        # supply left goes first, the lowest of those with equal supply
+        tied = [i for i in range(m) if residual[i][j] == 0.0 and live[i]]
+        if len(tied) > 1:
+            most = max(rem_s[i] for i in tied)
+            pick = min(i for i in tied if rem_s[i] == most)
+            order = [pick] + [i for i in order if i != pick]
+        for i in order:
             if rem_d <= 0.0:
                 break
             if not live[i]:
@@ -311,8 +321,10 @@ def dense_plan(solver) -> np.ndarray:
 
 class TestInitialBasis:
     def test_matches_reference_start(self):
+        # every other problem has costs in quarters, so that most of its
+        # columns have several exactly tied cheapest rows
         rng = np.random.default_rng(29)
-        for _ in range(40):
+        for k in range(80):
             m, n = int(rng.integers(1, 20)), int(rng.integers(1, 200))
             supply = rng.random(m) * (rng.random(m) > 0.3)
             supply[0] += 0.1
@@ -320,12 +332,34 @@ class TestInitialBasis:
             demand[-1] += 0.1
             demand *= supply.sum() / demand.sum()
             cost = rng.random((m, n))
+            if k % 2:
+                cost = np.round(cost * 4) / 4
             flows, arcs = reference_start(supply, demand, cost)
             solver = _TransportSimplex(supply, demand, cost)
             assert np.array_equal(dense_plan(solver), flows)
             rows, cols, _ = solver.plan()
             assert len(rows) == m + n - 1
             assert set(zip(rows.tolist(), cols.tolist())) == arcs
+
+    @pytest.mark.parametrize(
+        "cost, supply, demand, col, flows",
+        [
+            # column 0 ties rows 0 and 1 and goes first to row 1, which has
+            # more supply left; row 0 would fill up and push column 1 to row 1
+            ([[1, 2], [1, 3]], [0.25, 0.75], [0.5, 0.5], 0, [0.0, 0.5]),
+            # equal supply left: the lower row
+            ([[1, 2], [1, 3]], [0.5, 0.5], [0.5, 0.5], 0, [0.5, 0.0]),
+            # supply left, not initial supply: column 0 (row 1 only) leaves
+            # row 1 with 0.3 < row 0's 0.4, so tied column 1 ships to row 0
+            ([[9, 2, 3], [1, 2, 4]], [0.4, 0.6], [0.3, 0.3, 0.4], 1, [0.3, 0.0]),
+        ],
+        ids=["more_supply_left", "equal_supply", "supply_left_not_initial"],
+    )
+    def test_tied_column_goes_to_the_row_with_more_supply_left(self, cost, supply, demand, col, flows):
+        cost = np.array(cost, dtype=float)
+        plan = dense_plan(_TransportSimplex(supply, demand, cost))
+        assert plan[:, col].tolist() == flows
+        assert np.array_equal(plan, reference_start(supply, demand, cost)[0])
 
     def test_join_ties_go_to_the_lower_row(self):
         # Each row ships to its own column 0, 1 or 2.  Row 0 joins column 2
@@ -395,8 +429,8 @@ def integer_lattice(k: int) -> np.ndarray:
 TREE_DUAL_CASES = {
     "random": lambda: random_transports(np.random.default_rng(37), 20)
     + [block_instance(kind, np.random.default_rng(38)) for kind in ("random", "spill")],
-    # lattice points with dyadic or equal masses: exact ties and degenerate
-    # pivots
+    # lattice points with dyadic, equal or ramped masses: exact ties and
+    # degenerate pivots
     "degenerate_lattice": lambda: [
         transport_problem(integer_lattice(4), np.ones(16), integer_lattice(8) / 2, np.full(64, 0.25)),
         block_instance("lattice", None),
@@ -782,6 +816,22 @@ class TestWasserstein:
         with pytest.raises(ValueError, match=named):
             wasserstein([[0, 0], [1, 0]], [0.5, 0.5], locations, masses)
 
+    @pytest.mark.parametrize(
+        "locations, masses, named",
+        [
+            ([[0, 0]], [0.5, 0.5], r"supply_masses must have shape \(1,\)"),
+            ([[0, 0], [1, 0]], [1.0], r"supply_masses must have shape \(2,\)"),
+            ([[0, 0, 0]], [1.0], r"supply_locations must have shape \(k, 2\), not \(1, 3\)"),
+        ],
+        ids=["one_location_two_masses", "two_locations_one_mass", "three_coordinates"],
+    )
+    def test_rejects_bad_shapes(self, locations, masses, named):
+        with pytest.raises(ValueError, match=named):
+            transport_problem(locations, masses, [[0, 1], [1, 1]], [0.5, 0.5])
+        # the same shapes on the demand side name the demand argument
+        with pytest.raises(ValueError, match=named.replace("supply", "demand")):
+            transport_problem([[0, 1], [1, 1]], [0.5, 0.5], locations, masses)
+
 
 def convergence_study():
     """``scripts/convergence_study.py``, loaded as a module."""
@@ -806,7 +856,20 @@ class TestConvergenceStudyW1:
             assert sol.min_reduced_cost >= -LP_TOL and sol.marginal_error <= LP_TOL
             pivots.append(sol.pivots)
         assert study.N_LIST == [4, 16, 64, 256]
-        assert pivots == [0, 0, 808, 1524]
+        assert pivots == [0, 0, 0, 1071]
+
+    def test_n64_starts_optimal(self):
+        # 464 of the 3600 quadrature points are equidistant from two or four
+        # of the 8 x 8 sources; splitting them by supply left makes the start
+        # the optimum
+        study = convergence_study()
+        domain, f = study.fed_square()
+        qpts, qw = study.quadrature()
+        s = discretize(f, 64, domain)
+        p = transport_problem(s.locations, s.rates, qpts, qw)
+        sol = solve_primal(p)
+        assert sol.pivots == 0
+        assert abs(sol.primal_value - linprog_oracle(p)) <= 1e-9
 
 
 class TestSnapshotPipeline:
