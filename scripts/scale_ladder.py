@@ -6,7 +6,8 @@ a fresh process.  Wall time is measured around the process; peak RSS is
 the child's own maximum resident set, from ``os.wait4``.  A second fresh
 process times ``build_problem`` and ``solve_primal`` on the rung's
 snapshot, with the simplex's pivots, where the dense cost matrix has at
-most ``PRIMAL_CELLS`` entries.  Last, the W1 solves of
+most ``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
+counters from its manifest.  Last, the W1 solves of
 ``convergence_study.py`` are timed, one per n, with their pivots.  The
 rungs and their numbers are written to ``BENCH_<label>.json`` in the
 working directory.
@@ -38,6 +39,8 @@ HORIZON = 0.02
 # column, the start's key and the rows of the component being joined.
 # The flows live on the tree's arcs, not in an (m, n) matrix.
 PRIMAL_CELLS = 4_500_000
+# The partition's counters, copied from the rung's manifest.
+COUNTERS = ("partition_rebuilds", "partition_reranked", "max_candidates")
 
 CONFIG = """[domain]
 vertices = 0 0 ; 1 0 ; 1 1 ; 0 1
@@ -81,6 +84,11 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
     config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=workdir / config.stem))
     wall, rss, code, _ = run_child(["-m", "silopile", "simulate", "--config", str(config), "--quiet"])
     cells = round(1 / h) ** 2
+    counters = dict.fromkeys(COUNTERS)
+    if code == 0:  # the manifest's last section, [timings], holds "key = value" lines
+        text = (workdir / config.stem / "manifest.txt").read_text()
+        timings = dict(line.split(" = ") for line in text.split("\n[timings]\n", 1)[1].splitlines())
+        counters = {key: int(timings[key]) for key in COUNTERS}
     rung = {
         "sources": k,
         "h": h,
@@ -88,6 +96,7 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(rss, 1),
         "exit_code": code,
+        **counters,
         "primal_s": None,
         "primal_pivots": None,
         "primal_peak_rss_mb": None,

@@ -151,6 +151,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     timings = {
         "simulate_seconds": time.perf_counter() - t_start,
         "partition_rebuilds": lists.rebuilds,
+        "partition_reranked": lists.reranked,
         "max_candidates": lists.max_candidates,
     }
     write_manifest(out / "manifest.txt", cfg, sources, traj, snapshot_files, timings)

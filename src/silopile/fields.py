@@ -161,9 +161,7 @@ def _deposit_segments(grid, starts, targets, weights, mass):
 
 def field_to_csv(field: GridField) -> str:
     """Row-major table of the inside cells, 17 significant digits."""
-    values = field.values[field.grid.inside_mask].tolist()
-    body = "".join([f"{xy}{v:.17g}\n" for xy, v in zip(field.grid.center_labels, values)])
-    return "x,y,value\n" + body
+    return "x,y,value\n" + field.grid.csv_template % tuple(field.values[field.grid.inside_mask].tolist())
 
 
 def field_from_csv(grid: Grid, text: str) -> GridField:

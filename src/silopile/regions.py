@@ -7,16 +7,18 @@ first-order accurate in the grid spacing and refined on demand.
 
 A cell is only ever won by one of a few nearby sources, and during a run
 only the radii move.  ``SourceLists`` keeps, per cell, the few sources that
-can win while the radii stay near their values at the last rebuild, with
-their exact distances, so a partition reads (cells x few) values instead of
-a (cells x sources) matrix and gives the same labels and heights, bit for
-bit.  The grid owns the lists of its inside cells (``Grid.source_lists``):
-every partition and height field on one grid with one set of sources, over
-a whole run, reads the same lists.
+can win while the radii keep close to their values at the last rebuild up
+to a common shift, with their exact distances, and re-ranks only the cells
+whose winner a change of radii can overturn.  So a partition reads a few
+values per cell instead of a (cells x sources) matrix and gives the same
+labels and heights, bit for bit.  The grid owns the lists of its inside
+cells (``Grid.source_lists``): every partition and height field on one
+grid with one set of sources, over a whole run, reads the same lists.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -37,8 +39,9 @@ TILE = 4
 # with full lists (pass medians 0.39 and 0.32 s), and a refine (k = 4, 16)
 # pass 49 ms against 36 ms; grow (k = 256) keeps at most 20 sources per tile.
 DENSE_SHARE = 8
-# Rounding slack of the tile bound, relative to the extent of points, sources
-# and radii: far above the few ulps a distance or a difference can be off.
+# Rounding slack of the tile bound and of a point's lead, relative to the
+# extent of points, sources and radii: far above the few ulps a distance or
+# a difference can be off.
 SLACK = 1e-12
 
 
@@ -79,6 +82,11 @@ class Grid:
         rows, cols = np.nonzero(self.inside_mask)
         return [xs[c] + ys[r] for r, c in zip(rows.tolist(), cols.tolist())]
 
+    @cached_property
+    def csv_template(self) -> str:
+        """The rows of a table of the inside cells: ``"x,y,%.17g"`` per cell, row-major."""
+        return "".join([xy + "%.17g\n" for xy in self.center_labels])
+
     def source_lists(self, locations) -> SourceLists:
         """The ``SourceLists`` of the inside cells at spacing h, for these source locations.
 
@@ -115,6 +123,13 @@ def build_grid(domain: ConvexDomain, h: float) -> Grid:
     lo, hi = domain.bbox
     nx = max(1, int(np.ceil((hi[0] - lo[0]) / h - 1e-12)))
     ny = max(1, int(np.ceil((hi[1] - lo[1]) / h - 1e-12)))
+    need = nx * ny * 17  # bytes of the (ny, nx, 2) float centres and the (ny, nx) bool mask
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"grid spacing h = {h:g} needs {nx} x {ny} cells, whose centres and mask alone "
+            f"take {need / 2**30:.3g} GiB of the {have / 2**30:.3g} GiB of memory; raise h"
+        )
     box = Grid(np.asarray(lo, dtype=float), float(h), nx, ny, np.ones((ny, nx), dtype=bool))
     return replace(box, inside_mask=domain.contains_many(box.inside_centers()).reshape(ny, nx))
 
@@ -144,16 +159,30 @@ class SourceLists:
     Points and sources stay fixed; the radii may change from call to call.
     At a rebuild with radii r0 each point keeps the sources with
     r0_j - d_j >= max_i (r0_i - d_i) - 3 delta, in ascending index order,
-    with their exact distances.  The lists serve while every
-    |r_j - r0_j| <= delta: a source left out then stays at least delta
-    below the point's best, so every source tied at the maximum is listed
-    and an argmax over a list keeps the lowest-index tie rule of the full
-    row.  Snapshots go back in time, so the drift check is two-sided.
+    with their exact distances.  The lists serve while the shift r - r0
+    spreads by at most 2 delta.  Write it c + e_j, with c its midpoint and
+    |e_j| <= delta: adding c to every radius changes no argmax, so a source
+    left out then stays at least delta below the point's best, every
+    source tied at the maximum is listed, and an argmax over a list keeps
+    the lowest-index tie rule of the full row.  Radii rising together, or
+    going back together to a snapshot's, keep the lists.
+
+    A call re-ranks only the points whose winner can have changed.  Per
+    point it keeps the last winner, its distance, and a lower bound on its
+    lead over the runner-up among the listed sources.  With s the shift
+    from the last call's radii, no listed source gains more than
+    max(s) - s_winner on the winner, so the bound falls by that, and by one
+    rounding slack (SLACK relative to the extent of points and sources and
+    to the radii).  Only the points whose bound is then within a slack of
+    zero are ranked again over their lists; a rebuild ranks them all.  The
+    value returned is r_winner - d_winner, the same float operation as a
+    full row's.
 
     ``h`` is the spacing of the grid the points are the cell centres of;
     delta = h, so the lists of a run survive a few steps.  Without it the
-    lists are for one set of radii: delta = 0, and any change of radii
-    rebuilds them.
+    lists are for one set of radii: delta = 0, they keep only the sources
+    tied at the best, which a common shift can round apart, so any change
+    of radii rebuilds them.
 
     A rebuild finds each point's list from a tile pass: points are grouped
     into tiles of TILE x TILE cells (of spacing h, or of the points' extent
@@ -162,7 +191,8 @@ class SourceLists:
     value at c.  When some tile keeps more than k / DENSE_SHARE sources,
     every point lists all k sources instead; such lists serve any radii.
 
-    ``rebuilds`` counts the builds and ``max_candidates`` the longest list built.
+    ``rebuilds`` counts the builds, ``max_candidates`` the longest list
+    built and ``reranked`` the points ranked, over all calls.
     """
 
     def __init__(self, points, locations, h: float | None = None):
@@ -173,8 +203,14 @@ class SourceLists:
         self.index = None  # (m, width) listed sources, ascending; one shared row for full lists
         self.dist = None   # (m, width) their distances, +inf after a short list
         self.base_radii = None  # the radii of the last rebuild
+        self.radii = None       # the radii of the last call
+        m = len(self.points)
+        self.winner = np.zeros(m, dtype=np.int64)  # per point, at the last call
+        self.wdist = np.zeros(m)                   # the winner's distance
+        self.lead = np.zeros(m)                    # a lower bound on the winner's lead
         self.rebuilds = 0
         self.max_candidates = 0
+        self.reranked = 0
 
     @property
     def k(self) -> int:
@@ -182,19 +218,41 @@ class SourceLists:
 
     def best(self, radii) -> tuple[np.ndarray, np.ndarray]:
         """Per point: the lowest-index source maximizing r_j - |x - y_j|, and that maximum."""
-        radii = np.asarray(radii, dtype=float)
+        radii = np.array(radii, dtype=float)  # a copy, kept as the last call's radii
         if len(self.points) == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
-        if self.base_radii is None or np.abs(radii - self.base_radii).max() > self.delta:
+        spread = None if self.base_radii is None else radii - self.base_radii
+        if spread is None or np.ptp(spread) > 2.0 * self.delta or (self.delta == 0.0 and spread.any()):
             self._rebuild(radii)
-        values = radii[self.index] - self.dist
+            self._rank(radii, slice(None))
+        else:
+            shift = radii - self.radii
+            if shift.any():
+                slack = SLACK * (self._extent + max(np.abs(radii).max(), np.abs(self.radii).max()))
+                self.lead -= (shift.max() + slack) - shift[self.winner]
+                self._rank(radii, np.flatnonzero(self.lead <= slack))
+        self.radii = radii
+        return self.winner.copy(), radii[self.winner] - self.wdist
+
+    def _rank(self, radii: np.ndarray, rows) -> None:
+        """Winner, its distance and its lead over the runner-up, from the lists of ``rows``."""
+        index = self.index[rows] if len(self.index) > 1 else self.index
+        dist = self.dist[rows]
+        if len(dist) == 0:
+            return
+        self.reranked += len(dist)
+        values = radii[index] - dist
         pos = np.argmax(values, axis=1)
-        rows = np.arange(len(values))
-        return self.index[rows if len(self.index) > 1 else 0, pos], values[rows, pos]
+        at = np.arange(len(values))
+        top = values[at, pos]
+        values[at, pos] = -np.inf
+        self.winner[rows] = index[at if len(index) > 1 else 0, pos]
+        self.wdist[rows] = dist[at, pos]
+        self.lead[rows] = top - values.max(axis=1)
 
     def _rebuild(self, radii: np.ndarray) -> None:
         self.rebuilds += 1
-        self.base_radii = radii.copy()
+        self.base_radii = radii
         k = self.k
         # With k < DENSE_SHARE every tile keeps more than k / DENSE_SHARE sources.
         keep = self._tile_candidates(radii) if k >= DENSE_SHARE else None
@@ -221,15 +279,15 @@ class SourceLists:
 
     def _tile_candidates(self, radii: np.ndarray) -> np.ndarray:
         """(tiles, k) bool: the sources within 2 rho + 3 delta of each tile's best at its centre."""
-        _, centres, rho, extent = self._tile_geometry
+        _, centres, rho = self._tile_geometry
         values = distances(centres, self.locations)
         np.subtract(radii, values, out=values)
-        slack = SLACK * (extent + float(np.abs(radii).max()))
+        slack = SLACK * (self._extent + float(np.abs(radii).max()))
         return values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
 
     @cached_property
     def _tile_geometry(self):
-        """Tile of each point, each tile's centre and radius, and the extent of points and sources."""
+        """Tile of each point, and each tile's centre and radius."""
         p = self.points
         spacing = self.h or float(np.ptp(p, axis=0).max()) / np.sqrt(len(p)) or 1.0
         cells = np.rint((p - p.min(axis=0)) / spacing).astype(np.int64) // TILE
@@ -241,8 +299,13 @@ class SourceLists:
         reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
         rho = np.zeros(len(members))
         np.maximum.at(rho, tile_of, reach)
-        both = np.vstack([p, self.locations])
-        return tile_of, centres, rho, float(np.ptp(both, axis=0).sum() + np.abs(both).max())
+        return tile_of, centres, rho
+
+    @cached_property
+    def _extent(self) -> float:
+        """The extent of points and sources: above every distance and coordinate."""
+        both = np.vstack([self.points, self.locations])
+        return float(np.ptp(both, axis=0).sum() + np.abs(both).max())
 
 
 def _pack(keep: np.ndarray):

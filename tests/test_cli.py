@@ -346,14 +346,16 @@ class TestSimulate:
              "[grid]: spacings must be positive"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "horizon = 0.3", "horizon = 0",
              "[run]: horizon must be positive"),
+            (["simulate", "--config", "{config}"], SINGLE_SOURCE, "h = 0.03125", "h = 1e-9",
+             "grid spacing h = 1e-09 needs 1000000000 x 1000000000 cells"),
             (["simulate", "--config", "{config}.missing"], SINGLE_SOURCE, None, None, "cannot read config file"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "[grid]\n", "[mesh]\n", "missing section [grid]"),
             (["verify"], SINGLE_SOURCE, None, None, "verify needs --manifest or --config"),
             (["verify", "--manifest", "{config}"], SINGLE_SOURCE, None, None, "not a silopile-manifest-v1 file"),
             (["converge", "--config", "{config}"], SINGLE_SOURCE, None, None, "[run]: converge requires n_list"),
         ],
-        ids=["unknown_kind", "density_n_0", "grid_h", "horizon", "unreadable", "missing_section", "verify_no_input",
-             "manifest_header", "converge_n_list"],
+        ids=["unknown_kind", "density_n_0", "grid_h", "horizon", "grid_too_large", "unreadable", "missing_section",
+             "verify_no_input", "manifest_header", "converge_n_list"],
     )
     def test_exit_2_names_cause(self, tmp_path, capsys, argv, template, old, new, named):
         if old is not None:
@@ -500,6 +502,9 @@ class TestVerify:
         # Two sources: full lists, built once, with both sources per cell.
         assert timings["partition_rebuilds"] == "1"
         assert timings["max_candidates"] == "2"
+        # The build ranks all 1024 inside cells; later calls re-rank only
+        # the cells whose lead a step can overturn, near the bisector.
+        assert 1024 <= int(timings["partition_reranked"]) < 2 * 1024
         assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 

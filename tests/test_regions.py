@@ -178,6 +178,26 @@ def lattice_sources(n, h):
     return make_sources(UNIT, np.stack([gx.ravel(), gy.ravel()], axis=1), np.ones(n * n))
 
 
+def jittered_sources(n, rng):
+    """n x n sources, each moved at random within its cell of the unit square's n x n lattice."""
+    lattice = (np.stack(np.meshgrid(np.arange(n), np.arange(n)), axis=-1).reshape(-1, 2) + 0.5) / n
+    return make_sources(UNIT, lattice + rng.uniform(-0.4, 0.4, (n * n, 2)) / n, np.ones(n * n))
+
+
+def mirror_pair_with_far_sources():
+    """Sources 0 and 1 mirrored about a column of cell centres of the h = 1/64 grid on [0, 2]^2.
+
+    Sixty-two far sources of radius zero keep the lists short.
+    """
+    dom = ConvexDomain([(0, 0), (2, 0), (2, 2), (0, 2)], [0.0] * 4)
+    axis = 64.5 / 64  # a column of cell centres
+    pts = [(axis - 10 / 64, 1.0 + 0.5 / 64), (axis + 10 / 64, 1.0 + 0.5 / 64)]
+    pts += [(x, y) for y in (0.03, 1.97) for x in np.linspace(0.05, 1.95, 31)]
+    s = make_sources(dom, pts, np.ones(len(pts)))
+    g = build_grid(dom, 1 / 64)
+    return g, s, g.source_lists(s.locations)
+
+
 class TestSourceLists:
     """``SourceLists`` against the full (cells x sources) matrix it replaced, bit for bit."""
 
@@ -193,8 +213,7 @@ class TestSourceLists:
         n, h = case
         rng = np.random.default_rng(seed)
         k = n * n
-        lattice = (np.stack(np.meshgrid(np.arange(n), np.arange(n)), axis=-1).reshape(-1, 2) + 0.5) / n
-        s = make_sources(UNIT, lattice + rng.uniform(-0.4, 0.4, (k, 2)) / n, np.ones(k))
+        s = jittered_sources(n, rng)
         g = build_grid(UNIT, h)
         lists = g.source_lists(s.locations)
         frozen = rng.random(k) < frozen_share
@@ -254,20 +273,18 @@ class TestSourceLists:
         # Source 0 sits exactly 2 delta below source 1 at the rebuild; both
         # then move by exactly delta, towards each other, and tie on the
         # mirror column.  A margin of 2 delta loses source 0 to rounding
-        # where b - d crosses a power of two; 3 delta keeps it.  Sixty-two
-        # far sources of radius zero keep the lists short.
-        dom = ConvexDomain([(0, 0), (2, 0), (2, 2), (0, 2)], [0.0] * 4)
-        axis = 64.5 / 64  # a column of cell centres
-        pts = [(axis - 10 / 64, 1.0 + 0.5 / 64), (axis + 10 / 64, 1.0 + 0.5 / 64)]
-        pts += [(x, y) for y in (0.03, 1.97) for x in np.linspace(0.05, 1.95, 31)]
-        s = make_sources(dom, pts, np.ones(len(pts)))
+        # where b - d crosses a power of two; 3 delta keeps it.  That spread
+        # of exactly 2 delta keeps the lists, also on top of a common rise
+        # of 10 h; a spread just above 2 delta rebuilds them.
         far = np.zeros(62)
         for b in 1.0 + np.arange(0, 64, 4) / 64:
-            g = build_grid(dom, 1 / 64)
-            lists = g.source_lists(s.locations)
+            g, s, lists = mirror_pair_with_far_sources()
             assert_dense_bits(g, s, lists, np.r_[b - 2 * g.h, b, far])
             assert_dense_bits(g, s, lists, np.r_[b - g.h, b - g.h, far])
+            assert_dense_bits(g, s, lists, np.r_[b - g.h, b - g.h, far] + 10 * g.h)
             assert lists.max_candidates < s.k and lists.rebuilds == 1
+            assert_dense_bits(g, s, lists, np.r_[b - g.h + 2**-30, b - g.h, far] + 10 * g.h)
+            assert lists.rebuilds == 2
 
     def test_full_lists_for_few_sources_and_crowded_tiles(self):
         g = build_grid(UNIT, 1 / 32)
@@ -345,3 +362,57 @@ def test_memory_stays_below_a_quarter_of_the_dense_matrix():
     labels, areas = ref.dense_partition(g, s, radii)
     assert np.array_equal(part.labels, labels) and np.array_equal(part.areas, areas)
     assert np.array_equal(u.values[g.inside_mask], ref.dense_heights(radii, s, g.inside_centers()))
+
+
+class TestListsFollowTheRadii:
+    """The spread rule keeps the lists and the lead bound keeps the winners, bit for bit."""
+
+    def test_uniform_rise_keeps_the_lists(self):
+        g = build_grid(UNIT, 1 / 64)
+        rng = np.random.default_rng(5)
+        s = jittered_sources(16, rng)
+        lists = g.source_lists(s.locations)
+        radii = rng.uniform(0.01, 0.03, s.k)
+        for rise in (0.0, 10 * g.h, 3 * g.h, 25 * g.h):
+            assert_dense_bits(g, s, lists, radii + rise)
+        assert lists.max_candidates < s.k and lists.rebuilds == 1
+        # Only rounding can overturn a winner under a common rise.
+        assert lists.reranked < 1.2 * len(lists.points)
+
+    def test_repeated_call_reranks_nothing(self):
+        # Lattice sources with equal radii: many cells tie exactly.
+        g = build_grid(UNIT, 1 / 64)
+        s = lattice_sources(8, g.h)
+        lists = g.source_lists(s.locations)
+        radii = np.full(s.k, 0.1)
+        lists.best(radii)
+        ranked = lists.reranked
+        assert ranked == len(lists.points)
+        assert_dense_bits(g, s, lists, radii)
+        assert lists.reranked == ranked
+
+    def test_returned_arrays_are_fresh(self):
+        g = build_grid(UNIT, 1 / 64)
+        rng = np.random.default_rng(6)
+        s = jittered_sources(16, rng)
+        lists = g.source_lists(s.locations)
+        radii = rng.uniform(0.01, 0.03, s.k)
+        for step in (0.0, 0.0, 0.5 * g.h):
+            radii = radii + step
+            best, value = lists.best(radii)
+            best[:] = 0
+            value[:] = -1.0
+            assert_dense_bits(g, s, lists, radii)
+
+    def test_falling_winner_and_rising_neighbour(self):
+        # Equal radii, then source 0, the winner on its side of the mirror
+        # column, falls by delta while source 1 rises by delta: a spread of
+        # 2 delta, so no rebuild.  Every cell of source 0 whose lead was
+        # below 2 delta changes hands, though no source rose by more than
+        # delta.
+        for b in 1.0 + np.arange(0, 64, 8) / 64:
+            g, s, lists = mirror_pair_with_far_sources()
+            far, delta = np.zeros(62), g.h
+            assert_dense_bits(g, s, lists, np.r_[b, b, far])
+            assert_dense_bits(g, s, lists, np.r_[b - delta, b + delta, far])
+            assert lists.max_candidates < s.k and lists.rebuilds == 1
