@@ -5,8 +5,9 @@ Each rung runs ``simulate`` on 256 or 1024 sources uniform on
 a fresh process.  Wall time is measured around the process; peak RSS is
 the child's own maximum resident set, from ``os.wait4``.  A second fresh
 process times ``build_problem`` and ``solve_primal`` on the rung's
-snapshot, with the simplex's pivots, where the dense cost matrix has at
-most ``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
+snapshot, with the simplex's pivots, and then ``certify`` on the heights
+of ``snapshot_heights``, where the dense cost matrix has at most
+``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
 counters from its manifest.  Last, the W1 solves of
 ``convergence_study.py`` are timed, one per n, with their pivots.  The
 rungs and their numbers are written to ``BENCH_<label>.json`` in the
@@ -99,33 +100,38 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
         **counters,
         "primal_s": None,
         "primal_pivots": None,
+        "certify_s": None,
         "primal_peak_rss_mb": None,
     }
     if k * cells <= PRIMAL_CELLS:
         _, rss, code, text = run_child([__file__, "--primal", str(config)])
         if code == 0:
             primal = json.loads(text)
-            rung.update(primal_s=round(primal["seconds"], 3), primal_pivots=primal["pivots"])
+            rung.update(primal_s=round(primal["seconds"], 3), primal_pivots=primal["pivots"],
+                        certify_s=round(primal["certify_seconds"], 4))
         rung["primal_peak_rss_mb"] = round(rss, 1)
         rung["exit_code"] = rung["exit_code"] or code
     return rung
 
 
 def snapshot_primal(config: str) -> dict:
-    """``build_problem`` and ``solve_primal`` on the last snapshot of a run of ``config``."""
+    """``build_problem`` and ``solve_primal``, then ``certify``, on the last snapshot of a run of ``config``."""
     from silopile.cli import resolve_sources
     from silopile.config import parse_config
     from silopile.cones import run
-    from silopile.verify import build_problem, solve_primal
+    from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
 
     cfg = parse_config(config)
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
     traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
+    state = traj.states[-1]
     start = time.perf_counter()
-    problem = build_problem(traj.states[-1], sources, domain, traj.grid, cfg.boundary_spacing)
+    problem = build_problem(state, sources, domain, traj.grid, cfg.boundary_spacing)
     sol = solve_primal(problem)
-    return {"seconds": time.perf_counter() - start, "pivots": sol.pivots}
+    primal_end = time.perf_counter()
+    certify(*snapshot_heights(state, sources, traj.grid, problem), sol, problem)
+    return {"seconds": primal_end - start, "pivots": sol.pivots, "certify_seconds": time.perf_counter() - primal_end}
 
 
 def w1_seconds() -> list[dict]:
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
             result = run_rung(k, h, Path(tmp))
             results.append(result)
             primal = "skipped" if result["primal_s"] is None else (
-                f"{result['primal_s']:.3f} s, {result['primal_pivots']} pivots")
+                f"{result['primal_s']:.3f} s, {result['primal_pivots']} pivots, certify {result['certify_s']:.4f} s")
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
                   f"peak RSS {result['peak_rss_mb']:8.1f} MB  primal {primal}  exit {result['exit_code']}")
     w1 = w1_seconds()

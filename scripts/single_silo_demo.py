@@ -37,7 +37,7 @@ def main() -> int:
     for state in traj.states:
         problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
         sol = solve_primal(problem)
-        rep = certify(*snapshot_heights(state, sources, problem), sol, problem)
+        rep = certify(*snapshot_heights(state, sources, grid, problem), sol, problem)
         verdict = "PASS" if rep.passed else "FAIL"
         failed += not rep.passed
         print(

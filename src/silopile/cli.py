@@ -219,10 +219,13 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     pivots, rescale = 0, 0.0
     for idx, state, u in snapshots:
         u_residual = float(np.abs(u - height_field(state, sources, grid).values).max(initial=0.0))
-        problem = build_problem(state, sources, domain, grid, spacing)
+        try:
+            problem = build_problem(state, sources, domain, grid, spacing)
+        except ValueError as exc:
+            raise ValueError(f"manifest [snapshots] entry {idx} (t={_fmt(state.time)}): {exc}") from None
         rescale = max(rescale, problem.demand_rescale)
         sol = solve_primal(problem)
-        report = certify(*snapshot_heights(state, sources, problem), sol, problem)
+        report = certify(*snapshot_heights(state, sources, grid, problem), sol, problem)
         dual = solve_dual(problem, node_cap)
         primal_coarse = solve_primal(dual.problem)
         pivots += sol.pivots + primal_coarse.pivots

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cones import ConeState
 from .geometry import BoundaryPoints, ConvexDomain
-from .regions import NONE_LABEL, Grid, Partition, SourceLists, distances
+from .regions import NONE_LABEL, Grid, Partition, distances
 from .sources import SourceSet
 
 # Segments deposited per np.add.at pass of rolling_measure; bounds the
@@ -58,15 +58,17 @@ class PathMeasure:
         return float(self.density.sum() * self.grid.cell_area)
 
 
-def eval_height_many(state: ConeState, lists: SourceLists) -> np.ndarray:
-    """Pile height max_j (r_j - |x - y_j|)+ at each of the lists' points, exact."""
-    return np.maximum(lists.best(state.radii)[1], 0.0)
+def heights_at(state: ConeState, sources: SourceSet, points) -> np.ndarray:
+    """Pile height max_j (r_j - |x - y_j|)+ at each point, from the full (points, sources) distances."""
+    values = distances(points, sources.locations)
+    np.subtract(state.radii, values, out=values)
+    return np.maximum(values.max(axis=1), 0.0)
 
 
 def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
     """Pile height at the inside cells, from the grid's source lists."""
     values = np.zeros((grid.ny, grid.nx))
-    values[grid.inside_mask] = eval_height_many(state, grid.source_lists(sources.locations))
+    values[grid.inside_mask] = np.maximum(grid.source_lists(sources.locations).best(state.radii)[1], 0.0)
     return GridField(grid=grid, values=values)
 
 

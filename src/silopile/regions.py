@@ -11,9 +11,9 @@ can win while the radii keep close to their values at the last rebuild up
 to a common shift, with their exact distances, and re-ranks only the cells
 whose winner a change of radii can overturn.  So a partition reads a few
 values per cell instead of a (cells x sources) matrix and gives the same
-labels and heights, bit for bit.  The grid owns the lists of its inside
-cells (``Grid.source_lists``): every partition and height field on one
-grid with one set of sources, over a whole run, reads the same lists.
+labels and heights, bit for bit.  Only a grid builds lists, of its inside
+cells (``Grid.source_lists``); every partition, height field and
+certificate demand height on that grid, for one set of sources, reads them.
 """
 
 from __future__ import annotations
@@ -178,28 +178,23 @@ class SourceLists:
     value returned is r_winner - d_winner, the same float operation as a
     full row's.
 
-    ``h`` is the spacing of the grid the points are the cell centres of;
-    delta = h, so the lists of a run survive a few steps.  Without it the
-    lists are for one set of radii: delta = 0, they keep only the sources
-    tied at the best, which a common shift can round apart, so any change
-    of radii rebuilds them.
+    The points are the cell centres of a grid of spacing ``h`` that builds
+    the lists (``Grid.source_lists``); delta = h, so they serve a few steps.
 
     A rebuild finds each point's list from a tile pass: points are grouped
-    into tiles of TILE x TILE cells (of spacing h, or of the points' extent
-    over the square root of their count), each with a centre c and radius
-    rho, and a tile keeps the sources within 2 rho + 3 delta of its best
-    value at c.  When some tile keeps more than k / DENSE_SHARE sources,
+    into tiles of TILE x TILE cells, each with a centre c and radius rho,
+    and a tile keeps the sources within 2 rho + 3 delta of its best value
+    at c.  When some tile keeps more than k / DENSE_SHARE sources,
     every point lists all k sources instead; such lists serve any radii.
 
     ``rebuilds`` counts the builds, ``max_candidates`` the longest list
     built and ``reranked`` the points ranked, over all calls.
     """
 
-    def __init__(self, points, locations, h: float | None = None):
+    def __init__(self, points, locations, h: float):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.locations = np.asarray(locations, dtype=float)
-        self.h = h
-        self.delta = 0.0 if h is None else float(h)
+        self.h = self.delta = float(h)
         self.index = None  # (m, width) listed sources, ascending; one shared row for full lists
         self.dist = None   # (m, width) their distances, +inf after a short list
         self.base_radii = None  # the radii of the last rebuild
@@ -222,7 +217,7 @@ class SourceLists:
         if len(self.points) == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
         spread = None if self.base_radii is None else radii - self.base_radii
-        if spread is None or np.ptp(spread) > 2.0 * self.delta or (self.delta == 0.0 and spread.any()):
+        if spread is None or np.ptp(spread) > 2.0 * self.delta:
             self._rebuild(radii)
             self._rank(radii, slice(None))
         else:
@@ -289,8 +284,7 @@ class SourceLists:
     def _tile_geometry(self):
         """Tile of each point, and each tile's centre and radius."""
         p = self.points
-        spacing = self.h or float(np.ptp(p, axis=0).max()) / np.sqrt(len(p)) or 1.0
-        cells = np.rint((p - p.min(axis=0)) / spacing).astype(np.int64) // TILE
+        cells = np.rint((p - p.min(axis=0)) / self.h).astype(np.int64) // TILE
         _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
         tile_of = tile_of.ravel()
         members = np.bincount(tile_of)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import ConeState
-from .fields import eval_height_many, growth_rate_field
+from .fields import growth_rate_field, height_field, heights_at
 from .geometry import ConvexDomain
-from .regions import Grid, SourceLists, distances, partition
+from .regions import Grid, distances, partition
 from .sources import SourceSet
 from .tolerances import DUAL_NODE_CAP, LP_TOL, RESIDUE_TOL
 
@@ -118,9 +118,11 @@ def build_problem(
     expected_demand = float(sources.rates[~state.frozen].sum())
     got = float(demand_mass.sum())
     if abs(got - expected_demand) > MAX_IMBALANCE * supply_total:
+        bare = np.flatnonzero(~state.frozen & (part.areas <= 0.0))
         raise ValueError(
             f"snapshot mass imbalance {got - expected_demand:+.3e} exceeds "
-            f"{MAX_IMBALANCE:.0%} of the supply {supply_total:.6g}"
+            f"{MAX_IMBALANCE:.0%} of the supply {supply_total:.6g}: active sources "
+            f"{', '.join(map(str, bare.tolist()))} cover no cell of the grid at h = {grid.h:.6g}"
         )
     rescale = expected_demand / got if got > 0.0 else 1.0
     demand_mass = demand_mass * rescale
@@ -340,10 +342,14 @@ def certify(
     )
 
 
-def snapshot_heights(state: ConeState, sources: SourceSet, p: DiscreteProblem):
-    """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem."""
-    nodes = (p.supply_locations, p.demand_locations, p.boundary_positions)
-    return tuple(eval_height_many(state, SourceLists(x, sources.locations)) for x in nodes)
+def snapshot_heights(state: ConeState, sources: SourceSet, grid: Grid, p: DiscreteProblem):
+    """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem.
+
+    The demand nodes must be ``grid``'s cell centres: their heights are read
+    from the grid's source lists, the off-grid nodes' from ``heights_at``.
+    """
+    u_demand = height_field(state, sources, grid).values[grid.cell_index(p.demand_locations)]
+    return heights_at(state, sources, p.supply_locations), u_demand, heights_at(state, sources, p.boundary_positions)
 
 
 def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:

@@ -3,10 +3,14 @@
 Each function does, one source, edge or row at a time, what the package
 now does in one array pass.  The oracle tests assert that both give the
 same bits.  ``dense_partition`` and ``dense_heights`` are the full
-(points x sources) forms that ``regions.SourceLists`` replaced, and
-``DenseTransportSimplex`` is the network simplex that kept a dense flow
-matrix before ``verify._TransportSimplex`` kept per-column arrays.
+(points x sources) forms that the grid's ``regions.SourceLists`` replaced;
+``point_heights`` is the per-point loop of ``fields.heights_at``, the full
+form that points off the grid still take.  ``DenseTransportSimplex`` is
+the network simplex that kept a dense flow matrix before
+``verify._TransportSimplex`` kept per-column arrays.
 """
+
+import math
 
 import numpy as np
 
@@ -243,6 +247,15 @@ def dense_heights(radii, sources, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(radii, dtype=float)[None, :] - distances(points, sources.locations)
     return np.maximum(values.max(axis=1), 0.0)
+
+
+def point_heights(radii, locations, points):
+    """Pile height max_j (r_j - |x - y_j|)+ one point and one source at a time, on Python floats."""
+    heights = []
+    for x, y in np.asarray(points, dtype=float).tolist():
+        cones = [r - math.sqrt((x - a) * (x - a) + (y - b) * (y - b)) for r, (a, b) in zip(radii, locations)]
+        heights.append(max(max(cones), 0.0))
+    return np.array(heights, dtype=float)
 
 
 def polygon_area_roll(poly):

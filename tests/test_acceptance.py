@@ -13,13 +13,14 @@ import pytest
 
 from silopile.cones import ConeState, run
 from silopile.fields import (
-    eval_height_many,
     growth_rate_field,
+    height_field,
+    heights_at,
     rolling_measure,
     spill_measure,
 )
 from silopile.geometry import ConvexDomain
-from silopile.regions import SourceLists, build_grid, partition
+from silopile.regions import build_grid, partition
 from silopile.sources import DensitySpec, UNIFORM_POLYGON, discretize, make_sources
 from silopile.verify import (
     build_problem,
@@ -104,7 +105,6 @@ def test_a3_structural_invariants():
     nodes = dom.boundary_nodes(1 / 64)
     node_pos, walls = nodes.position, dom.wall_height(nodes)
     grid = build_grid(dom, 1 / 64)
-    centers = grid.inside_centers()
 
     lip_slack = 0.0
     bound_violation = 0.0
@@ -112,23 +112,23 @@ def test_a3_structural_invariants():
     atom_gap = 0.0
     prev = None
     for state in traj.states:
-        ua = eval_height_many(state, SourceLists(pairs_a, s.locations))
-        ub = eval_height_many(state, SourceLists(pairs_b, s.locations))
+        ua = heights_at(state, s, pairs_a)
+        ub = heights_at(state, s, pairs_b)
         gaps = np.abs(ua - ub) - np.linalg.norm(pairs_a - pairs_b, axis=1)
         lip_slack = max(lip_slack, float(gaps.max()))
 
-        u_bdry = eval_height_many(state, SourceLists(node_pos, s.locations))
+        u_bdry = heights_at(state, s, node_pos)
         bound_violation = max(
             bound_violation, float(max((-u_bdry).max(), (u_bdry - walls).max()))
         )
 
-        u_grid = eval_height_many(state, SourceLists(centers, s.locations))
+        u_grid = height_field(state, s, grid).values[grid.inside_mask]
         if prev is not None:
             monotone_violation = max(monotone_violation, float((prev - u_grid).max()))
         prev = u_grid
 
         atoms = spill_measure(state, s, traj.spill_atoms).points
-        u_atoms = eval_height_many(state, SourceLists(atoms.position, s.locations))
+        u_atoms = heights_at(state, s, atoms.position)
         atom_gap = max(atom_gap, float(np.abs(u_atoms - dom.wall_height(atoms)).max(initial=0.0)))
 
     ok = (
@@ -161,7 +161,7 @@ def test_a4_duality_certification():
     for state in traj.states:
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         sol = solve_primal(p)
-        rep = certify(*snapshot_heights(state, s, p), sol, p)
+        rep = certify(*snapshot_heights(state, s, grid, p), sol, p)
         all_pass &= rep.passed
         worst = max(worst, rep.ray_residual, rep.wall_residual, rep.duality_gap)
     elapsed = time.perf_counter() - t_begin
@@ -179,7 +179,7 @@ def test_a5_equilibrium():
 
     grid = build_grid(dom, h)
     centers = grid.inside_centers()
-    u_sim = eval_height_many(traj.final_state, traj.grid.source_lists(s.locations))
+    u_sim = height_field(traj.final_state, s, traj.grid).values[traj.grid.inside_mask]
     closed = np.maximum(0.5 - np.linalg.norm(centers - 0.5, axis=1), 0.0)
     sup = float(np.abs(u_sim - closed).max())
 
@@ -234,8 +234,8 @@ def test_a7_comparison_principle():
 
     worst = -np.inf
     for st1, st2 in zip(traj.states, traj2.states):
-        u1 = eval_height_many(st1, traj.grid.source_lists(s.locations))
-        u2 = eval_height_many(st2, traj2.grid.source_lists(doubled.locations))
+        u1 = height_field(st1, s, traj.grid).values[traj.grid.inside_mask]
+        u2 = height_field(st2, doubled, traj2.grid).values[traj2.grid.inside_mask]
         worst = max(worst, float((u1 - u2).max()))
     report("A7", worst <= 1e-12, f"max undershoot {worst:.2e}")
 
@@ -252,7 +252,7 @@ def test_a8_source_convergence():
     for n in (4, 16, 64):
         s = discretize(f, n, dom)
         traj = run(s, dom, 0.5, times, 1 / 32)
-        fields[n] = [eval_height_many(state, traj.grid.source_lists(s.locations)) for state in traj.states]
+        fields[n] = [height_field(state, s, traj.grid).values[traj.grid.inside_mask] for state in traj.states]
 
     ok = True
     detail = []

@@ -11,8 +11,15 @@ import pytest
 import silopile
 from silopile import cli
 from silopile.cli import _splice_manifest, _write_sections, main, parse_manifest
+from silopile.cones import run
 from silopile.config import ConfigError, parse_config
+from silopile.fields import field_from_csv, heights_at
 from silopile.geometry import ConvexDomain
+from silopile.regions import build_grid
+from silopile.verify import build_problem, snapshot_heights
+
+TWO_SOURCE = (Path(__file__).resolve().parents[1] / "configs" / "two_source.ini").read_text().replace(
+    "directory = out/two_source", "directory = {out}")
 
 SINGLE_SOURCE = """
 [domain]
@@ -611,6 +618,42 @@ class TestVerify:
         assert lines[1] == "result = FAIL"
         assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
         assert max(calls) <= 1e-9
+
+    @pytest.mark.parametrize("template, named", [
+        (TWO_SOURCE.replace("snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"),
+         "manifest [snapshots] entry 0 (t=0): snapshot mass imbalance -1.200e+00 exceeds 1% of the supply 1.2: "
+         "active sources 0, 1 cover no cell of the grid at h = 0.015625"),
+        (SINGLE_SOURCE.replace("horizon = 0.3", "horizon = 5e-5").replace(
+            "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 5e-5").replace("0.03125", "0.3"),
+         "manifest [snapshots] entry 0 (t=5.0000000000000002e-05): snapshot mass imbalance -1.400e+00 exceeds "
+         "1% of the supply 1.4: active sources 0, 1 cover no cell of the grid at h = 0.3"),
+    ], ids=["zero-time", "coarse-grid"])
+    def test_snapshot_with_uncovered_sources_is_named(self, tmp_path, capsys, template, named):
+        # simulate writes a snapshot whose cones cover no cell centre yet;
+        # verify cannot pose its transport problem and says which and why
+        path, out = write_config(tmp_path, template)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (out / "certificates.txt").exists()
+
+    def test_demand_heights_are_the_written_field(self, tmp_path):
+        # The certificate's demand heights are read from the grid's source
+        # lists: the bits simulate wrote, and those of full distance rows.
+        path, out = write_config(tmp_path, TWO_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        cfg = parse_config(path)
+        domain = cfg.domain()
+        sources = cli.resolve_sources(cfg, domain)
+        grid = build_grid(domain, cfg.grid_h)
+        states = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h).states
+        assert len(states) == 5
+        for i, state in enumerate(states):
+            p = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
+            u_demand = snapshot_heights(state, sources, grid, p)[1].view(np.uint64)
+            written = field_from_csv(grid, (out / f"snap{i:03d}_u.csv").read_text()).values
+            assert np.array_equal(u_demand, written[grid.cell_index(p.demand_locations)].view(np.uint64))
+            assert np.array_equal(u_demand, heights_at(state, sources, p.demand_locations).view(np.uint64))
 
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -3,24 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_loops import deposit_loop
+from reference_loops import deposit_loop, point_heights
 from silopile.cones import ConeState, run
 from silopile.fields import (
     BoundaryMeasure,
     boundary_measure_from_lines,
     boundary_measure_to_lines,
     equilibrium_field,
-    eval_height_many,
     field_from_csv,
     field_to_csv,
     growth_rate_field,
     height_field,
+    heights_at,
     path_measure_to_csv,
     rolling_measure,
     spill_measure,
 )
 from silopile.geometry import ConvexDomain
-from silopile.regions import SourceLists, build_grid, partition
+from silopile.regions import build_grid, partition
 from silopile.sources import make_sources
 
 
@@ -50,17 +50,17 @@ class TestEvalHeight:
     def test_apex_value(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((2, 2), s.locations))[0] == pytest.approx(0.5)
+        assert heights_at(state, s, [(2, 2)])[0] == pytest.approx(0.5)
 
     def test_cone_slope(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((2.3, 2.2), s.locations))[0] == pytest.approx(0.5 - np.sqrt(0.13))
+        assert heights_at(state, s, [(2.3, 2.2)])[0] == pytest.approx(0.5 - np.sqrt(0.13))
 
     def test_clipped_to_zero(self, big_square):
         s = make_sources(big_square, [(2, 2)], [1.0])
         state = single_cone_state(big_square, s, 0.5)
-        assert eval_height_many(state, SourceLists((3.5, 3.5), s.locations))[0] == 0.0
+        assert heights_at(state, s, [(3.5, 3.5)])[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -71,8 +71,33 @@ class TestEvalHeight:
         dom = ConvexDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [10.0] * 4)
         s = make_sources(dom, [(1.2, 1.5), (2.8, 2.3)], [1.0, 0.5])
         state = ConeState(0.0, np.array([0.8, 1.1]), dom.escape_cost(s.locations)[0])
-        u1, u2 = eval_height_many(state, SourceLists([(x1, y1), (x2, y2)], s.locations))
+        u1, u2 = heights_at(state, s, [(x1, y1), (x2, y2)])
         assert abs(u1 - u2) <= np.hypot(x1 - x2, y1 - y2) + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["scatter", "one", "coincident", "collinear", "empty"]),
+        m=st.integers(1, 300),
+        k=st.sampled_from([1, 3, 16, 64]),
+    )
+    def test_heights_at_matches_per_point_loop(self, seed, layout, m, k):
+        # Off-grid points of any layout, including ties at coincident points
+        # and radii all zero, give the bits of one sqrt per point and source.
+        rng = np.random.default_rng(seed)
+        points = {
+            "scatter": rng.uniform(0.0, 1.0, (m, 2)),
+            "one": rng.uniform(0.0, 1.0, (1, 2)),
+            "coincident": np.tile(rng.uniform(0.0, 1.0, 2), (m, 1)),
+            "collinear": np.stack([np.linspace(0.0, 1.0, m), np.full(m, 0.5)], axis=1),
+            "empty": np.zeros((0, 2)),
+        }[layout]
+        dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.5] * 4)
+        s = make_sources(dom, 0.05 + 0.9 * rng.random((k, 2)), np.ones(k))
+        for radii in (rng.uniform(0.0, 0.4, k), np.zeros(k), rng.uniform(0.0, 0.2, k)):
+            state = ConeState(0.0, radii, np.full(k, 1e9))
+            want = point_heights(radii.tolist(), s.locations.tolist(), points)
+            assert np.array_equal(heights_at(state, s, points).view(np.uint64), want.view(np.uint64))
 
 
 class TestGrowthRate:
@@ -133,7 +158,7 @@ class TestSpillMeasure:
         grid = build_grid(unit_square, 1 / 64)
         u = height_field(state, s, grid)
         alt = unit_square.boundary_points(range(4), [0.5] * 4)
-        u_alt = eval_height_many(state, SourceLists(alt.position, s.locations))
+        u_alt = heights_at(state, s, alt.position)
         np.testing.assert_allclose(u_alt, unit_square.wall_height(alt), rtol=0.0, atol=1e-9)
         assert u.values.max() <= 0.5 + 1e-12
 
@@ -248,10 +273,10 @@ class TestFieldInvariants:
         node_pos, walls = nodes.position, dom.wall_height(nodes)
         prev = None
         for state in traj.states:
-            ub = eval_height_many(state, SourceLists(node_pos, s.locations))
+            ub = heights_at(state, s, node_pos)
             assert np.all(ub >= 0.0)
             assert np.all(ub <= walls + 1e-9)
-            u = eval_height_many(state, traj.grid.source_lists(s.locations))
+            u = height_field(state, s, traj.grid).values
             if prev is not None:
                 assert np.all(u >= prev - 1e-12)
             prev = u
@@ -261,7 +286,7 @@ class TestFieldInvariants:
         final = traj.final_state
         assert final.frozen.any()
         nu = spill_measure(final, s, traj.spill_atoms)
-        u_atoms = eval_height_many(final, SourceLists(nu.points.position, s.locations))
+        u_atoms = heights_at(final, s, nu.points.position)
         np.testing.assert_allclose(u_atoms, dom.wall_height(nu.points), rtol=0.0, atol=1e-9)
 
     def test_weak_form_residual_first_order(self):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from silopile.cones import ConeState
-from silopile.fields import eval_height_many, height_field
+from silopile.fields import height_field
 from silopile.geometry import ConvexDomain
-from silopile.regions import NONE_LABEL, SourceLists, areas_with_floor, build_grid, distances, partition
+from silopile.regions import NONE_LABEL, areas_with_floor, build_grid, distances, partition
 from silopile.sources import make_sources
 
 
@@ -165,7 +165,6 @@ def assert_dense_bits(grid, sources, lists, radii):
     assert np.array_equal(part.areas, areas)
     state = ConeState(0.0, radii, np.full(len(radii), 1e9))
     dense = ref.dense_heights(radii, sources, lists.points)
-    assert np.array_equal(eval_height_many(state, lists).view(np.uint64), dense.view(np.uint64))
     u = height_field(state, sources, grid).values[grid.inside_mask]
     assert np.array_equal(u.view(np.uint64), dense.view(np.uint64))
 
@@ -311,35 +310,6 @@ class TestSourceLists:
         radii[::3] = 0.02  # most cells have best value <= 0
         assert_dense_bits(g, s, lists, radii)
         assert np.any(lists.best(radii)[1] <= 0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        layout=st.sampled_from(["scatter", "one", "coincident", "collinear", "empty"]),
-        m=st.integers(1, 300),
-        k=st.sampled_from([1, 3, 16, 64]),
-    )
-    def test_one_shot_lists_of_any_points(self, seed, layout, m, k):
-        # Without a grid spacing the tiles follow the points' own extent and
-        # the lists hold only the sources tied at the best value: exact for
-        # the radii they were built at, and rebuilt for any other radii.
-        rng = np.random.default_rng(seed)
-        points = {
-            "scatter": rng.uniform(0.0, 1.0, (m, 2)),
-            "one": rng.uniform(0.0, 1.0, (1, 2)),
-            "coincident": np.tile(rng.uniform(0.0, 1.0, 2), (m, 1)),
-            "collinear": np.stack([np.linspace(0.0, 1.0, m), np.full(m, 0.5)], axis=1),
-            "empty": np.zeros((0, 2)),
-        }[layout]
-        s = make_sources(UNIT, 0.05 + 0.9 * rng.random((k, 2)), np.ones(k))
-        lists = SourceLists(points, s.locations)
-        for radii in (rng.uniform(0.0, 0.4, k), np.zeros(k), rng.uniform(0.0, 0.2, k)):
-            values = radii[None, :] - distances(points, s.locations)
-            best, value = lists.best(radii)
-            assert np.array_equal(best, np.argmax(values, axis=1))
-            assert np.array_equal(value.view(np.uint64), values.max(axis=1).view(np.uint64))
-        if len(points) and lists.delta == 0.0:
-            assert lists.rebuilds == 3  # short lists are rebuilt for each new set of radii
 
 
 def test_memory_stays_below_a_quarter_of_the_dense_matrix():

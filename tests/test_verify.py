@@ -906,7 +906,7 @@ class TestSnapshotPipeline:
         # radii too small for a 0.45 grid: their cells carry no demand mass
         state = ConeState(0.01, np.array([0.02, 0.02]), thresholds)
         tiny_grid = build_grid(dom, 0.45)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"active sources 0, 1 cover no cell of the grid at h = 0\.45$"):
             build_problem(state, s, dom, tiny_grid, boundary_spacing=0.45)
 
     def test_certify_passes_midrun(self):
@@ -915,7 +915,7 @@ class TestSnapshotPipeline:
             grid = build_grid(dom, h)
             p = build_problem(state, s, dom, grid, boundary_spacing=h)
             sol = solve_primal(p)
-            report = certify(*snapshot_heights(state, s, p), sol, p)
+            report = certify(*snapshot_heights(state, s, grid, p), sol, p)
             assert report.passed, (t, report)
 
     def test_certify_fails_on_perturbation(self):
@@ -924,7 +924,7 @@ class TestSnapshotPipeline:
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         assert p.n_demand > 0
         sol = solve_primal(p)
-        u_s, u_d, u_b = snapshot_heights(state, s, p)
+        u_s, u_d, u_b = snapshot_heights(state, s, grid, p)
         u_d = u_d.copy()
         u_d[0] += 0.1
         report = certify(u_s, u_d, u_b, sol, p)
