@@ -8,7 +8,7 @@ process times ``build_problem`` and ``solve_primal`` on the rung's
 snapshot, with the simplex's pivots, and then ``certify`` on the heights
 of ``snapshot_heights``, where the dense cost matrix has at most
 ``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
-counters from its manifest.  Last, the W1 solves of
+counters and the RK2 step count from its manifest.  Last, the W1 solves of
 ``convergence_study.py`` are timed, one per n, with their pivots.  The
 rungs and their numbers are written to ``BENCH_<label>.json`` in the
 working directory.
@@ -40,8 +40,8 @@ HORIZON = 0.02
 # column, the start's key and the rows of the component being joined.
 # The flows live on the tree's arcs, not in an (m, n) matrix.
 PRIMAL_CELLS = 4_500_000
-# The partition's counters, copied from the rung's manifest.
-COUNTERS = ("partition_rebuilds", "partition_reranked", "max_candidates")
+# The partition's counters and the RK2 steps, copied from the rung's manifest.
+COUNTERS = ("partition_rebuilds", "partition_reranked", "max_candidates", "rk2_steps")
 
 CONFIG = """[domain]
 vertices = 0 0 ; 1 0 ; 1 1 ; 0 1

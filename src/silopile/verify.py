@@ -1,23 +1,24 @@
 """Discrete boundary-taxed transport: primal plan, dual potential, certificates.
 
-A snapshot is certified by solving the finite transportation problem that
-ships the source rates onto the deposited growth (grid cells weighted by
-the growth rate) and, for frozen sources, over the wall (boundary nodes
-taxed by the wall height).  Boundary sinks have unlimited capacity, so the
-taxed boundary collapses into one absorbing column: supply i spills at its
-cheapest taxed crossing a_i = min_b (|x_i - b| + g_b), and that column's
-demand is the spill total.  The primal is solved exactly by a network
-simplex on the bipartite graph.  Its basis is a spanning tree whose
-flows live on the tree's arcs: a leaf column, of one arc, is two array
-entries (its row and that arc's flow), and only the at most m - 1
-junction columns, of two arcs or more, keep Python sets and arc flows.
-The Python work of a pivot or of the tree duals grows with the rows and
-junctions, not with the n demand cells; the greedy start makes one pass
-over the columns on Python floats.  The dual is the exact LP dual of the
-same problem, solved independently by HiGHS, which keeps the duality
-check non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand
-pair and, when the problem spills, the bound u_i <= a_i (see
-``solve_dual``).
+A snapshot is certified by solving the finite transportation problem
+that ships the source rates onto the deposited growth (grid cells
+weighted by the growth rate, and one atom at its own location for each
+active source whose cone covers no cell centre) and, for frozen sources,
+over the wall (boundary nodes taxed by the wall height).  Boundary sinks
+have unlimited capacity, so the taxed boundary collapses into one
+absorbing column: supply i spills at its cheapest taxed crossing
+a_i = min_b (|x_i - b| + g_b), and that column's demand is the spill
+total.  The primal is solved exactly by a network simplex on the
+bipartite graph.  Its basis is a spanning tree whose flows live on the
+tree's arcs: a leaf column, of one arc, is two array entries (its row
+and that arc's flow), and only the at most m - 1 junction columns, of
+two arcs or more, keep Python sets and arc flows.  The Python work of a
+pivot or of the tree duals grows with the rows and junctions, not with
+the n demand cells; the greedy start makes one pass over the columns on
+Python floats.  The dual is the exact LP dual of the same problem,
+solved independently by HiGHS, which keeps the duality check
+non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand pair
+and, when the problem spills, the bound u_i <= a_i (see ``solve_dual``).
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .geometry import ConvexDomain
 from .regions import Grid, distances, partition
 from .sources import SourceSet
 from .tolerances import DUAL_NODE_CAP, LP_TOL, RESIDUE_TOL
-
-# Snapshot imbalance beyond this fraction of the supply is a hard error;
-# anything smaller is absorbed by proportional demand rescaling.
-MAX_IMBALANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class DiscreteProblem:
     h: float
     # the snapshot's cone radii, the simplex's row offsets for its start
     radii: np.ndarray | None = None     # (m,)
-    demand_rescale: float = 0.0         # |expected / counted demand - 1|
+    demand_atoms: int = 0               # trailing demand nodes that are source atoms
 
     @property
     def n_demand(self) -> int:
@@ -103,29 +100,19 @@ def build_problem(
     """Assemble the snapshot's transportation problem.
 
     Interior demand is the discretized growth rate (cell mass = rate x h^2);
-    the expected spill is the total rate of frozen sources.  A small
-    quadrature imbalance is removed by rescaling the demand masses.
+    the expected spill is the total rate of frozen sources.  An active
+    source whose cone covers no cell centre is one demand atom instead: its
+    rate c_j at its own location y_j, where the height is at least r_j and
+    the cost from source j is 0.  The atoms follow the cells, so the demand
+    is every active rate, balanced to rounding.
     """
     part = partition(grid, sources, state.radii)
     rate_field = growth_rate_field(state, sources, part)
     masses = rate_field.values[grid.inside_mask] * grid.cell_area
-    centers = grid.inside_centers()
     keep = masses > 0.0
-    demand_loc = centers[keep]
-    demand_mass = masses[keep]
-
-    supply_total = sources.total_rate
-    expected_demand = float(sources.rates[~state.frozen].sum())
-    got = float(demand_mass.sum())
-    if abs(got - expected_demand) > MAX_IMBALANCE * supply_total:
-        bare = np.flatnonzero(~state.frozen & (part.areas <= 0.0))
-        raise ValueError(
-            f"snapshot mass imbalance {got - expected_demand:+.3e} exceeds "
-            f"{MAX_IMBALANCE:.0%} of the supply {supply_total:.6g}: active sources "
-            f"{', '.join(map(str, bare.tolist()))} cover no cell of the grid at h = {grid.h:.6g}"
-        )
-    rescale = expected_demand / got if got > 0.0 else 1.0
-    demand_mass = demand_mass * rescale
+    bare = ~state.frozen & (part.areas <= 0.0)
+    demand_loc = np.vstack([grid.inside_centers()[keep], sources.locations[bare]])
+    demand_mass = np.concatenate([masses[keep], sources.rates[bare]])
 
     nodes = domain.boundary_nodes(boundary_spacing)
     spill_total = float(sources.rates[state.frozen].sum())
@@ -139,7 +126,7 @@ def build_problem(
         spill_total=spill_total,
         h=grid.h,
         radii=state.radii.copy(),
-        demand_rescale=abs(rescale - 1.0),
+        demand_atoms=int(bare.sum()),
     )
 
 
@@ -267,7 +254,8 @@ def coarsen_problem(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> Discre
         mass = out.demand_masses[order]
         masses = np.add.reduceat(mass, starts)
         moments = np.add.reduceat(out.demand_locations[order] * mass[:, None], starts, axis=0)
-        out = replace(out, demand_locations=moments / masses[:, None], demand_masses=masses)
+        # a block merges atoms with cells, so no node is an atom any more
+        out = replace(out, demand_locations=moments / masses[:, None], demand_masses=masses, demand_atoms=0)
         scale *= 2.0
     return out
 
@@ -345,10 +333,13 @@ def certify(
 def snapshot_heights(state: ConeState, sources: SourceSet, grid: Grid, p: DiscreteProblem):
     """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem.
 
-    The demand nodes must be ``grid``'s cell centres: their heights are read
-    from the grid's source lists, the off-grid nodes' from ``heights_at``.
+    The demand nodes are ``grid``'s cell centres first and the source atoms
+    after them.  The cells' heights are read from the grid's source lists;
+    the atoms', the supplies' and the boundary nodes' from ``heights_at``.
     """
-    u_demand = height_field(state, sources, grid).values[grid.cell_index(p.demand_locations)]
+    cells = p.n_demand - p.demand_atoms
+    u_cells = height_field(state, sources, grid).values[grid.cell_index(p.demand_locations[:cells])]
+    u_demand = np.concatenate([u_cells, heights_at(state, sources, p.demand_locations[cells:])])
     return heights_at(state, sources, p.supply_locations), u_demand, heights_at(state, sources, p.boundary_positions)
 
 
@@ -450,7 +441,9 @@ class _TransportSimplex:
         self.m, self.n = self.cost.shape
         total = self.supply.sum()
         if abs(total - self.demand.sum()) > LP_TOL * max(1.0, total):
-            raise ValueError("unbalanced transportation problem")
+            raise ValueError(
+                f"unbalanced transportation problem: supply {total:.12g}, demand {self.demand.sum():.12g}"
+            )
         self.scale = max(1.0, float(max(self.cost.max(), -self.cost.min())))
         self.col_rows: dict[int, set[int]] = {}
         self.arc_flow: dict[tuple[int, int], float] = {}

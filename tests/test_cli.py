@@ -489,15 +489,13 @@ class TestVerify:
         manifest = out / "manifest.txt"
         before = manifest.read_text()
         for seconds in (1.0, 2.0, 3.0):
-            extra = {"verify_seconds": seconds, "primal_pivots": int(seconds), "max_demand_rescale": seconds / 7}
+            extra = {"verify_seconds": seconds, "primal_pivots": int(seconds), "demand_atoms": 2 * int(seconds)}
             _splice_manifest(manifest, [], extra)
         after = manifest.read_text()
         timings = after.split("\n[timings]\n", 1)[1].splitlines()
         assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
         assert [line for line in timings if line.startswith("primal_pivots")] == ["primal_pivots = 3"]
-        assert [line for line in timings if line.startswith("max_demand_rescale")] == [
-            f"max_demand_rescale = {3 / 7:.17g}"
-        ]
+        assert [line for line in timings if line.startswith("demand_atoms")] == ["demand_atoms = 6"]
         assert any(line.startswith("simulate_seconds") for line in timings)
         assert strip_timings(after) == strip_timings(before)
 
@@ -512,6 +510,10 @@ class TestVerify:
         # The build ranks all 1024 inside cells; later calls re-rank only
         # the cells whose lead a step can overturn, near the bisector.
         assert 1024 <= int(timings["partition_reranked"]) < 2 * 1024
+        cfg = parse_config(path)
+        domain = cfg.domain()
+        traj = run(cli.resolve_sources(cfg, domain), domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
+        assert int(timings["rk2_steps"]) == len(traj.steps) > 0
         assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
@@ -535,23 +537,43 @@ class TestVerify:
         assert len(pivots) == 6 and sum(pivots) > 0
         assert timings["primal_pivots"] == str(sum(pivots))
 
-    def test_demand_rescale_recorded(self, tmp_path, monkeypatch):
-        # the largest |expected / counted demand - 1| of build_problem over
-        # the snapshots; with three sources some count differs by rounding
-        build_problem, rescales = cli.build_problem, []
+    def test_demand_atoms_counted(self, tmp_path, monkeypatch):
+        # the sum of build_problem's atom sources over the snapshots: at
+        # t = 0 both cones are points, at t = 0.05 both cover cells
+        build_problem, atoms = cli.build_problem, []
 
         def recorded(*args):
             problem = build_problem(*args)
-            rescales.append(problem.demand_rescale)
+            atoms.append(problem.demand_atoms)
             return problem
 
         monkeypatch.setattr(cli, "build_problem", recorded)
-        path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
+        path, out = write_config(tmp_path, TWO_SOURCE.replace(
+            "snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
-        assert len(rescales) == 3 and max(rescales) > 0.0
-        assert float(timings["max_demand_rescale"]) == max(rescales)
+        assert atoms == [2, 0]
+        assert timings["demand_atoms"] == "2"
+
+    def test_unbalanced_snapshot_is_named(self, tmp_path, capsys, monkeypatch):
+        # a demand that misses the supply is a bug: the simplex refuses it,
+        # and verify names the snapshot and both totals
+        build_problem = cli.build_problem
+
+        def off_by_a_micro(*args):
+            p = build_problem(*args)
+            return replace(p, demand_masses=p.demand_masses * (1 + 1e-6))
+
+        monkeypatch.setattr(cli, "build_problem", off_by_a_micro)
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: manifest [snapshots] entry 0 (t=0.050000000000000003): "
+            "unbalanced transportation problem: supply 1.4, demand 1.4000014\n"
+        )
+        assert not (out / "certificates.txt").exists()
 
     def test_writer_round_trips_parsed_manifest(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -619,23 +641,30 @@ class TestVerify:
         assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
         assert max(calls) <= 1e-9
 
-    @pytest.mark.parametrize("template, named", [
-        (TWO_SOURCE.replace("snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"),
-         "manifest [snapshots] entry 0 (t=0): snapshot mass imbalance -1.200e+00 exceeds 1% of the supply 1.2: "
-         "active sources 0, 1 cover no cell of the grid at h = 0.015625"),
+    @pytest.mark.parametrize("template, atoms", [
+        (TWO_SOURCE.replace("snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"), 2),
         (SINGLE_SOURCE.replace("horizon = 0.3", "horizon = 5e-5").replace(
-            "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 5e-5").replace("0.03125", "0.3"),
-         "manifest [snapshots] entry 0 (t=5.0000000000000002e-05): snapshot mass imbalance -1.400e+00 exceeds "
-         "1% of the supply 1.4: active sources 0, 1 cover no cell of the grid at h = 0.3"),
-    ], ids=["zero-time", "coarse-grid"])
-    def test_snapshot_with_uncovered_sources_is_named(self, tmp_path, capsys, template, named):
-        # simulate writes a snapshot whose cones cover no cell centre yet;
-        # verify cannot pose its transport problem and says which and why
+            "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 5e-5").replace("0.03125", "0.3"), 2),
+        # the small cone covers no cell; spreading its rate over the large
+        # cone's cells would ship it about 0.5 (ray residual 0.52)
+        (SINGLE_SOURCE.replace("points = 0.3 0.35 0.6 ; 0.7 0.6 0.8", "points = 0.3 0.3 1 ; 0.7 0.7 0.005").replace(
+            "horizon = 0.3", "horizon = 0.001").replace(
+            "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.001").replace("0.03125", "0.0625"), 1),
+    ], ids=["zero-time", "coarse-grid", "small-rate"])
+    def test_snapshot_with_uncovered_sources_passes(self, tmp_path, template, atoms):
+        # simulate writes a snapshot in which active cones cover no cell
+        # centre; each is a demand atom at its source, shipped there at cost 0
         path, out = write_config(tmp_path, template)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {named}\n"
-        assert not (out / "certificates.txt").exists()
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
+        lines = (out / "certificates.txt").read_text().splitlines()
+        assert lines[1] == "result = PASS"
+        for line in lines[2:]:
+            fields = dict(part.split("=", 1) for part in line.split()[2:-1])
+            assert float(fields["ray_residual"]) <= 1e-15
+            assert float(fields["pairing_gap"]) <= 1e-15
+        timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
+        assert timings["demand_atoms"] == str(atoms)
 
     def test_demand_heights_are_the_written_field(self, tmp_path):
         # The certificate's demand heights are read from the grid's source

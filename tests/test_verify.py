@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import reference_loops
 from test_golden import CONFIGS, GOLDEN_CERTIFICATES
 from silopile.cli import resolve_sources
-from silopile.cones import run
+from silopile.cones import ConeState, analytic_phase, run
 from silopile.config import parse_config
 from silopile.fields import rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
@@ -897,17 +899,52 @@ class TestSnapshotPipeline:
         sol = solve_primal(p)
         assert sol.spill.sum() == pytest.approx(s.total_rate)
 
-    def test_coarse_grid_rejected_for_imbalance(self):
-        from silopile.cones import ConeState
-
+    def test_coarse_grid_balances_with_atoms(self):
         dom = unit_square(5.0)
         s = make_sources(dom, [(0.3, 0.35), (0.7, 0.6)], [0.6, 0.8])
         thresholds, _ = dom.escape_cost(s.locations)
-        # radii too small for a 0.45 grid: their cells carry no demand mass
+        # radii too small for a 0.45 grid: each cone is an atom at its source
         state = ConeState(0.01, np.array([0.02, 0.02]), thresholds)
-        tiny_grid = build_grid(dom, 0.45)
-        with pytest.raises(ValueError, match=r"active sources 0, 1 cover no cell of the grid at h = 0\.45$"):
-            build_problem(state, s, dom, tiny_grid, boundary_spacing=0.45)
+        p = build_problem(state, s, dom, build_grid(dom, 0.45), boundary_spacing=0.45)
+        assert p.demand_atoms == p.n_demand == 2
+        assert np.array_equal(p.demand_locations, s.locations)
+        assert abs(p.demand_masses.sum() - s.rates.sum()) <= 1e-12
+        # coarsening merges the two atoms into one node, which is no atom
+        merged = coarsen_problem(p, node_cap=len(s.rates) + p.n_boundary + 1)
+        assert merged.n_demand == 1 and merged.demand_atoms == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=6, unique=True),
+        jitter=st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12),
+        decades=st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6),
+        h=st.sampled_from([1 / 8, 1 / 16]),
+        fraction=st.floats(0.01, 1.0),
+    )
+    def test_atoms_balance_and_certify(self, lattice, jitter, decades, h, fraction):
+        # point sources with rates over three decades, at a time inside the
+        # exact analytic phase, on grids too coarse for the small cones
+        k = len(lattice)
+        points = 0.2 + 0.2 * np.array(lattice, dtype=float) + np.reshape(jitter[: 2 * k], (k, 2))
+        dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.12, 0.3, 0.2, 0.25])
+        s = make_sources(dom, points, 10.0 ** -np.array(decades[:k]))
+        t = fraction * analytic_phase(s, dom)[0]
+        state = run(s, dom, t, [t], h).states[0]
+        grid = build_grid(dom, h)
+        p = build_problem(state, s, dom, grid, boundary_spacing=h)
+
+        active = s.rates[~state.frozen].sum()
+        assert abs(p.demand_masses.sum() - active) <= 1e-12 * s.total_rate
+        bare = ~state.frozen & (partition(grid, s, state.radii).areas == 0.0)
+        assert p.demand_atoms == bare.sum()
+        first_atom = p.n_demand - p.demand_atoms
+        assert np.array_equal(p.demand_locations[first_atom:], s.locations[bare])
+        assert np.array_equal(p.demand_masses[first_atom:], s.rates[bare])
+
+        sol = solve_primal(p)
+        assert sol.marginal_error <= LP_TOL
+        report = certify(*snapshot_heights(state, s, grid, p), sol, p)
+        assert report.passed and report.ray_residual <= 1e-15, report
 
     def test_certify_passes_midrun(self):
         for t in (0.08, 0.25):  # pre-freeze and fully frozen
