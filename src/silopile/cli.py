@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, _floats, _fmt, _number, _rows, _whole, echo_config, parse_config
-from .cones import ConeState, Trajectory, run
+from .cones import ConeState, run
 from .fields import (
     boundary_measure_to_lines,
     equilibrium_field,
@@ -41,33 +41,6 @@ def resolve_sources(cfg: RunConfig, domain: ConvexDomain) -> SourceSet:
 
 # ---------------------------------------------------------------------------
 # manifest
-
-
-def write_manifest(
-    path: Path,
-    cfg: RunConfig,
-    sources: SourceSet,
-    traj: Trajectory,
-    snapshot_files: list[tuple[str, str]],
-    timings: dict[str, float | int],
-) -> None:
-    snapshots = []
-    for i, state in enumerate(traj.states):
-        u_file, mu_file = snapshot_files[i]
-        radii = ",".join(_fmt(r) for r in state.radii)
-        frozen = ",".join("1" if f else "0" for f in state.frozen)
-        snapshots.append(f"{i} = t={_fmt(state.time)} u={u_file} mu={mu_file} radii={radii} frozen={frozen}")
-    _write_sections(path, {
-        "config": echo_config(cfg),
-        "sources": [
-            f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(c)}"
-            for j, ((x, y), c) in enumerate(zip(sources.locations, sources.rates))
-        ],
-        "freeze_events": [f"{j} = {_fmt(t)}" for j, t in traj.freeze_events],
-        "snapshots": snapshots,
-        "certificates": [],
-        "timings": _timing_lines(timings),
-    })
 
 
 def _timing_lines(timings: dict[str, float | int]) -> list[str]:
@@ -121,27 +94,32 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     t_start = time.perf_counter()
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-    grid = traj.grid
+    routes = domain.escape_cost(sources.locations)
+    spill_atoms = routes[1]
+    fields = []  # per snapshot: its height field and rolling layer, read as the run passes it
+
+    def read_fields(state, grid):
+        u = height_field(state, sources, grid)
+        mu = rolling_measure(state, sources, partition(grid, sources, state.radii), spill_atoms)
+        fields.append((u, mu))
+
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h, routes, read_fields)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot_files = []
-    nu_blocks = []
-    for i, state in enumerate(traj.states):
-        u_name = f"snap{i:03d}_u.csv"
-        mu_name = f"snap{i:03d}_mu.csv"
-        u = height_field(state, sources, grid)
-        part = partition(grid, sources, state.radii)
-        mu = rolling_measure(state, sources, part, traj.spill_atoms)
-        nu = spill_measure(state, sources, traj.spill_atoms)
+    snapshots, nu_blocks = [], []
+    for i, (state, (u, mu)) in enumerate(zip(traj.states, fields)):
+        u_name, mu_name = f"snap{i:03d}_u.csv", f"snap{i:03d}_mu.csv"
         (out / u_name).write_text(field_to_csv(u))
         (out / mu_name).write_text(path_measure_to_csv(mu))
+        nu = spill_measure(state, sources, spill_atoms)
         nu_blocks.append(f"# snapshot {i} t={_fmt(state.time)}\n" + boundary_measure_to_lines(nu))
-        snapshot_files.append((u_name, mu_name))
+        radii = ",".join(_fmt(r) for r in state.radii)
+        frozen = ",".join("1" if f else "0" for f in state.frozen)
+        snapshots.append(f"{i} = t={_fmt(state.time)} u={u_name} mu={mu_name} radii={radii} frozen={frozen}")
     (out / "nu.csv").write_text("".join(nu_blocks))
 
-    lists = grid.source_lists(sources.locations)
+    lists = traj.grid.source_lists(sources.locations)
     timings = {
         "simulate_seconds": time.perf_counter() - t_start,
         "partition_rebuilds": lists.rebuilds,
@@ -149,7 +127,17 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
         "max_candidates": lists.max_candidates,
         "rk2_steps": len(traj.steps),
     }
-    write_manifest(out / "manifest.txt", cfg, sources, traj, snapshot_files, timings)
+    _write_sections(out / "manifest.txt", {
+        "config": echo_config(cfg),
+        "sources": [
+            f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(c)}"
+            for j, ((x, y), c) in enumerate(zip(sources.locations, sources.rates))
+        ],
+        "freeze_events": [f"{j} = {_fmt(t)}" for j, t in traj.freeze_events],
+        "snapshots": snapshots,
+        "certificates": [],
+        "timings": _timing_lines(timings),
+    })
     if not quiet:
         print(f"simulate: {len(traj.states)} snapshots, {len(traj.freeze_events)} freezes -> {out}")
     return 0
@@ -317,8 +305,9 @@ def cmd_converge(cfg: RunConfig, quiet: bool) -> int:
     per_n = {}
     for n in cfg.n_list:
         sources = discretize(cfg.density, n, domain)
-        traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-        per_n[n] = [height_field(state, sources, traj.grid).values for state in traj.states]
+        heights = per_n[n] = []
+        run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h,
+            on_snapshot=lambda state, grid: heights.append(height_field(state, sources, grid).values))
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,10 +9,16 @@ removes the t -> 0 singularity of the right-hand side.  A cone is frozen
 exactly when its radius is within FREEZE_TOL of its escape cost, so a
 state holds radii only and derives its freeze flags; the stepped phase
 partitions one grid, whose source lists serve the whole run.
+
+The run passes time once, handing each snapshot to ``on_snapshot(state,
+grid)`` in time order, on the run's grid and before the next step.  The
+callback must not mutate the state; the grid's source lists are exact, so
+reading them there changes no bit of the run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +65,7 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: list[ConeState]  # one per snapshot time
+    states: list[ConeState]  # one per snapshot time, in the order the run passed them
     freeze_events: list[tuple[int, float]]
     steps: list[StepRecord]
     final_state: ConeState
@@ -142,13 +148,17 @@ def run(
     snapshot_times,
     h: float,
     routes: tuple[np.ndarray, BoundaryPoints] | None = None,
+    on_snapshot=None,
 ) -> Trajectory:
-    """Integrate to time T, emitting interpolated snapshots.
+    """Integrate to time T, handing each snapshot to ``on_snapshot`` as the run passes it.
 
     The analytic phase covers [0, min(t0, T)]; afterwards RK2 stepping takes
     over until T or until every source is frozen, on a grid of spacing h.
     Snapshot radii between step boundaries are interpolated linearly in r.
     ``routes`` is ``domain.escape_cost(sources.locations)``, if already computed.
+    ``on_snapshot(state, grid)`` is called once per snapshot time, in time
+    order, on the run's grid and before the next step; it must not mutate
+    the state, and reading the grid's exact source lists changes no bit.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -163,35 +173,35 @@ def run(
     t0 = min(t0, T)
     grid = build_grid(domain, h)
 
-    def state_at_analytic(t: float) -> ConeState:
-        return ConeState(t, np.minimum(radii_fn(t), thresholds), thresholds)
+    states: list[ConeState] = []
+    pending = deque(snapshot_times)
 
-    knots: list[ConeState] = [state_at_analytic(t0)]
+    def emit_until(limit: float, radii_at) -> None:
+        while pending and pending[0] <= limit:
+            t = pending.popleft()
+            states.append(ConeState(t, radii_at(t), thresholds))
+            if on_snapshot is not None:
+                on_snapshot(states[-1], grid)
+
+    emit_until(t0, lambda t: np.minimum(radii_fn(t), thresholds))
     steps: list[StepRecord] = []
     freeze_events: list[tuple[int, float]] = []
-
-    state = knots[0]
-    while state.time < T - 1e-15 and not np.all(state.frozen):
-        state, record, events = step(state, sources, domain, grid, dt_max=T - state.time)
+    b = ConeState(t0, np.minimum(radii_fn(t0), thresholds), thresholds)
+    while b.time < T - 1e-15 and not np.all(b.frozen):
+        a = b
+        b, record, events = step(a, sources, domain, grid, dt_max=T - a.time)
         steps.append(record)
         freeze_events.extend(events)
-        knots.append(state)
-
-    def state_at(t: float) -> ConeState:
-        if t <= t0:
-            return state_at_analytic(t)
-        for a, b in zip(knots, knots[1:]):
-            if t <= b.time + 1e-15:
-                span = b.time - a.time
-                w = (t - a.time) / span if span > 0.0 else 1.0
-                return ConeState(t, a.radii + min(max(w, 0.0), 1.0) * (b.radii - a.radii), thresholds)
-        return ConeState(t, knots[-1].radii.copy(), thresholds)
+        span = b.time - a.time
+        emit_until(b.time + 1e-15, lambda t: a.radii + (
+            min(max((t - a.time) / span, 0.0), 1.0) if span > 0.0 else 1.0) * (b.radii - a.radii))
+    emit_until(np.inf, lambda t: b.radii.copy())
 
     return Trajectory(
-        states=[state_at(t) for t in snapshot_times],
+        states=states,
         freeze_events=freeze_events,
         steps=steps,
-        final_state=knots[-1],
+        final_state=b,
         spill_atoms=spill_atoms,
         grid=grid,
     )

@@ -7,15 +7,18 @@ same bits.  ``dense_partition`` and ``dense_heights`` are the full
 ``point_heights`` is the per-point loop of ``fields.heights_at``, the full
 form that points off the grid still take.  ``DenseTransportSimplex`` is
 the network simplex that kept a dense flow matrix before
-``verify._TransportSimplex`` kept per-column arrays.
+``verify._TransportSimplex`` kept per-column arrays.  ``knot_scan`` finds
+snapshot states after the run, over its kept step states, as
+``cones.run`` did before it handed each snapshot on as it passed it.
 """
 
 import math
 
 import numpy as np
 
+from silopile.cones import ConeState, analytic_phase, step
 from silopile.geometry import _INV_GOLDEN
-from silopile.regions import NONE_LABEL, distances
+from silopile.regions import NONE_LABEL, build_grid, distances
 from silopile.tolerances import GEOM_TOL, LP_TOL, REFINE_TOL, RESIDUE_TOL, TIE_TOL
 
 
@@ -226,6 +229,40 @@ def tree_duals(solver):
         raise RuntimeError("basis tree is not connected")
     v = cost[solver.col_row, np.arange(n)] - u[solver.col_row]
     return u, v
+
+
+def knot_scan(sources, domain, T, h):
+    """The run's knots, and the scan over them that found a snapshot state after the run.
+
+    Steps from the analytic start to T, or until every source froze, on a
+    fresh grid, keeping every step's end state: the knots.  ``state_at(t)``
+    then scans the knots: the analytic radii at t <= t0, linear in r over
+    the first step that ends at or after t, the last knot's radii past the
+    last step.
+    """
+    thresholds, _ = domain.escape_cost(sources.locations)
+    t0, radii_fn = analytic_phase(sources, domain)
+    t0 = min(t0, T)
+    grid = build_grid(domain, h)
+
+    def state_at_analytic(t):
+        return ConeState(t, np.minimum(radii_fn(t), thresholds), thresholds)
+
+    knots = [state_at_analytic(t0)]
+    while knots[-1].time < T - 1e-15 and not np.all(knots[-1].frozen):
+        knots.append(step(knots[-1], sources, domain, grid, dt_max=T - knots[-1].time)[0])
+
+    def state_at(t):
+        if t <= t0:
+            return state_at_analytic(t)
+        for a, b in zip(knots, knots[1:]):
+            if t <= b.time + 1e-15:
+                span = b.time - a.time
+                w = (t - a.time) / span if span > 0.0 else 1.0
+                return ConeState(t, a.radii + min(max(w, 0.0), 1.0) * (b.radii - a.radii), thresholds)
+        return ConeState(t, knots[-1].radii.copy(), thresholds)
+
+    return knots, state_at
 
 
 def dense_partition(grid, sources, radii):

@@ -110,6 +110,17 @@ h = 0.015625
 directory = {out}
 """
 
+# The benchmark's grow run: MANY_SOURCES to horizon 0.1.
+GROW = MANY_SOURCES.replace("horizon = 0.02\nsnapshot_times = 0.005 0.02", "horizon = 0.1\nsnapshot_times = 0.02 0.05 0.1")
+
+# 64 Gaussian sources at h = 1/64: the run passes t = 0.01, then a feeding
+# region narrower than the grid resolves stops it near t = 0.1.
+UNRESOLVED = MANY_SOURCES.replace(
+    "kind = uniform-on-polygon\npolygon = 0.05 0.05 ; 0.95 0.05 ; 0.95 0.95 ; 0.05 0.95",
+    "kind = gaussian-truncated\ncenter = 0.5 0.5\nsigma = 0.2\nradius = 0.4",
+).replace("n = 256", "n = 64").replace(
+    "horizon = 0.02\nsnapshot_times = 0.005 0.02", "horizon = 0.2\nsnapshot_times = 0.01 0.2")
+
 GAUSSIAN_CONFIG = CONVERGE_CONFIG.replace(
     "kind = uniform-on-polygon\npolygon = 1 1 ; 3 1 ; 3 3 ; 1 3",
     "kind = gaussian-truncated\ncenter = 2 2\nsigma = 0.3\nradius = 0.9",
@@ -308,6 +319,39 @@ class TestSimulate:
             built.clear()
             assert main([command, "--config", str(path), "--quiet"]) == 0
             assert len(built) == runs, command
+
+    def test_snapshots_cause_no_rebuild(self, tmp_path):
+        # Each snapshot is read as the run passes it, so its height field and
+        # partition move the source lists only forward: simulate rebuilds them
+        # as often as the run alone does.
+        path, out = write_config(tmp_path, GROW)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
+        cfg = parse_config(path)
+        domain = cfg.domain()
+        sources = cli.resolve_sources(cfg, domain)
+        traj = run(sources, domain, cfg.horizon, [], cfg.grid_h)
+        alone = traj.grid.source_lists(sources.locations).rebuilds
+        assert alone == 3
+        assert timings["partition_rebuilds"] == str(alone)
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # The run fails after passing its first snapshot; files are written
+        # only once the run ends, so there is no output directory at all.
+        from silopile import cones
+
+        starts, step = [], cones.step
+
+        def counted_step(*args, **kwargs):
+            starts.append(args[0].time)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "step", counted_step)
+        path, out = write_config(tmp_path, UNRESOLVED)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert "unresolved feeding region" in capsys.readouterr().err
+        assert max(starts) > 0.01
+        assert not out.exists()
 
     def test_does_not_import_the_dual_solver(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from silopile.cones import ConeState, analytic_phase, run, step
+from silopile.fields import height_field
 from silopile.geometry import ConvexDomain
-from silopile.regions import build_grid
+from silopile.regions import build_grid, partition
 from silopile.sources import make_sources
+
+from reference_loops import knot_scan
 
 
 @pytest.fixture
@@ -117,6 +120,54 @@ class TestRun:
     def test_zero_sources_rejected_at_construction(self, unit_square):
         with pytest.raises(ValueError):
             make_sources(unit_square, np.empty((0, 2)), [])
+
+
+# Unit-square layouts whose sources all freeze before the horizon:
+# (wall values, source points, rates, horizon).
+SNAPSHOT_LAYOUTS = {
+    "one_source": ([0.0] * 4, [(0.5, 0.5)], [1.0], 0.5),
+    "two_source": ([0.15, 0.35, 0.25, 0.3], [(0.32, 0.4), (0.68, 0.62)], [0.7, 0.5], 0.5),
+    "three_source": ([0.12, 0.3, 0.2, 0.25], [(0.3, 0.35), (0.7, 0.6), (0.45, 0.8)], [0.6, 0.8, 0.4], 0.3),
+}
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("layout", sorted(SNAPSHOT_LAYOUTS))
+    def test_states_equal_the_knot_scan(self, layout):
+        # The run hands each snapshot on as it passes it; its states keep the
+        # bits of the scan over all knots after the run, even though the
+        # callback reads the run's source lists between steps.
+        walls, points, rates, T = SNAPSHOT_LAYOUTS[layout]
+        dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], walls)
+        s = make_sources(dom, points, rates)
+        h = 1 / 32
+        knots, state_at = knot_scan(s, dom, T, h)
+        t0 = knots[0].time
+        assert len(knots) > 7 and knots[-1].frozen.all() and knots[-1].time < T
+        times = [
+            0.5 * t0,                                  # inside the analytic phase
+            t0,                                        # at the analytic phase's end
+            knots[3].time,                             # at a knot
+            0.5 * (knots[5].time + knots[6].time),     # between knots
+            0.5 * (knots[-1].time + T),                # after every source froze
+            T,
+        ]
+        expected = [state_at(t) for t in times]
+
+        calls = []
+
+        def on_snapshot(state, grid):
+            calls.append((state, grid))
+            height_field(state, s, grid)
+            partition(grid, s, state.radii)
+
+        traj = run(s, dom, T, times, h, on_snapshot=on_snapshot)
+        assert [st.time for st in traj.states] == [st.time for st in expected] == times
+        for got, want in zip(traj.states, expected):
+            assert np.array_equal(got.radii.view(np.uint64), want.radii.view(np.uint64))
+        assert np.array_equal(traj.final_state.radii.view(np.uint64), knots[-1].radii.view(np.uint64))
+        assert [state.time for state, _ in calls] == times
+        assert all(state is st and grid is traj.grid for (state, grid), st in zip(calls, traj.states))
 
 
 class TestInvariants:
