@@ -210,11 +210,13 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         atoms += problem.demand_atoms
         report = certify(*snapshot_heights(state, sources, grid, problem), sol, problem)
         dual = solve_dual(problem, node_cap)
-        primal_coarse = solve_primal(dual.problem)
-        pivots += sol.pivots + primal_coarse.pivots
-        lp_gap = abs(dual.value - primal_coarse.primal_value)
-        lp_ok = lp_gap <= LP_TOL * max(1.0, primal_coarse.primal_value)
-        marginal_ok = sol.marginal_error <= LP_TOL * max(1.0, float(problem.supply_masses.sum()))
+        coarse = dual.primal
+        pivots += sol.pivots + coarse.pivots
+        mass_tol = LP_TOL * max(1.0, float(problem.supply_masses.sum()))
+        # weak duality: a feasible dual that meets a feasible plan's cost proves that plan optimal
+        lp_gap = abs(dual.value - coarse.primal_value)
+        lp_ok = lp_gap <= LP_TOL * max(1.0, coarse.primal_value) and coarse.marginal_error <= mass_tol
+        marginal_ok = sol.marginal_error <= mass_tol
         passed = report.passed and u_residual <= LP_TOL and lp_ok and marginal_ok
         status = "PASS" if passed else "FAIL"
         all_pass &= passed

@@ -15,10 +15,16 @@ and that arc's flow), and only the at most m - 1 junction columns, of
 two arcs or more, keep Python sets and arc flows.  The Python work of a
 pivot or of the tree duals grows with the rows and junctions, not with
 the n demand cells; the greedy start makes one pass over the columns on
-Python floats.  The dual is the exact LP dual of the same problem,
-solved independently by HiGHS, which keeps the duality check
-non-circular: one row u_i - w_j <= |x_i - y_j| per supply-demand pair
-and, when the problem spills, the bound u_i <= a_i (see ``solve_dual``).
+Python floats.
+
+The dual check rests on weak duality, not on a second solver.  A pair of
+potentials with u_i - w_j <= |x_i - y_j| for every supply-demand pair
+and, when the problem spills, u_i <= a_i is feasible for the LP dual, so
+its value sum f u - sum d w bounds the cost of every feasible plan from
+below.  ``solve_dual`` takes w from the simplex's final tree and u as
+its c-transform, which is feasible by construction whatever the tree;
+a value that meets a feasible plan's cost then proves that plan optimal,
+and a tree that is not optimal shows as a gap, not as a false proof.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ class TransportSolution:
     min_reduced_cost: float
     marginal_error: float
     pivots: int                # network simplex pivots
+    u: np.ndarray              # (m,) the final tree's row potentials
+    v: np.ndarray              # column potentials, the absorbing column last
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,7 @@ class DualSolution:
     u: np.ndarray              # (m,) supply potentials
     w: np.ndarray              # (nd,) demand potentials; the boundary's is 0
     problem: DiscreteProblem   # the (possibly coarsened) problem actually solved
+    primal: TransportSolution  # that problem's plan, whose tree gave the potentials
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ def _transport_costs(p: DiscreteProblem):
     of ``ConvexDomain.escape_cost``'s exits).  Both are None when nothing
     spills.
     """
-    spills = p.spill_total > LP_TOL * max(1.0, float(p.supply_masses.sum()))
+    spills = p.spill_total > 0.0
     if spills and p.n_boundary == 0:
         raise ValueError("spill present but the problem has no boundary nodes")
     if not spills and p.n_demand == 0:
@@ -236,6 +245,8 @@ def solve_primal(p: DiscreteProblem) -> TransportSolution:
             )
         ),
         pivots=solver.pivots,
+        u=solver.u,
+        v=solver.v,
     )
 
 
@@ -261,35 +272,32 @@ def coarsen_problem(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> Discre
 
 
 def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolution:
-    """Exact LP dual of the transport problem, solved independently by HiGHS.
+    """A feasible dual of the transport problem, from the simplex's tree and one c-transform.
 
-    Over supply potentials u_i and demand potentials w_j, maximize
-    sum_i f_i u_i - sum_j d_j w_j subject to u_i - w_j <= |x_i - y_j| for
-    every supply-demand pair and, when the problem spills, u_i <= a_i, the
-    absorbing column's cost.  That bound is the absorbing column's row with
-    its potential fixed at 0, which loses nothing: the masses balance
-    (sum f = sum d + spill), so adding one constant to every potential
-    leaves the objective unchanged.  By LP duality the optimum equals the
-    primal's.  Demand nodes are coarsened to respect the node cap.
+    Over supply potentials u_i and demand potentials w_j, the dual
+    maximizes sum_i f_i u_i - sum_j d_j w_j subject to u_i - w_j <=
+    |x_i - y_j| for every supply-demand pair and, when the problem spills,
+    u_i <= a_i, the absorbing column's cost.  Demand nodes are first
+    coarsened to respect the node cap, and ``solve_primal`` solves that
+    problem.  Its final tree's column potentials give w_j = v_abs - v_j,
+    with v_abs the absorbing column's (0 when nothing spills), and the
+    c-transform u_i = min(min_j (|x_i - y_j| + w_j), a_i) gives u.  The
+    pair is feasible by construction, whatever the simplex did, so by weak
+    duality its value bounds the LP optimum, and so the cost of every
+    feasible plan, from below.  A value that meets the cost of the
+    returned feasible plan therefore proves that plan optimal; the tree
+    only makes the bound tight.
     """
-    # Imported here, by the only user, so commands that never solve the
-    # dual do not pay scipy's import time.
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
     pc = coarsen_problem(p, node_cap)
-    m, nd = len(pc.supply_masses), pc.n_demand
+    sol = solve_primal(pc)
     cost, absorb, _ = _transport_costs(pc)
-
-    # row i * nd + j: u_i - w_j <= |x_i - y_j|
-    a_ub = sp.hstack([sp.kron(sp.eye(m), np.ones((nd, 1))), -sp.kron(np.ones((m, 1)), sp.eye(nd))])
-    upper = [None] * m if absorb is None else absorb.tolist()
-    bounds = [(None, a) for a in upper] + [(None, None)] * nd
-    rho = np.concatenate([pc.supply_masses, -pc.demand_masses])
-    res = linprog(-rho, A_ub=a_ub, b_ub=cost.ravel(), bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"dual LP failed: {res.message}")
-    return DualSolution(value=float(-res.fun), u=res.x[:m], w=res.x[m:], problem=pc)
+    nd = pc.n_demand
+    w = (0.0 if absorb is None else sol.v[nd]) - sol.v[:nd]
+    u = (cost + w).min(axis=1, initial=np.inf)
+    if absorb is not None:
+        u = np.minimum(u, absorb)
+    value = float(pc.supply_masses @ u - pc.demand_masses @ w)
+    return DualSolution(value=value, u=u, w=w, problem=pc, primal=sol)
 
 
 def certify(

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import silopile
-from silopile import cli
+from silopile import cli, verify
 from silopile.cli import _splice_manifest, _write_sections, main, parse_manifest
 from silopile.cones import run
 from silopile.config import ConfigError, parse_config
@@ -353,19 +354,26 @@ class TestSimulate:
         assert max(starts) > 0.01
         assert not out.exists()
 
-    def test_does_not_import_the_dual_solver(self, tmp_path):
-        path, out = write_config(tmp_path, SINGLE_SOURCE)
+    def test_no_command_imports_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it blocked, every command runs.
+        runs = []
+        for command, template in (("simulate", SINGLE_SOURCE), ("equilibrium", SINGLE_SOURCE), ("converge", CONVERGE_CONFIG)):
+            (tmp_path / command).mkdir()
+            path, out = write_config(tmp_path / command, template)
+            runs.append([command, "--config", str(path), "--quiet"])
+            if command == "simulate":
+                runs.append(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"])
         src = str(Path(silopile.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from silopile.cli import main\n"
-            f"assert main(['simulate', '--config', {str(path)!r}, '--quiet']) == 0\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+            f"print([main(argv) for argv in {runs!r}])\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.strip() == "[0, 0, 0, 0]"
 
     def test_gaussian_round_trip(self, tmp_path):
         template = GAUSSIAN_CONFIG.replace("0 0 ; 4 0 ; 4 4 ; 0 4", "0 0 ; 1 0 ; 1 1 ; 0 1").replace(
@@ -562,9 +570,10 @@ class TestVerify:
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
     def test_primal_pivots_counted(self, tmp_path, monkeypatch):
-        # the sum over both primal solves of every snapshot; under the cone
-        # radii the start is already optimal, so they are dropped: with a
-        # third source the plain cheapest-row start then pivots
+        # the sum over both primal solves of every snapshot, the full one in
+        # cli and the coarse one inside solve_dual; under the cone radii the
+        # start is already optimal, so they are dropped: with a third source
+        # the plain cheapest-row start then pivots
         build_problem, solve_primal, pivots = cli.build_problem, cli.solve_primal, []
 
         def counted(problem):
@@ -574,6 +583,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "build_problem", lambda *args: replace(build_problem(*args), radii=None))
         monkeypatch.setattr(cli, "solve_primal", counted)
+        monkeypatch.setattr(verify, "solve_primal", counted)
         path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
@@ -666,6 +676,25 @@ class TestVerify:
         assert lines[1] == "result = FAIL"
         assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
 
+    def test_coarse_marginal_error_gates_pass(self, tmp_path, monkeypatch):
+        # The LP gap proves the coarse plan optimal only if that plan is
+        # feasible: a coarse plan whose marginals miss by 1e-6 fails its
+        # snapshot, although its cost still meets the dual.
+        solve_dual, calls = cli.solve_dual, []
+
+        def off_by_a_micro(problem, node_cap):
+            dual = solve_dual(problem, node_cap)
+            calls.append(dual.primal.marginal_error)
+            return replace(dual, primal=replace(dual.primal, marginal_error=1e-6)) if len(calls) == 2 else dual
+
+        monkeypatch.setattr(cli, "solve_dual", off_by_a_micro)
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
+        lines = (out / "certificates.txt").read_text().splitlines()
+        assert [line.rsplit(" ", 1)[1] for line in lines[2:]] == ["PASS", "FAIL", "PASS"]
+        assert max(calls) <= 1e-9
+
     def test_marginal_error_gates_pass(self, tmp_path, monkeypatch):
         # A certified plan whose marginals miss by 1e-6 fails that snapshot,
         # although its cost, the LP gap and every residual still pass.
@@ -674,7 +703,7 @@ class TestVerify:
         def off_by_a_micro(problem):
             sol = solve_primal(problem)
             calls.append(sol.marginal_error)
-            return replace(sol, marginal_error=1e-6) if len(calls) == 3 else sol  # snapshot 1's full problem
+            return replace(sol, marginal_error=1e-6) if len(calls) == 2 else sol  # snapshot 1's full problem
 
         monkeypatch.setattr(cli, "solve_primal", off_by_a_micro)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -727,6 +756,38 @@ class TestVerify:
             written = field_from_csv(grid, (out / f"snap{i:03d}_u.csv").read_text()).values
             assert np.array_equal(u_demand, written[grid.cell_index(p.demand_locations)].view(np.uint64))
             assert np.array_equal(u_demand, heights_at(state, sources, p.demand_locations).view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 2.0**-10, 2.0**10, 2.0**20], ids=["2^-20", "2^-10", "2^10", "2^20"])
+    def test_certificates_scale_with_space(self, tmp_path, scale):
+        # Lengths (vertices, walls, points, h, spacing) times s and rates
+        # times s^3 is the same pile at another scale: every transport cost,
+        # so every primal and dual, scales by s^4.  A power of 2 scales
+        # each input exactly.
+        def certify(template, name):
+            (tmp_path / name).mkdir()
+            path, out = write_config(tmp_path / name, template)
+            assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+            code = main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"])
+            lines = (out / "certificates.txt").read_text().splitlines()
+            return code, lines[1], [dict(part.split("=", 1) for part in line.split()[2:-1]) for line in lines[2:]]
+
+        config = TWO_SOURCE
+        for key, factors in (("vertices", [scale]), ("wall_values", [scale]), ("points", [scale, scale, scale**3]),
+                             ("h", [scale]), ("boundary_spacing", [scale])):
+            line = re.search(rf"^{key} = .*$", config, re.M).group(0)
+            groups = [group.split() for group in line.partition(" = ")[2].split(";")]
+            text = " ; ".join(" ".join(repr(float(x) * f) for x, f in zip(g, itertools.cycle(factors))) for g in groups)
+            config = config.replace(line, f"{key} = {text}")
+        _, _, unit = certify(TWO_SOURCE, "unit")
+        code, result, lines = certify(config, "scaled")
+        assert code in (0, 1) and len(lines) == len(unit) == 5
+        for got, want in zip(lines, unit):
+            for key in ("primal", "dual"):
+                expected = float(want[key]) * scale**4
+                assert abs(float(got[key]) - expected) <= 1e-12 * abs(expected), (key, got, want)
+        # the verdict at large scales still rests on the absolute 1e-6 + 2h
+        if scale < 1.0:
+            assert code == 0 and result == "result = PASS"
 
     def test_verify_via_config(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)

@@ -755,6 +755,32 @@ class TestSolveDualOracle:
             score = p.supply_masses @ d.u - p.demand_masses @ d.w
             assert abs(score - d.value) <= 1e-12
 
+    @pytest.mark.parametrize("case, seed", [("no_boundary", 71), ("zero_walls", 72), ("positive_walls", 73)])
+    def test_unpivoted_tree_still_bounds_below(self, case, seed, monkeypatch):
+        # The c-transform makes any tree's potentials feasible, so a simplex
+        # stopped before its first pivot still yields a lower bound: never
+        # above the optimum, and a gap that shows the plan is not optimal.
+        def unpivoted(self):
+            self.u, self.v = self.duals()
+            self.min_rc = float((self.cost - self.u[:, None] - self.v).min())
+
+        rng = np.random.default_rng(seed)
+        problems = [random_balanced_problem(rng, WALL_CASES[case](rng)) for _ in range(40)]
+        problems = [p for p in problems if solve_primal(p).pivots > 0]
+        assert len(problems) >= 5
+        monkeypatch.setattr(_TransportSimplex, "solve", unpivoted)
+        gaps = []
+        for p in problems:
+            d = solve_dual(p, node_cap=10_000)
+            assert d.primal.pivots == 0
+            cost = node_costs(p)
+            assert (d.u[:, None] - d.w[None, :] - cost[:, : p.n_demand]).max() <= 1e-12
+            if p.n_boundary:
+                assert (d.u - cost[:, p.n_demand :].min(axis=1)).max() <= 1e-12
+            assert d.value <= linprog_oracle(p) + 1e-12
+            gaps.append(d.primal.primal_value - d.value)
+        assert max(gaps) > LP_TOL
+
     def test_boundary_only_absorbs(self):
         # The wall node (0.5, 1) lies 0.1 from the demand, which is 0.8 from
         # the supply.  The boundary absorbs but never feeds demand, so the
