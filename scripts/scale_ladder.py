@@ -2,8 +2,10 @@
 
 Each rung runs ``simulate`` on 256 or 1024 sources uniform on
 [0.05, 0.95]^2 in the unit silo, at grid spacing 1/64, 1/128 or 1/256, in
-a fresh process.  Wall time is measured around the process; peak RSS is
-the child's own maximum resident set, from ``os.wait4``.  A second fresh
+a fresh process; three more rungs take 4096 sources at 1/256, and 1024 and
+4096 sources at 1/512.  Wall time is measured around the process; peak RSS
+is the child's own maximum resident set, from ``os.wait4``, also written
+per grid cell as ``bytes_per_cell``.  A second fresh
 process times ``build_problem`` and ``solve_primal`` on the rung's
 snapshot, with the simplex's pivots, and then ``certify`` on the heights
 of ``snapshot_heights``, where the dense cost matrix has at most
@@ -13,7 +15,7 @@ counters and the RK2 step count from its manifest.  Last, the W1 solves of
 rungs and their numbers are written to ``BENCH_<label>.json`` in the
 working directory.
 
-    python scripts/scale_ladder.py --label mine            # all six rungs
+    python scripts/scale_ladder.py --label mine            # all nine rungs
     python scripts/scale_ladder.py --label ci --smallest   # 256 sources at h = 1/64 only
 """
 
@@ -30,14 +32,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-SOURCES = (256, 1024)
-SPACINGS = (1 / 64, 1 / 128, 1 / 256)
+# (sources, h), smallest first: the first rung is CI's.
+RUNGS = [(k, h) for k in (256, 1024) for h in (1 / 64, 1 / 128, 1 / 256)] + [
+    (4096, 1 / 256), (1024, 1 / 512), (4096, 1 / 512)]
 HORIZON = 0.02
 # Sources x cells above which the snapshot's primal is skipped: its dense
 # cost matrix alone would pass 36 MB.  The solve holds at most three
-# (m, n) float arrays at once: the two coordinate differences and their
-# norm while the distances are computed, then the cost with its absorbing
-# column, the start's key and the rows of the component being joined.
+# (m, n) float arrays at once: the distances and their copy with the
+# absorbing column while that column is appended, then the cost, the
+# start's key and the rows of the component being joined.  ``distances``
+# fills its result block by block, with no other array of its size.
 # The flows live on the tree's arcs, not in an (m, n) matrix.
 PRIMAL_CELLS = 4_500_000
 # The partition's counters and the RK2 steps, copied from the rung's manifest.
@@ -96,6 +100,7 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
         "cells": cells,
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(rss, 1),
+        "bytes_per_cell": round(rss * 2**20 / cells),
         "exit_code": code,
         **counters,
         "primal_s": None,
@@ -166,9 +171,7 @@ def main(argv=None) -> int:
     if not args.label:
         parser.error("--label is required")
 
-    rungs = [(k, h) for k in SOURCES for h in SPACINGS]
-    if args.smallest:
-        rungs = rungs[:1]
+    rungs = RUNGS[:1] if args.smallest else RUNGS
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for k, h in rungs:
@@ -177,7 +180,8 @@ def main(argv=None) -> int:
             primal = "skipped" if result["primal_s"] is None else (
                 f"{result['primal_s']:.3f} s, {result['primal_pivots']} pivots, certify {result['certify_s']:.4f} s")
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
-                  f"peak RSS {result['peak_rss_mb']:8.1f} MB  primal {primal}  exit {result['exit_code']}")
+                  f"peak RSS {result['peak_rss_mb']:8.1f} MB ({result['bytes_per_cell']:6d} B/cell)  "
+                f"primal {primal}  exit {result['exit_code']}")
     w1 = w1_seconds()
     for row in w1:
         print(f"W1 n={row['n']:<4d} {row['seconds']:8.3f} s  {row['pivots']} pivots")

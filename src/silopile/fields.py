@@ -127,22 +127,22 @@ def rolling_measure(state: ConeState, sources: SourceSet, part: Partition, atoms
     starts = np.concatenate([centers[cells], atoms.position[frozen]])
     owners = np.concatenate([labels[cells], frozen])
     weights = np.concatenate([cell_mass[cells], sources.rates[frozen]])
-    mass = np.zeros((grid.ny, grid.nx))
+    flat = np.zeros(grid.ny * grid.nx)  # row-major cells
     for b in range(0, len(starts), DEPOSIT_BLOCK):
         block = slice(b, b + DEPOSIT_BLOCK)
-        _deposit_segments(grid, starts[block], sources.locations[owners[block]], weights[block], mass)
-    flat, inside = mass.ravel(), np.flatnonzero(grid.inside_mask)
+        _deposit_segments(grid, starts[block], sources.locations[owners[block]], weights[block], flat)
+    inside = np.flatnonzero(grid.inside_mask)
     stray = np.flatnonzero((flat != 0.0) & ~grid.inside_mask.ravel())
     step = max(1, STRAY_BLOCK // max(len(inside), 1))
     for b in range(0, len(stray), step):
         block = stray[b : b + step]
         np.add.at(flat, inside[distances(centers[block], centers[inside]).argmin(axis=1)], flat[block])
     flat[stray] = 0.0
-    return PathMeasure(grid=grid, density=mass / grid.cell_area)
+    return PathMeasure(grid=grid, density=flat.reshape(grid.ny, grid.nx) / grid.cell_area)
 
 
-def _deposit_segments(grid, starts, targets, weights, mass):
-    """Add each segment's sub-deposits to ``mass``, in segment order (np.add.at)."""
+def _deposit_segments(grid, starts, targets, weights, flat):
+    """Add each segment's sub-deposits to the row-major cell masses ``flat``, in segment order (np.add.at)."""
     diff = targets - starts
     lengths = np.linalg.norm(diff, axis=1)
     keep = lengths > 1e-15
@@ -155,10 +155,11 @@ def _deposit_segments(grid, starts, targets, weights, mass):
     first = np.concatenate([[0], np.cumsum(nsub)[:-1]])
     k = np.arange(total) - np.repeat(first, nsub)
     s = (k + 0.5) / nsub[owner]
-    pos = starts[owner] + s[:, None] * diff[owner]
     submass = (weights * lengths / nsub)[owner]
-    rows, cols = grid.cell_index(pos)
-    np.add.at(mass, (rows, cols), submass)
+    x = starts[:, 0][owner] + s * diff[:, 0][owner]
+    y = starts[:, 1][owner] + s * diff[:, 1][owner]
+    rows, cols = grid.cell_of(x, y)
+    np.add.at(flat, rows * grid.nx + cols, submass)
 
 
 def field_to_csv(field: GridField) -> str:

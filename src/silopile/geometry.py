@@ -99,11 +99,11 @@ class ConvexDomain:
     def contains_many(self, points) -> np.ndarray:
         """Closed-polygon membership of an (m, 2) array: half-plane tests, tol GEOM_TOL."""
         points = np.asarray(points, dtype=float)
-        rel = points[:, None, :] - self.vertices[None, :, :]
-        side = (
-            self.edges[None, :, 0] * rel[:, :, 1] - self.edges[None, :, 1] * rel[:, :, 0]
-        ) / self.edge_lengths[None, :]
-        return np.all(side >= -GEOM_TOL, axis=1)
+        x, y = points[:, 0], points[:, 1]
+        inside = np.ones(len(points), dtype=bool)
+        for (vx, vy), (ex, ey), length in zip(self.vertices, self.edges, self.edge_lengths):
+            inside &= (ex * (y - vy) - ey * (x - vx)) / length >= -GEOM_TOL
+        return inside
 
     def distance_to_boundary(self, points) -> np.ndarray:
         """Distance from each row of a (k, 2) array to the boundary."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -43,6 +44,14 @@ DENSE_SHARE = 8
 # extent of points, sources and radii: far above the few ulps a distance or
 # a difference can be off.
 SLACK = 1e-12
+# Entries (rows x sources) per block of every points-by-sources pass: the
+# distances, the tile and point passes of a rebuild and a rank.  A block's
+# temporaries stay small, so a pass holds little beside what it keeps, and
+# each block costs a few dozen numpy calls.  Measured on a 2-core VM: with
+# 2^13 entries ``simulate`` at k = 4096, h = 1/512 peaked at 134 MB (1193 MB
+# with whole-array passes); on the benchmark's grow config it peaked at
+# 32.6 MB against 36.5 MB, where 2^15 entries reached 34.4 MB and 2^16 35.0 MB.
+BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -74,18 +83,29 @@ class Grid:
         """(m, 2) centers of inside cells, row-major order."""
         return self.cell_centers()[self.inside_mask]
 
+    def _axis_text(self) -> tuple[list[str], list[str]]:
+        """``"x,"`` of each column's and ``"y,"`` of each row's cell centres, 17 significant digits."""
+        xs, ys = self._axes()
+        return [f"{v:.17g}," for v in xs.tolist()], [f"{v:.17g}," for v in ys.tolist()]
+
     @cached_property
     def center_labels(self) -> list[str]:
         """``"x,y,"`` text of each inside cell center, 17 significant digits, row-major."""
-        # each column's x and each row's y formatted once
-        xs, ys = ([f"{v:.17g}," for v in axis.tolist()] for axis in self._axes())
+        xs, ys = self._axis_text()
         rows, cols = np.nonzero(self.inside_mask)
         return [xs[c] + ys[r] for r, c in zip(rows.tolist(), cols.tolist())]
 
     @cached_property
     def csv_template(self) -> str:
         """The rows of a table of the inside cells: ``"x,y,%.17g"`` per cell, row-major."""
-        return "".join([xy + "%.17g\n" for xy in self.center_labels])
+        xs, ys = self._axis_text()
+        rows = []
+        for y, inside in zip(ys, self.inside_mask.tolist()):
+            row = list(compress(xs, inside))
+            if row:  # "x0" + tail + "x1" + tail ..., with tail = "y,%.17g\n"
+                tail = y + "%.17g\n"
+                rows.append(tail.join(row) + tail)
+        return "".join(rows)
 
     def source_lists(self, locations) -> SourceLists:
         """The ``SourceLists`` of the inside cells at spacing h, for these source locations.
@@ -103,8 +123,12 @@ class Grid:
     def cell_index(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of the cells containing the given points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = np.clip(((points[:, 0] - self.origin[0]) / self.h).astype(int), 0, self.nx - 1)
-        rows = np.clip(((points[:, 1] - self.origin[1]) / self.h).astype(int), 0, self.ny - 1)
+        return self.cell_of(points[:, 0], points[:, 1])
+
+    def cell_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row/column indices of the cells containing the points (x, y), clipped to the grid."""
+        cols = np.clip(((x - self.origin[0]) / self.h).astype(int), 0, self.nx - 1)
+        rows = np.clip(((y - self.origin[1]) / self.h).astype(int), 0, self.ny - 1)
         return rows, cols
 
 
@@ -138,11 +162,17 @@ def distances(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """(m, k) array of |x_i - y_j|, one row per point and one column per source.
 
     Bit-equal to ``np.linalg.norm(points[None] - locations[:, None], axis=2).T``,
-    which also sums dx*dx + dy*dy, without the (k, m, 2) difference array.
+    which also sums dx*dx + dy*dy.  Each block of rows is written in place
+    in the result, so the pass holds no other array of its size.
     """
     points = np.asarray(points, dtype=float)
     locations = np.asarray(locations, dtype=float)
-    return _norm(points[:, 0, None] - locations[None, :, 0], points[:, 1, None] - locations[None, :, 1])
+    out = np.empty((len(points), len(locations)))
+    xs, ys = locations[:, 0], locations[:, 1]
+    for rows in _blocks(len(points), len(locations)):
+        p = points[rows]
+        _norm(np.subtract(p[:, 0, None], xs, out=out[rows]), p[:, 1, None] - ys)
+    return out
 
 
 def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -151,6 +181,12 @@ def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``width`` entries: BLOCK entries each, at least one row."""
+    step = max(1, BLOCK // max(width, 1))
+    return [slice(b, min(b + step, rows)) for b in range(0, rows, step)]
 
 
 class SourceLists:
@@ -184,8 +220,17 @@ class SourceLists:
     A rebuild finds each point's list from a tile pass: points are grouped
     into tiles of TILE x TILE cells, each with a centre c and radius rho,
     and a tile keeps the sources within 2 rho + 3 delta of its best value
-    at c.  When some tile keeps more than k / DENSE_SHARE sources,
-    every point lists all k sources instead; such lists serve any radii.
+    at c.  When some tile keeps more than k / DENSE_SHARE sources, every
+    point lists all k sources instead; such lists serve any radii.  The
+    point pass then measures each point against its tile's sources only.
+
+    Every pass runs over blocks of BLOCK (rows x sources) entries and keeps
+    only what each block's rows keep: the tile pass packs each block of
+    tiles' sources as it goes and gives way to full lists at the first
+    crowded tile, the point pass packs each block of cells, and a rank
+    walks blocks of cells.  So a rebuild holds the lists it keeps and a
+    few blocks, never a (tiles x sources) or (cells x tile sources) array,
+    and each entry is the same float operation as a whole-array pass's.
 
     ``rebuilds`` counts the builds, ``max_candidates`` the longest list
     built and ``reranked`` the points ranked, over all calls.
@@ -219,7 +264,7 @@ class SourceLists:
         spread = None if self.base_radii is None else radii - self.base_radii
         if spread is None or np.ptp(spread) > 2.0 * self.delta:
             self._rebuild(radii)
-            self._rank(radii, slice(None))
+            self._rank(radii)
         else:
             shift = radii - self.radii
             if shift.any():
@@ -229,56 +274,88 @@ class SourceLists:
         self.radii = radii
         return self.winner.copy(), radii[self.winner] - self.wdist
 
-    def _rank(self, radii: np.ndarray, rows) -> None:
-        """Winner, its distance and its lead over the runner-up, from the lists of ``rows``."""
-        index = self.index[rows] if len(self.index) > 1 else self.index
-        dist = self.dist[rows]
-        if len(dist) == 0:
-            return
-        self.reranked += len(dist)
-        values = radii[index] - dist
-        pos = np.argmax(values, axis=1)
-        at = np.arange(len(values))
-        top = values[at, pos]
-        values[at, pos] = -np.inf
-        self.winner[rows] = index[at if len(index) > 1 else 0, pos]
-        self.wdist[rows] = dist[at, pos]
-        self.lead[rows] = top - values.max(axis=1)
+    def _rank(self, radii: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Winner, its distance and its lead over the runner-up, from the lists of ``rows`` (all when None)."""
+        count = len(self.points) if rows is None else len(rows)
+        self.reranked += count
+        shared = len(self.index) == 1
+        for block in _blocks(count, self.dist.shape[1]):
+            at = block if rows is None else rows[block]
+            index = self.index if shared else self.index[at]
+            dist = self.dist[at]
+            values = radii[index] - dist
+            pos = np.argmax(values, axis=1)
+            slot = np.arange(len(values))
+            top = values[slot, pos]
+            values[slot, pos] = -np.inf
+            self.winner[at] = index[0 if shared else slot, pos]
+            self.wdist[at] = dist[slot, pos]
+            self.lead[at] = top - values.max(axis=1)
 
     def _rebuild(self, radii: np.ndarray) -> None:
         self.rebuilds += 1
         self.base_radii = radii
         k = self.k
         # With k < DENSE_SHARE every tile keeps more than k / DENSE_SHARE sources.
-        keep = self._tile_candidates(radii) if k >= DENSE_SHARE else None
-        if keep is None or keep.sum(axis=1).max() > k / DENSE_SHARE:
+        tile_index = self._tile_lists(radii) if k >= DENSE_SHARE else None
+        if tile_index is None:
             self.index = np.arange(k)[None, :]
             self.dist = distances(self.points, self.locations)
             self.delta = np.inf
             self.max_candidates = k
             return
         tile_of = self._tile_geometry[0]
-        rows, cols, slot, width = _pack(keep)
-        tile_index = np.full((len(keep), width), k)  # k: a source at infinity pads the rows
-        tile_index[rows, slot] = cols
-        index = tile_index[tile_of]
         xs, ys = np.append(self.locations[:, 0], np.inf), np.append(self.locations[:, 1], np.inf)
-        dist = _norm(self.points[:, 0, None] - xs[index], self.points[:, 1, None] - ys[index])
-        values = np.append(radii, 0.0)[index] - dist
-        rows, cols, slot, width = _pack(values >= (values.max(axis=1) - 3.0 * self.delta)[:, None])
-        self.index = np.zeros((len(index), width), dtype=np.int64)
-        self.index[rows, slot] = index[rows, cols]
-        self.dist = np.full((len(index), width), np.inf)
-        self.dist[rows, slot] = dist[rows, cols]
+        radii = np.append(radii, 0.0)
+        packed = []  # each block packed to its own width; the widest sets the lists'
+        for rows in _blocks(len(self.points), tile_index.shape[1]):
+            index = tile_index[tile_of[rows]]
+            p = self.points[rows]
+            dist = _norm(p[:, 0, None] - xs[index], p[:, 1, None] - ys[index])
+            values = radii[index] - dist
+            keep = values >= (values.max(axis=1) - 3.0 * self.delta)[:, None]
+            r, c = np.divmod(np.flatnonzero(keep), index.shape[1])
+            slot, width = _slots(r, len(index))
+            block_index = np.zeros((len(index), width), dtype=np.int64)
+            block_index[r, slot] = index[r, c]
+            block_dist = np.full((len(index), width), np.inf)
+            block_dist[r, slot] = dist[r, c]
+            packed.append((rows, block_index, block_dist))
+        width = max(block_index.shape[1] for _, block_index, _ in packed)
+        self.index = np.zeros((len(self.points), width), dtype=np.int64)
+        self.dist = np.full((len(self.points), width), np.inf)
+        for rows, block_index, block_dist in packed:
+            self.index[rows, : block_index.shape[1]] = block_index
+            self.dist[rows, : block_dist.shape[1]] = block_dist
         self.max_candidates = max(self.max_candidates, width)
 
-    def _tile_candidates(self, radii: np.ndarray) -> np.ndarray:
-        """(tiles, k) bool: the sources within 2 rho + 3 delta of each tile's best at its centre."""
+    def _tile_lists(self, radii: np.ndarray) -> np.ndarray | None:
+        """Per tile, the sources within 2 rho + 3 delta of its best at its centre.
+
+        Returns a (tiles, width) array of them, ascending and padded with k
+        (a source at infinity), or None at the first tile that keeps more
+        than k / DENSE_SHARE sources.
+        """
         _, centres, rho = self._tile_geometry
-        values = distances(centres, self.locations)
-        np.subtract(radii, values, out=values)
-        slack = SLACK * (self._extent + float(np.abs(radii).max()))
-        return values >= (values.max(axis=1) - 2.0 * rho - (3.0 * self.delta + slack))[:, None]
+        k = self.k
+        xs, ys = self.locations[:, 0], self.locations[:, 1]
+        margin = 3.0 * self.delta + SLACK * (self._extent + float(np.abs(radii).max()))
+        rows, cols = [], []
+        for tiles in _blocks(len(centres), k):
+            at = centres[tiles]
+            values = _norm(at[:, 0, None] - xs, at[:, 1, None] - ys)
+            np.subtract(radii, values, out=values)
+            keep = values >= (values.max(axis=1) - 2.0 * rho[tiles] - margin)[:, None]
+            r, c = np.divmod(np.flatnonzero(keep), k)  # row-major: ascending source within a tile
+            if np.bincount(r).max() > k / DENSE_SHARE:
+                return None
+            rows.append(r + tiles.start)
+            cols.append(c)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        slot, width = _slots(rows, len(centres))
+        tile_index = np.full((len(centres), width), k)
+        tile_index[rows, slot] = cols
+        return tile_index
 
     @cached_property
     def _tile_geometry(self):
@@ -302,16 +379,10 @@ class SourceLists:
         return float(np.ptp(both, axis=0).sum() + np.abs(both).max())
 
 
-def _pack(keep: np.ndarray):
-    """The True entries of each row of ``keep``, moved left in column order.
-
-    Returns their rows and columns, their slots in the packed rows and the
-    packed width.
-    """
-    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])  # ascending column within a row
-    counts = np.bincount(rows, minlength=len(keep))
-    slot = np.arange(len(cols)) - (np.cumsum(counts) - counts)[rows]
-    return rows, cols, slot, int(counts.max())
+def _slots(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Slots of entries in ascending ``rows`` of n rows, packed left in their order, and the packed width."""
+    counts = np.bincount(rows, minlength=n)
+    return np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows], int(counts.max())
 
 
 def partition(grid: Grid, sources, radii) -> Partition:

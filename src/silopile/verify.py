@@ -192,7 +192,8 @@ def _transport_costs(p: DiscreteProblem):
     cost = distances(p.supply_locations, p.demand_locations.reshape(p.n_demand, 2))
     if not spills:
         return cost, None, None
-    taxed = distances(p.supply_locations, p.boundary_positions) + p.boundary_walls
+    taxed = distances(p.supply_locations, p.boundary_positions)
+    taxed += p.boundary_walls
     return cost, taxed.min(axis=1), taxed.argmin(axis=1)
 
 
@@ -293,7 +294,8 @@ def solve_dual(p: DiscreteProblem, node_cap: int = DUAL_NODE_CAP) -> DualSolutio
     cost, absorb, _ = _transport_costs(pc)
     nd = pc.n_demand
     w = (0.0 if absorb is None else sol.v[nd]) - sol.v[:nd]
-    u = (cost + w).min(axis=1, initial=np.inf)
+    cost += w
+    u = cost.min(axis=1, initial=np.inf)
     if absorb is not None:
         u = np.minimum(u, absorb)
     value = float(pc.supply_masses @ u - pc.demand_masses @ w)

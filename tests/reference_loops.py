@@ -5,7 +5,9 @@ now does in one array pass.  The oracle tests assert that both give the
 same bits.  ``dense_partition`` and ``dense_heights`` are the full
 (points x sources) forms that the grid's ``regions.SourceLists`` replaced;
 ``point_heights`` is the per-point loop of ``fields.heights_at``, the full
-form that points off the grid still take.  ``DenseTransportSimplex`` is
+form that points off the grid still take.  ``contains_whole`` is the
+one-array form of ``ConvexDomain.contains_many``, which now tests one
+edge at a time.  ``DenseTransportSimplex`` is
 the network simplex that kept a dense flow matrix before
 ``verify._TransportSimplex`` kept per-column arrays.  ``knot_scan`` finds
 snapshot states after the run, over its kept step states, as
@@ -123,6 +125,14 @@ def merge_sources(locations, rates):
             merged_loc.append(loc)
             merged_rate.append(float(rate))
     return np.array(merged_loc), np.array(merged_rate)
+
+
+def contains_whole(domain, points):
+    """Half-plane membership over one (m, n_edges, 2) array of offsets, as ``contains_many`` did."""
+    points = np.asarray(points, dtype=float)
+    rel = points[:, None, :] - domain.vertices[None, :, :]
+    side = (domain.edges[None, :, 0] * rel[:, :, 1] - domain.edges[None, :, 1] * rel[:, :, 0]) / domain.edge_lengths
+    return np.all(side >= -GEOM_TOL, axis=1)
 
 
 def distance_to_boundary(domain, x):

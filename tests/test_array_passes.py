@@ -317,5 +317,7 @@ class TestFieldToCsv:
         inside = np.flatnonzero(grid.inside_mask)
         values.flat[inside[: len(special)]] = special
         field = GridField(grid=grid, values=values)
+        assert not grid.inside_mask.any(axis=1).all()  # the apex's row holds no inside cell
         assert field_to_csv(field) == ref.field_to_csv_rows(field)
         assert ",-0\n" in field_to_csv(field) and ",4.9406564584124654e-324\n" in field_to_csv(field)
+        assert "center_labels" not in vars(grid)  # the table keeps no per-cell labels

@@ -9,7 +9,8 @@ import reference_loops as ref
 from silopile.cones import ConeState
 from silopile.fields import height_field
 from silopile.geometry import ConvexDomain
-from silopile.regions import NONE_LABEL, areas_with_floor, build_grid, distances, partition
+from silopile import regions
+from silopile.regions import NONE_LABEL, SourceLists, areas_with_floor, build_grid, distances, partition
 from silopile.sources import make_sources
 
 
@@ -386,3 +387,95 @@ class TestListsFollowTheRadii:
             assert_dense_bits(g, s, lists, np.r_[b, b, far])
             assert_dense_bits(g, s, lists, np.r_[b - delta, b + delta, far])
             assert lists.max_candidates < s.k and lists.rebuilds == 1
+
+
+def lists_trace(grid, locations, radii_seq):
+    """Every counter and array of fresh ``SourceLists`` on the grid, after each call of a radii sequence."""
+    lists = SourceLists(grid.inside_centers(), locations, grid.h)
+    trace = []
+    for radii in radii_seq:
+        best, value = lists.best(radii)
+        trace.append((best, value.view(np.uint64), lists.index.copy(), lists.dist.view(np.uint64).copy(),
+                      lists.rebuilds, lists.reranked, lists.max_candidates))
+    return trace, lists
+
+
+def assert_same_trace(got, want):
+    for step_got, step_want in zip(got, want, strict=True):
+        for a, b in zip(step_got, step_want, strict=True):
+            assert np.array_equal(a, b)
+
+
+class TestBlocks:
+    """Every pass in blocks of regions.BLOCK entries gives the bits of one whole-array pass."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64]))
+    def test_distances_and_membership_with_points_on_edges_and_vertices(self, seed, block):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        dom = ConvexDomain(np.stack([np.cos(angles), np.sin(angles)], axis=1) + rng.uniform(-1, 1, 2), [0.0] * n)
+        edge = rng.integers(n, size=20)
+        on_edges = dom.vertices[edge] + rng.random(20)[:, None] * dom.edges[edge]
+        points = np.vstack([dom.vertices, on_edges, rng.uniform(-2.5, 2.5, (int(rng.integers(0, 40)), 2))])
+        locations = np.vstack([dom.vertices, rng.uniform(-2.5, 2.5, (int(rng.integers(0, 9)), 2))])
+        whole = distances(points, locations)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "BLOCK", block)
+            blocked = distances(points, locations)
+            inside = dom.contains_many(points)
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(whole, np.linalg.norm(points[None] - locations[:, None], axis=2).T)
+        assert np.array_equal(inside, ref.contains_whole(dom, points))
+        assert inside[: n + 20].all()  # the vertices and the points on edges, within GEOM_TOL
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("case", ["full", "crowded", "short"])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_source_lists(self, case, block, seed):
+        rng = np.random.default_rng(seed)
+        g = build_grid(UNIT, 1 / 64 if case == "short" else 1 / 32)
+        if case == "full":  # k < DENSE_SHARE
+            locations = rng.uniform(0.05, 0.95, (5, 2))
+            radii = rng.uniform(0.0, 0.4, 5)
+        elif case == "crowded":
+            # Source 0 rules the left of the square, where the first tiles keep it
+            # alone; fifteen sources crowd one tile on the right, so a later tile
+            # block gives way to full lists.
+            crowd = np.array([0.85, 0.5]) + rng.uniform(-0.01, 0.01, (15, 2))
+            locations = np.vstack([[0.1, 0.1], crowd])
+            radii = np.r_[0.4, rng.uniform(0.2, 0.21, 15)]
+        else:
+            locations = jittered_sources(16, rng).locations
+            radii = rng.uniform(0.0, 0.02, len(locations))
+        # Growth within the drift bound, a jump beyond it, then back in time.
+        seq = [radii, radii + rng.uniform(0.0, 0.5 * g.h, len(radii)), radii + rng.uniform(0.0, 8.0 * g.h, len(radii)),
+               radii]
+        want, lists = lists_trace(g, locations, seq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "BLOCK", block)
+            got, _ = lists_trace(g, locations, seq)
+        assert_same_trace(got, want)
+        assert (lists.delta == np.inf) == (case != "short")
+        if case == "crowded":
+            first_tiles = lists._tile_geometry[1][: max(1, block // len(locations))]
+            assert np.all(first_tiles[:, 0] < 0.2)  # far from the crowd, so decided in a later block
+
+    def test_first_rebuild_holds_little_beside_the_lists(self):
+        # k = 1024 lattice sources on the h = 1/128 unit square: a (tiles x
+        # sources) pass alone would take 8 MiB per array, the kept lists 3.2 MiB.
+        g = build_grid(UNIT, 1 / 128)
+        s = lattice_sources(32, 1 / 1024)
+        radii = np.random.default_rng(1).uniform(0.0, 0.04, s.k)
+        lists = g.source_lists(s.locations)
+        tracemalloc.start()
+        try:
+            lists.best(radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = lists.index.nbytes + lists.dist.nbytes
+        assert lists.delta == g.h
+        assert peak < 4 * kept, f"peak {peak / 2**20:.1f} MiB, lists {kept / 2**20:.1f} MiB"
