@@ -8,7 +8,8 @@ is the child's own maximum resident set, from ``os.wait4``, also written
 per grid cell as ``bytes_per_cell``.  A second fresh
 process times ``build_problem`` and ``solve_primal`` on the rung's
 snapshot, with the simplex's pivots, and then ``certify`` on the heights
-of ``snapshot_heights``, where the dense cost matrix has at most
+of ``snapshot_heights`` and the dual of ``solve_dual`` (untimed), where
+the dense cost matrix has at most
 ``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
 counters and the RK2 step count from its manifest.  Last, the W1 solves of
 ``convergence_study.py`` are timed, one per n, with their pivots.  The
@@ -120,11 +121,14 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
 
 
 def snapshot_primal(config: str) -> dict:
-    """``build_problem`` and ``solve_primal``, then ``certify``, on the last snapshot of a run of ``config``."""
+    """``build_problem`` and ``solve_primal``, then ``certify``, on the last snapshot of a run of ``config``.
+
+    The dual that ``certify`` takes is solved between the two timers.
+    """
     from silopile.cli import resolve_sources
     from silopile.config import parse_config
     from silopile.cones import run
-    from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
+    from silopile.verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
     cfg = parse_config(config)
     domain = cfg.domain()
@@ -134,9 +138,11 @@ def snapshot_primal(config: str) -> dict:
     start = time.perf_counter()
     problem = build_problem(state, sources, domain, traj.grid, cfg.boundary_spacing)
     sol = solve_primal(problem)
-    primal_end = time.perf_counter()
-    certify(*snapshot_heights(state, sources, traj.grid, problem), sol, problem)
-    return {"seconds": primal_end - start, "pivots": sol.pivots, "certify_seconds": time.perf_counter() - primal_end}
+    primal_seconds = time.perf_counter() - start
+    dual = solve_dual(problem, cfg.dual_node_cap)
+    certify_start = time.perf_counter()
+    certify(*snapshot_heights(state, sources, traj.grid, problem), sol, problem, dual)
+    return {"seconds": primal_seconds, "pivots": sol.pivots, "certify_seconds": time.perf_counter() - certify_start}
 
 
 def w1_seconds() -> list[dict]:

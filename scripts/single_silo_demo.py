@@ -1,8 +1,8 @@
 """End-to-end demo: simulate a two-source silo, certify every snapshot.
 
 Runs the growth simulation from configs/two_source.ini, solves the
-transport problem of each snapshot, and prints the certificates next to
-the freeze events.  Equivalent to
+transport problem of each snapshot and its dual, and prints ``verify``'s
+transport verdict next to the freeze events.  Equivalent to
 
     silopile simulate --config configs/two_source.ini
     silopile verify   --config configs/two_source.ini
@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from silopile.cli import resolve_sources
 from silopile.config import parse_config
 from silopile.cones import run
-from silopile.verify import build_problem, certify, snapshot_heights, solve_primal
+from silopile.verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
 
 
 def main() -> int:
@@ -37,12 +37,13 @@ def main() -> int:
     for state in traj.states:
         problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
         sol = solve_primal(problem)
-        rep = certify(*snapshot_heights(state, sources, grid, problem), sol, problem)
+        dual = solve_dual(problem, cfg.dual_node_cap)
+        rep = certify(*snapshot_heights(state, sources, grid, problem), sol, problem, dual)
         verdict = "PASS" if rep.passed else "FAIL"
         failed += not rep.passed
         print(
             f"t={state.time:5.2f}: transport cost {sol.primal_value:8.5f}, "
-            f"gap {rep.duality_gap:.2e}, ray residual {rep.ray_residual:.2e} -> {verdict}"
+            f"gap {rep.duality_gap:.2e}, lp gap {rep.lp_gap:.2e}, ray residual {rep.ray_residual:.2e} -> {verdict}"
         )
     return 1 if failed else 0
 

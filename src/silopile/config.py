@@ -153,6 +153,8 @@ def parse_config(path: str | Path) -> RunConfig:
     for t in snapshot_times:
         if not 0.0 <= t <= horizon:
             raise ConfigError(f"[run]: snapshot time {t} outside [0, horizon]")
+    if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
+        raise ConfigError("[run] snapshot_times: must be strictly increasing")
 
     return RunConfig(
         domain_vertices=vertices,

@@ -46,18 +46,6 @@ class BoundaryMeasure:
         return float(self.masses.sum())
 
 
-@dataclass(frozen=True)
-class PathMeasure:
-    """Rolling-layer mass binned to grid cells."""
-
-    grid: Grid
-    density: np.ndarray  # (ny, nx), cell mass / h^2
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.density.sum() * self.grid.cell_area)
-
-
 def heights_at(state: ConeState, sources: SourceSet, points) -> np.ndarray:
     """Pile height max_j (r_j - |x - y_j|)+ at each point, from the full (points, sources) distances."""
     values = distances(points, sources.locations)
@@ -70,11 +58,6 @@ def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
     values = np.zeros((grid.ny, grid.nx))
     values[grid.inside_mask] = np.maximum(grid.source_lists(sources.locations).best(state.radii)[1], 0.0)
     return GridField(grid=grid, values=values)
-
-
-def equilibrium_field(sources: SourceSet, thresholds: np.ndarray, grid: Grid) -> GridField:
-    """Stationary profile after every source froze: cones capped at their escape costs."""
-    return height_field(ConeState(0.0, thresholds.copy(), thresholds), sources, grid)
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:
@@ -104,8 +87,8 @@ def spill_measure(state: ConeState, sources: SourceSet, atoms: BoundaryPoints) -
     return BoundaryMeasure(BoundaryPoints(atoms.edge[at], atoms.param[at], atoms.position[at]), masses)
 
 
-def rolling_measure(state: ConeState, sources: SourceSet, part: Partition, atoms: BoundaryPoints) -> PathMeasure:
-    """Discretized rolling layer.
+def rolling_measure(state: ConeState, sources: SourceSet, part: Partition, atoms: BoundaryPoints) -> GridField:
+    """Discretized rolling layer: its density, cell mass / h^2.
 
     Every labeled cell, with its mass growth rate x h^2, and the spill atom
     (point j of ``atoms``) of every frozen source j, with mass c_j, is
@@ -138,7 +121,7 @@ def rolling_measure(state: ConeState, sources: SourceSet, part: Partition, atoms
         block = stray[b : b + step]
         np.add.at(flat, inside[distances(centers[block], centers[inside]).argmin(axis=1)], flat[block])
     flat[stray] = 0.0
-    return PathMeasure(grid=grid, density=flat.reshape(grid.ny, grid.nx) / grid.cell_area)
+    return GridField(grid=grid, values=flat.reshape(grid.ny, grid.nx) / grid.cell_area)
 
 
 def _deposit_segments(grid, starts, targets, weights, flat):
@@ -181,10 +164,6 @@ def field_from_csv(grid: Grid, text: str) -> GridField:
     values = np.zeros((grid.ny, grid.nx))
     values[grid.inside_mask] = [float(line[len(xy):]) for line, xy in zip(body, labels)]
     return GridField(grid=grid, values=values)
-
-
-def path_measure_to_csv(mu: PathMeasure) -> str:
-    return field_to_csv(GridField(grid=mu.grid, values=mu.density))
 
 
 def boundary_measure_to_lines(nu: BoundaryMeasure) -> str:

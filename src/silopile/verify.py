@@ -25,6 +25,8 @@ below.  ``solve_dual`` takes w from the simplex's final tree and u as
 its c-transform, which is feasible by construction whatever the tree;
 a value that meets a feasible plan's cost then proves that plan optimal,
 and a tree that is not optimal shows as a gap, not as a false proof.
+``certify`` decides a snapshot's whole transport verdict from the height
+candidate, the plan and that dual.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ class CertificateReport:
     ray_residual: float        # max | |x-y| - (u(y) - u(x)) | over plan support
     wall_residual: float       # max | u(b) - g(b) | over spill-carrying nodes
     duality_gap: float         # | <rho, u> - primal_value |
+    lp_gap: float              # | dual value - the coarse plan's cost |
     tolerance: float
     passed: bool
 
@@ -139,7 +142,7 @@ def build_problem(
     )
 
 
-def transport_problem(supply_locations, supply_masses, demand_locations, demand_masses, h=0.0) -> DiscreteProblem:
+def transport_problem(supply_locations, supply_masses, demand_locations, demand_masses) -> DiscreteProblem:
     """Balanced two-marginal problem with the boundary disabled.
 
     Locations are (k, 2) arrays of points with one mass each; masses must
@@ -171,7 +174,7 @@ def transport_problem(supply_locations, supply_masses, demand_locations, demand_
         boundary_positions=np.empty((0, 2)),
         boundary_walls=np.empty(0),
         spill_total=0.0,
-        h=h,
+        h=0.0,
     )
 
 
@@ -308,12 +311,15 @@ def certify(
     u_boundary: np.ndarray,
     sol: TransportSolution,
     p: DiscreteProblem,
+    dual: DualSolution,
 ) -> CertificateReport:
-    """Complementary-slackness and duality-gap check for a height candidate.
+    """The snapshot's transport verdict: the height candidate, the plan and the dual.
 
     On the plan's support the height must rise by exactly the distance
     toward the source; wall contact must hold where spill lands; and the
     pairing of the height with f - growth must reproduce the primal value.
+    By weak duality the dual's value must meet its coarse plan's cost, and
+    both plans must meet their marginals.
     """
     u_sink = np.concatenate([u_demand, u_boundary])
     sink_pos = np.vstack([p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
@@ -330,13 +336,24 @@ def certify(
     pairing = float(p.supply_masses @ u_supply - p.demand_masses @ u_demand)
     gap = abs(pairing - sol.primal_value)
 
+    coarse = dual.primal
+    lp_gap = abs(dual.value - coarse.primal_value)
+    mass_tol = LP_TOL * max(1.0, float(p.supply_masses.sum()))
     tol = 1e-6 + 2.0 * p.h
     return CertificateReport(
         ray_residual=ray,
         wall_residual=wall,
         duality_gap=gap,
+        lp_gap=lp_gap,
         tolerance=tol,
-        passed=(ray <= tol and wall <= tol and gap <= tol),
+        passed=(
+            ray <= tol
+            and wall <= tol
+            and gap <= tol
+            and lp_gap <= LP_TOL * max(1.0, coarse.primal_value)
+            and coarse.marginal_error <= mass_tol
+            and sol.marginal_error <= mass_tol
+        ),
     )
 
 

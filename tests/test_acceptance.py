@@ -161,9 +161,9 @@ def test_a4_duality_certification():
     for state in traj.states:
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         sol = solve_primal(p)
-        rep = certify(*snapshot_heights(state, s, grid, p), sol, p)
+        rep = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
         all_pass &= rep.passed
-        worst = max(worst, rep.ray_residual, rep.wall_residual, rep.duality_gap)
+        worst = max(worst, rep.ray_residual, rep.wall_residual, rep.duality_gap, rep.lp_gap)
     elapsed = time.perf_counter() - t_begin
     tol = 1e-6 + 2 * h
     report("A4", all_pass and elapsed <= 300.0, f"worst residual {worst:.2e} (tol {tol:.2e}), {elapsed:.0f}s")
@@ -200,7 +200,7 @@ def test_a6_measure_bounds():
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, traj.spill_atoms)
         nu = spill_measure(state, s, traj.spill_atoms)
-        mu_ok &= mu.total_mass <= dom.diameter * total + 1e-12
+        mu_ok &= mu.values.sum() * grid.cell_area <= dom.diameter * total + 1e-12
         nu_ok &= nu.total_mass <= total + 1e-12
         active = ~state.frozen & (part.areas > 0.0)
         sq_total += float((s.rates[active] ** 2 / part.areas[active]).sum()) * (state.time - t_prev)
@@ -214,14 +214,15 @@ def test_a6_measure_bounds():
     state = ConeState(0.0, np.array([1.0]), thresholds)
     gk = build_grid(big, h)
     mu_cone = rolling_measure(state, sc, partition(gk, sc, state.radii), atoms)
-    cone_ok = abs(mu_cone.total_mass - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
+    cone_mass = float(mu_cone.values.sum() * gk.cell_area)
+    cone_ok = abs(cone_mass - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
 
     ok = mu_ok and nu_ok and l2_ok and cone_ok
     report(
         "A6",
         ok,
         f"L2 sum {sq_total:.4f} <= {u_max * total * (1 + 5 * h):.4f}, "
-        f"cone mass {mu_cone.total_mass:.5f} vs 2/3",
+        f"cone mass {cone_mass:.5f} vs 2/3",
     )
 
 

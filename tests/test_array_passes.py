@@ -294,7 +294,7 @@ class TestRollingMeasure:
                 assert state.frozen[0] and not state.frozen[3:].any() and not part.areas[3:].any()
             mu = rolling_measure(state, s, part, atoms)
             mass, _ = ref.deposit_loop(state, s, part, atoms, grid)
-            assert np.array_equal(mu.density, mass / grid.cell_area)
+            assert np.array_equal(mu.values, mass / grid.cell_area)
 
     def test_matches_per_source_loop_on_many_sources(self):
         rng = np.random.default_rng(16)
@@ -305,7 +305,7 @@ class TestRollingMeasure:
         assert state.frozen.any() and (~state.frozen & (part.areas == 0.0)).any()
         mu = rolling_measure(state, s, part, atoms)
         mass, _ = ref.deposit_loop(state, s, part, atoms, grid)
-        assert np.array_equal(mu.density, mass / grid.cell_area)
+        assert np.array_equal(mu.values, mass / grid.cell_area)
 
 
 class TestFieldToCsv:

@@ -192,10 +192,12 @@ class TestConfig:
             (SINGLE_SOURCE, "h = 0.03125", "h = nan", "[grid] h"),
             (SINGLE_SOURCE, "horizon = 0.3", "horizon = inf", "[run] horizon"),
             (SINGLE_SOURCE, "\n[run]", "n = 16.9\n[run]", "[sources] n"),
+            (SINGLE_SOURCE, "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.12 0.05 0.3", "[run] snapshot_times"),
+            (SINGLE_SOURCE, "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.05 0.12 0.12", "[run] snapshot_times"),
         ],
         ids=[
             "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap",
-            "inf_h", "nan_h", "inf_horizon", "fractional_n",
+            "inf_h", "nan_h", "inf_horizon", "fractional_n", "decreasing_times", "repeated_times",
         ],
     )
     def test_bad_scalar_names_key(self, tmp_path, capsys, template, old, new, named):
@@ -517,11 +519,19 @@ class TestVerify:
             (r"^grid\.h = \S+$", "grid.h = inf", "[config] grid.h: 'inf' is not a finite number"),
             (r"^(2 = .* radii=)\S+?,", r"\1nan,", "[snapshots] entry 2 radii: 'nan' is not a finite number"),
             (r"^(1 = t=)\S+ ", r"\1inf ", "[snapshots] entry 1 t: 'inf' is not a finite number"),
+            (
+                r"^(1 = t=)\S+ ",
+                r"\g<1>0.9 ",
+                "[snapshots] entry 1 t: 0.90000000000000002 is not the run.snapshot_times value 0.12",
+            ),
+            (r"^2 = t=.*\n", "", "[snapshots] holds 2 entries for 3 run.snapshot_times"),
+            (r"^tolerances\.dual_node_cap = .*\n", "", "[config] lacks tolerances.dual_node_cap"),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
-            "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf",
+            "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf", "time_not_echoed", "missing_entry",
+            "no_node_cap",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
@@ -800,10 +810,13 @@ class TestEquilibrium:
         path, out = write_config(tmp_path, EQ_CONFIG)
         assert main(["equilibrium", "--config", str(path), "--quiet"]) == 0
         text = (out / "equilibrium.txt").read_text()
-        sup = float([l for l in text.splitlines() if l.startswith("sup_diff")][0].split(" = ")[1])
-        assert sup <= 2 / 129
-        assert (out / "final_u.csv").exists()
-        assert (out / "equilibrium_u.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["equilibrium.txt", "final_u.csv"]
+        # every cone capped at its escape cost, here the distance 0.5 to the grounded walls
+        cfg = parse_config(path)
+        grid = build_grid(cfg.domain(), cfg.grid_h)
+        final = field_from_csv(grid, (out / "final_u.csv").read_text()).values[grid.inside_mask]
+        closed = np.maximum(0.5 - np.linalg.norm(grid.inside_centers() - 0.5, axis=1), 0.0)
+        assert np.abs(final - closed).max() <= 1e-12
         t1 = float([l for l in text.splitlines() if l.startswith("freeze 0")][0].split("t=")[1].split()[0])
         assert np.pi / 24 <= t1 <= 0.5
 

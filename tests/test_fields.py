@@ -9,19 +9,22 @@ from silopile.fields import (
     BoundaryMeasure,
     boundary_measure_from_lines,
     boundary_measure_to_lines,
-    equilibrium_field,
     field_from_csv,
     field_to_csv,
     growth_rate_field,
     height_field,
     heights_at,
-    path_measure_to_csv,
     rolling_measure,
     spill_measure,
 )
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
 from silopile.sources import make_sources
+
+
+def layer_mass(mu):
+    """The rolling layer's total mass: its density summed over the cells, times h^2."""
+    return float(mu.values.sum() * mu.grid.cell_area)
 
 
 @pytest.fixture
@@ -170,7 +173,7 @@ class TestRollingMeasure:
         grid = build_grid(big_square, 1 / 64)
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
-        assert mu.total_mass == pytest.approx(2.0 / 3.0, rel=0.01)
+        assert layer_mass(mu) == pytest.approx(2.0 / 3.0, rel=0.01)
 
     def test_monte_carlo_cross_check(self, big_square):
         rng = np.random.default_rng(42)
@@ -185,7 +188,7 @@ class TestRollingMeasure:
         grid = build_grid(big_square, 1 / 32)
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
-        assert mu.total_mass == 0.0
+        assert layer_mass(mu) == 0.0
 
     def test_slanted_wall_mass_reaches_inside_cells(self):
         # Sub-deposits near the triangle's slanted walls land in cells centred
@@ -210,9 +213,9 @@ class TestRollingMeasure:
             nearest = inside[np.argmin(np.linalg.norm(centers[grid.inside_mask] - centers[r, c], axis=1))]
             mass[tuple(nearest)] += mass[r, c]
             mass[r, c] = 0.0
-        np.testing.assert_array_equal(mu.density, mass / grid.cell_area)
-        written = field_from_csv(grid, path_measure_to_csv(mu)).values.sum() * grid.cell_area
-        assert written == pytest.approx(mu.total_mass, rel=1e-14)
+        np.testing.assert_array_equal(mu.values, mass / grid.cell_area)
+        written = field_from_csv(grid, field_to_csv(mu)).values.sum() * grid.cell_area
+        assert written == pytest.approx(layer_mass(mu), rel=1e-14)
 
     def test_diameter_bound(self):
         dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.1, 0.4, 0.2, 0.3])
@@ -224,7 +227,7 @@ class TestRollingMeasure:
             state = ConeState(0.0, radii, thresholds)
             part = partition(grid, s, radii)
             mu = rolling_measure(state, s, part, atoms)
-            assert mu.total_mass <= dom.diameter * s.total_rate + 1e-12
+            assert layer_mass(mu) <= dom.diameter * s.total_rate + 1e-12
 
 
 class TestEquilibrium:
@@ -232,7 +235,7 @@ class TestEquilibrium:
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         thresholds, _ = unit_square.escape_cost(s.locations)
         grid = build_grid(unit_square, 1 / 129)  # odd cell count: a cell centered on the apex
-        eq = equilibrium_field(s, thresholds, grid)
+        eq = height_field(ConeState(0.0, thresholds.copy(), thresholds), s, grid)  # every cone capped
         centers = grid.inside_centers()
         closed = np.maximum(0.5 - np.linalg.norm(centers - 0.5, axis=1), 0.0)
         np.testing.assert_allclose(eq.values[grid.inside_mask], closed, rtol=0.0, atol=1e-12)
@@ -253,10 +256,10 @@ class TestEquilibrium:
         h = 1 / 64
         traj = run(s, dom, 3.0, [3.0], h)
         assert traj.final_state.frozen.all()
-        grid = build_grid(dom, h)
-        sim = height_field(traj.final_state, s, grid)
-        eq = equilibrium_field(s, traj.final_state.thresholds, grid)
-        assert np.abs(sim.values - eq.values).max() <= 2 * h
+        # each radius is clamped to its escape cost when it freezes, so the
+        # final pile is the stationary profile bit for bit
+        thresholds, _ = dom.escape_cost(s.locations)
+        assert np.array_equal(traj.final_state.radii.view(np.uint64), thresholds.view(np.uint64))
 
 
 class TestFieldInvariants:
@@ -340,9 +343,8 @@ class TestSerialization:
         grid = build_grid(big_square, 1 / 16)
         part = partition(grid, s, state.radii)
         mu = rolling_measure(state, s, part, big_square.escape_cost(s.locations)[1])
-        text = path_measure_to_csv(mu)
-        back = field_from_csv(grid, text)
-        np.testing.assert_array_equal(back.values, mu.density)
+        back = field_from_csv(grid, field_to_csv(mu))
+        np.testing.assert_array_equal(back.values, mu.values)
 
     def test_boundary_measure_round_trip(self, unit_square):
         nu = BoundaryMeasure(unit_square.boundary_points([0, 2], [0.5, 0.125]), np.array([0.75, 1.0 / 3.0]))

@@ -27,8 +27,7 @@ RUNS = [
 # sha256 per output file, keyed "<command>_<config>/<file>".
 GOLDEN = {
     "converge_uniform_converge/converge.csv": "fbd7360eb1f6d25dc4f9a2da051db52ad1ddd3ed528e20e50c144d6cb11472a4",
-    "equilibrium_single_source_eq/equilibrium.txt": "672487ec37e9a65a4ab654d2c0768000cb227274141c29c2579b7165f60130ff",
-    "equilibrium_single_source_eq/equilibrium_u.csv": "9354d674cdca366e05e2f153f92e76bca4c0b56d647f48f07e96daacff53d61a",
+    "equilibrium_single_source_eq/equilibrium.txt": "f921a41be233891521edb9596d06d9e96b7084211eb043fa3917c047860ec7ca",
     "equilibrium_single_source_eq/final_u.csv": "9354d674cdca366e05e2f153f92e76bca4c0b56d647f48f07e96daacff53d61a",
     "simulate_single_source_eq/manifest.txt": "7d8dae11532b73556b34313e4bea7ff07c717d5332a5ce0b7e11cf7b59f974b1",
     "simulate_single_source_eq/nu.csv": "23b8973c51903fce14cab21ed30a5c446bdcfc43956ccbf943d838d0c2e669df",

@@ -677,9 +677,7 @@ class TestSolveDual:
     def test_coarsening_caps_nodes(self):
         rng = np.random.default_rng(9)
         n = 600
-        p = transport_problem(
-            [(0.5, 0.5)], [1.0], rng.random((n, 2)), np.full(n, 1.0 / n), h=0.02
-        )
+        p = replace(transport_problem([(0.5, 0.5)], [1.0], rng.random((n, 2)), np.full(n, 1.0 / n)), h=0.02)
         pc = coarsen_problem(p, node_cap=200)
         assert 1 + pc.n_demand + pc.n_boundary <= 200
         assert pc.demand_masses.sum() == pytest.approx(1.0)
@@ -969,7 +967,7 @@ class TestSnapshotPipeline:
 
         sol = solve_primal(p)
         assert sol.marginal_error <= LP_TOL
-        report = certify(*snapshot_heights(state, s, grid, p), sol, p)
+        report = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
         assert report.passed and report.ray_residual <= 1e-15, report
 
     def test_certify_passes_midrun(self):
@@ -978,7 +976,7 @@ class TestSnapshotPipeline:
             grid = build_grid(dom, h)
             p = build_problem(state, s, dom, grid, boundary_spacing=h)
             sol = solve_primal(p)
-            report = certify(*snapshot_heights(state, s, grid, p), sol, p)
+            report = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
             assert report.passed, (t, report)
 
     def test_certify_fails_on_perturbation(self):
@@ -990,7 +988,7 @@ class TestSnapshotPipeline:
         u_s, u_d, u_b = snapshot_heights(state, s, grid, p)
         u_d = u_d.copy()
         u_d[0] += 0.1
-        report = certify(u_s, u_d, u_b, sol, p)
+        report = certify(u_s, u_d, u_b, sol, p, solve_dual(p))
         assert not report.passed
         assert max(report.ray_residual, report.duality_gap) >= 0.1 - 1e-9
 
@@ -998,10 +996,23 @@ class TestSnapshotPipeline:
         p = transport_problem([(0.2, 0.2)], [1.0], [(0.8, 0.6)], [1.0])
         sol = solve_primal(p)
         dist = np.hypot(0.6, 0.4)
-        report = certify(np.array([dist]), np.array([0.0]), np.empty(0), sol, p)
+        report = certify(np.array([dist]), np.array([0.0]), np.empty(0), sol, p, solve_dual(p))
         assert report.ray_residual == pytest.approx(0.0, abs=1e-12)
         assert report.duality_gap == pytest.approx(0.0, abs=1e-12)
         assert report.passed
+
+    def test_dual_and_marginals_gate_the_verdict(self):
+        # certify alone decides the transport verdict: a dual 1e-6 off its
+        # coarse plan's cost, or either plan's marginals off by 1e-6, fails
+        # it, although every height residual is exact
+        p = transport_problem([(0.2, 0.2)], [1.0], [(0.8, 0.6)], [1.0])
+        sol, dual = solve_primal(p), solve_dual(p)
+        heights = (np.array([np.hypot(0.6, 0.4)]), np.array([0.0]), np.empty(0))
+        assert certify(*heights, sol, p, dual).passed
+        off = certify(*heights, sol, p, replace(dual, value=dual.value + 1e-6))
+        assert not off.passed and off.lp_gap == pytest.approx(1e-6, rel=1e-9)
+        assert not certify(*heights, sol, p, replace(dual, primal=replace(dual.primal, marginal_error=1e-6))).passed
+        assert not certify(*heights, replace(sol, marginal_error=1e-6), p, dual).passed
 
     def test_spill_optimality(self):
         dom, s, state, h = self.make_snapshot(t=0.6)
@@ -1031,4 +1042,4 @@ class TestSnapshotPipeline:
             p.supply_locations[sol.plan_supply] - sink_pos[sol.plan_sink], axis=1
         )
         plan_distance_cost = float((sol.plan_mass * dist).sum())
-        assert abs(mu.total_mass - plan_distance_cost) <= 10 * h * s.total_rate * dom.diameter
+        assert abs(mu.values.sum() * grid.cell_area - plan_distance_cost) <= 10 * h * s.total_rate * dom.diameter
