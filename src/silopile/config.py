@@ -152,7 +152,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("[run]: horizon must be positive")
     for t in snapshot_times:
         if not 0.0 <= t <= horizon:
-            raise ConfigError(f"[run]: snapshot time {t} outside [0, horizon]")
+            raise ConfigError(f"[run] snapshot_times: {t} outside [0, horizon]")
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError("[run] snapshot_times: must be strictly increasing")
 

@@ -359,11 +359,18 @@ class SourceLists:
 
     @cached_property
     def _tile_geometry(self):
-        """Tile of each point, and each tile's centre and radius."""
+        """Tile of each point, and each tile's centre and radius.
+
+        Tiles are numbered in ascending order of their keys, as
+        ``np.unique``'s inverse would, by a count over a table of all keys.
+        """
         p = self.points
         cells = np.rint((p - p.min(axis=0)) / self.h).astype(np.int64) // TILE
-        _, tile_of = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
-        tile_of = tile_of.ravel()
+        span = cells.max(axis=0) + 1
+        keys = cells[:, 0] * span[1] + cells[:, 1]
+        present = np.zeros(span[0] * span[1], dtype=bool)
+        present[keys] = True
+        tile_of = (np.cumsum(present) - 1)[keys]
         members = np.bincount(tile_of)
         centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
         centres /= members[:, None]

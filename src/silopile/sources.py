@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexDomain
+from .regions import distances
 from .tolerances import GEOM_TOL
 
 UNIFORM_POLYGON = "uniform-on-polygon"
@@ -141,7 +142,7 @@ def min_separation(s: SourceSet, domain: ConvexDomain) -> tuple[float, float]:
     rows = max(1, _PAIR_BLOCK // s.k)
     for i0 in range(0, s.k - 1, rows):
         i1 = min(i0 + rows, s.k - 1)
-        d = np.linalg.norm(loc[i0:i1, None, :] - loc[None, :, :], axis=2)
+        d = distances(loc[i0:i1], loc)
         upper = np.arange(s.k)[None, :] > np.arange(i0, i1)[:, None]
         m1 = min(m1, float(d[upper].min()))
     m2 = float(domain.distance_to_boundary(loc).min())

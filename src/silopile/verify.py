@@ -14,8 +14,8 @@ tree's arcs: a leaf column, of one arc, is two array entries (its row
 and that arc's flow), and only the at most m - 1 junction columns, of
 two arcs or more, keep Python sets and arc flows.  The Python work of a
 pivot or of the tree duals grows with the rows and junctions, not with
-the n demand cells; the greedy start makes one pass over the columns on
-Python floats.
+the n demand cells; the greedy start ships its columns in one array pass
+up to its first event, and one at a time on Python floats after it.
 
 The dual check rests on weak duality, not on a second solver.  A pair of
 potentials with u_i - w_j <= |x_i - y_j| for every supply-demand pair
@@ -412,20 +412,22 @@ class _TransportSimplex:
     order depends on the set's history.  Rows and junction columns (node
     m + j) span a core tree of at most 2m - 1 nodes, rooted at row 0;
     ``parent`` and ``depth`` locate each core node in it, and every leaf
-    column hangs under its row.  Past the start's one pass over the
-    columns, Python loops run over rows and junction columns only; what
-    touches every column is one numpy expression.
+    column hangs under its row.  But for the start's columns from its
+    first event on, Python loops run over rows and junction columns only;
+    what touches every column is a numpy expression.
 
     The start (Kelly & O'Neill 1991 on advanced starts) is greedy on the
     key c_ij - o_i, with an optional row offset o, zero by default.
-    ``_initial_basis`` ships each column to its cheapest rows with supply
-    left, visiting the columns by ascending cheapest key; of several
-    exactly tied cheapest rows, the one with the most supply left goes
-    first, the lower on equal supply.  A lattice point equidistant from
-    two sources then does not fill the lower source's row before that
-    row's own points come, which would push them to farther rows; the
-    convergence study's n = 64 W1 solve starts optimal this way.  Each
-    arc closes a row or a column, so the positive flows form a forest.
+    ``_greedy`` ships each column to its cheapest rows with supply left,
+    visiting the columns by ascending cheapest key; of several exactly
+    tied cheapest rows, the one with the most supply left goes first, the
+    lower on equal supply.  A lattice point equidistant from two sources
+    then does not fill the lower source's row before that row's own
+    points come, which would push them to farther rows; the convergence
+    study's n = 64 W1 solve starts optimal this way.  The columns before
+    the first that is tied, meets a row without supply or empties a row
+    ship in one array pass.  Each arc closes a row or a column, so the
+    positive flows form a forest.
     ``_join`` then joins the forest into a spanning tree by zero-flow arcs
     of least reduced cost under the tree's potentials.  ``solve_primal``
     passes a snapshot's cone radii as o: a demand cell's cheapest row is
@@ -443,8 +445,10 @@ class _TransportSimplex:
     the subtree cut off by the leaving arc and
     shifts only that subtree's potentials, the columns' through one gather
     over ``col_row``.  A cycle of blocks without a candidate is followed by
-    fresh tree duals and a second pass over the blocks in order, whose
-    least reduced cost (the first in row order, with no (m, n) temporary)
+    fresh tree duals.  When they are the cycle's own bits, as always when
+    nothing pivoted, the least of the cycle's block minima proves
+    optimality; else a second pass over the blocks in order, whose least
+    reduced cost (the first in row order, with no (m, n) temporary)
     enters or proves optimality.  After ``solve``, ``plan()``, the final
     tree's ``u`` and ``v`` and ``min_rc``, the minimum of all m*n reduced
     costs, certify the plan on their own, whatever the start.
@@ -485,6 +489,31 @@ class _TransportSimplex:
     def _initial_basis(self, offset):
         """Greedy cheapest-row plan on the key c_ij - o_i, joined into a tree.
 
+        ``_greedy`` ships the columns to their cheapest rows and ``_join``
+        joins its forest into a spanning tree.  The arcs land in arrays,
+        and each column's first arc makes it a leaf; only further arcs go
+        through ``_add_arc``.
+        """
+        key = self.cost - offset[:, None]
+        cheapest, first = _first_min(key)
+        key -= cheapest  # the ray residual: 0 on each column's cheapest row
+        arc_rows, arc_cols, takes = self._greedy(key, cheapest, first)
+        join_rows, join_cols = self._join(key, arc_rows, arc_cols)
+        rows = np.concatenate([arc_rows, join_rows])
+        cols = np.concatenate([arc_cols, join_cols])
+        flows = np.concatenate([takes, np.zeros(len(join_rows))])
+        _, head = np.unique(cols, return_index=True)
+        self.col_row, self.col_flow = rows[head], flows[head]
+        more = np.ones(len(cols), dtype=bool)
+        more[head] = False
+        for i, j, flow in zip(rows[more].tolist(), cols[more].tolist(), flows[more].tolist()):
+            self._add_arc(i, j)
+            self.arc_flow[i, j] = flow
+        self._hang(0, -1)
+
+    def _greedy(self, residual, cheapest, first):
+        """The start's arcs as (rows, columns, flows), in the order they open.
+
         Columns are visited in ascending order of their cheapest key.  Each
         ships to its cheapest row that still has supply, and spills down
         its own ranking of the rows only when that row runs out.  Among
@@ -495,39 +524,58 @@ class _TransportSimplex:
         supply, on the row or on the column it serves, is rounding residue:
         the row keeps it or takes it, so no arc carries it.  Zero-demand
         columns wait for ``_join``.
-        The arcs land in arrays, and each column's first arc makes it a
-        leaf; only further arcs go through ``_add_arc``.
-        """
-        key = self.cost - offset[:, None]
-        cheapest, first = _first_min(key)
-        key -= cheapest  # the ray residual: 0 on each column's cheapest row
-        tied = (np.count_nonzero(key == 0.0, axis=0) > 1).tolist()
 
+        The visiting order up to its first event ships in one array pass,
+        each of those columns whole to its cheapest row.  An event is a
+        tied column, a cheapest row without supply, or a column that would
+        leave its row's supply within residue of 0: it takes part of its
+        demand or closes the row.  A row's supply left is
+        ``np.subtract.accumulate`` over its columns, the bits of one
+        subtraction per column.  From the first event on, a loop on Python
+        floats takes one column at a time.
+        """
+        m, supply, demand = self.m, self.supply, self.demand
+        tied = np.count_nonzero(residual == 0.0, axis=0) > 1
+        live = supply > 0.0
+        if not live.any():
+            live[0] = True
+        residue = RESIDUE_TOL * supply
+
+        order = np.argsort(cheapest, kind="stable")
+        order = order[demand[order] > 0.0]
+        rows = first[order]
+        # each row's supply left after each of its columns, were all of them whole
+        left = np.empty(len(order))
+        by_row = np.argsort(rows, kind="stable")
+        bound = np.searchsorted(rows[by_row], np.arange(m + 1))
+        for i in np.flatnonzero(np.diff(bound)).tolist():
+            at = by_row[bound[i] : bound[i + 1]]
+            left[at] = np.subtract.accumulate(np.append(supply[i], demand[order[at]]))[1:]
+        event = tied[order] | ~live[rows] | (left <= residue[rows])
+        stop = int(np.argmax(event)) if event.any() else len(order)
+        # a row's prefix columns lead its run of by_row; the last one sets its supply left
+        shipped = np.bincount(rows[:stop], minlength=m)
+        rem_s = supply.copy()
+        has = shipped > 0
+        rem_s[has] = left[by_row[bound[:-1][has] + shipped[has] - 1]]
+
+        tail = order[stop:]
+        tie_rows = self._tie_rows(residual, tail[tied[tail]])
         # Python floats: the same IEEE arithmetic as float64, without the
         # per-element cost of numpy scalars
-        rem_s = self.supply.tolist()
-        residue = (RESIDUE_TOL * self.supply).tolist()
-        live = [s > 0.0 for s in rem_s]
-        if not any(live):
-            live[0] = True
+        rem_s, residue, live = rem_s.tolist(), residue.tolist(), live.tolist()
         n_live = sum(live)
-        demand = self.demand.tolist()
-        first = first.tolist()
         arc_rows, arc_cols, takes = [], [], []
-        for j in np.argsort(cheapest, kind="stable").tolist():
-            rem_d = demand[j]
-            if rem_d <= 0.0:
-                continue
+        for j, i, rem_d in zip(tail.tolist(), rows[stop:].tolist(), demand[tail].tolist()):
             ranking = None
-            i = first[j]
-            if tied[j]:
+            if j in tie_rows:
                 # live rows first, then the most supply left; max keeps the lower on equal keys
-                i = max(np.flatnonzero(key[:, j] == 0.0).tolist(), key=lambda r: (live[r], rem_s[r]))
+                i = max(tie_rows[j], key=lambda r: (live[r], rem_s[r]))
             while True:
                 if not live[i]:
                     # rank the column's rows only once its first choice is spent
                     if ranking is None:
-                        ranking = iter(np.argsort(key[:, j], kind="stable").tolist())
+                        ranking = iter(np.argsort(residual[:, j], kind="stable").tolist())
                     i = next(ranking)
                     continue
                 take = rem_d if n_live == 1 or rem_d - rem_s[i] <= residue[i] else rem_s[i]
@@ -541,20 +589,27 @@ class _TransportSimplex:
                     n_live -= 1
                 if rem_d <= 0.0:
                     break
-        arc_rows = np.array(arc_rows, dtype=np.int64)
-        arc_cols = np.array(arc_cols, dtype=np.int64)
-        join_rows, join_cols = self._join(key, arc_rows, arc_cols)
-        rows = np.concatenate([arc_rows, join_rows])
-        cols = np.concatenate([arc_cols, join_cols])
-        flows = np.concatenate([takes, np.zeros(len(join_rows))])
-        _, head = np.unique(cols, return_index=True)
-        self.col_row, self.col_flow = rows[head], flows[head]
-        more = np.ones(len(cols), dtype=bool)
-        more[head] = False
-        for i, j, flow in zip(rows[more].tolist(), cols[more].tolist(), flows[more].tolist()):
-            self._add_arc(i, j)
-            self.arc_flow[i, j] = flow
-        self._hang(0, -1)
+        return (
+            np.concatenate([rows[:stop], np.array(arc_rows, dtype=np.int64)]),
+            np.concatenate([order[:stop], np.array(arc_cols, dtype=np.int64)]),
+            np.concatenate([demand[order[:stop]], takes]),
+        )
+
+    def _tie_rows(self, residual, cols):
+        """The rows of residual 0, ascending, of each of ``cols``, keyed by column.
+
+        One ``np.nonzero`` per block of about ``BLOCK_CELLS`` entries.
+        """
+        width = max(1, self.BLOCK_CELLS // self.m)
+        out = {}
+        for lo in range(0, len(cols), width):
+            block = cols[lo : lo + width]
+            at, rows = np.nonzero(residual[:, block].T == 0.0)
+            bound = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
+            rows = rows.tolist()
+            for k, j in enumerate(block.tolist()):
+                out[j] = rows[bound[k] : bound[k + 1]]
+        return out
 
     def _join(self, residual, arc_rows, arc_cols):
         """Zero-flow arcs that join the start's forest into a spanning tree.
@@ -692,6 +747,7 @@ class _TransportSimplex:
     # -- pivoting ----------------------------------------------------------
 
     def solve(self):
+        """Pivot to optimality; ``min_rc`` is then the least of all m*n reduced costs (see the class)."""
         m, n = self.m, self.n
         max_iter = 400 * (m + n) + 5000
         floor = -LP_TOL * self.scale
@@ -700,15 +756,21 @@ class _TransportSimplex:
         start = 0
         self.u, self.v = self.duals()
         for _ in range(max_iter):
+            cycle = []
             for b in range(len(blocks)):
                 rc, ei, ej = self._block_min(blocks[(start + b) % len(blocks)], width)
                 if rc < floor:
                     break
+                cycle.append((rc, ei, ej))
             else:
-                # no block prices out: fresh tree duals and a pass over all
-                # m*n reduced costs, the same blocks in order, decide
-                self.u, self.v = self.duals()
-                rc, ei, ej = min(self._block_min(lo, width) for lo in blocks)
+                # no block prices out: fresh tree duals decide.  Under the
+                # bits the cycle priced with (bytes, as -0.0 == 0.0), its
+                # block minima hold the least of all m*n; else a pass over
+                # the blocks in order finds it
+                u, v = self.duals()
+                same = u.tobytes() == self.u.tobytes() and v.tobytes() == self.v.tobytes()
+                self.u, self.v = u, v
+                rc, ei, ej = min(cycle if same else (self._block_min(lo, width) for lo in blocks))
                 if rc >= floor:
                     self.min_rc = rc
                     return

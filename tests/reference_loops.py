@@ -9,7 +9,10 @@ form that points off the grid still take.  ``contains_whole`` is the
 one-array form of ``ConvexDomain.contains_many``, which now tests one
 edge at a time.  ``DenseTransportSimplex`` is
 the network simplex that kept a dense flow matrix before
-``verify._TransportSimplex`` kept per-column arrays.  ``knot_scan`` finds
+``verify._TransportSimplex`` kept per-column arrays, and ``greedy_start``
+the per-column loop that shipped its whole start before
+``_TransportSimplex._greedy`` shipped the start's event-free prefix in
+one array pass.  ``knot_scan`` finds
 snapshot states after the run, over its kept step states, as
 ``cones.run`` did before it handed each snapshot on as it passed it.
 """
@@ -239,6 +242,52 @@ def tree_duals(solver):
         raise RuntimeError("basis tree is not connected")
     v = cost[solver.col_row, np.arange(n)] - u[solver.col_row]
     return u, v
+
+
+def greedy_start(supply, demand, residual, cheapest, first):
+    """The greedy start's arcs as (rows, columns, flows), one column at a time on Python floats.
+
+    ``residual`` is the key less each column's least, ``cheapest`` those
+    least keys and ``first`` the first row that attains each.
+    """
+    supply, demand = np.asarray(supply, dtype=float), np.asarray(demand, dtype=float)
+    tied = (np.count_nonzero(residual == 0.0, axis=0) > 1).tolist()
+    rem_s = supply.tolist()
+    residue = (RESIDUE_TOL * supply).tolist()
+    live = [s > 0.0 for s in rem_s]
+    if not any(live):
+        live[0] = True
+    n_live = sum(live)
+    demand = demand.tolist()
+    first = np.asarray(first).tolist()
+    arc_rows, arc_cols, takes = [], [], []
+    for j in np.argsort(cheapest, kind="stable").tolist():
+        rem_d = demand[j]
+        if rem_d <= 0.0:
+            continue
+        ranking = None
+        i = first[j]
+        if tied[j]:
+            # live rows first, then the most supply left; max keeps the lower on equal keys
+            i = max(np.flatnonzero(residual[:, j] == 0.0).tolist(), key=lambda r: (live[r], rem_s[r]))
+        while True:
+            if not live[i]:
+                if ranking is None:
+                    ranking = iter(np.argsort(residual[:, j], kind="stable").tolist())
+                i = next(ranking)
+                continue
+            take = rem_d if n_live == 1 or rem_d - rem_s[i] <= residue[i] else rem_s[i]
+            arc_rows.append(i)
+            arc_cols.append(j)
+            takes.append(take)
+            rem_s[i] -= take
+            rem_d -= take
+            if n_live > 1 and rem_s[i] <= residue[i]:
+                live[i] = False
+                n_live -= 1
+            if rem_d <= 0.0:
+                break
+    return np.array(arc_rows, dtype=np.int64), np.array(arc_cols, dtype=np.int64), np.array(takes, dtype=float)
 
 
 def knot_scan(sources, domain, T, h):

@@ -165,7 +165,7 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text(SINGLE_SOURCE.format(out=tmp_path).replace(
             "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.05 0.6"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^\[run\] snapshot_times: 0\.6 outside \[0, horizon\]$"):
             parse_config(path)
 
     def test_bad_number_reports_section(self, tmp_path):

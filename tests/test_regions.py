@@ -201,6 +201,26 @@ def mirror_pair_with_far_sources():
 class TestSourceLists:
     """``SourceLists`` against the full (cells x sources) matrix it replaced, bit for bit."""
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (1, 0), (1, 1), (0, 1)],
+            [(0, 0), (2, 0), (0, 1.3)],
+            [(1, 0), (0.5, 0.87), (-0.5, 0.87), (-1, 0), (-0.5, -0.87), (0.5, -0.87)],
+        ],
+        ids=["square", "triangle", "hexagon"],
+    )
+    def test_tiles_number_as_np_unique(self, vertices):
+        dom = ConvexDomain(vertices, [0.0] * len(vertices))
+        g = build_grid(dom, 1 / 64)
+        lists = g.source_lists(np.array([[0.1, 0.1], [0.3, 0.2]]))
+        tile_of, centres, _ = lists._tile_geometry
+        p = lists.points
+        cells = np.rint((p - p.min(axis=0)) / lists.h).astype(np.int64) // regions.TILE
+        _, inverse = np.unique(cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1], return_inverse=True)
+        assert np.array_equal(tile_of, inverse.ravel())
+        assert len(centres) == inverse.max() + 1
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

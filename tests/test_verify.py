@@ -400,6 +400,115 @@ class TestInitialBasis:
                 solver._remove_arc(int(solver.col_row[j]), j)
 
 
+def first_event(supply, demand, residual, cheapest, first):
+    """Why the first column of the visiting order that cannot ship whole to its cheapest row cannot.
+
+    Returns the kind and the column's place among the positive-demand
+    columns, or (None, their count) when every column ships whole.
+    """
+    live = supply > 0.0
+    if not live.any():
+        live[0] = True
+    left = supply.tolist()
+    visits = [j for j in np.argsort(cheapest, kind="stable").tolist() if demand[j] > 0.0]
+    for place, j in enumerate(visits):
+        i, residue = first[j], RESIDUE_TOL * supply[first[j]]
+        if np.count_nonzero(residual[:, j] == 0.0) > 1:
+            return "tied", place
+        if not live[i]:
+            return "zero_supply_row", place
+        after = left[i] - demand[j]
+        if after <= residue:
+            return ("full_take_closes" if demand[j] - left[i] <= residue else "partial_take"), place
+        left[i] = after
+    return None, len(visits)
+
+
+def event_problem(kind, rng):
+    """Supply, demand, cost and offsets whose greedy start meets ``kind`` first.
+
+    Each row's supply is the demand of the columns it is cheapest for, its
+    load, plus a slack of 1e-11 of it and 1e-11 more: far above its
+    rounding residue, so no column meets an event unless the kind places
+    one, and together far below ``LP_TOL``.  A last row that is no
+    column's cheapest takes up the supply a kind moves off a row.
+    """
+    m = int(rng.integers(2, 20))
+    n = int(rng.integers(2 * m, 200))
+    cost = rng.random((m, n))
+    cost[-1] += 2.0
+    offset = None if rng.random() < 0.5 else rng.random(m) * 0.1
+    demand = rng.random(n) + 0.01
+    if kind == "zero_demand_columns":
+        demand[:-1][rng.random(n - 1) < 0.3] = 0.0
+        demand[rng.integers(n - 1)] = 0.0
+    elif kind == "single_live_row":
+        # row 0 is the cheapest of most columns, and the one row with supply
+        cost[0, rng.random(n) < 0.9] -= 1.0
+    key = cost - (0.0 if offset is None else offset[:, None])
+    if kind == "tied":
+        # from the middle of the visiting order on, every third column ties
+        # its two or three cheapest rows
+        offset, key = None, cost
+        for k, j in enumerate(np.argsort(cost.min(axis=0), kind="stable")[n // 2 :: 3]):
+            rows = np.argsort(cost[:, j])[: 2 + k % 2]
+            cost[rows, j] = cost[rows[0], j]
+    first = key.argmin(axis=0)
+    load = np.bincount(first, weights=demand, minlength=m)
+    supply = load * (1.0 + 1e-11) + 1e-11
+    # a row that is the cheapest of at least two columns
+    r = int(rng.choice(np.flatnonzero(np.bincount(first[demand > 0.0], minlength=m)[:-1] > 1)))
+    if kind == "partial_take":
+        supply[r] = load[r] / 2
+    elif kind == "full_take_closes":
+        # all but its last column: that one finds the row closed, within residue of 0 or below
+        last = [j for j in np.argsort(key.min(axis=0), kind="stable") if first[j] == r][-1]
+        supply[r] = load[r] - demand[last]
+    elif kind == "zero_supply_row":
+        supply[r] = 0.0
+    elif kind == "single_live_row":
+        supply[:] = 0.0
+        supply[0] = demand.sum()
+    supply[-1] += max(0.0, demand.sum() - supply.sum())
+    return supply, demand, cost, offset
+
+
+EVENT_KINDS = ["tied", "partial_take", "full_take_closes", "zero_supply_row", "single_live_row", "zero_demand_columns", None]
+
+
+class TestGreedyPrefix:
+    """``_greedy`` against the per-column loop it replaced, ``reference_loops.greedy_start``.
+
+    The one-pass prefix ends at the first event; each case puts a
+    different event first, or none at all.
+    """
+
+    @pytest.mark.parametrize("kind", EVENT_KINDS, ids=str)
+    def test_matches_per_column_loop(self, kind):
+        rng = np.random.default_rng(EVENT_KINDS.index(kind))
+        prefixes = []
+        for _ in range(40):
+            supply, demand, cost, offset = event_problem(kind, rng)
+            solver = _TransportSimplex(supply, demand, cost, offset)
+            key = cost - (0.0 if offset is None else offset[:, None])
+            cheapest, first = key.min(axis=0), key.argmin(axis=0)
+            key -= cheapest
+            met, place = first_event(supply, demand, key, cheapest, first)
+            if kind == "single_live_row":
+                assert np.count_nonzero(supply) == 1
+            elif kind == "zero_demand_columns":
+                assert met is None and (demand == 0.0).any()
+            else:
+                assert met == kind
+            prefixes.append(place)
+            got = solver._greedy(key, cheapest, first)
+            want = reference_loops.greedy_start(supply, demand, key, cheapest, first)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # most starts ship some columns in one pass before their first event
+        assert np.count_nonzero(prefixes) > 20
+
+
 def random_transports(rng, count):
     """Balanced problems of 1-19 supplies and 1-199 demands, some masses zero."""
     problems = []
@@ -444,6 +553,53 @@ TREE_DUAL_CASES = {
     ],
     "spilling_snapshot": lambda: [spilling_snapshot()],
 }
+
+
+class TestOptimalStartPricing:
+    """A start that prices out is proven by the pricing cycle that found no entering arc.
+
+    Its tree duals are the ones that cycle priced with, so the least of
+    its block minima is the least of all m*n reduced costs; only a tree
+    that pivoted prices all blocks again under fresh duals.
+    """
+
+    @staticmethod
+    def count_block_mins(monkeypatch):
+        block_min, calls = _TransportSimplex._block_min, []
+
+        def counted(solver, lo, width):
+            calls.append(solver.pivots)
+            return block_min(solver, lo, width)
+
+        monkeypatch.setattr(_TransportSimplex, "_block_min", counted)
+        return calls
+
+    def test_n64_w1_prices_each_block_once(self, monkeypatch):
+        study = convergence_study()
+        domain, f = study.fed_square()
+        qpts, qw = study.quadrature()
+        s = discretize(f, 64, domain)
+        calls = self.count_block_mins(monkeypatch)
+        sol = solve_primal(transport_problem(s.locations, s.rates, qpts, qw))
+        assert sol.pivots == 0
+        assert len(calls) == pricing_blocks(64, 3600) == 57
+        assert sol.min_reduced_cost >= -LP_TOL
+
+    def test_spilling_snapshot_prices_each_block_once(self, monkeypatch):
+        p = spilling_snapshot()
+        calls = self.count_block_mins(monkeypatch)
+        sol = solve_primal(p)
+        assert sol.pivots == 0
+        # the absorbing column is one more
+        assert len(calls) == pricing_blocks(len(p.supply_masses), p.n_demand + 1)
+
+    def test_pivoted_tree_prices_all_blocks_again(self, monkeypatch):
+        p = block_instance("random", np.random.default_rng(71))
+        calls = self.count_block_mins(monkeypatch)
+        sol = solve_primal(p)
+        assert sol.pivots > 0
+        assert calls.count(sol.pivots) == 2 * pricing_blocks(len(p.supply_masses), p.n_demand)
+        assert abs(sol.primal_value - linprog_oracle(p)) <= 1e-9
 
 
 class TestTreeDuals:
