@@ -5,12 +5,11 @@ Each rung runs ``simulate`` on 256 or 1024 sources uniform on
 a fresh process; three more rungs take 4096 sources at 1/256, and 1024 and
 4096 sources at 1/512.  Wall time is measured around the process; peak RSS
 is the child's own maximum resident set, from ``os.wait4``, also written
-per grid cell as ``bytes_per_cell``.  A second fresh
-process times ``build_problem`` and ``solve_primal`` on the rung's
-snapshot, with the simplex's pivots, and then ``certify`` on the heights
-of ``snapshot_heights`` and the dual of ``solve_dual`` (untimed), where
-the dense cost matrix has at most
-``PRIMAL_CELLS`` entries.  Each rung also copies the partition's
+per grid cell as ``bytes_per_cell``.  Where the snapshot's dense cost
+matrix has at most ``PRIMAL_CELLS`` entries, a second fresh process times
+``verify``'s one call on the rung's snapshot, ``certify_snapshot``, as
+``verify_s``, with the pivots of its primal and dual solves and its peak
+RSS.  Each rung also copies the partition's
 counters and the RK2 step count from its manifest.  Last, the W1 solves of
 ``convergence_study.py`` are timed, one per n, with their pivots.  The
 rungs and their numbers are written to ``BENCH_<label>.json`` in the
@@ -37,7 +36,7 @@ SRC = HERE.parent / "src"
 RUNGS = [(k, h) for k in (256, 1024) for h in (1 / 64, 1 / 128, 1 / 256)] + [
     (4096, 1 / 256), (1024, 1 / 512), (4096, 1 / 512)]
 HORIZON = 0.02
-# Sources x cells above which the snapshot's primal is skipped: its dense
+# Sources x cells above which the snapshot's verify is skipped: its primal's dense
 # cost matrix alone would pass 36 MB.  The solve holds at most three
 # (m, n) float arrays at once: the distances and their copy with the
 # absorbing column while that column is appended, then the cost, the
@@ -85,7 +84,7 @@ def run_child(args: list[str]) -> tuple[float, float, int, str]:
 
 
 def run_rung(k: int, h: float, workdir: Path) -> dict:
-    """``simulate`` in a fresh process, then the snapshot's primal in another."""
+    """``simulate`` in a fresh process, then ``certify_snapshot`` on its snapshot in another."""
     config = workdir / f"k{k}_h{round(1 / h)}.ini"
     config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=workdir / config.stem))
     wall, rss, code, _ = run_child(["-m", "silopile", "simulate", "--config", str(config), "--quiet"])
@@ -104,45 +103,41 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
         "bytes_per_cell": round(rss * 2**20 / cells),
         "exit_code": code,
         **counters,
-        "primal_s": None,
-        "primal_pivots": None,
-        "certify_s": None,
-        "primal_peak_rss_mb": None,
+        "verify_s": None,
+        "pivots": None,
+        "verify_peak_rss_mb": None,
     }
     if k * cells <= PRIMAL_CELLS:
         _, rss, code, text = run_child([__file__, "--primal", str(config)])
         if code == 0:
-            primal = json.loads(text)
-            rung.update(primal_s=round(primal["seconds"], 3), primal_pivots=primal["pivots"],
-                        certify_s=round(primal["certify_seconds"], 4))
-        rung["primal_peak_rss_mb"] = round(rss, 1)
+            verified = json.loads(text)
+            rung.update(verify_s=round(verified["seconds"], 3), pivots=verified["pivots"])
+        rung["verify_peak_rss_mb"] = round(rss, 1)
         rung["exit_code"] = rung["exit_code"] or code
     return rung
 
 
-def snapshot_primal(config: str) -> dict:
-    """``build_problem`` and ``solve_primal``, then ``certify``, on the last snapshot of a run of ``config``.
+def snapshot_verify(config: str) -> dict:
+    """Seconds and pivots of ``certify_snapshot`` on the last snapshot of a run of ``config``.
 
-    The dual that ``certify`` takes is solved between the two timers.
+    The snapshot's height field is the one ``simulate`` would write.
     """
     from silopile.cli import resolve_sources
     from silopile.config import parse_config
     from silopile.cones import run
-    from silopile.verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
+    from silopile.fields import height_field
+    from silopile.verify import certify_snapshot
 
     cfg = parse_config(config)
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-    state = traj.states[-1]
+    fields = []
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h,
+               on_snapshot=lambda state, grid: fields.append(height_field(state, sources, grid).values))
     start = time.perf_counter()
-    problem = build_problem(state, sources, domain, traj.grid, cfg.boundary_spacing)
-    sol = solve_primal(problem)
-    primal_seconds = time.perf_counter() - start
-    dual = solve_dual(problem, cfg.dual_node_cap)
-    certify_start = time.perf_counter()
-    certify(*snapshot_heights(state, sources, traj.grid, problem), sol, problem, dual)
-    return {"seconds": primal_seconds, "pivots": sol.pivots, "certify_seconds": time.perf_counter() - certify_start}
+    report = certify_snapshot(traj.states[-1], sources, domain, traj.grid, cfg.boundary_spacing,
+                              cfg.dual_node_cap, fields[-1])
+    return {"seconds": time.perf_counter() - start, "pivots": report.pivots}
 
 
 def w1_seconds() -> list[dict]:
@@ -172,7 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument("--primal", metavar="CONFIG", help=argparse.SUPPRESS)  # a rung's second child
     args = parser.parse_args(argv)
     if args.primal:
-        print(json.dumps(snapshot_primal(args.primal)))
+        print(json.dumps(snapshot_verify(args.primal)))
         return 0
     if not args.label:
         parser.error("--label is required")
@@ -183,11 +178,11 @@ def main(argv=None) -> int:
         for k, h in rungs:
             result = run_rung(k, h, Path(tmp))
             results.append(result)
-            primal = "skipped" if result["primal_s"] is None else (
-                f"{result['primal_s']:.3f} s, {result['primal_pivots']} pivots, certify {result['certify_s']:.4f} s")
+            verified = "skipped" if result["verify_s"] is None else (
+                f"{result['verify_s']:.3f} s, {result['pivots']} pivots")
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
                   f"peak RSS {result['peak_rss_mb']:8.1f} MB ({result['bytes_per_cell']:6d} B/cell)  "
-                f"primal {primal}  exit {result['exit_code']}")
+                  f"verify {verified}  exit {result['exit_code']}")
     w1 = w1_seconds()
     for row in w1:
         print(f"W1 n={row['n']:<4d} {row['seconds']:8.3f} s  {row['pivots']} pivots")

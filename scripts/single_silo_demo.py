@@ -1,13 +1,14 @@
 """End-to-end demo: simulate a two-source silo, certify every snapshot.
 
-Runs the growth simulation from configs/two_source.ini, solves the
-transport problem of each snapshot and its dual, and prints ``verify``'s
-transport verdict next to the freeze events.  Equivalent to
+Runs the growth simulation from configs/two_source.ini and certifies
+each snapshot's height field, as ``simulate`` would write it, with
+``verify``'s one call, ``certify_snapshot``; it prints the verdict next to
+the freeze events.  Equivalent to
 
     silopile simulate --config configs/two_source.ini
     silopile verify   --config configs/two_source.ini
 
-but kept as a script so the intermediate objects are easy to poke at.
+but kept as a script so the run and its reports are easy to poke at.
 Exits 1 if any snapshot's certificate fails, like ``silopile verify``.
 """
 
@@ -19,7 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from silopile.cli import resolve_sources
 from silopile.config import parse_config
 from silopile.cones import run
-from silopile.verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
+from silopile.fields import height_field
+from silopile.verify import certify_snapshot
 
 
 def main() -> int:
@@ -28,21 +30,19 @@ def main() -> int:
     sources = resolve_sources(cfg, domain)
     print(f"domain area {domain.area:.3f}, total rate {sources.total_rate:.3f}")
 
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
+    fields = []  # each snapshot's height field, as simulate writes it
+    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h,
+               on_snapshot=lambda state, grid: fields.append(height_field(state, sources, grid).values))
     for j, t in traj.freeze_events:
         print(f"source {j} froze at t = {t:.5f}")
 
-    grid = traj.grid
     failed = 0
-    for state in traj.states:
-        problem = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
-        sol = solve_primal(problem)
-        dual = solve_dual(problem, cfg.dual_node_cap)
-        rep = certify(*snapshot_heights(state, sources, grid, problem), sol, problem, dual)
+    for state, u in zip(traj.states, fields):
+        rep = certify_snapshot(state, sources, domain, traj.grid, cfg.boundary_spacing, cfg.dual_node_cap, u)
         verdict = "PASS" if rep.passed else "FAIL"
         failed += not rep.passed
         print(
-            f"t={state.time:5.2f}: transport cost {sol.primal_value:8.5f}, "
+            f"t={state.time:5.2f}: transport cost {rep.primal:8.5f}, "
             f"gap {rep.duality_gap:.2e}, lp gap {rep.lp_gap:.2e}, ray residual {rep.ray_residual:.2e} -> {verdict}"
         )
     return 1 if failed else 0

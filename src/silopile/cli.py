@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _floats, _fmt, _number, _rows, _whole, echo_config, parse_config
+from .config import ConfigError, RunConfig, _count, _floats, _fmt, _number, _rows, echo_config, parse_config
 from .cones import ConeState, run
 from .fields import (
     boundary_measure_to_lines,
@@ -27,8 +26,9 @@ from .fields import (
 from .geometry import ConvexDomain
 from .regions import build_grid, partition
 from .sources import SourceSet, discretize, make_sources
-from .tolerances import LP_TOL
-from .verify import build_problem, certify, snapshot_heights, solve_dual, solve_primal
+# Not called here: perfbench/test_perfbench.py::TestTracer reads cli.solve_dual.
+# The import goes when solve_dual and coarsening do.
+from .verify import certify_snapshot, solve_dual  # noqa: F401
 
 MANIFEST_HEADER = "silopile-manifest-v1"
 
@@ -159,7 +159,7 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     sources = make_sources(domain, src[:, :2], src[:, 2])
     h = _entry(echo, "[config]", "grid.h", _number)
     spacing = _entry(echo, "[config]", "grid.boundary_spacing", _number)
-    node_cap = _entry(echo, "[config]", "tolerances.dual_node_cap", partial(_number, kind=_whole))
+    node_cap = _entry(echo, "[config]", "tolerances.dual_node_cap", _count)
     times = _entry(echo, "[config]", "run.snapshot_times", _floats)
     grid = build_grid(domain, h)
     thresholds, _ = domain.escape_cost(sources.locations)
@@ -201,48 +201,37 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
             raise ConfigError(f"manifest {where}: frozen flags inconsistent with radii")
         snapshots.append((idx, state, u))
 
-    cert_lines = []
-    all_pass = True
-    pivots, atoms = 0, 0
+    cert_lines, reports = [], []
     for idx, state, u in snapshots:
-        u_residual = float(np.abs(u - height_field(state, sources, grid).values).max(initial=0.0))
         try:
-            problem = build_problem(state, sources, domain, grid, spacing)
-            sol = solve_primal(problem)
+            report = certify_snapshot(state, sources, domain, grid, spacing, node_cap, u)
         except ValueError as exc:
             raise ValueError(f"manifest [snapshots] entry {idx} (t={_fmt(state.time)}): {exc}") from None
-        atoms += problem.demand_atoms
-        dual = solve_dual(problem, node_cap)
-        report = certify(*snapshot_heights(state, sources, grid, problem), sol, problem, dual)
-        pivots += sol.pivots + dual.primal.pivots
-        passed = report.passed and u_residual <= LP_TOL
-        status = "PASS" if passed else "FAIL"
-        all_pass &= passed
+        reports.append(report)
+        status = "PASS" if report.passed else "FAIL"
         cert_lines.append(
-            f"{idx} = t={_fmt(state.time)} primal={_fmt(sol.primal_value)} dual={_fmt(dual.value)} "
+            f"{idx} = t={_fmt(state.time)} primal={_fmt(report.primal)} dual={_fmt(report.dual)} "
             f"lp_gap={_fmt(report.lp_gap)} pairing_gap={_fmt(report.duality_gap)} "
             f"ray_residual={_fmt(report.ray_residual)} wall_residual={_fmt(report.wall_residual)} "
-            f"u_residual={_fmt(u_residual)} tolerance={_fmt(report.tolerance)} {status}"
+            f"u_residual={_fmt(report.u_residual)} tolerance={_fmt(report.tolerance)} {status}"
         )
         if not quiet:
             print(f"snapshot {idx}: {status} (gap {report.duality_gap:.3e}, tol {report.tolerance:.3e})")
 
-    summary = "PASS" if all_pass else "FAIL"
-    report_text = "\n".join(
-        ["silopile-certificates-v1", f"result = {summary}"] + cert_lines
-    ) + "\n"
-    (out / "certificates.txt").write_text(report_text)
+    summary = "PASS" if all(report.passed for report in reports) else "FAIL"
+    lines = ["silopile-certificates-v1", f"result = {summary}", *cert_lines]
+    (out / "certificates.txt").write_text("\n".join(lines) + "\n")
 
     # refresh the manifest's certificate section, keeping timings quarantined
     timings = {
         "verify_seconds": time.perf_counter() - t_start,
-        "primal_pivots": pivots,
-        "demand_atoms": atoms,
+        "primal_pivots": sum(report.pivots for report in reports),
+        "demand_atoms": sum(report.demand_atoms for report in reports),
     }
     _splice_manifest(manifest_path, cert_lines, timings)
     if not quiet:
         print(f"verify: {summary}")
-    return 0 if all_pass else 1
+    return 0 if summary == "PASS" else 1
 
 
 def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float | int]) -> None:

@@ -65,6 +65,13 @@ def _whole(text: str) -> int:
     return int(value)
 
 
+def _count(text: str, where: str) -> int:
+    """A whole number of at least 1; else a ConfigError naming where."""
+    if (value := _number(text, where, _whole)) < 1:
+        raise ConfigError(f"{where}: must be at least 1")
+    return value
+
+
 def _rows(text: str, where: str, width: int = 2) -> np.ndarray:
     rows = []
     for chunk in text.split(";"):
@@ -142,7 +149,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
     horizon = number("run", "horizon")
     snapshot_times = _floats(get("run", "snapshot_times", ""), "[run] snapshot_times")
-    n_list = [_number(x, "[run] n_list", _whole) for x in get("run", "n_list", "").split()]
+    n_list = [_count(x, "[run] n_list") for x in get("run", "n_list", "").split()]
 
     grid_h = number("grid", "h")
     boundary_spacing = number("grid", "boundary_spacing", str(grid_h))
@@ -168,7 +175,7 @@ def parse_config(path: str | Path) -> RunConfig:
         output_dir=get("output", "directory", "out"),
         seed=number("rng", "seed", "0", _whole),
         n_list=n_list,
-        dual_node_cap=number("tolerances", "dual_node_cap", str(DUAL_NODE_CAP), _whole),
+        dual_node_cap=_count(get("tolerances", "dual_node_cap", str(DUAL_NODE_CAP)), "[tolerances] dual_node_cap"),
     )
 
 

@@ -83,27 +83,21 @@ class Grid:
         """(m, 2) centers of inside cells, row-major order."""
         return self.cell_centers()[self.inside_mask]
 
-    def _axis_text(self) -> tuple[list[str], list[str]]:
-        """``"x,"`` of each column's and ``"y,"`` of each row's cell centres, 17 significant digits."""
-        xs, ys = self._axes()
-        return [f"{v:.17g}," for v in xs.tolist()], [f"{v:.17g}," for v in ys.tolist()]
-
     @cached_property
     def center_labels(self) -> list[str]:
-        """``"x,y,"`` text of each inside cell center, 17 significant digits, row-major."""
-        xs, ys = self._axis_text()
-        rows, cols = np.nonzero(self.inside_mask)
-        return [xs[c] + ys[r] for r, c in zip(rows.tolist(), cols.tolist())]
+        """``"x,y,"`` text of each inside cell center, 17 significant digits, row-major: ``csv_template``'s."""
+        return self.csv_template.split("%.17g\n")[:-1]
 
     @cached_property
     def csv_template(self) -> str:
         """The rows of a table of the inside cells: ``"x,y,%.17g"`` per cell, row-major."""
-        xs, ys = self._axis_text()
+        xs, ys = self._axes()
+        xs = [f"{v:.17g}," for v in xs.tolist()]
         rows = []
-        for y, inside in zip(ys, self.inside_mask.tolist()):
+        for y, inside in zip(ys.tolist(), self.inside_mask.tolist()):
             row = list(compress(xs, inside))
             if row:  # "x0" + tail + "x1" + tail ..., with tail = "y,%.17g\n"
-                tail = y + "%.17g\n"
+                tail = f"{y:.17g},%.17g\n"
                 rows.append(tail.join(row) + tail)
         return "".join(rows)
 
@@ -119,11 +113,6 @@ class Grid:
             lists = SourceLists(self.inside_centers(), locations, self.h)
             object.__setattr__(self, "_lists", lists)  # a cache, not a field: == and replace() ignore it
         return lists
-
-    def cell_index(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Row/column indices of the cells containing the given points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.cell_of(points[:, 0], points[:, 1])
 
     def cell_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of the cells containing the points (x, y), clipped to the grid."""

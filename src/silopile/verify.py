@@ -25,8 +25,8 @@ below.  ``solve_dual`` takes w from the simplex's final tree and u as
 its c-transform, which is feasible by construction whatever the tree;
 a value that meets a feasible plan's cost then proves that plan optimal,
 and a tree that is not optimal shows as a gap, not as a false proof.
-``certify`` decides a snapshot's whole transport verdict from the height
-candidate, the plan and that dual.
+``certify`` decides a snapshot's whole verdict, the read-back of its
+written heights included; ``certify_snapshot`` is the one path to it.
 """
 
 from __future__ import annotations
@@ -94,11 +94,16 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    primal: float              # the plan's cost
+    dual: float                # the feasible dual's value
     ray_residual: float        # max | |x-y| - (u(y) - u(x)) | over plan support
     wall_residual: float       # max | u(b) - g(b) | over spill-carrying nodes
     duality_gap: float         # | <rho, u> - primal_value |
     lp_gap: float              # | dual value - the coarse plan's cost |
+    u_residual: float          # max | written height - recomputed height | over the grid
     tolerance: float
+    pivots: int                # the pivots of the primal and of the dual's coarse solve
+    demand_atoms: int          # demand nodes that are source atoms
     passed: bool
 
 
@@ -312,14 +317,16 @@ def certify(
     sol: TransportSolution,
     p: DiscreteProblem,
     dual: DualSolution,
+    u_residual: float = 0.0,
 ) -> CertificateReport:
-    """The snapshot's transport verdict: the height candidate, the plan and the dual.
+    """The snapshot's verdict: the height candidate, the plan and the dual.
 
     On the plan's support the height must rise by exactly the distance
     toward the source; wall contact must hold where spill lands; and the
     pairing of the height with f - growth must reproduce the primal value.
     By weak duality the dual's value must meet its coarse plan's cost, and
-    both plans must meet their marginals.
+    both plans must meet their marginals.  ``u_residual``, the distance of
+    a written height field from the recomputed one, must be within LP_TOL.
     """
     u_sink = np.concatenate([u_demand, u_boundary])
     sink_pos = np.vstack([p.demand_locations.reshape(p.n_demand, 2), p.boundary_positions])
@@ -341,11 +348,16 @@ def certify(
     mass_tol = LP_TOL * max(1.0, float(p.supply_masses.sum()))
     tol = 1e-6 + 2.0 * p.h
     return CertificateReport(
+        primal=sol.primal_value,
+        dual=dual.value,
         ray_residual=ray,
         wall_residual=wall,
         duality_gap=gap,
         lp_gap=lp_gap,
+        u_residual=u_residual,
         tolerance=tol,
+        pivots=sol.pivots + coarse.pivots,
+        demand_atoms=p.demand_atoms,
         passed=(
             ray <= tol
             and wall <= tol
@@ -353,21 +365,27 @@ def certify(
             and lp_gap <= LP_TOL * max(1.0, coarse.primal_value)
             and coarse.marginal_error <= mass_tol
             and sol.marginal_error <= mass_tol
+            and u_residual <= LP_TOL
         ),
     )
 
 
-def snapshot_heights(state: ConeState, sources: SourceSet, grid: Grid, p: DiscreteProblem):
-    """Height samples at the supply, demand and boundary nodes of a ``build_problem`` problem.
+def certify_snapshot(state: ConeState, sources: SourceSet, domain: ConvexDomain, grid: Grid,
+                     boundary_spacing: float, node_cap: int, written_u: np.ndarray) -> CertificateReport:
+    """A snapshot's whole certificate, with ``written_u`` the (ny, nx) height field written for it.
 
-    The demand nodes are ``grid``'s cell centres first and the source atoms
-    after them.  The cells' heights are read from the grid's source lists;
-    the atoms', the supplies' and the boundary nodes' from ``heights_at``.
+    Builds and solves the snapshot's problem and its dual, and certifies
+    the heights of one ``height_field``: the demand cells' from that field
+    (``Grid.cell_of``), the atoms', supplies' and boundary nodes' from
+    ``heights_at``.  That field's distance from ``written_u`` is ``u_residual``.
     """
-    cells = p.n_demand - p.demand_atoms
-    u_cells = height_field(state, sources, grid).values[grid.cell_index(p.demand_locations[:cells])]
-    u_demand = np.concatenate([u_cells, heights_at(state, sources, p.demand_locations[cells:])])
-    return heights_at(state, sources, p.supply_locations), u_demand, heights_at(state, sources, p.boundary_positions)
+    p = build_problem(state, sources, domain, grid, boundary_spacing)
+    sol, dual = solve_primal(p), solve_dual(p, node_cap)
+    u = height_field(state, sources, grid).values
+    cells, atoms = np.split(p.demand_locations, [p.n_demand - p.demand_atoms])
+    u_demand = np.concatenate([u[grid.cell_of(cells[:, 0], cells[:, 1])], heights_at(state, sources, atoms)])
+    u_supply, u_boundary = (heights_at(state, sources, nodes) for nodes in (p.supply_locations, p.boundary_positions))
+    return certify(u_supply, u_demand, u_boundary, sol, p, dual, float(np.abs(written_u - u).max(initial=0.0)))
 
 
 def wasserstein(a_locations, a_masses, b_locations, b_masses) -> float:

@@ -201,7 +201,7 @@ def _deposit(grid, starts, target, weights, mass, dir_mass):
     s = (k + 0.5) / nsub[owner]
     pos = starts[owner] + s[:, None] * diff[owner]
     submass = (weights * lengths / nsub)[owner]
-    rows, cols = grid.cell_index(pos)
+    rows, cols = grid.cell_of(pos[:, 0], pos[:, 1])
     np.add.at(mass, (rows, cols), submass)
     np.add.at(dir_mass, (rows, cols, 0), submass * theta[owner, 0])
     np.add.at(dir_mass, (rows, cols, 1), submass * theta[owner, 1])

@@ -22,10 +22,9 @@ from silopile.fields import (
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
 from silopile.sources import DensitySpec, UNIFORM_POLYGON, discretize, make_sources
+from silopile.tolerances import DUAL_NODE_CAP
 from silopile.verify import (
-    build_problem,
-    certify,
-    snapshot_heights,
+    certify_snapshot,
     solve_dual,
     solve_primal,
     transport_problem,
@@ -151,19 +150,18 @@ def test_a4_duality_certification():
     dom = ConvexDomain([(0, 0), (1, 0), (1, 1), (0, 1)], [0.15, 0.35, 0.25, 0.3])
     s = make_sources(dom, [(0.32, 0.4), (0.68, 0.62)], [0.7, 0.5])
     times = [0.05, 0.12, 0.2, 0.27, 0.5]  # spans both freeze events
-    traj = run(s, dom, 0.5, times, h)
+    fields = []  # each snapshot's height field, as simulate writes it
+    traj = run(s, dom, 0.5, times, h,
+               on_snapshot=lambda state, grid: fields.append(height_field(state, s, grid).values))
     assert not traj.states[0].frozen.any()
     assert traj.states[-1].frozen.all()
 
-    grid = build_grid(dom, h)
     worst = 0.0
     all_pass = True
-    for state in traj.states:
-        p = build_problem(state, s, dom, grid, boundary_spacing=h)
-        sol = solve_primal(p)
-        rep = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
+    for state, u in zip(traj.states, fields):
+        rep = certify_snapshot(state, s, dom, traj.grid, h, DUAL_NODE_CAP, u)
         all_pass &= rep.passed
-        worst = max(worst, rep.ray_residual, rep.wall_residual, rep.duality_gap, rep.lp_gap)
+        worst = max(worst, rep.ray_residual, rep.wall_residual, rep.duality_gap, rep.lp_gap, rep.u_residual)
     elapsed = time.perf_counter() - t_begin
     tol = 1e-6 + 2 * h
     report("A4", all_pass and elapsed <= 300.0, f"worst residual {worst:.2e} (tol {tol:.2e}), {elapsed:.0f}s")

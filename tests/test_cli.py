@@ -17,7 +17,6 @@ from silopile.config import ConfigError, parse_config
 from silopile.fields import field_from_csv, heights_at
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid
-from silopile.verify import build_problem, snapshot_heights
 
 TWO_SOURCE = (Path(__file__).resolve().parents[1] / "configs" / "two_source.ini").read_text().replace(
     "directory = out/two_source", "directory = {out}")
@@ -188,6 +187,8 @@ class TestConfig:
             (SINGLE_SOURCE, "[output]", "[rng]\nseed = x1\n[output]", "[rng] seed"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = 4e\n[output]", "[tolerances] dual_node_cap"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = nan\n[output]", "[tolerances] dual_node_cap"),
+            (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = -5\n[output]", "[tolerances] dual_node_cap"),
+            (CONVERGE_CONFIG, "n_list = 4 16", "n_list = 0 4", "[run] n_list"),
             (SINGLE_SOURCE, "h = 0.03125", "h = inf", "[grid] h"),
             (SINGLE_SOURCE, "h = 0.03125", "h = nan", "[grid] h"),
             (SINGLE_SOURCE, "horizon = 0.3", "horizon = inf", "[run] horizon"),
@@ -197,6 +198,7 @@ class TestConfig:
         ],
         ids=[
             "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap",
+            "negative_cap", "n_list_entry",
             "inf_h", "nan_h", "inf_horizon", "fractional_n", "decreasing_times", "repeated_times",
         ],
     )
@@ -526,12 +528,17 @@ class TestVerify:
             ),
             (r"^2 = t=.*\n", "", "[snapshots] holds 2 entries for 3 run.snapshot_times"),
             (r"^tolerances\.dual_node_cap = .*\n", "", "[config] lacks tolerances.dual_node_cap"),
+            (
+                r"^tolerances\.dual_node_cap = \S+$",
+                "tolerances.dual_node_cap = 0",
+                "[config] tolerances.dual_node_cap: must be at least 1",
+            ),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
             "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf", "time_not_echoed", "missing_entry",
-            "no_node_cap",
+            "no_node_cap", "zero_node_cap",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
@@ -580,19 +587,18 @@ class TestVerify:
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
     def test_primal_pivots_counted(self, tmp_path, monkeypatch):
-        # the sum over both primal solves of every snapshot, the full one in
-        # cli and the coarse one inside solve_dual; under the cone radii the
-        # start is already optimal, so they are dropped: with a third source
-        # the plain cheapest-row start then pivots
-        build_problem, solve_primal, pivots = cli.build_problem, cli.solve_primal, []
+        # the sum over both primal solves of every snapshot, the full one and
+        # the coarse one inside solve_dual; under the cone radii the start is
+        # already optimal, so they are dropped: with a third source the plain
+        # cheapest-row start then pivots
+        build_problem, solve_primal, pivots = verify.build_problem, verify.solve_primal, []
 
         def counted(problem):
             sol = solve_primal(problem)
             pivots.append(sol.pivots)
             return sol
 
-        monkeypatch.setattr(cli, "build_problem", lambda *args: replace(build_problem(*args), radii=None))
-        monkeypatch.setattr(cli, "solve_primal", counted)
+        monkeypatch.setattr(verify, "build_problem", lambda *args: replace(build_problem(*args), radii=None))
         monkeypatch.setattr(verify, "solve_primal", counted)
         path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
@@ -604,14 +610,14 @@ class TestVerify:
     def test_demand_atoms_counted(self, tmp_path, monkeypatch):
         # the sum of build_problem's atom sources over the snapshots: at
         # t = 0 both cones are points, at t = 0.05 both cover cells
-        build_problem, atoms = cli.build_problem, []
+        build_problem, atoms = verify.build_problem, []
 
         def recorded(*args):
             problem = build_problem(*args)
             atoms.append(problem.demand_atoms)
             return problem
 
-        monkeypatch.setattr(cli, "build_problem", recorded)
+        monkeypatch.setattr(verify, "build_problem", recorded)
         path, out = write_config(tmp_path, TWO_SOURCE.replace(
             "snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
@@ -623,13 +629,13 @@ class TestVerify:
     def test_unbalanced_snapshot_is_named(self, tmp_path, capsys, monkeypatch):
         # a demand that misses the supply is a bug: the simplex refuses it,
         # and verify names the snapshot and both totals
-        build_problem = cli.build_problem
+        build_problem = verify.build_problem
 
         def off_by_a_micro(*args):
             p = build_problem(*args)
             return replace(p, demand_masses=p.demand_masses * (1 + 1e-6))
 
-        monkeypatch.setattr(cli, "build_problem", off_by_a_micro)
+        monkeypatch.setattr(verify, "build_problem", off_by_a_micro)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 2
@@ -671,14 +677,14 @@ class TestVerify:
     def test_lp_gap_gates_pass(self, tmp_path, monkeypatch):
         # A dual value 1e-6 off its primal fails that snapshot, although
         # every residual of the height certificate still passes.
-        solve_dual, calls = cli.solve_dual, []
+        solve_dual, calls = verify.solve_dual, []
 
         def off_by_a_micro(problem, node_cap):
             dual = solve_dual(problem, node_cap)
             calls.append(dual.value)
             return replace(dual, value=dual.value + 1e-6) if len(calls) == 2 else dual
 
-        monkeypatch.setattr(cli, "solve_dual", off_by_a_micro)
+        monkeypatch.setattr(verify, "solve_dual", off_by_a_micro)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
@@ -690,14 +696,14 @@ class TestVerify:
         # The LP gap proves the coarse plan optimal only if that plan is
         # feasible: a coarse plan whose marginals miss by 1e-6 fails its
         # snapshot, although its cost still meets the dual.
-        solve_dual, calls = cli.solve_dual, []
+        solve_dual, calls = verify.solve_dual, []
 
         def off_by_a_micro(problem, node_cap):
             dual = solve_dual(problem, node_cap)
             calls.append(dual.primal.marginal_error)
             return replace(dual, primal=replace(dual.primal, marginal_error=1e-6)) if len(calls) == 2 else dual
 
-        monkeypatch.setattr(cli, "solve_dual", off_by_a_micro)
+        monkeypatch.setattr(verify, "solve_dual", off_by_a_micro)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
@@ -708,14 +714,15 @@ class TestVerify:
     def test_marginal_error_gates_pass(self, tmp_path, monkeypatch):
         # A certified plan whose marginals miss by 1e-6 fails that snapshot,
         # although its cost, the LP gap and every residual still pass.
-        solve_primal, calls = cli.solve_primal, []
+        # Each snapshot solves its full problem, then its coarse one.
+        solve_primal, calls = verify.solve_primal, []
 
         def off_by_a_micro(problem):
             sol = solve_primal(problem)
             calls.append(sol.marginal_error)
-            return replace(sol, marginal_error=1e-6) if len(calls) == 2 else sol  # snapshot 1's full problem
+            return replace(sol, marginal_error=1e-6) if len(calls) == 3 else sol  # snapshot 1's full problem
 
-        monkeypatch.setattr(cli, "solve_primal", off_by_a_micro)
+        monkeypatch.setattr(verify, "solve_primal", off_by_a_micro)
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 1
@@ -749,9 +756,10 @@ class TestVerify:
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
         assert timings["demand_atoms"] == str(atoms)
 
-    def test_demand_heights_are_the_written_field(self, tmp_path):
-        # The certificate's demand heights are read from the grid's source
-        # lists: the bits simulate wrote, and those of full distance rows.
+    def test_demand_heights_are_the_written_field(self, tmp_path, monkeypatch):
+        # certify_snapshot reads the demand heights from the one height field
+        # that it compares with the written one: the bits simulate wrote, and
+        # those of full distance rows.
         path, out = write_config(tmp_path, TWO_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         cfg = parse_config(path)
@@ -759,13 +767,23 @@ class TestVerify:
         sources = cli.resolve_sources(cfg, domain)
         grid = build_grid(domain, cfg.grid_h)
         states = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h).states
+        certify, heights = verify.certify, []
+
+        def recorded(u_supply, u_demand, *args):
+            heights.append(u_demand)
+            return certify(u_supply, u_demand, *args)
+
+        monkeypatch.setattr(verify, "certify", recorded)
         assert len(states) == 5
         for i, state in enumerate(states):
-            p = build_problem(state, sources, domain, grid, cfg.boundary_spacing)
-            u_demand = snapshot_heights(state, sources, grid, p)[1].view(np.uint64)
             written = field_from_csv(grid, (out / f"snap{i:03d}_u.csv").read_text()).values
-            assert np.array_equal(u_demand, written[grid.cell_index(p.demand_locations)].view(np.uint64))
-            assert np.array_equal(u_demand, heights_at(state, sources, p.demand_locations).view(np.uint64))
+            report = verify.certify_snapshot(state, sources, domain, grid, cfg.boundary_spacing, cfg.dual_node_cap,
+                                             written)
+            assert report.passed and report.u_residual == 0.0
+            at = verify.build_problem(state, sources, domain, grid, cfg.boundary_spacing).demand_locations
+            u_demand = heights[i].view(np.uint64)
+            assert np.array_equal(u_demand, written[grid.cell_of(at[:, 0], at[:, 1])].view(np.uint64))
+            assert np.array_equal(u_demand, heights_at(state, sources, at).view(np.uint64))
 
     @pytest.mark.parametrize("scale", [2.0**-20, 2.0**-10, 2.0**10, 2.0**20], ids=["2^-20", "2^-10", "2^10", "2^20"])
     def test_certificates_scale_with_space(self, tmp_path, scale):

@@ -45,8 +45,8 @@ def single_cone_state(domain, sources, r):
 
 def value_at(field, x):
     """Value of a grid field in the cell containing x."""
-    rows, cols = field.grid.cell_index(x)
-    return field.values[rows[0], cols[0]]
+    row, col = field.grid.cell_of(np.float64(x[0]), np.float64(x[1]))
+    return field.values[row, col]
 
 
 class TestEvalHeight:

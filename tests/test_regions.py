@@ -77,7 +77,7 @@ class TestPartition:
         s = make_sources(big_square, [(1.3, 2.2), (2.8, 1.7)], [1.0, 1.0])
         g = build_grid(big_square, 1 / 64)
         p = partition(g, s, [0.4, 0.9])
-        rows, cols = g.cell_index(s.locations)
+        rows, cols = g.cell_of(s.locations[:, 0], s.locations[:, 1])
         assert p.labels[rows[0], cols[0]] == 0
         assert p.labels[rows[1], cols[1]] == 1
 

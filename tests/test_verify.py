@@ -15,7 +15,7 @@ from test_golden import CONFIGS, GOLDEN_CERTIFICATES
 from silopile.cli import resolve_sources
 from silopile.cones import ConeState, analytic_phase, run
 from silopile.config import parse_config
-from silopile.fields import rolling_measure, spill_measure
+from silopile.fields import height_field, heights_at, rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid, partition
 from silopile.sources import discretize, make_sources
@@ -23,8 +23,8 @@ from silopile.verify import (
     DiscreteProblem,
     build_problem,
     certify,
+    certify_snapshot,
     coarsen_problem,
-    snapshot_heights,
     solve_dual,
     solve_primal,
     transport_problem,
@@ -32,7 +32,7 @@ from silopile.verify import (
     _TransportSimplex,
     _transport_costs,
 )
-from silopile.tolerances import LP_TOL, RESIDUE_TOL
+from silopile.tolerances import DUAL_NODE_CAP, LP_TOL, RESIDUE_TOL
 
 
 def node_costs(p: DiscreteProblem) -> np.ndarray:
@@ -1123,17 +1123,31 @@ class TestSnapshotPipeline:
 
         sol = solve_primal(p)
         assert sol.marginal_error <= LP_TOL
-        report = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
+        report = certify_snapshot(state, s, dom, grid, h, DUAL_NODE_CAP, height_field(state, s, grid).values)
         assert report.passed and report.ray_residual <= 1e-15, report
 
     def test_certify_passes_midrun(self):
         for t in (0.08, 0.25):  # pre-freeze and fully frozen
             dom, s, state, h = self.make_snapshot(t=t)
             grid = build_grid(dom, h)
-            p = build_problem(state, s, dom, grid, boundary_spacing=h)
-            sol = solve_primal(p)
-            report = certify(*snapshot_heights(state, s, grid, p), sol, p, solve_dual(p))
+            report = certify_snapshot(state, s, dom, grid, h, DUAL_NODE_CAP, height_field(state, s, grid).values)
             assert report.passed, (t, report)
+
+    def test_read_back_gates_the_verdict(self):
+        # certify_snapshot alone decides the read-back too: a written height
+        # 2 LP_TOL off at one cell fails the snapshot and reports that residual
+        dom, s, state, h = self.make_snapshot(t=0.08)
+        grid = build_grid(dom, h)
+        written = height_field(state, s, grid).values
+        report = certify_snapshot(state, s, dom, grid, h, DUAL_NODE_CAP, written)
+        assert report.passed and report.u_residual == 0.0
+        cell = np.unravel_index(np.argmax(written), written.shape)
+        off = written.copy()
+        off[cell] += 2 * LP_TOL
+        report = certify_snapshot(state, s, dom, grid, h, DUAL_NODE_CAP, off)
+        assert not report.passed
+        assert report.u_residual == off[cell] - written[cell] == pytest.approx(2 * LP_TOL, rel=1e-6)
+        assert max(report.ray_residual, report.wall_residual, report.duality_gap) <= report.tolerance
 
     def test_certify_fails_on_perturbation(self):
         dom, s, state, h = self.make_snapshot(t=0.08)
@@ -1141,8 +1155,8 @@ class TestSnapshotPipeline:
         p = build_problem(state, s, dom, grid, boundary_spacing=h)
         assert p.n_demand > 0
         sol = solve_primal(p)
-        u_s, u_d, u_b = snapshot_heights(state, s, grid, p)
-        u_d = u_d.copy()
+        u_s, u_d, u_b = (heights_at(state, s, nodes)
+                         for nodes in (p.supply_locations, p.demand_locations, p.boundary_positions))
         u_d[0] += 0.1
         report = certify(u_s, u_d, u_b, sol, p, solve_dual(p))
         assert not report.passed
