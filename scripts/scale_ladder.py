@@ -1,19 +1,21 @@
-"""Scale ladder: wall time and peak memory of ``simulate`` as sources and cells grow.
+"""Scale ladder: wall time and peak memory of ``simulate`` and ``verify`` as sources and cells grow.
 
-Each rung runs ``simulate`` on 256 or 1024 sources uniform on
+Each rung runs ``silopile simulate`` on 256 or 1024 sources uniform on
 [0.05, 0.95]^2 in the unit silo, at grid spacing 1/64, 1/128 or 1/256, in
 a fresh process; three more rungs take 4096 sources at 1/256, and 1024 and
 4096 sources at 1/512.  Wall time is measured around the process; peak RSS
 is the child's own maximum resident set, from ``os.wait4``, also written
 per grid cell as ``bytes_per_cell``.  Where the snapshot's dense cost
-matrix has at most ``PRIMAL_CELLS`` entries, a second fresh process times
-``verify``'s one call on the rung's snapshot, ``certify_snapshot``, as
-``verify_s``, with the pivots of its primal and dual solves and its peak
-RSS.  Each rung also copies the partition's
-counters and the RK2 step count from its manifest.  Last, the W1 solves of
-``convergence_study.py`` are timed, one per n, with their pivots.  The
-rungs and their numbers are written to ``BENCH_<label>.json`` in the
-working directory.
+matrix has at most ``PRIMAL_CELLS`` entries, a second fresh process runs
+``silopile verify`` on the rung's manifest, timed as ``verify_wall_s``
+with its peak RSS as ``verify_peak_rss_mb``.  Each rung also copies every
+``key = value`` line of its manifest's ``[timings]``: ``simulate``'s
+seconds, partition counters and RK2 steps, and ``verify``'s seconds,
+pivots and demand atoms.  A rung's ``exit_code`` is its first nonzero
+child's, so a certificate FAIL makes the ladder exit 1.  Last, the W1
+solves of ``convergence_study.py`` are timed, one per n, with their
+pivots.  The rungs and their numbers are written to ``BENCH_<label>.json``
+in the working directory.
 
     python scripts/scale_ladder.py --label mine            # all nine rungs
     python scripts/scale_ladder.py --label ci --smallest   # 256 sources at h = 1/64 only
@@ -36,7 +38,7 @@ SRC = HERE.parent / "src"
 RUNGS = [(k, h) for k in (256, 1024) for h in (1 / 64, 1 / 128, 1 / 256)] + [
     (4096, 1 / 256), (1024, 1 / 512), (4096, 1 / 512)]
 HORIZON = 0.02
-# Sources x cells above which the snapshot's verify is skipped: its primal's dense
+# Sources x cells above which the rung's verify is skipped: its primal's dense
 # cost matrix alone would pass 36 MB.  The solve holds at most three
 # (m, n) float arrays at once: the distances and their copy with the
 # absorbing column while that column is appended, then the cost, the
@@ -44,8 +46,6 @@ HORIZON = 0.02
 # fills its result block by block, with no other array of its size.
 # The flows live on the tree's arcs, not in an (m, n) matrix.
 PRIMAL_CELLS = 4_500_000
-# The partition's counters and the RK2 steps, copied from the rung's manifest.
-COUNTERS = ("partition_rebuilds", "partition_reranked", "max_candidates", "rk2_steps")
 
 CONFIG = """[domain]
 vertices = 0 0 ; 1 0 ; 1 1 ; 0 1
@@ -69,31 +69,24 @@ directory = {out}
 """
 
 
-def run_child(args: list[str]) -> tuple[float, float, int, str]:
-    """A fresh Python process: wall seconds, peak RSS in MB, exit code and its stdout."""
+def run_child(args: list[str]) -> tuple[float, float, int]:
+    """A fresh Python process: wall seconds, peak RSS in MB and exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    with tempfile.TemporaryFile("w+") as out:
-        child = subprocess.Popen([sys.executable, *args], env=env, stdout=out)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-        child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
-        out.seek(0)
-        text = out.read()
-    return wall, usage.ru_maxrss / 1024, child.returncode, text  # ru_maxrss is in KiB on Linux
+    child = subprocess.Popen([sys.executable, *args], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    return wall, usage.ru_maxrss / 1024, child.returncode  # ru_maxrss is in KiB on Linux
 
 
 def run_rung(k: int, h: float, workdir: Path) -> dict:
-    """``simulate`` in a fresh process, then ``certify_snapshot`` on its snapshot in another."""
+    """``silopile simulate`` in a fresh process, then ``silopile verify`` on its manifest in another."""
     config = workdir / f"k{k}_h{round(1 / h)}.ini"
-    config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=workdir / config.stem))
-    wall, rss, code, _ = run_child(["-m", "silopile", "simulate", "--config", str(config), "--quiet"])
+    manifest = workdir / config.stem / "manifest.txt"
+    config.write_text(CONFIG.format(k=k, h=h, horizon=HORIZON, out=manifest.parent))
+    wall, rss, code = run_child(["-m", "silopile", "simulate", "--config", str(config), "--quiet"])
     cells = round(1 / h) ** 2
-    counters = dict.fromkeys(COUNTERS)
-    if code == 0:  # the manifest's last section, [timings], holds "key = value" lines
-        text = (workdir / config.stem / "manifest.txt").read_text()
-        timings = dict(line.split(" = ") for line in text.split("\n[timings]\n", 1)[1].splitlines())
-        counters = {key: int(timings[key]) for key in COUNTERS}
     rung = {
         "sources": k,
         "h": h,
@@ -102,42 +95,14 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
         "peak_rss_mb": round(rss, 1),
         "bytes_per_cell": round(rss * 2**20 / cells),
         "exit_code": code,
-        **counters,
-        "verify_s": None,
-        "pivots": None,
-        "verify_peak_rss_mb": None,
     }
-    if k * cells <= PRIMAL_CELLS:
-        _, rss, code, text = run_child([__file__, "--primal", str(config)])
-        if code == 0:
-            verified = json.loads(text)
-            rung.update(verify_s=round(verified["seconds"], 3), pivots=verified["pivots"])
-        rung["verify_peak_rss_mb"] = round(rss, 1)
-        rung["exit_code"] = rung["exit_code"] or code
+    if code == 0 and k * cells <= PRIMAL_CELLS:
+        wall, rss, code = run_child(["-m", "silopile", "verify", "--manifest", str(manifest), "--quiet"])
+        rung.update(verify_wall_s=round(wall, 3), verify_peak_rss_mb=round(rss, 1), exit_code=code)
+    if manifest.exists():  # the manifest's last section, [timings], holds "key = value" lines
+        lines = manifest.read_text().split("\n[timings]\n", 1)[1].splitlines()
+        rung.update((key, json.loads(value)) for key, value in (line.split(" = ") for line in lines))
     return rung
-
-
-def snapshot_verify(config: str) -> dict:
-    """Seconds and pivots of ``certify_snapshot`` on the last snapshot of a run of ``config``.
-
-    The snapshot's height field is the one ``simulate`` would write.
-    """
-    from silopile.cli import resolve_sources
-    from silopile.config import parse_config
-    from silopile.cones import run
-    from silopile.fields import height_field
-    from silopile.verify import certify_snapshot
-
-    cfg = parse_config(config)
-    domain = cfg.domain()
-    sources = resolve_sources(cfg, domain)
-    fields = []
-    traj = run(sources, domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h,
-               on_snapshot=lambda state, grid: fields.append(height_field(state, sources, grid).values))
-    start = time.perf_counter()
-    report = certify_snapshot(traj.states[-1], sources, domain, traj.grid, cfg.boundary_spacing,
-                              cfg.dual_node_cap, fields[-1])
-    return {"seconds": time.perf_counter() - start, "pivots": report.pivots}
 
 
 def w1_seconds() -> list[dict]:
@@ -162,15 +127,9 @@ def w1_seconds() -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", help="names the output file BENCH_<label>.json")
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--smallest", action="store_true", help="run only the smallest rung")
-    parser.add_argument("--primal", metavar="CONFIG", help=argparse.SUPPRESS)  # a rung's second child
     args = parser.parse_args(argv)
-    if args.primal:
-        print(json.dumps(snapshot_verify(args.primal)))
-        return 0
-    if not args.label:
-        parser.error("--label is required")
 
     rungs = RUNGS[:1] if args.smallest else RUNGS
     results = []
@@ -178,8 +137,8 @@ def main(argv=None) -> int:
         for k, h in rungs:
             result = run_rung(k, h, Path(tmp))
             results.append(result)
-            verified = "skipped" if result["verify_s"] is None else (
-                f"{result['verify_s']:.3f} s, {result['pivots']} pivots")
+            verified = "skipped" if "verify_wall_s" not in result else (
+                f"{result['verify_wall_s']:.3f} s, {result.get('primal_pivots')} pivots")
             print(f"k={k:5d} h=1/{round(1 / h):<4d} wall {result['wall_s']:8.3f} s  "
                   f"peak RSS {result['peak_rss_mb']:8.1f} MB ({result['bytes_per_cell']:6d} B/cell)  "
                   f"verify {verified}  exit {result['exit_code']}")

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _count, _floats, _fmt, _number, _rows, echo_config, parse_config
+from .config import (
+    ConfigError, RunConfig, _count, _floats, _fmt, _number, _positive, _rows, echo_config, parse_config
+)
 from .cones import ConeState, run
 from .fields import (
     boundary_measure_to_lines,
@@ -157,8 +159,8 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
         raise ConfigError("manifest [sources] entries must hold x y rate")
     src = np.array([_floats(text, f"manifest [sources] entry {idx}") for idx, text in rows]).reshape(-1, 3)
     sources = make_sources(domain, src[:, :2], src[:, 2])
-    h = _entry(echo, "[config]", "grid.h", _number)
-    spacing = _entry(echo, "[config]", "grid.boundary_spacing", _number)
+    h = _entry(echo, "[config]", "grid.h", _positive)
+    spacing = _entry(echo, "[config]", "grid.boundary_spacing", _positive)
     node_cap = _entry(echo, "[config]", "tolerances.dual_node_cap", _count)
     times = _entry(echo, "[config]", "run.snapshot_times", _floats)
     grid = build_grid(domain, h)

@@ -72,6 +72,13 @@ def _count(text: str, where: str) -> int:
     return value
 
 
+def _positive(text: str, where: str) -> float:
+    """A finite number above 0; else a ConfigError naming where."""
+    if (value := _number(text, where)) <= 0:
+        raise ConfigError(f"{where}: must be positive")
+    return value
+
+
 def _rows(text: str, where: str, width: int = 2) -> np.ndarray:
     rows = []
     for chunk in text.split(";"):
@@ -151,10 +158,8 @@ def parse_config(path: str | Path) -> RunConfig:
     snapshot_times = _floats(get("run", "snapshot_times", ""), "[run] snapshot_times")
     n_list = [_count(x, "[run] n_list") for x in get("run", "n_list", "").split()]
 
-    grid_h = number("grid", "h")
-    boundary_spacing = number("grid", "boundary_spacing", str(grid_h))
-    if grid_h <= 0 or boundary_spacing <= 0:
-        raise ConfigError("[grid]: spacings must be positive")
+    grid_h = _positive(get("grid", "h"), "[grid] h")
+    boundary_spacing = _positive(get("grid", "boundary_spacing", str(grid_h)), "[grid] boundary_spacing")
     if horizon <= 0:
         raise ConfigError("[run]: horizon must be positive")
     for t in snapshot_times:

@@ -363,7 +363,7 @@ class SourceLists:
         members = np.bincount(tile_of)
         centres = np.stack([np.bincount(tile_of, p[:, 0]), np.bincount(tile_of, p[:, 1])], axis=1)
         centres /= members[:, None]
-        reach = np.sqrt(((p - centres[tile_of]) ** 2).sum(axis=1))
+        reach = _norm(p[:, 0] - centres[tile_of, 0], p[:, 1] - centres[tile_of, 1])
         rho = np.zeros(len(members))
         np.maximum.at(rho, tile_of, reach)
         return tile_of, centres, rho

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexDomain
-from .regions import distances
+from .regions import _blocks, distances
 from .tolerances import GEOM_TOL
 
 UNIFORM_POLYGON = "uniform-on-polygon"
@@ -22,9 +22,6 @@ POINT_LIST = "point-list"
 
 # Fixed subdivision used for quadrature of the Gaussian kind inside one bin.
 _GAUSS_SUBGRID = 24
-
-# Source pairs per block of min_separation's pairwise distances.
-_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -133,18 +130,15 @@ def min_separation(s: SourceSet, domain: ConvexDomain) -> tuple[float, float]:
     """Smallest pairwise source distance and smallest distance to the wall.
 
     The pairwise minimum is +inf for a single source.  It is taken over
-    blocks of rows, so no (k, k) array is formed.
+    ``regions``' blocks of rows, so no (k, k) array is formed.
     """
     if s.k == 0:
         raise ValueError("empty source set")
     loc = s.locations
     m1 = np.inf
-    rows = max(1, _PAIR_BLOCK // s.k)
-    for i0 in range(0, s.k - 1, rows):
-        i1 = min(i0 + rows, s.k - 1)
-        d = distances(loc[i0:i1], loc)
-        upper = np.arange(s.k)[None, :] > np.arange(i0, i1)[:, None]
-        m1 = min(m1, float(d[upper].min()))
+    for rows in _blocks(s.k - 1, s.k):
+        upper = np.arange(s.k)[None, :] > np.arange(rows.start, rows.stop)[:, None]
+        m1 = min(m1, float(distances(loc[rows], loc)[upper].min()))
     m2 = float(domain.distance_to_boundary(loc).min())
     return m1, m2
 

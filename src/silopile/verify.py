@@ -38,7 +38,7 @@ import numpy as np
 from .cones import ConeState
 from .fields import growth_rate_field, height_field, heights_at
 from .geometry import ConvexDomain
-from .regions import Grid, distances, partition
+from .regions import Grid, _blocks, distances, partition
 from .sources import SourceSet
 from .tolerances import DUAL_NODE_CAP, LP_TOL, RESIDUE_TOL
 
@@ -616,12 +616,11 @@ class _TransportSimplex:
     def _tie_rows(self, residual, cols):
         """The rows of residual 0, ascending, of each of ``cols``, keyed by column.
 
-        One ``np.nonzero`` per block of about ``BLOCK_CELLS`` entries.
+        One ``np.nonzero`` per block of ``regions.BLOCK`` entries.
         """
-        width = max(1, self.BLOCK_CELLS // self.m)
         out = {}
-        for lo in range(0, len(cols), width):
-            block = cols[lo : lo + width]
+        for part in _blocks(len(cols), self.m):
+            block = cols[part]
             at, rows = np.nonzero(residual[:, block].T == 0.0)
             bound = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
             rows = rows.tolist()

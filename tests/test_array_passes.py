@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from silopile import fields
+from silopile import fields, regions
 from silopile.cones import ConeState
 from silopile.fields import GridField, field_to_csv, rolling_measure, spill_measure
 from silopile.geometry import ConvexDomain
@@ -166,7 +166,9 @@ class TestMakeSources:
         with pytest.raises(ValueError, match=r"source at \(.*1\.5.*0\.5.*\) is not strictly inside"):
             make_sources(dom, [(0.5, 0.5), (1.5, 0.5), (0.0, 0.3)], [1.0, 1.0, 1.0])
 
-    def test_min_separation_matches_full_array(self):
+    @pytest.mark.parametrize("block", [1, 7, regions.BLOCK])
+    def test_min_separation_matches_full_array(self, monkeypatch, block):
+        monkeypatch.setattr(regions, "BLOCK", block)
         rng = np.random.default_rng(14)
         dom = random_domain(rng)
         for k in (2, 3, 17, 300):

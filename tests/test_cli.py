@@ -184,6 +184,7 @@ class TestConfig:
             (SINGLE_SOURCE, "horizon = 0.3", "horizon = 0.5x", "[run] horizon"),
             (SINGLE_SOURCE, "h = 0.03125", "h = 1/64", "[grid] h"),
             (SINGLE_SOURCE, "boundary_spacing = 0.03125", "boundary_spacing = fine", "[grid] boundary_spacing"),
+            (SINGLE_SOURCE, "boundary_spacing = 0.03125", "boundary_spacing = 0", "[grid] boundary_spacing"),
             (SINGLE_SOURCE, "[output]", "[rng]\nseed = x1\n[output]", "[rng] seed"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = 4e\n[output]", "[tolerances] dual_node_cap"),
             (SINGLE_SOURCE, "[output]", "[tolerances]\ndual_node_cap = nan\n[output]", "[tolerances] dual_node_cap"),
@@ -197,8 +198,8 @@ class TestConfig:
             (SINGLE_SOURCE, "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.05 0.12 0.12", "[run] snapshot_times"),
         ],
         ids=[
-            "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "seed", "node_cap", "nan_cap",
-            "negative_cap", "n_list_entry",
+            "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "zero_spacing", "seed",
+            "node_cap", "nan_cap", "negative_cap", "n_list_entry",
             "inf_h", "nan_h", "inf_horizon", "fractional_n", "decreasing_times", "repeated_times",
         ],
     )
@@ -406,7 +407,7 @@ class TestSimulate:
             (["simulate", "--config", "{config}"], CONVERGE_CONFIG, "n = 4\n", "n = 0\n",
              "[sources] n: must be at least 1"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "h = 0.03125", "h = -0.03125",
-             "[grid]: spacings must be positive"),
+             "[grid] h: must be positive"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "horizon = 0.3", "horizon = 0",
              "[run]: horizon must be positive"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "h = 0.03125", "h = 1e-9",
@@ -533,12 +534,18 @@ class TestVerify:
                 "tolerances.dual_node_cap = 0",
                 "[config] tolerances.dual_node_cap: must be at least 1",
             ),
+            (r"^grid\.h = \S+$", "grid.h = 0", "[config] grid.h: must be positive"),
+            (
+                r"^grid\.boundary_spacing = \S+$",
+                "grid.boundary_spacing = 0",
+                "[config] grid.boundary_spacing: must be positive",
+            ),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
             "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf", "time_not_echoed", "missing_entry",
-            "no_node_cap", "zero_node_cap",
+            "no_node_cap", "zero_node_cap", "zero_h", "zero_spacing",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
