@@ -108,16 +108,18 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
 def w1_seconds() -> list[dict]:
     """Seconds and pivots of each W1 solve of ``convergence_study.py``, one per n."""
     sys.path.insert(0, str(HERE))
-    from convergence_study import N_LIST, fed_square, quadrature
+    from convergence_study import CONFIG, N_LIST, quadrature
 
+    from silopile.config import parse_config
     from silopile.sources import discretize
     from silopile.verify import solve_primal, transport_problem
 
-    domain, f = fed_square()
+    cfg = parse_config(CONFIG)
+    domain = cfg.domain()
     qpts, qw = quadrature()
     rows = []
     for n in N_LIST:
-        s = discretize(f, n, domain)
+        s = discretize(cfg.density, n, domain)
         start = time.perf_counter()
         sol = solve_primal(transport_problem(s.locations, s.rates, qpts, qw))
         seconds = time.perf_counter() - start

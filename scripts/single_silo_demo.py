@@ -6,7 +6,7 @@ each snapshot's height field, as ``simulate`` would write it, with
 the freeze events.  Equivalent to
 
     silopile simulate --config configs/two_source.ini
-    silopile verify   --config configs/two_source.ini
+    silopile verify   --manifest out/two_source/manifest.txt
 
 but kept as a script so the run and its reports are easy to poke at.
 Exits 1 if any snapshot's certificate fails, like ``silopile verify``.

@@ -13,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigError, RunConfig, _count, _floats, _fmt, _number, _positive, _rows, echo_config, parse_config
-)
+from .config import ConfigError, RunConfig, _fmt, _number, echo_config, parse_config, parse_echo, require_lines
 from .cones import ConeState, run
 from .fields import (
     boundary_measure_to_lines,
@@ -27,7 +25,7 @@ from .fields import (
 )
 from .geometry import ConvexDomain
 from .regions import build_grid, partition
-from .sources import SourceSet, discretize, make_sources
+from .sources import SourceSet, discretize
 # Not called here: perfbench/test_perfbench.py::TestTracer reads cli.solve_dual.
 # The import goes when solve_dual and coarsening do.
 from .verify import certify_snapshot, solve_dual  # noqa: F401
@@ -76,15 +74,24 @@ def parse_manifest(path: Path) -> dict[str, list[str]]:
     return sections
 
 
-def _entry(values: dict[str, str], where: str, key: str, parse=None):
-    """``values[key]``, or ``parse(values[key], f"manifest {where} {key}")``.
+def _source_lines(sources: SourceSet) -> list[str]:
+    """The ``[sources]`` lines: per source, its location and rate."""
+    return [
+        f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(c)}" for j, ((x, y), c) in enumerate(zip(sources.locations, sources.rates))
+    ]
 
-    ``parse`` is one of ``config``'s parsers, so a missing key and a
-    malformed value are both ConfigErrors that name where.
-    """
-    if key not in values:
-        raise ConfigError(f"manifest {where} lacks {key}")
-    return values[key] if parse is None else parse(values[key], f"manifest {where} {key}")
+
+def _field_files(i: int) -> tuple[str, str]:
+    """Snapshot ``i``'s height and rolling-layer table names."""
+    return f"snap{i:03d}_u.csv", f"snap{i:03d}_mu.csv"
+
+
+def _snapshot_line(i: int, state: ConeState) -> str:
+    """Snapshot ``i``'s ``[snapshots]`` line: its time, tables, radii and frozen flags."""
+    u_name, mu_name = _field_files(i)
+    radii = ",".join(_fmt(r) for r in state.radii)
+    frozen = ",".join("1" if f else "0" for f in state.frozen)
+    return f"{i} = t={_fmt(state.time)} u={u_name} mu={mu_name} radii={radii} frozen={frozen}"
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +117,12 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     snapshots, nu_blocks = [], []
     for i, (state, (u, mu)) in enumerate(zip(traj.states, fields)):
-        u_name, mu_name = f"snap{i:03d}_u.csv", f"snap{i:03d}_mu.csv"
+        u_name, mu_name = _field_files(i)
         (out / u_name).write_text(field_to_csv(u))
         (out / mu_name).write_text(field_to_csv(mu))
         nu = spill_measure(state, sources, spill_atoms)
         nu_blocks.append(f"# snapshot {i} t={_fmt(state.time)}\n" + boundary_measure_to_lines(nu))
-        radii = ",".join(_fmt(r) for r in state.radii)
-        frozen = ",".join("1" if f else "0" for f in state.frozen)
-        snapshots.append(f"{i} = t={_fmt(state.time)} u={u_name} mu={mu_name} radii={radii} frozen={frozen}")
+        snapshots.append(_snapshot_line(i, state))
     (out / "nu.csv").write_text("".join(nu_blocks))
 
     lists = traj.grid.source_lists(sources.locations)
@@ -130,10 +135,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
     }
     _write_sections(out / "manifest.txt", {
         "config": echo_config(cfg),
-        "sources": [
-            f"{j} = {_fmt(x)} {_fmt(y)} {_fmt(c)}"
-            for j, ((x, y), c) in enumerate(zip(sources.locations, sources.rates))
-        ],
+        "sources": _source_lines(sources),
         "freeze_events": [f"{j} = {_fmt(t)}" for j, t in traj.freeze_events],
         "snapshots": snapshots,
         "certificates": [],
@@ -145,68 +147,44 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
 
 
 def cmd_verify(manifest_path: Path, quiet: bool) -> int:
+    """Certify a manifest's snapshots.
+
+    Its config, source and snapshot lines must be those rebuilt from the
+    echoed config and each snapshot's ``radii``, the one field parsed.
+    """
     t_start = time.perf_counter()
     sections = parse_manifest(manifest_path)
-    echo = dict(line.partition(" = ")[::2] for line in sections.get("config", []))  # key = value
     out = manifest_path.parent
-
-    domain = ConvexDomain(
-        _entry(echo, "[config]", "domain.vertices", _rows),
-        _entry(echo, "[config]", "domain.wall_values", _floats),
-    )
-    rows = [line.partition(" = ")[::2] for line in sections.get("sources", [])]  # index, x y rate
-    if any(len(text.split()) != 3 for _, text in rows):
-        raise ConfigError("manifest [sources] entries must hold x y rate")
-    src = np.array([_floats(text, f"manifest [sources] entry {idx}") for idx, text in rows]).reshape(-1, 3)
-    sources = make_sources(domain, src[:, :2], src[:, 2])
-    h = _entry(echo, "[config]", "grid.h", _positive)
-    spacing = _entry(echo, "[config]", "grid.boundary_spacing", _positive)
-    node_cap = _entry(echo, "[config]", "tolerances.dual_node_cap", _count)
-    times = _entry(echo, "[config]", "run.snapshot_times", _floats)
-    grid = build_grid(domain, h)
+    cfg = parse_echo(sections.get("config", []))
+    domain = cfg.domain()
+    sources = resolve_sources(cfg, domain)
+    require_lines("manifest [sources]", sections.get("sources", []), _source_lines(sources))
+    grid = build_grid(domain, cfg.grid_h)
     thresholds, _ = domain.escape_cost(sources.locations)
 
-    entries = sections.get("snapshots", [])
+    entries, times = sections.get("snapshots", []), cfg.snapshot_times
     if len(entries) != len(times):
         raise ConfigError(f"manifest [snapshots] holds {len(entries)} entries for {len(times)} run.snapshot_times")
     snapshots = []
-    for line, time_at in zip(entries, times):
-        idx, _, rest = line.partition(" = ")
-        where = f"[snapshots] entry {idx}"
-        pairs = [part.split("=", 1) for part in rest.split()]
-        if any(len(pair) != 2 for pair in pairs):
-            raise ConfigError(f"manifest {where} holds a field that is not key=value")
-        fields = dict(pairs)
-        u_file = _entry(fields, where, "u")
-        if not (out / u_file).exists():
-            raise ConfigError(f"missing snapshot file {u_file}")
+    for i, (line, t) in enumerate(zip(entries, times)):
+        where = f"manifest [snapshots] entry {i}"
+        radii = line.partition(" radii=")[2].partition(" ")[0].split(",")
+        try:
+            state = ConeState(t, np.array([_number(r, f"{where} radii") for r in radii]), thresholds)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        require_lines(where, [line], [_snapshot_line(i, state)])
+        u_file = _field_files(i)[0]
         try:
             u = field_from_csv(grid, (out / u_file).read_text()).values
-        except (ValueError, IndexError) as exc:
+        except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"snapshot file {u_file}: {exc}") from None
-        t = _entry(fields, where, "t", _number)
-        if t != time_at:
-            raise ConfigError(f"manifest {where} t: {_fmt(t)} is not the run.snapshot_times value {_fmt(time_at)}")
-        radii = np.array([_number(r, f"manifest {where} radii") for r in _entry(fields, where, "radii").split(",")])
-        flags = _entry(fields, where, "frozen").split(",")
-        if not set(flags) <= {"0", "1"}:
-            raise ConfigError(f"manifest {where} frozen: flags must be 0 or 1, got {','.join(flags)!r}")
-        if not len(radii) == len(flags) == sources.k:
-            raise ConfigError(
-                f"manifest {where}: {len(radii)} radii and {len(flags)} frozen flags for {sources.k} sources"
-            )
-        try:
-            state = ConeState(t, radii, thresholds)
-        except ValueError as exc:
-            raise ConfigError(f"manifest {where}: {exc}") from None
-        if np.any(state.frozen != (np.array(flags) == "1")):
-            raise ConfigError(f"manifest {where}: frozen flags inconsistent with radii")
-        snapshots.append((idx, state, u))
+        snapshots.append((i, state, u))
 
     cert_lines, reports = [], []
     for idx, state, u in snapshots:
         try:
-            report = certify_snapshot(state, sources, domain, grid, spacing, node_cap, u)
+            report = certify_snapshot(state, sources, domain, grid, cfg.boundary_spacing, cfg.dual_node_cap, u)
         except ValueError as exc:
             raise ValueError(f"manifest [snapshots] entry {idx} (t={_fmt(state.time)}): {exc}") from None
         reports.append(report)
@@ -322,28 +300,16 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--quiet", action="store_true")
     pv = sub.add_parser("verify")
-    pv.add_argument("--manifest", default=None)
-    pv.add_argument("--config", default=None, help="config whose output directory holds the manifest")
-    pv.add_argument("--out", default=None)
+    pv.add_argument("--manifest", required=True)
     pv.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.manifest:
-                if args.out is not None:
-                    raise ConfigError(
-                        "verify --out only picks the output directory of --config; "
-                        "with --manifest the certificates are written beside the manifest"
-                    )
-                manifest = Path(args.manifest)
-            elif args.config:
-                cfg = _load(args)
-                manifest = Path(cfg.output_dir) / "manifest.txt"
-            else:
-                raise ConfigError("verify needs --manifest or --config")
-            return cmd_verify(manifest, args.quiet)
-        cfg = _load(args)
+            return cmd_verify(Path(args.manifest), args.quiet)
+        cfg = parse_config(args.config)
+        if args.out is not None:
+            cfg.output_dir = args.out
         if args.command == "simulate":
             return cmd_simulate(cfg, args.quiet)
         if args.command == "equilibrium":
@@ -355,10 +321,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _load(args) -> RunConfig:
-    cfg = parse_config(args.config)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    return cfg

@@ -8,6 +8,7 @@ the output directory.  Numbers are parsed by float() at full precision.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,21 +100,46 @@ def _floats(text: str, where: str) -> list[float]:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    # Without interpolation a value is its literal text, '%' included.
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # a repeated section or key, a line outside any section
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    return _resolve({name: dict(cp[name]) for name in cp.sections()})
+
+
+def parse_echo(lines: list[str]) -> RunConfig:
+    """The run a manifest's ``[config]`` section echoes; ``echo_config`` of it must give ``lines`` back."""
+    sections: dict[str, dict[str, str]] = {}
+    for key, _, value in (line.partition(" = ") for line in lines):
+        section, _, name = key.partition(".")
+        sections.setdefault(section, {})[name] = value
+    try:
+        cfg = _resolve(sections)
+    except ConfigError as exc:
+        raise ConfigError(f"manifest [config]: {exc}") from None
+    require_lines("manifest [config]", lines, echo_config(cfg))
+    return cfg
+
+
+def require_lines(where: str, written: list[str], rebuilt: list[str]) -> None:
+    """A ConfigError naming where and the first written line that is not the line rebuilt for it."""
+    for got, want in itertools.zip_longest(written, rebuilt):
+        if got != want:
+            raise ConfigError(f"{where} holds {got!r} where the run gives {want!r}")
+
+
+def _resolve(sections: dict[str, dict[str, str]]) -> RunConfig:
+    """The run config of each section's key texts, checked key by key."""
 
     def get(section, key, fallback=None):
-        if not cp.has_section(section):
-            if fallback is None:
-                raise ConfigError(f"missing section [{section}]")
-            return fallback
-        if not cp.has_option(section, key):
-            if fallback is None:
-                raise ConfigError(f"[{section}]: missing key {key!r}")
-            return fallback
-        return cp.get(section, key)
+        if (value := sections.get(section, {}).get(key, fallback)) is None:
+            missing = f"[{section}]: missing key {key!r}" if section in sections else f"missing section [{section}]"
+            raise ConfigError(missing)
+        return value
 
     def number(section, key, fallback=None, kind=float):
         return _number(get(section, key, fallback), f"[{section}] {key}", kind)

@@ -13,11 +13,12 @@ import silopile
 from silopile import cli, verify
 from silopile.cli import _splice_manifest, _write_sections, main, parse_manifest
 from silopile.cones import run
-from silopile.config import ConfigError, parse_config
+from silopile.config import ConfigError, echo_config, parse_config, parse_echo
 from silopile.fields import field_from_csv, heights_at
 from silopile.geometry import ConvexDomain
 from silopile.regions import build_grid
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 TWO_SOURCE = (Path(__file__).resolve().parents[1] / "configs" / "two_source.ini").read_text().replace(
     "directory = out/two_source", "directory = {out}")
 
@@ -166,6 +167,49 @@ class TestConfig:
             "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.05 0.6"))
         with pytest.raises(ConfigError, match=r"^\[run\] snapshot_times: 0\.6 outside \[0, horizon\]$"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("[output]", "[grid]\nh = 0.5\n[output]", "section 'grid' already exists"),
+            ("[grid]\n", "[grid]\nh = 0.5\n", "option 'h' in section 'grid' already exists"),
+            ("\n[domain]", "h = 0.5\n[domain]", "File contains no section headers."),
+        ],
+        ids=["duplicate_section", "duplicate_key", "no_section_header"],
+    )
+    def test_syntax_error_names_file(self, tmp_path, capsys, old, new, named):
+        assert SINGLE_SOURCE.count(old) == 1
+        path, out = write_config(tmp_path, SINGLE_SOURCE.replace(old, new))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config file {path}: ") and named in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_percent_is_literal(self, tmp_path):
+        out = tmp_path / "out" / "50%done"
+        path = tmp_path / "run.ini"
+        path.write_text(SINGLE_SOURCE.format(out=out))
+        assert parse_config(path).output_dir == str(out)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            *(path.read_text() for path in CONFIGS),
+            CONVERGE_CONFIG,
+            GAUSSIAN_CONFIG,
+            SINGLE_SOURCE.replace("\n[run]", "n = 1\n[run]"),
+            SINGLE_SOURCE.replace("[output]", "[tolerances]\ndual_node_cap = 7\n[rng]\nseed = 3\n[output]"),
+        ],
+        ids=[*(path.stem for path in CONFIGS), "uniform", "gaussian", "point_list_binned", "tolerances_and_rng"],
+    )
+    def test_echo_round_trips(self, tmp_path, template):
+        path, _ = write_config(tmp_path, template)
+        cfg = parse_config(path)
+        lines = echo_config(cfg)
+        assert echo_config(parse_echo(lines)) == lines
 
     def test_bad_number_reports_section(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -414,12 +458,11 @@ class TestSimulate:
              "grid spacing h = 1e-09 needs 1000000000 x 1000000000 cells"),
             (["simulate", "--config", "{config}.missing"], SINGLE_SOURCE, None, None, "cannot read config file"),
             (["simulate", "--config", "{config}"], SINGLE_SOURCE, "[grid]\n", "[mesh]\n", "missing section [grid]"),
-            (["verify"], SINGLE_SOURCE, None, None, "verify needs --manifest or --config"),
             (["verify", "--manifest", "{config}"], SINGLE_SOURCE, None, None, "not a silopile-manifest-v1 file"),
             (["converge", "--config", "{config}"], SINGLE_SOURCE, None, None, "[run]: converge requires n_list"),
         ],
         ids=["unknown_kind", "density_n_0", "grid_h", "horizon", "grid_too_large", "unreadable", "missing_section",
-             "verify_no_input", "manifest_header", "converge_n_list"],
+             "manifest_header", "converge_n_list"],
     )
     def test_exit_2_names_cause(self, tmp_path, capsys, argv, template, old, new, named):
         if old is not None:
@@ -501,62 +544,77 @@ class TestVerify:
     @pytest.mark.parametrize(
         "pattern, keep, named",
         [
-            (r"^domain\.wall_values = .*\n", "", "[config] lacks domain.wall_values"),
-            (r"^(1 = t=.*) radii=\S+", r"\1", "[snapshots] entry 1 lacks radii"),
-            (r"^(0 = \S+ \S+) \S+$", r"\1", "[sources] entries must hold x y rate"),
-            (r"^(1 = t=\S+) ", r"\1 junk ", "[snapshots] entry 1 holds a field that is not key=value"),
-            (r"^1 = t=\S+ ", "1 = t=abc ", "[snapshots] entry 1 t: could not convert string to float: 'abc'"),
+            (r"^domain\.wall_values = .*\n", "", "[config]: [domain]: missing key 'wall_values'"),
+            (r"^(1 = t=.*) radii=\S+", r"\1", "[snapshots] entry 1 radii: could not convert string to float: ''"),
+            (r"^(0 = \S+ \S+) \S+$", r"\1", "[sources] holds {new!r} where the run gives {old!r}"),
+            (r"^(1 = t=\S+) ", r"\1 junk ", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
+            (r"^1 = t=\S+ ", "1 = t=abc ", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
             (r"^(2 = .* radii=)\S+?,", r"\1r,", "[snapshots] entry 2 radii: could not convert string to float: 'r'"),
-            (r"^grid\.h = \S+$", "grid.h = 1/32", "[config] grid.h: could not convert string to float: '1/32'"),
-            (r"^(domain\.wall_values = \S+) \S+", r"\1 x", "[config] domain.wall_values: could not convert"),
-            (r"^0 = (\S+) (\S+ \S+)$", r"0 = \1x \2", "[sources] entry 0: could not convert string to float: '0."),
+            (r"^grid\.h = \S+$", "grid.h = 1/32", "[config]: [grid] h: could not convert string to float: '1/32'"),
+            (r"^(domain\.wall_values = \S+) \S+", r"\1 x", "[config]: [domain] wall_values: could not convert"),
+            (r"^0 = (\S+) (\S+ \S+)$", r"0 = \1x \2", "[sources] holds {new!r} where the run gives {old!r}"),
             (
                 r"^tolerances\.dual_node_cap = \S+$",
                 "tolerances.dual_node_cap = 4e",
-                "[config] tolerances.dual_node_cap: could not convert string to float: '4e'",
+                "[config]: [tolerances] dual_node_cap: could not convert string to float: '4e'",
             ),
-            (r"^(1 = t=.* radii=[^,\s]+),\S+", r"\1", "[snapshots] entry 1: 1 radii and 2 frozen flags for 2 sources"),
-            (r"^(1 = t=.* frozen=\d),\d$", r"\1", "[snapshots] entry 1: 2 radii and 1 frozen flags for 2 sources"),
-            (r"^(1 = t=.* frozen=\d),\d$", r"\1,x", "[snapshots] entry 1 frozen: flags must be 0 or 1, got '0,x'"),
-            (r"^(0 = t=.* frozen=)0,", r"\g<1>1,", "[snapshots] entry 0: frozen flags inconsistent with radii"),
-            (r"^grid\.h = \S+$", "grid.h = inf", "[config] grid.h: 'inf' is not a finite number"),
+            (r"^(1 = t=.* radii=[^,\s]+),\S+", r"\1", "[snapshots] entry 1: 1 radii for 2 sources"),
+            (r"^(1 = t=.* frozen=\d),\d$", r"\1", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
+            (r"^(1 = t=.* frozen=\d),\d$", r"\1,x", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
+            (r"^(0 = t=.* frozen=)0,", r"\g<1>1,", "[snapshots] entry 0 holds {new!r} where the run gives {old!r}"),
+            (r"^grid\.h = \S+$", "grid.h = inf", "[config]: [grid] h: 'inf' is not a finite number"),
             (r"^(2 = .* radii=)\S+?,", r"\1nan,", "[snapshots] entry 2 radii: 'nan' is not a finite number"),
-            (r"^(1 = t=)\S+ ", r"\1inf ", "[snapshots] entry 1 t: 'inf' is not a finite number"),
-            (
-                r"^(1 = t=)\S+ ",
-                r"\g<1>0.9 ",
-                "[snapshots] entry 1 t: 0.90000000000000002 is not the run.snapshot_times value 0.12",
-            ),
+            (r"^(1 = t=)\S+ ", r"\1inf ", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
+            (r"^(1 = t=)\S+ ", r"\g<1>0.9 ", "[snapshots] entry 1 holds {new!r} where the run gives {old!r}"),
             (r"^2 = t=.*\n", "", "[snapshots] holds 2 entries for 3 run.snapshot_times"),
-            (r"^tolerances\.dual_node_cap = .*\n", "", "[config] lacks tolerances.dual_node_cap"),
+            (
+                r"^tolerances\.dual_node_cap = .*\n",
+                "",
+                "[config] holds None where the run gives 'tolerances.dual_node_cap = 2000'",
+            ),
             (
                 r"^tolerances\.dual_node_cap = \S+$",
                 "tolerances.dual_node_cap = 0",
-                "[config] tolerances.dual_node_cap: must be at least 1",
+                "[config]: [tolerances] dual_node_cap: must be at least 1",
             ),
-            (r"^grid\.h = \S+$", "grid.h = 0", "[config] grid.h: must be positive"),
+            (r"^grid\.h = \S+$", "grid.h = 0", "[config]: [grid] h: must be positive"),
             (
                 r"^grid\.boundary_spacing = \S+$",
                 "grid.boundary_spacing = 0",
-                "[config] grid.boundary_spacing: must be positive",
+                "[config]: [grid] boundary_spacing: must be positive",
+            ),
+            # accepted before verify rebuilt the lines: an unknown echo key,
+            # a [sources] rate the echo does not give, an echo [sources] does not hold
+            (r"^(grid\.h = .*)$", r"\1\nfoo.bar = 1", "[config] holds {new!r} where the run gives 'grid.boundary_spacing"),
+            (r"^(0 = \S+ \S+) \S+$", r"\1 0.5", "[sources] holds {new!r} where the run gives {old!r}"),
+            (
+                r"^(sources\.points = \S+ \S+) \S+",
+                r"\1 0.5",
+                "[sources] holds '0 = 0.29999999999999999 0.34999999999999998 0.59999999999999998' "
+                "where the run gives '0 = 0.29999999999999999 0.34999999999999998 0.5'",
             ),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
             "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf", "time_not_echoed", "missing_entry",
-            "no_node_cap", "zero_node_cap", "zero_h", "zero_spacing",
+            "no_node_cap", "zero_node_cap", "zero_h", "zero_spacing", "unknown_echo_key", "edited_rate",
+            "edited_echo_points",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
+        # {old} and {new} stand for the edited line before and after the edit
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         manifest = out / "manifest.txt"
-        text, hits = re.subn(pattern, keep, manifest.read_text(), flags=re.M)
+        before = manifest.read_text()
+        text, hits = re.subn(pattern, keep, before, flags=re.M)
         assert hits == 1
         manifest.write_text(text)
         assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 2
-        assert named in capsys.readouterr().err
+        old = next((line for line in before.splitlines() if line not in text.splitlines()), None)
+        new = next((line for line in text.splitlines() if line not in before.splitlines()), None)
+        assert f"config error: manifest {named.format(old=old, new=new)}" in capsys.readouterr().err
         assert not (out / "certificates.txt").exists()
 
     def test_splice_replaces_timing(self, tmp_path):
@@ -578,7 +636,7 @@ class TestVerify:
     def test_partition_counters_survive_verify(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
         # Two sources: full lists, built once, with both sources per cell.
         assert timings["partition_rebuilds"] == "1"
@@ -609,7 +667,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "solve_primal", counted)
         path, out = write_config(tmp_path, SINGLE_SOURCE.replace("0.8\n", "0.8 ; 0.4 0.75 0.5\n"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
         assert len(pivots) == 6 and sum(pivots) > 0
         assert timings["primal_pivots"] == str(sum(pivots))
@@ -628,7 +686,7 @@ class TestVerify:
         path, out = write_config(tmp_path, TWO_SOURCE.replace(
             "snapshot_times = 0.05 0.12 0.2 0.27 0.5", "snapshot_times = 0 0.05"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert main(["verify", "--config", str(path), "--quiet"]) == 0
+        assert main(["verify", "--manifest", str(out / "manifest.txt"), "--quiet"]) == 0
         timings = dict(line.split(" = ") for line in parse_manifest(out / "manifest.txt")["timings"])
         assert atoms == [2, 0]
         assert timings["demand_atoms"] == "2"
@@ -672,13 +730,20 @@ class TestVerify:
             "[timings]\nsimulate_seconds = 1.000\nother = 2.000\nverify_seconds = 3.000\n"
         )
 
-    def test_manifest_with_out_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, named", [
+        (["--manifest", "{manifest}", "--out", "{elsewhere}"], "unrecognized arguments: --out"),
+        (["--config", "{config}"], "the following arguments are required: --manifest"),
+        ([], "the following arguments are required: --manifest"),
+    ], ids=["out", "config", "no_manifest"])
+    def test_verify_takes_only_a_manifest(self, tmp_path, capsys, argv, named):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         elsewhere = tmp_path / "elsewhere"
-        argv = ["verify", "--manifest", str(out / "manifest.txt"), "--out", str(elsewhere), "--quiet"]
-        assert main(argv) == 2
-        assert "--out" in capsys.readouterr().err
+        argv = [arg.format(manifest=out / "manifest.txt", elsewhere=elsewhere, config=path) for arg in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", *argv, "--quiet"])
+        assert exit_.value.code == 2
+        assert named in capsys.readouterr().err
         assert not elsewhere.exists() and not (out / "certificates.txt").exists()
 
     def test_lp_gap_gates_pass(self, tmp_path, monkeypatch):
@@ -823,11 +888,6 @@ class TestVerify:
         # the verdict at large scales still rests on the absolute 1e-6 + 2h
         if scale < 1.0:
             assert code == 0 and result == "result = PASS"
-
-    def test_verify_via_config(self, tmp_path):
-        path, out = write_config(tmp_path, SINGLE_SOURCE)
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert main(["verify", "--config", str(path), "--quiet"]) == 0
 
 
 class TestEquilibrium:

@@ -95,7 +95,7 @@ def test_two_source_verify_reproduces_golden_certificates(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     config = str(CONFIGS / "two_source.ini")
     assert main(["simulate", "--config", config, "--out", "out", "--quiet"]) == 0
-    assert main(["verify", "--config", config, "--out", "out", "--quiet"]) == 0
+    assert main(["verify", "--manifest", "out/manifest.txt", "--quiet"]) == 0
     lines = (tmp_path / "out" / "certificates.txt").read_text().splitlines()
     assert lines[1] == "result = PASS"
     assert len(lines) == 2 + len(GOLDEN_CERTIFICATES)

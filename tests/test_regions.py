@@ -416,7 +416,7 @@ def lists_trace(grid, locations, radii_seq):
     for radii in radii_seq:
         best, value = lists.best(radii)
         trace.append((best, value.view(np.uint64), lists.index.copy(), lists.dist.view(np.uint64).copy(),
-                      lists.rebuilds, lists.reranked, lists.max_candidates))
+                      lists.rebuilds, lists.reranked, lists.max_candidates, lists.delta))
     return trace, lists
 
 
@@ -478,7 +478,11 @@ class TestBlocks:
             mp.setattr(regions, "BLOCK", block)
             got, _ = lists_trace(g, locations, seq)
         assert_same_trace(got, want)
-        assert (lists.delta == np.inf) == (case != "short")
+        # The jittered sources keep short lists while the radii stay below 0.02;
+        # after the 8h jump a tile may rightly keep more than k / DENSE_SHARE
+        # sources, so only the first call's mode is fixed.
+        first_delta = want[0][-1]
+        assert (first_delta == np.inf) == (case != "short")
         if case == "crowded":
             first_tiles = lists._tile_geometry[1][: max(1, block // len(locations))]
             assert np.all(first_tiles[:, 0] < 0.2)  # far from the crowd, so decided in a later block

@@ -576,7 +576,8 @@ class TestOptimalStartPricing:
 
     def test_n64_w1_prices_each_block_once(self, monkeypatch):
         study = convergence_study()
-        domain, f = study.fed_square()
+        cfg = parse_config(study.CONFIG)
+        domain, f = cfg.domain(), cfg.density
         qpts, qw = study.quadrature()
         s = discretize(f, 64, domain)
         calls = self.count_block_mins(monkeypatch)
@@ -1029,7 +1030,8 @@ class TestConvergenceStudyW1:
 
     def test_pivot_counts(self):
         study = convergence_study()
-        domain, f = study.fed_square()
+        cfg = parse_config(study.CONFIG)
+        domain, f = cfg.domain(), cfg.density
         qpts, qw = study.quadrature()
         pivots = []
         for n in study.N_LIST:
@@ -1045,7 +1047,8 @@ class TestConvergenceStudyW1:
         # of the 8 x 8 sources; splitting them by supply left makes the start
         # the optimum
         study = convergence_study()
-        domain, f = study.fed_square()
+        cfg = parse_config(study.CONFIG)
+        domain, f = cfg.domain(), cfg.density
         qpts, qw = study.quadrature()
         s = discretize(f, 64, domain)
         p = transport_problem(s.locations, s.rates, qpts, qw)
