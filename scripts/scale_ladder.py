@@ -33,6 +33,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from silopile.cli import parse_manifest  # noqa: E402
 
 # (sources, h), smallest first: the first rung is CI's.
 RUNGS = [(k, h) for k in (256, 1024) for h in (1 / 64, 1 / 128, 1 / 256)] + [
@@ -99,8 +102,8 @@ def run_rung(k: int, h: float, workdir: Path) -> dict:
     if code == 0 and k * cells <= PRIMAL_CELLS:
         wall, rss, code = run_child(["-m", "silopile", "verify", "--manifest", str(manifest), "--quiet"])
         rung.update(verify_wall_s=round(wall, 3), verify_peak_rss_mb=round(rss, 1), exit_code=code)
-    if manifest.exists():  # the manifest's last section, [timings], holds "key = value" lines
-        lines = manifest.read_text().split("\n[timings]\n", 1)[1].splitlines()
+    if manifest.exists():  # its [timings] section holds "key = value" lines
+        lines = parse_manifest(manifest)["timings"]
         rung.update((key, json.loads(value)) for key, value in (line.split(" = ") for line in lines))
     return rung
 

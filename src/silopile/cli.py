@@ -31,6 +31,8 @@ from .sources import SourceSet, discretize
 from .verify import certify_snapshot, solve_dual  # noqa: F401
 
 MANIFEST_HEADER = "silopile-manifest-v1"
+# The manifest's sections, each once and in this order, as simulate writes them.
+MANIFEST_SECTIONS = ("config", "sources", "freeze_events", "snapshots", "certificates", "timings")
 
 
 def resolve_sources(cfg: RunConfig, domain: ConvexDomain) -> SourceSet:
@@ -60,16 +62,21 @@ def _write_sections(path: Path, sections: dict[str, list[str]]) -> None:
 
 
 def parse_manifest(path: Path) -> dict[str, list[str]]:
+    """Each section's non-blank lines; a repeated heading or a line outside any section is a ConfigError."""
     text = path.read_text().splitlines()
     if not text or text[0] != MANIFEST_HEADER:
         raise ConfigError(f"{path}: not a {MANIFEST_HEADER} file")
     sections: dict[str, list[str]] = {}
     current = None
-    for line in text[1:]:
+    for number, line in enumerate(text[1:], start=2):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise ConfigError(f"manifest line {number}: {line!r} repeats a section")
             sections[current] = []
-        elif current is not None and line.strip():
+        elif line.strip():
+            if current is None:
+                raise ConfigError(f"manifest line {number}: {line!r} lies outside any section")
             sections[current].append(line)
     return sections
 
@@ -131,7 +138,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
         "partition_rebuilds": lists.rebuilds,
         "partition_reranked": lists.reranked,
         "max_candidates": lists.max_candidates,
-        "rk2_steps": len(traj.steps),
+        "rk2_steps": traj.rk2_steps,
     }
     _write_sections(out / "manifest.txt", {
         "config": echo_config(cfg),
@@ -149,20 +156,24 @@ def cmd_simulate(cfg: RunConfig, quiet: bool) -> int:
 def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     """Certify a manifest's snapshots.
 
-    Its config, source and snapshot lines must be those rebuilt from the
-    echoed config and each snapshot's ``radii``, the one field parsed.
+    It must hold simulate's sections, each once and in order.  Its config,
+    source and snapshot lines must be those rebuilt from the echoed config
+    and each snapshot's ``radii``, the one field parsed.
     """
     t_start = time.perf_counter()
     sections = parse_manifest(manifest_path)
+    if tuple(sections) != MANIFEST_SECTIONS:
+        raise ConfigError(f"manifest holds sections {', '.join(sections)} where simulate writes "
+                          f"{', '.join(MANIFEST_SECTIONS)}")
     out = manifest_path.parent
-    cfg = parse_echo(sections.get("config", []))
+    cfg = parse_echo(sections["config"])
     domain = cfg.domain()
     sources = resolve_sources(cfg, domain)
-    require_lines("manifest [sources]", sections.get("sources", []), _source_lines(sources))
+    require_lines("manifest [sources]", sections["sources"], _source_lines(sources))
     grid = build_grid(domain, cfg.grid_h)
     thresholds, _ = domain.escape_cost(sources.locations)
 
-    entries, times = sections.get("snapshots", []), cfg.snapshot_times
+    entries, times = sections["snapshots"], cfg.snapshot_times
     if len(entries) != len(times):
         raise ConfigError(f"manifest [snapshots] holds {len(entries)} entries for {len(times)} run.snapshot_times")
     snapshots = []
@@ -202,25 +213,19 @@ def cmd_verify(manifest_path: Path, quiet: bool) -> int:
     lines = ["silopile-certificates-v1", f"result = {summary}", *cert_lines]
     (out / "certificates.txt").write_text("\n".join(lines) + "\n")
 
-    # refresh the manifest's certificate section, keeping timings quarantined
+    # replace the certificates; verify's timings replace same-named ones and come last
     timings = {
         "verify_seconds": time.perf_counter() - t_start,
         "primal_pivots": sum(report.pivots for report in reports),
         "demand_atoms": sum(report.demand_atoms for report in reports),
     }
-    _splice_manifest(manifest_path, cert_lines, timings)
+    sections["certificates"] = cert_lines
+    kept = [line for line in sections["timings"] if line.partition(" = ")[0] not in timings]
+    sections["timings"] = kept + _timing_lines(timings)
+    _write_sections(manifest_path, sections)
     if not quiet:
         print(f"verify: {summary}")
     return 0 if summary == "PASS" else 1
-
-
-def _splice_manifest(path: Path, cert_lines: list[str], extra_timings: dict[str, float | int]) -> None:
-    """Replace the certificates; ``extra_timings`` replace same-named timings, which stay last."""
-    sections = parse_manifest(path)
-    sections["certificates"] = cert_lines
-    kept = [line for line in sections.pop("timings", []) if line.partition(" = ")[0] not in extra_timings]
-    sections["timings"] = kept + _timing_lines(extra_timings)
-    _write_sections(path, sections)
 
 
 def cmd_equilibrium(cfg: RunConfig, quiet: bool) -> int:

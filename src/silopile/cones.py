@@ -53,24 +53,17 @@ class ConeState:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Start-of-step quantities used by the mass-balance audit."""
-
-    time: float
-    dt: float
-    areas: np.ndarray
-    rdot: np.ndarray
-    active: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     states: list[ConeState]  # one per snapshot time, in the order the run passed them
     freeze_events: list[tuple[int, float]]
-    steps: list[StepRecord]
+    rk2_steps: int  # calls of ``step``
     final_state: ConeState
-    spill_atoms: BoundaryPoints  # per source, where its rate crosses the wall once frozen
     grid: Grid  # the grid the stepped phase partitioned; it holds the run's source lists
+
+
+def growth_rates(active: np.ndarray, rates: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """The growth law rdot_j = c_j / |A_j| of active sources of positive area; 0 for all others."""
+    return np.divide(rates, areas, out=np.zeros(len(rates)), where=active & (areas > 0.0))
 
 
 def analytic_phase(sources: SourceSet, domain: ConvexDomain):
@@ -99,36 +92,23 @@ def step(
     domain: ConvexDomain,
     grid: Grid,
     dt_max: float = np.inf,
-) -> tuple[ConeState, StepRecord, list[tuple[int, float]]]:
+) -> tuple[ConeState, list[tuple[int, float]]]:
     """One explicit midpoint step with freeze clamping.
 
-    Returns the new state, the start-of-step audit record and the freeze
-    events (source index, interpolated crossing time) triggered by the step.
+    Returns the new state and the freeze events (source index, interpolated
+    crossing time) triggered by the step.
     """
     active = ~state.frozen
-    r = state.radii.copy()
-    c = sources.rates
-
-    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0))
-    rdot = np.zeros_like(r)
-    rdot[active] = c[active] / areas[active]
-
+    r, c = state.radii, sources.rates
     if not np.any(active):
         dt = dt_max if np.isfinite(dt_max) else 0.0
-        new_state = ConeState(state.time + dt, r, state.thresholds)
-        return new_state, StepRecord(state.time, dt, areas, rdot, active), []
+        return ConeState(state.time + dt, r.copy(), state.thresholds), []
 
-    dt = float(np.min(STEP_SAFETY * grid.h * areas[active] / c[active]))
-    dt = min(dt, dt_max)
-
-    r_half = r.copy()
-    r_half[active] = np.minimum(r[active] + 0.5 * dt * rdot[active], state.thresholds[active])
+    areas = areas_with_floor(grid, domain, sources, r, active & (r > 0.0))
+    dt = min(float(np.min(STEP_SAFETY * grid.h * areas[active] / c[active])), dt_max)
+    r_half = np.where(active, np.minimum(r + 0.5 * dt * growth_rates(active, c, areas), state.thresholds), r)
     areas_half = areas_with_floor(grid, domain, sources, r_half, active & (r_half > 0.0))
-    rdot_half = np.zeros_like(r)
-    rdot_half[active] = c[active] / areas_half[active]
-
-    r_new = r.copy()
-    r_new[active] = r[active] + dt * rdot_half[active]
+    r_new = np.where(active, r + dt * growth_rates(active, c, areas_half), r)
 
     events: list[tuple[int, float]] = []
     for j in np.flatnonzero(active & (r_new >= state.thresholds - FREEZE_TOL)).tolist():
@@ -137,8 +117,7 @@ def step(
         events.append((j, state.time + min(max(frac, 0.0), 1.0) * dt))
         r_new[j] = state.thresholds[j]
 
-    new_state = ConeState(state.time + dt, r_new, state.thresholds)
-    return new_state, StepRecord(state.time, dt, areas, rdot, active), events
+    return ConeState(state.time + dt, r_new, state.thresholds), events
 
 
 def run(
@@ -168,7 +147,7 @@ def run(
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
 
-    thresholds, spill_atoms = routes if routes is not None else domain.escape_cost(sources.locations)
+    thresholds = (routes if routes is not None else domain.escape_cost(sources.locations))[0]
     t0, radii_fn = analytic_phase(sources, domain)
     t0 = min(t0, T)
     grid = build_grid(domain, h)
@@ -184,13 +163,13 @@ def run(
                 on_snapshot(states[-1], grid)
 
     emit_until(t0, lambda t: np.minimum(radii_fn(t), thresholds))
-    steps: list[StepRecord] = []
+    rk2_steps = 0
     freeze_events: list[tuple[int, float]] = []
     b = ConeState(t0, np.minimum(radii_fn(t0), thresholds), thresholds)
     while b.time < T - 1e-15 and not np.all(b.frozen):
         a = b
-        b, record, events = step(a, sources, domain, grid, dt_max=T - a.time)
-        steps.append(record)
+        b, events = step(a, sources, domain, grid, dt_max=T - a.time)
+        rk2_steps += 1
         freeze_events.extend(events)
         span = b.time - a.time
         emit_until(b.time + 1e-15, lambda t: a.radii + (
@@ -200,8 +179,7 @@ def run(
     return Trajectory(
         states=states,
         freeze_events=freeze_events,
-        steps=steps,
+        rk2_steps=rk2_steps,
         final_state=b,
-        spill_atoms=spill_atoms,
         grid=grid,
     )

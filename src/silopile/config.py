@@ -144,6 +144,9 @@ def _resolve(sections: dict[str, dict[str, str]]) -> RunConfig:
     def number(section, key, fallback=None, kind=float):
         return _number(get(section, key, fallback), f"[{section}] {key}", kind)
 
+    def positive(section, key):
+        return _positive(get(section, key), f"[{section}] {key}")
+
     vertices = _rows(get("domain", "vertices"), "[domain] vertices")
     walls = np.array(_floats(get("domain", "wall_values"), "[domain] wall_values"))
 
@@ -151,29 +154,32 @@ def _resolve(sections: dict[str, dict[str, str]]) -> RunConfig:
     n_sources = number("sources", "n", "0", _whole)
     if kind == POINT_LIST:
         points = _rows(get("sources", "points"), "[sources] points", 3)
+        weights = points[:, 2]
+        if np.any(weights <= 0):
+            raise ConfigError(f"[sources] points: weight {weights[weights <= 0][0].item()!r} must be positive")
         if n_sources == 0:
             n_sources = len(points)
         density = DensitySpec(
             kind=POINT_LIST,
-            total_mass=float(points[:, 2].sum()),
+            total_mass=float(weights.sum()),
             points=points[:, :2].copy(),
-            weights=points[:, 2].copy(),
+            weights=weights.copy(),
         )
     elif kind == UNIFORM_POLYGON:
         poly = _rows(get("sources", "polygon"), "[sources] polygon")
         density = DensitySpec(
             kind=UNIFORM_POLYGON,
-            total_mass=number("sources", "total_mass"),
+            total_mass=positive("sources", "total_mass"),
             polygon=poly,
         )
     elif kind == GAUSSIAN:
         center = _rows(get("sources", "center"), "[sources] center")[0]
         density = DensitySpec(
             kind=GAUSSIAN,
-            total_mass=number("sources", "total_mass"),
+            total_mass=positive("sources", "total_mass"),
             center=center,
-            sigma=number("sources", "sigma"),
-            radius=number("sources", "radius"),
+            sigma=positive("sources", "sigma"),
+            radius=positive("sources", "radius"),
         )
     else:
         raise ConfigError(f"[sources]: unknown kind {kind!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeState
+from .cones import ConeState, growth_rates
 from .geometry import BoundaryPoints, ConvexDomain
 from .regions import NONE_LABEL, Grid, Partition, distances
 from .sources import SourceSet
@@ -61,11 +61,8 @@ def height_field(state: ConeState, sources: SourceSet, grid: Grid) -> GridField:
 
 
 def growth_rate_field(state: ConeState, sources: SourceSet, part: Partition) -> GridField:
-    rates = np.zeros(sources.k + 1)
-    active = ~state.frozen
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_source = np.where(active & (part.areas > 0.0), sources.rates / part.areas, 0.0)
-    rates[: sources.k] = per_source
+    """The pile's growth rate: ``growth_rates`` of each cell's source, 0 on unlabelled cells."""
+    rates = growth_rates(~state.frozen, sources.rates, part.areas)
     values = np.where(part.labels == NONE_LABEL, 0.0, rates[part.labels])
     return GridField(grid=part.grid, values=values)
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, run
+from silopile.cones import ConeState, growth_rates, run
 from silopile.fields import (
     growth_rate_field,
     height_field,
@@ -20,7 +20,7 @@ from silopile.fields import (
     spill_measure,
 )
 from silopile.geometry import ConvexDomain
-from silopile.regions import build_grid, partition
+from silopile.regions import areas_with_floor, build_grid, partition
 from silopile.sources import DensitySpec, UNIFORM_POLYGON, discretize, make_sources
 from silopile.tolerances import DUAL_NODE_CAP
 from silopile.verify import (
@@ -30,6 +30,7 @@ from silopile.verify import (
     transport_problem,
 )
 
+from reference_loops import knot_scan
 from test_verify import linprog_oracle
 
 
@@ -60,36 +61,42 @@ def test_a1_early_time_closed_form():
 
 
 def test_a2_mass_balance():
-    h = 1 / 64
-    dom, s, traj = three_source_run(h=h)
-    assert traj.steps and traj.freeze_events
+    h, horizon = 1 / 64, 0.3
+    dom, s, traj = three_source_run(h=h, horizon=horizon)
+    assert traj.rk2_steps and traj.freeze_events
+    # the run's steps, driven by cones.step, and the start of each
+    knots, _ = knot_scan(s, dom, horizon, h)
+    assert len(knots) - 1 == traj.rk2_steps
 
+    grid = build_grid(dom, h)
     c = s.rates
     total = math.fsum(c)
     construction_ok = True
     product_gap = 0.0
-    for rec in traj.steps:
-        active = rec.active
+    for state in knots[:-1]:
+        active = ~state.frozen
+        areas = areas_with_floor(grid, dom, s, state.radii, active & (state.radii > 0.0))
+        rdot = growth_rates(active, c, areas)
         construction_ok &= bool(
-            np.array_equal(rec.rdot[active], c[active] / rec.areas[active])
+            np.array_equal(rdot[active], c[active] / areas[active]) and not rdot[~active].any()
         )
         # the identity written via the defining values is exact
         construction_ok &= math.fsum(list(c[active]) + list(c[~active])) == total
         # float round-trip of the products stays at ulp level
         product_gap = max(
             product_gap,
-            abs(math.fsum([r * a for r, a in zip(rec.rdot[active], rec.areas[active])])
+            abs(math.fsum([r * a for r, a in zip(rdot[active], areas[active])])
                 + math.fsum(c[~active]) - total),
         )
 
-    grid = build_grid(dom, h)
     quad_tol = 2.0 * dom.perimeter * h
     quad_gap = 0.0
+    atoms = dom.escape_cost(s.locations)[1]
     for state in traj.states:
         part = partition(grid, s, state.radii)
         growth = growth_rate_field(state, s, part)
         integral = float(growth.values.sum() * grid.cell_area)
-        nu_mass = spill_measure(state, s, traj.spill_atoms).total_mass
+        nu_mass = spill_measure(state, s, atoms).total_mass
         quad_gap = max(quad_gap, abs(integral + nu_mass - total))
 
     ok = construction_ok and product_gap <= 1e-12 and quad_gap <= quad_tol
@@ -104,6 +111,7 @@ def test_a3_structural_invariants():
     nodes = dom.boundary_nodes(1 / 64)
     node_pos, walls = nodes.position, dom.wall_height(nodes)
     grid = build_grid(dom, 1 / 64)
+    exits = dom.escape_cost(s.locations)[1]
 
     lip_slack = 0.0
     bound_violation = 0.0
@@ -126,7 +134,7 @@ def test_a3_structural_invariants():
             monotone_violation = max(monotone_violation, float((prev - u_grid).max()))
         prev = u_grid
 
-        atoms = spill_measure(state, s, traj.spill_atoms).points
+        atoms = spill_measure(state, s, exits).points
         u_atoms = heights_at(state, s, atoms.position)
         atom_gap = max(atom_gap, float(np.abs(u_atoms - dom.wall_height(atoms)).max(initial=0.0)))
 
@@ -190,14 +198,15 @@ def test_a6_measure_bounds():
     dom, s, traj = three_source_run(h=h)
     grid = build_grid(dom, h)
     total = s.total_rate
+    atoms = dom.escape_cost(s.locations)[1]
 
     mu_ok = nu_ok = True
     sq_total = 0.0
     t_prev = 0.0
     for state in traj.states:
         part = partition(grid, s, state.radii)
-        mu = rolling_measure(state, s, part, traj.spill_atoms)
-        nu = spill_measure(state, s, traj.spill_atoms)
+        mu = rolling_measure(state, s, part, atoms)
+        nu = spill_measure(state, s, atoms)
         mu_ok &= mu.values.sum() * grid.cell_area <= dom.diameter * total + 1e-12
         nu_ok &= nu.total_mass <= total + 1e-12
         active = ~state.frozen & (part.areas > 0.0)

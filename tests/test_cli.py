@@ -11,7 +11,7 @@ import pytest
 
 import silopile
 from silopile import cli, verify
-from silopile.cli import _splice_manifest, _write_sections, main, parse_manifest
+from silopile.cli import MANIFEST_SECTIONS, _write_sections, main, parse_manifest
 from silopile.cones import run
 from silopile.config import ConfigError, echo_config, parse_config, parse_echo
 from silopile.fields import field_from_csv, heights_at
@@ -240,11 +240,17 @@ class TestConfig:
             (SINGLE_SOURCE, "\n[run]", "n = 16.9\n[run]", "[sources] n"),
             (SINGLE_SOURCE, "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.12 0.05 0.3", "[run] snapshot_times"),
             (SINGLE_SOURCE, "snapshot_times = 0.05 0.12 0.3", "snapshot_times = 0.05 0.12 0.12", "[run] snapshot_times"),
+            (GAUSSIAN_CONFIG, "sigma = 0.3", "sigma = 0", "[sources] sigma"),
+            (GAUSSIAN_CONFIG, "radius = 0.9", "radius = -0.9", "[sources] radius"),
+            (CONVERGE_CONFIG, "total_mass = 1.0", "total_mass = -1", "[sources] total_mass"),
+            (SINGLE_SOURCE, "0.3 0.35 0.6", "0.3 0.35 -1", "[sources] points"),
+            (SINGLE_SOURCE, "0.7 0.6 0.8", "0.7 0.6 0", "[sources] points"),
         ],
         ids=[
             "n", "total_mass", "sigma", "radius", "horizon", "h", "boundary_spacing", "zero_spacing", "seed",
             "node_cap", "nan_cap", "negative_cap", "n_list_entry",
             "inf_h", "nan_h", "inf_horizon", "fractional_n", "decreasing_times", "repeated_times",
+            "zero_sigma", "negative_radius", "negative_total_mass", "negative_weight", "zero_weight",
         ],
     )
     def test_bad_scalar_names_key(self, tmp_path, capsys, template, old, new, named):
@@ -593,13 +599,31 @@ class TestVerify:
                 "[sources] holds '0 = 0.29999999999999999 0.34999999999999998 0.59999999999999998' "
                 "where the run gives '0 = 0.29999999999999999 0.34999999999999998 0.5'",
             ),
+            (r"^(sources\.points = \S+ \S+) \S+", r"\1 -1", "[config]: [sources] points: weight -1.0 must be positive"),
+            (r"^(sources\.points = \S+ \S+) \S+", r"\1 0", "[config]: [sources] points: weight 0.0 must be positive"),
+            # accepted before verify required simulate's sections, each once and in order
+            (r"^\[sources\]$", "[sources]\n0 = 9 9 9\n[sources]", "line 18: '[sources]' repeats a section"),
+            (r"^\[config\]$", "stray text\n[config]", "line 2: 'stray text' lies outside any section"),
+            (
+                r"^\[timings\]$",
+                "[bogus]\nx = 1\n[timings]",
+                "holds sections config, sources, freeze_events, snapshots, certificates, bogus, timings "
+                "where simulate writes config, sources, freeze_events, snapshots, certificates, timings",
+            ),
+            (
+                r"^\[freeze_events\]\n(?:.*\n)*?(?=\[snapshots\])",
+                "",
+                "holds sections config, sources, snapshots, certificates, timings "
+                "where simulate writes config, sources, freeze_events, snapshots, certificates, timings",
+            ),
         ],
         ids=[
             "config_key", "snapshot_key", "source_rate", "snapshot_token", "snapshot_time", "snapshot_radius",
             "grid_h", "wall_values", "source_coordinate", "node_cap", "few_radii", "few_flags", "flag_token",
             "flag_inconsistent", "grid_h_inf", "radius_nan", "time_inf", "time_not_echoed", "missing_entry",
             "no_node_cap", "zero_node_cap", "zero_h", "zero_spacing", "unknown_echo_key", "edited_rate",
-            "edited_echo_points",
+            "edited_echo_points", "negative_weight", "zero_weight", "repeated_section", "line_before_sections",
+            "unknown_section", "no_freeze_events",
         ],
     )
     def test_malformed_manifest_is_config_error(self, tmp_path, capsys, pattern, keep, named):
@@ -617,21 +641,45 @@ class TestVerify:
         assert f"config error: manifest {named.format(old=old, new=new)}" in capsys.readouterr().err
         assert not (out / "certificates.txt").exists()
 
-    def test_splice_replaces_timing(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("sigma", "0", "[sources] sigma"),
+            ("radius", "0", "[sources] radius"),
+            ("total_mass", "-1", "[sources] total_mass"),
+        ],
+        ids=["zero_sigma", "zero_radius", "negative_total_mass"],
+    )
+    def test_nonpositive_echoed_source_key_is_named(self, tmp_path, capsys, key, value, named):
+        path, out = write_config(tmp_path, GAUSSIAN_CONFIG)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        manifest = out / "manifest.txt"
+        text, hits = re.subn(rf"^sources\.{key} = \S+$", f"sources.{key} = {value}", manifest.read_text(), flags=re.M)
+        assert hits == 1
+        manifest.write_text(text)
+        assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 2
+        assert f"config error: manifest [config]: {named}: must be positive" in capsys.readouterr().err
+        assert not (out / "certificates.txt").exists()
+
+    def test_reverify_replaces_certificates_and_timings(self, tmp_path):
+        # verify rewrites the manifest it read: the sections keep their order,
+        # its certificates replace the old ones, and its timings replace their
+        # namesakes and come last, after simulate's, which keep their order
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         manifest = out / "manifest.txt"
-        before = manifest.read_text()
-        for seconds in (1.0, 2.0, 3.0):
-            extra = {"verify_seconds": seconds, "primal_pivots": int(seconds), "demand_atoms": 2 * int(seconds)}
-            _splice_manifest(manifest, [], extra)
-        after = manifest.read_text()
-        timings = after.split("\n[timings]\n", 1)[1].splitlines()
-        assert [line for line in timings if line.startswith("verify_seconds")] == ["verify_seconds = 3.000"]
-        assert [line for line in timings if line.startswith("primal_pivots")] == ["primal_pivots = 3"]
-        assert [line for line in timings if line.startswith("demand_atoms")] == ["demand_atoms = 6"]
-        assert any(line.startswith("simulate_seconds") for line in timings)
-        assert strip_timings(after) == strip_timings(before)
+        simulated = parse_manifest(manifest)["timings"]
+        assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
+        once = manifest.read_text()
+        assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
+        twice = parse_manifest(manifest)
+        assert tuple(twice) == MANIFEST_SECTIONS
+        assert strip_timings(manifest.read_text()) == strip_timings(once)
+        assert twice["certificates"] == (out / "certificates.txt").read_text().splitlines()[2:]
+        assert len(twice["certificates"]) == 3
+        assert twice["timings"][: len(simulated)] == simulated
+        verified = [line.partition(" = ")[0] for line in twice["timings"][len(simulated):]]
+        assert verified == ["demand_atoms", "primal_pivots", "verify_seconds"]
 
     def test_partition_counters_survive_verify(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
@@ -647,7 +695,7 @@ class TestVerify:
         cfg = parse_config(path)
         domain = cfg.domain()
         traj = run(cli.resolve_sources(cfg, domain), domain, cfg.horizon, cfg.snapshot_times, cfg.grid_h)
-        assert int(timings["rk2_steps"]) == len(traj.steps) > 0
+        assert int(timings["rk2_steps"]) == traj.rk2_steps > 0
         assert re.fullmatch(r"\d+\.\d{3}", timings["simulate_seconds"])
         assert re.fullmatch(r"\d+\.\d{3}", timings["verify_seconds"])
 
@@ -717,18 +765,6 @@ class TestVerify:
         before = manifest.read_bytes()
         _write_sections(manifest, parse_manifest(manifest))
         assert manifest.read_bytes() == before
-
-    def test_splice_keeps_section_order(self, tmp_path):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text(
-            "silopile-manifest-v1\n[config]\na = 1\n[certificates]\n[timings]\n"
-            "simulate_seconds = 1.000\nverify_seconds = 9.000\nother = 2.000\n[extra]\nx = 1\n"
-        )
-        _splice_manifest(manifest, ["0 = PASS"], {"verify_seconds": 3.0})
-        assert manifest.read_text() == (
-            "silopile-manifest-v1\n[config]\na = 1\n[certificates]\n0 = PASS\n[extra]\nx = 1\n"
-            "[timings]\nsimulate_seconds = 1.000\nother = 2.000\nverify_seconds = 3.000\n"
-        )
 
     @pytest.mark.parametrize("argv, named", [
         (["--manifest", "{manifest}", "--out", "{elsewhere}"], "unrecognized arguments: --out"),

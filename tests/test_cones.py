@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from silopile.cones import ConeState, analytic_phase, run, step
+from silopile import cones
+from silopile.cones import STEP_SAFETY, ConeState, analytic_phase, growth_rates, run, step
 from silopile.fields import height_field
 from silopile.geometry import ConvexDomain
-from silopile.regions import build_grid, partition
+from silopile.regions import areas_with_floor, build_grid, partition
 from silopile.sources import make_sources
 
 from reference_loops import knot_scan
@@ -49,13 +51,27 @@ class TestAnalyticPhase:
         np.testing.assert_allclose(radii_fn(t) ** 3, 3 * t / np.pi)
 
 
+class TestGrowthRates:
+    def test_law_bit_for_bit(self):
+        # c_j / |A_j| on active sources of positive area, 0 on frozen or
+        # zero-area ones, with no warning for the divisions by zero
+        active = np.array([True, True, False, True, False, False])
+        rates = np.array([0.7, 0.5, 0.3, 1.1, 0.2, 0.9])
+        areas = np.array([0.013, 0.0, 0.2, 3.7e-5, 0.0, 0.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = growth_rates(active, rates, areas)
+        want = np.array([0.7 / 0.013, 0.0, 0.0, 1.1 / 3.7e-5, 0.0, 0.0])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestStep:
     def test_all_frozen_only_time_moves(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
         thresholds = np.array([0.5])
         state = ConeState(1.0, thresholds.copy(), thresholds)
         grid = build_grid(unit_square, 1 / 64)
-        new, record, events = step(state, s, unit_square, grid, dt_max=0.25)
+        new, events = step(state, s, unit_square, grid, dt_max=0.25)
         assert new.time == pytest.approx(1.25)
         np.testing.assert_array_equal(new.radii, state.radii)
         assert events == []
@@ -68,10 +84,10 @@ class TestStep:
         t = np.pi / 3  # r(t) = 1 exactly
         thresholds = dom.escape_cost(s.locations)[0]
         state = ConeState(t, np.array([1.0]), thresholds)
-        new, record, _ = step(state, s, dom, grid)
+        new, _ = step(state, s, dom, grid)
         exact = (3 * new.time / np.pi) ** (1 / 3)
         # dominant error: O(h) relative area error times the advance
-        assert new.radii[0] == pytest.approx(exact, abs=5 * h * record.dt)
+        assert new.radii[0] == pytest.approx(exact, abs=5 * h * (new.time - t))
 
     def test_symmetric_pair_stays_symmetric(self, big_square):
         s = make_sources(big_square, [(1, 2), (3, 2)], [1.0, 1.0])
@@ -79,7 +95,7 @@ class TestStep:
         thresholds = big_square.escape_cost(s.locations)[0]
         state = ConeState(0.1, np.array([0.6, 0.6]), thresholds)
         for _ in range(15):
-            state, _, _ = step(state, s, big_square, grid)
+            state, _ = step(state, s, big_square, grid)
             assert state.radii[0] == state.radii[1]
 
 
@@ -92,7 +108,7 @@ class TestRun:
         _, radii_fn = analytic_phase(s, dom)
         for t, st in zip(times, traj.states):
             np.testing.assert_array_equal(st.radii, radii_fn(t))
-        assert traj.steps == []
+        assert traj.rk2_steps == 0
 
     def test_single_source_freeze_bracket(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
@@ -106,6 +122,20 @@ class TestRun:
         assert t1 == pytest.approx(0.13092146, abs=1e-6)
         assert traj.states[0].radii[0] == pytest.approx(0.5)
         assert traj.states[0].frozen[0]
+
+    @pytest.mark.parametrize("horizon", [0.5, 0.1], ids=["all_frozen", "horizon"])
+    def test_rk2_steps_counts_step_calls(self, unit_square, horizon, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].time)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "step", counted)
+        s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
+        traj = run(s, unit_square, horizon, [horizon], 1 / 64)
+        assert traj.final_state.frozen.all() == (horizon == 0.5)
+        assert traj.rk2_steps == len(calls) > 0
 
     def test_rejects_bad_horizon(self, unit_square):
         s = make_sources(unit_square, [(0.5, 0.5)], [1.0])
@@ -172,16 +202,30 @@ class TestSnapshots:
 
 class TestInvariants:
     def test_mass_balance_every_step(self, big_square):
-        s = make_sources(big_square, [(1, 1.2), (2.8, 2.6), (1.5, 3.0)], [0.5, 1.0, 0.75])
+        # Each step of cones.step, driven as the run drives it, advances its
+        # radii by the law's rates at its start and midpoint, bit for bit.
         dom = ConvexDomain(big_square.vertices, [0.3, 0.5, 0.2, 0.4])
-        s = make_sources(dom, s.locations, s.rates)
-        traj = run(s, dom, 1.2, [1.2], 1 / 64)
-        assert traj.steps, "expected stepped integration"
+        s = make_sources(dom, [(1, 1.2), (2.8, 2.6), (1.5, 3.0)], [0.5, 1.0, 0.75])
+        T, h = 1.2, 1 / 64
+        knots, _ = knot_scan(s, dom, T, h)
+        assert len(knots) > 1, "expected stepped integration"
+        grid = build_grid(dom, h)
         c = s.rates
-        for rec in traj.steps:
-            np.testing.assert_array_equal(rec.rdot[rec.active], c[rec.active] / rec.areas[rec.active])
-            balance = math.fsum(list(c[rec.active]) + list(c[~rec.active]))
-            assert balance == math.fsum(c)
+        for a, b in zip(knots, knots[1:]):
+            active = ~a.frozen
+            areas = areas_with_floor(grid, dom, s, a.radii, active & (a.radii > 0.0))
+            rdot = growth_rates(active, c, areas)
+            np.testing.assert_array_equal(rdot[active], c[active] / areas[active])
+            assert not rdot[~active].any()
+            assert math.fsum(list(c[active]) + list(c[~active])) == math.fsum(c)
+
+            dt = min(float(np.min(STEP_SAFETY * h * areas[active] / c[active])), T - a.time)
+            assert a.time + dt == b.time
+            r_half = np.where(active, np.minimum(a.radii + 0.5 * dt * rdot, a.thresholds), a.radii)
+            rdot_half = growth_rates(active, c, areas_with_floor(grid, dom, s, r_half, active & (r_half > 0.0)))
+            unclamped = ~b.frozen | a.frozen
+            np.testing.assert_array_equal(b.radii[unclamped], (a.radii + dt * rdot_half)[unclamped])
+            np.testing.assert_array_equal(b.radii[~unclamped], a.thresholds[~unclamped])
 
     def test_radii_monotone_and_freeze_absorbing(self, big_square):
         dom = ConvexDomain(big_square.vertices, [0.1, 0.2, 0.1, 0.3])

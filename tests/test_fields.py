@@ -203,9 +203,10 @@ class TestRollingMeasure:
         state, grid = traj.states[0], traj.grid
         part = partition(grid, s, state.radii)
         assert state.frozen.any() and not state.frozen.all()
-        mu = rolling_measure(state, s, part, traj.spill_atoms)
+        atoms = dom.escape_cost(s.locations)[1]
+        mu = rolling_measure(state, s, part, atoms)
 
-        mass, _ = deposit_loop(state, s, part, traj.spill_atoms, grid)
+        mass, _ = deposit_loop(state, s, part, atoms, grid)
         stray = ~grid.inside_mask & (mass != 0.0)
         assert stray.any()
         centers, inside = grid.cell_centers(), np.argwhere(grid.inside_mask)
@@ -288,7 +289,7 @@ class TestFieldInvariants:
         dom, s, traj, _ = self.make_run()
         final = traj.final_state
         assert final.frozen.any()
-        nu = spill_measure(final, s, traj.spill_atoms)
+        nu = spill_measure(final, s, dom.escape_cost(s.locations)[1])
         u_atoms = heights_at(final, s, nu.points.position)
         np.testing.assert_allclose(u_atoms, dom.wall_height(nu.points), rtol=0.0, atol=1e-9)
 
@@ -297,11 +298,12 @@ class TestFieldInvariants:
             dom, s, traj, _ = self.make_run(h)
             grid = build_grid(dom, h)
             centers = grid.cell_centers().reshape(-1, 2)
+            atoms = dom.escape_cost(s.locations)[1]
             for state in (traj.states[2], traj.states[4]):
                 part = partition(grid, s, state.radii)
                 dudt = growth_rate_field(state, s, part)
-                _, direction_mass = deposit_loop(state, s, part, traj.spill_atoms, grid)
-                nu = spill_measure(state, s, traj.spill_atoms)
+                _, direction_mass = deposit_loop(state, s, part, atoms, grid)
+                nu = spill_measure(state, s, atoms)
                 for phi, dphi in _test_functions():
                     t1 = float((dudt.values.ravel() * phi(centers)).sum() * h * h)
                     g = dphi(centers)
