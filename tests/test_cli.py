@@ -661,14 +661,13 @@ class TestVerify:
         assert f"config error: manifest [config]: {named}: must be positive" in capsys.readouterr().err
         assert not (out / "certificates.txt").exists()
 
-    def test_reverify_replaces_certificates_and_timings(self, tmp_path):
+    def test_splice_keeps_section_order(self, tmp_path):
         # verify rewrites the manifest it read: the sections keep their order,
-        # its certificates replace the old ones, and its timings replace their
-        # namesakes and come last, after simulate's, which keep their order
+        # its certificates replace the old ones, and a second verify changes
+        # nothing outside [timings]
         path, out = write_config(tmp_path, SINGLE_SOURCE)
         assert main(["simulate", "--config", str(path), "--quiet"]) == 0
         manifest = out / "manifest.txt"
-        simulated = parse_manifest(manifest)["timings"]
         assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
         once = manifest.read_text()
         assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
@@ -677,9 +676,29 @@ class TestVerify:
         assert strip_timings(manifest.read_text()) == strip_timings(once)
         assert twice["certificates"] == (out / "certificates.txt").read_text().splitlines()[2:]
         assert len(twice["certificates"]) == 3
-        assert twice["timings"][: len(simulated)] == simulated
-        verified = [line.partition(" = ")[0] for line in twice["timings"][len(simulated):]]
+
+    def test_splice_replaces_timing(self, tmp_path):
+        # verify's timings replace their namesakes and come last, after
+        # simulate's, which keep their order; a stale verify_seconds in the
+        # middle of [timings] is dropped
+        path, out = write_config(tmp_path, SINGLE_SOURCE)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+        manifest = out / "manifest.txt"
+        simulated = parse_manifest(manifest)["timings"]
+        assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
+        before = manifest.read_text()
+        stale = before.replace("\n[timings]\n", "\n[timings]\nverify_seconds = 999.000\n", 1)
+        assert stale != before
+        manifest.write_text(stale)
+        for _ in range(2):
+            assert main(["verify", "--manifest", str(manifest), "--quiet"]) == 0
+        after = manifest.read_text()
+        timings = parse_manifest(manifest)["timings"]
+        assert timings[: len(simulated)] == simulated
+        verified = [line.partition(" = ")[0] for line in timings[len(simulated):]]
         assert verified == ["demand_atoms", "primal_pivots", "verify_seconds"]
+        assert "verify_seconds = 999.000" not in timings
+        assert strip_timings(after) == strip_timings(before)
 
     def test_partition_counters_survive_verify(self, tmp_path):
         path, out = write_config(tmp_path, SINGLE_SOURCE)
